@@ -168,17 +168,17 @@ def _cmd_gabor(args: argparse.Namespace) -> int:
         return 0 if report.match else 1
     if args.gabor_command == "tight-wrd":
         result = tight_gabor_weak_r_dual(sys_, tol=tol)
-        va = analyze(result.v, tol)
+        v_is_onb = result.certificate.v_is_onb
         _emit(
             _report(
                 {
                     "tight_weak_r_dual": result.to_json_dict(),
-                    "v_is_onb": va.is_onb,
+                    "v_is_onb": v_is_onb,
                 }
             ),
             args,
         )
-        return 0 if result.certificate.passes() and not va.is_onb else 1
+        return 0 if result.certificate.passes() and not v_is_onb else 1
     raise AssertionError(f"unhandled subcommand {args.gabor_command}")
 
 

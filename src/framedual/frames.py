@@ -14,17 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptySpanError, FixtureParseError, ShapeMismatchError
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerance,
-    frobenius,
-    psd_inverse_sqrt,
-)
+from .numerics import DEFAULT_TOL, Tolerance, singular_rank, thin_svd
 
 __all__ = [
     "VectorFamily",
@@ -59,6 +55,7 @@ class VectorFamily:
     """Ordered finite family of complex vectors in ``C^ambient_dim``.
 
     ``vectors`` has one member per row.  Zero members are permitted.
+    ``svd`` is the family's one factorization; everything else reads it.
     """
 
     vectors: np.ndarray
@@ -81,6 +78,19 @@ class VectorFamily:
     @property
     def ambient_dim(self) -> int:
         return self.vectors.shape[1]
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD ``(U, s, Vh)`` of the ``ambient_dim x count`` synthesis
+        matrix, computed on first use.  ``vectors`` is read-only, so the
+        cache cannot go stale; the factors are read-only as well."""
+        factors = thin_svd(self.vectors.T)
+        for arr in factors:
+            arr.flags.writeable = False
+        return factors
+
+    def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
+        return singular_rank(self.svd[1], tol)
 
     def member(self, i: int) -> np.ndarray:
         return self.vectors[i]
@@ -153,24 +163,8 @@ def gram_matrix(fam: VectorFamily) -> np.ndarray:
 
 def span_projector(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of the members."""
-    from .numerics import orthonormal_span_basis
-
-    q = orthonormal_span_basis(synthesis_matrix(fam), tol)
-    if q.shape[1] == 0:
-        n = fam.ambient_dim
-        return np.zeros((n, n), dtype=np.complex128)
+    q = fam.svd[0][:, : fam.rank(tol)]
     return q @ q.conj().T
-
-
-def _span_data(fam: VectorFamily, tol: Tolerance):
-    """Shared SVD of the synthesis matrix: (U, singular values, rank)."""
-    t = synthesis_matrix(fam)
-    u, s, _ = np.linalg.svd(t, full_matrices=False)
-    if s.size == 0 or s[0] < tol.abs_floor:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol.threshold(float(s[0]))))
-    return u, s, rank
 
 
 def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
@@ -178,26 +172,28 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
 
     Bounds are the extreme nonzero eigenvalues of the frame operator;
     raises ``EmptySpanError`` when every member is numerically zero.
+    Residuals come from the singular values, with no cancelling terms:
+    ``S - P`` has eigenvalues ``s_i^2 - 1`` on the span and ``s_i^2`` off
+    it; ``G - I`` has ``s_i^2 - 1`` and ``m - min(m, n)`` times ``-1``.
     """
     m, n = fam.count, fam.ambient_dim
-    u, s, rank = _span_data(fam, tol)
+    s = fam.svd[1]
+    rank = singular_rank(s, tol)
     if rank == 0:
         raise EmptySpanError("all members are numerically zero")
-    sq = s[:rank] ** 2
-    lower = float(sq[-1])
+    sq = s**2
+    lower = float(sq[rank - 1])
     upper = float(sq[0])
 
-    proj = u[:, :rank] @ u[:, :rank].conj().T
-    s_op = frame_operator(fam)
-    parseval_residual = frobenius(s_op - proj)
-    is_parseval = parseval_residual <= tol.threshold(max(1.0, frobenius(s_op)))
-
-    gram = gram_matrix(fam)
-    gram_residual = frobenius(gram - np.eye(m))
-    is_riesz_seq = rank == m
-    is_onb = is_parseval and rank == n and gram_residual <= tol.threshold(
-        max(1.0, frobenius(gram))
+    parseval_residual = float(
+        np.hypot(np.linalg.norm(sq[:rank] - 1.0), np.linalg.norm(sq[rank:]))
     )
+    scale = max(1.0, float(np.linalg.norm(sq)))  # ||S||_F == ||G||_F
+    is_parseval = parseval_residual <= tol.threshold(scale)
+
+    gram_residual = float(np.hypot(np.linalg.norm(sq - 1.0), np.sqrt(m - s.size)))
+    is_riesz_seq = rank == m
+    is_onb = is_parseval and rank == n and gram_residual <= tol.threshold(scale)
 
     return FrameAnalysis(
         member_count=m,
@@ -219,29 +215,29 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
     )
 
 
-def _pseudo_inverse_frame_operator(fam: VectorFamily, tol: Tolerance) -> np.ndarray:
-    u, s, rank = _span_data(fam, tol)
+def _span_factors(fam: VectorFamily, tol: Tolerance):
+    """The rank-r part ``(U_r, s_r, Vh_r)`` of the family's SVD."""
+    u, s, vh = fam.svd
+    rank = singular_rank(s, tol)
     if rank == 0:
         raise EmptySpanError("all members are numerically zero")
-    inv = 1.0 / (s[:rank] ** 2)
-    return (u[:, :rank] * inv) @ u[:, :rank].conj().T
+    return u[:, :rank], s[:rank], vh[:rank]
 
 
 def canonical_dual(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> VectorFamily:
     """Canonical dual family: the pseudo-inverse of the frame operator
-    applied member-wise (handles frame sequences, not just frames)."""
-    s_pinv = _pseudo_inverse_frame_operator(fam, tol)
-    return VectorFamily((s_pinv @ fam.vectors.T).T, label=f"dual({fam.label})")
+    applied member-wise (handles frame sequences, not just frames).
+    With ``T = U_r diag(s_r) Vh_r`` this is ``S^+ T = U_r diag(1/s_r) Vh_r``."""
+    u, s, vh = _span_factors(fam, tol)
+    return VectorFamily(((u / s) @ vh).T, label=f"dual({fam.label})")
 
 
 def parseval_tighten(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> VectorFamily:
     """Apply the pseudo-inverse square root of the frame operator,
-    producing a family Parseval for the span of the input."""
-    u, s, rank = _span_data(fam, tol)
-    if rank == 0:
-        raise EmptySpanError("all members are numerically zero")
-    half = psd_inverse_sqrt(frame_operator(fam), tol)
-    return VectorFamily((half @ fam.vectors.T).T, label=f"tight({fam.label})")
+    producing a family Parseval for the span of the input:
+    ``S^{+1/2} T = U_r Vh_r``."""
+    u, _, vh = _span_factors(fam, tol)
+    return VectorFamily((u @ vh).T, label=f"tight({fam.label})")
 
 
 def project_onto_span(

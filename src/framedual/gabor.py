@@ -47,16 +47,15 @@ from .frames import (
     random_parseval,
     span_projector,
     standard_basis_family,
-    synthesis_matrix,
 )
-from .numerics import DEFAULT_TOL, Tolerance, frobenius, svd_rank_nullspace
+from .numerics import DEFAULT_TOL, Tolerance, frobenius
 from .rduality import (
     WeakRDualCertificate,
+    _adjoint_product_norm,
     _certificate,
-    _cross_gram_matrix,
+    _dual_side,
+    _isometric_extension_v,
     build_orthonormal_v,
-    characterizing_sequence,
-    dual_commutation_residual,
     find_conjugate_witness,
 )
 
@@ -226,8 +225,7 @@ def duality_check(sys: GaborSystem, tol: Tolerance = DEFAULT_TOL) -> DualityRepo
     """
     sa = analyze(sys.family, tol)
     adj = adjoint_system(sys)
-    a_syn = synthesis_matrix(adj.family)
-    sigma = np.linalg.svd(a_syn, compute_uv=False)
+    sigma = adj.family.svd[1]
     count = adj.family.count
     upper = float(sigma[0] ** 2)
     lower = float(sigma[-1] ** 2) if count <= sys.lattice.N else 0.0
@@ -325,8 +323,7 @@ def tight_gabor_weak_r_dual(
     u_slice = VectorFamily(u.vectors[:k_count], label=f"{u.label}[:{k_count}]")
 
     f = sys.family
-    y = characterizing_sequence(w_pad, f, u, tol)
-    y_syn = synthesis_matrix(y)
+    y_syn, rank_y, padded_res = _dual_side(w_pad, f, u, tol)
     p = span_projector(w0, tol)
     proj_parseval = frobenius(y_syn @ y_syn.conj().T - p)
     if proj_parseval > tol.threshold(max(1.0, frobenius(p))):
@@ -335,20 +332,16 @@ def tight_gabor_weak_r_dual(
             f" (residual {proj_parseval:.3e}); the unpadded slots of u must"
             " be orthonormal"
         )
-    rank_y, ker_basis = svd_rank_nullspace(y_syn, tol)
-    rank_w0, _ = svd_rank_nullspace(synthesis_matrix(w0), tol)
-    deficit = lat.N - rank_w0
+    deficit = lat.N - w0.rank(tol)
     kernel = m_count - rank_y
     if not deficit < kernel:
         raise HypothesisFailedError(
             f"span deficit {deficit} must be strictly below kernel {kernel}"
         )
-    _, comp_basis = svd_rank_nullspace(synthesis_matrix(w0).conj().T, tol)
-    q_adj = comp_basis[:, :deficit] @ ker_basis[:, :deficit].conj().T
-    v = VectorFamily((y_syn + q_adj).T, label=f"tight-v({sys.family.label})")
-
+    v = _isometric_extension_v(
+        w0, y_syn, deficit, kernel, tol, f"tight-v({sys.family.label})"
+    )
     cert = _certificate(w0, f, u_slice, v, tol)
-    padded_res = dual_commutation_residual(w_pad, f, u, tol)
     return TightDualResult(
         v=v,
         certificate=cert,
@@ -452,10 +445,8 @@ def _candidate_u_records(
     rand_u = random_parseval(rng, m_count, n, label="randomized-parseval")
     candidates.append(("randomized_parseval", rand_u, None))
 
-    wa = analyze(w_pad, tol)
-    if wa.deficit == 0:
-        tight_span = parseval_tighten(w_pad, tol)
-        full_u = VectorFamily(np.conj(tight_span.vectors), label="dual-commuting")
+    if w_pad.rank(tol) == n:
+        full_u = VectorFamily(np.conj(tight_w.vectors), label="dual-commuting")
         candidates.append(("dual_commuting", full_u, None))
     else:
         candidates.append(("dual_commuting", None, "adjoint span is proper"))
@@ -465,12 +456,10 @@ def _candidate_u_records(
         if u is None:
             records.append({"name": name, "verdict": "Gated", "reason": gate_reason})
             continue
-        dual_res = dual_commutation_residual(w_pad, f, u, tol)
-        y = characterizing_sequence(w_pad, f, u, tol)
-        y_syn = synthesis_matrix(y)
+        y_syn, _, dual_res = _dual_side(w_pad, f, u, tol)
         proj_res = frobenius(y_syn @ y_syn.conj().T - p)
         u_pars = frobenius(frame_operator(u) - np.eye(n))
-        scale = max(1.0, frobenius(_cross_gram_matrix(u, f)))
+        scale = max(1.0, _adjoint_product_norm(u.vectors, f))
         ok = dual_res <= tol.threshold(scale) and proj_res <= tol.threshold(
             max(1.0, frobenius(p))
         )

@@ -2,7 +2,10 @@
 
 All rank and equality decisions are made relative to the largest
 singular value (or matrix scale) with an absolute floor, never by exact
-comparison.  Every routine is a pure function of its inputs.
+comparison; ``singular_rank`` is the one rank rule.  Rank-only callers
+need singular values alone, and no routine builds an ``m x m`` factor
+of a tall ``m x n`` input.  Every routine is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ __all__ = [
     "frobenius",
     "hermitian_eig",
     "psd_inverse_sqrt",
+    "singular_rank",
+    "thin_svd",
     "svd_rank_nullspace",
     "orthonormal_span_basis",
 ]
@@ -116,38 +121,44 @@ def psd_inverse_sqrt(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (v * inv_sqrt) @ v.conj().T
 
 
+def singular_rank(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Number of descending singular values above ``tol.threshold(s[0])``;
+    zero when ``s[0]`` is below the absolute floor."""
+    if s.size == 0 or s[0] < tol.abs_floor:
+        return 0
+    return int(np.sum(s > tol.threshold(float(s[0]))))
+
+
+def _svd(a: np.ndarray, **kwargs):
+    try:
+        return np.linalg.svd(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(str(exc)) from exc
+
+
+def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(U, s, Vh)`` with ``min(m, n)`` singular triples, ``s`` descending."""
+    return tuple(_svd(as_complex_matrix(a), full_matrices=False))
+
+
 def svd_rank_nullspace(
     a: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[int, np.ndarray]:
     """Numerical rank and an orthonormal basis of the right null space.
 
     The null basis is returned as the columns of an ``n x (n - rank)``
-    matrix (possibly with zero columns count).
+    matrix (possibly with zero columns count).  Only a wide input needs
+    the full right factor; a tall one gets it from the thin SVD.
     """
     a = as_complex_matrix(a)
-    try:
-        _, s, vh = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(str(exc)) from exc
-    if s.size == 0 or s[0] < tol.abs_floor:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol.threshold(float(s[0]))))
-    null_basis = vh[rank:].conj().T
-    return rank, null_basis
+    _, s, vh = _svd(a, full_matrices=a.shape[0] < a.shape[1])
+    rank = singular_rank(s, tol)
+    return rank, vh[rank:].conj().T
 
 
 def orthonormal_span_basis(
     vectors: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
     """Orthonormal basis of the column space, as matrix columns."""
-    a = as_complex_matrix(vectors)
-    try:
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(str(exc)) from exc
-    if s.size == 0 or s[0] < tol.abs_floor:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol.threshold(float(s[0]))))
-    return u[:, :rank]
+    u, s, _ = thin_svd(vectors)
+    return u[:, : singular_rank(s, tol)]

@@ -16,6 +16,10 @@ and
 is the projection of any admissible ``v`` onto span{w}.  All checks are
 Frobenius-norm residuals against a shared tolerance; the certificate
 records every residual so that verdicts are reproducible.
+
+No count x count matrix is formed: products are re-associated through
+n x n cores such as ``V^t F``, and each ``||X H^*||_F`` uses the thin SVD
+of ``h``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .errors import (
 )
 from .frames import (
     VectorFamily,
+    _span_factors,
     analyze,
     canonical_dual,
     frame_operator,
@@ -51,6 +56,7 @@ from .numerics import (
     Tolerance,
     frobenius,
     hermitian_eig,
+    singular_rank,
     svd_rank_nullspace,
 )
 
@@ -108,16 +114,35 @@ def _require_same_count(*fams: VectorFamily) -> int:
     return counts.pop()
 
 
-def _cross_gram_matrix(g: VectorFamily, h: VectorFamily) -> np.ndarray:
-    """Entries ``<g_i, h_j>``; counts may differ, dimensions must match."""
+def cross_gram(g: VectorFamily, h: VectorFamily) -> np.ndarray:
+    """Cross-Gram matrix with entries ``<g_i, h_j>`` (square contract)."""
+    _require_same_count(g, h)
     _require_same_dim(g, h)
     return g.vectors @ h.vectors.conj().T
 
 
-def cross_gram(g: VectorFamily, h: VectorFamily) -> np.ndarray:
-    """Cross-Gram matrix with entries ``<g_i, h_j>`` (square contract)."""
-    _require_same_count(g, h)
-    return _cross_gram_matrix(g, h)
+def _adjoint_product_norm(x: np.ndarray, h: VectorFamily) -> float:
+    """``||x H^*||_F`` for the member rows ``H`` of ``h``: as
+    ``H^* = conj(U) diag(s) conj(Vh)`` and ``conj(Vh)`` has orthonormal
+    rows, it equals ``||x conj(U) diag(s)||_F``."""
+    u, s, _ = h.svd
+    return frobenius((x @ u.conj()) * s)
+
+
+def _dual_side(
+    w: VectorFamily, f: VectorFamily, u: VectorFamily, tol: Tolerance
+) -> tuple[np.ndarray, int, float]:
+    """Characterizing-sequence synthesis ``Y = (W~^t U) F^*``, its rank,
+    and ``||(G(w~,w)^t - I) G(u,f)||_F = ||(conj(W) W~^t U - U) F^*||_F``.
+    ``core conj(U_f) diag(s_f)`` has the singular values of ``Y``."""
+    _require_same_dim(w, f, u)
+    core = canonical_dual(w, tol).vectors.T @ u.vectors
+    f_u, f_s, _ = f.svd
+    y_syn = core @ f.vectors.conj().T
+    y_core = (core @ f_u.conj()) * f_s
+    rank_y = singular_rank(np.linalg.svd(y_core, compute_uv=False), tol)
+    dual_res = _adjoint_product_norm(np.conj(w.vectors) @ core - u.vectors, f)
+    return y_syn, rank_y, dual_res
 
 
 def _gate_parseval(fam: VectorFamily, tol: Tolerance, name: str) -> None:
@@ -222,34 +247,25 @@ def _certificate(
             " must pair up"
         )
 
-    g_fu = _cross_gram_matrix(f, u)  # (M, K), entries <f_i, u_j>
-    g_uf = g_fu.conj().T  # (K, M), entries <u_k, f_i>
-
-    v_syn = synthesis_matrix(v)  # (n, M)
-    generated = v_syn @ g_fu  # columns: sum_i <f_i,u_j> v_i
+    # G(f,u) = F U^*, so V^t G(f,u) = (V^t F) U^* and
+    # (G(v,v)^t - I) G(f,u) = (conj(V) V^t F - F) U^*.
+    core = v.vectors.T @ f.vectors  # (n, n)
+    generated = core @ u.vectors.conj().T  # columns: sum_i <f_i,u_j> v_i
     w_syn = synthesis_matrix(w)
     synth_res = float(np.max(np.linalg.norm(w_syn - generated, axis=0)))
+    comm_res = _adjoint_product_norm(np.conj(v.vectors) @ core - f.vectors, u)
 
-    g_vv = _cross_gram_matrix(v, v)
-    comm_res = frobenius((g_vv.T - np.eye(v.count)) @ g_fu)
-
-    w_dual = canonical_dual(w, tol)
-    g_wd_w = _cross_gram_matrix(w_dual, w)  # (K, K)
-    dual_comm_res = frobenius((g_wd_w.T - np.eye(w.count)) @ g_uf)
-
-    y_syn = synthesis_matrix(w_dual) @ g_uf  # (n, M): characterizing sequence
+    y_syn, rank_y, dual_comm_res = _dual_side(w, f, u, tol)
     p = span_projector(w, tol)
     s_y = y_syn @ y_syn.conj().T
     proj_parseval_res = frobenius(s_y - p)
-    proj_res = float(np.max(np.linalg.norm(p @ v_syn - y_syn, axis=0)))
+    proj_res = float(np.max(np.linalg.norm(p @ v.vectors.T - y_syn, axis=0)))
 
-    rank_w, _ = svd_rank_nullspace(w_syn, tol)
-    rank_y, _ = svd_rank_nullspace(y_syn, tol)
-    span_deficit = n - rank_w
+    span_deficit = n - w.rank(tol)
     kernel_dim = f.count - rank_y
 
     w_scale = max(1.0, float(np.max(np.linalg.norm(w_syn, axis=0))))
-    g_scale = max(1.0, frobenius(g_fu))
+    g_scale = max(1.0, _adjoint_product_norm(f.vectors, u))
     synth_ok = synth_res <= tol.threshold(w_scale)
     comm_ok = comm_res <= tol.threshold(g_scale)
     dual_ok = dual_comm_res <= tol.threshold(g_scale)
@@ -316,8 +332,7 @@ def weak_r_dual(
     _require_same_dim(f, u, v)
     _gate_parseval(u, tol, "u")
     _gate_parseval(v, tol, "v")
-    g_fu = _cross_gram_matrix(f, u)
-    w_syn = synthesis_matrix(v) @ g_fu
+    w_syn = (v.vectors.T @ f.vectors) @ u.vectors.conj().T
     w = VectorFamily(w_syn.T, label=f"wrd({f.label})")
     return w, _certificate(w, f, u, v, tol)
 
@@ -381,10 +396,7 @@ def characterizing_sequence(
 ) -> VectorFamily:
     """``y_i = sum_k <u_k, f_i> w~_k`` over the canonical dual of ``w``."""
     _require_same_count(w, f, u)
-    _require_same_dim(w, f, u)
-    w_dual = canonical_dual(w, tol)
-    g_uf = _cross_gram_matrix(u, f)
-    y_syn = synthesis_matrix(w_dual) @ g_uf
+    y_syn, _, _ = _dual_side(w, f, u, tol)
     return VectorFamily(y_syn.T, label=f"charseq({w.label})")
 
 
@@ -399,10 +411,7 @@ def dual_commutation_residual(
     Zero for every Riesz sequence ``w`` by biorthogonality.
     """
     _require_same_count(w, f, u)
-    _require_same_dim(w, f, u)
-    w_dual = canonical_dual(w, tol)
-    g = _cross_gram_matrix(w_dual, w)
-    return frobenius((g.T - np.eye(w.count)) @ _cross_gram_matrix(u, f))
+    return _dual_side(w, f, u, tol)[2]
 
 
 def dimension_report(
@@ -413,12 +422,10 @@ def dimension_report(
 ) -> DimensionReport:
     """Compare the span deficit of ``w`` with the kernel dimension of the
     characterizing-sequence synthesis."""
-    y = characterizing_sequence(w, f, u, tol)
-    rank_y, _ = svd_rank_nullspace(synthesis_matrix(y), tol)
-    rank_w, _ = svd_rank_nullspace(synthesis_matrix(w), tol)
-    rank_f, _ = svd_rank_nullspace(synthesis_matrix(f), tol)
-    deficit = w.ambient_dim - rank_w
-    kernel = y.count - rank_y
+    _require_same_count(w, f, u)
+    _, rank_y, _ = _dual_side(w, f, u, tol)
+    deficit = w.ambient_dim - w.rank(tol)
+    kernel = f.count - rank_y
     if deficit < kernel:
         rel = "Less"
     elif deficit == kernel:
@@ -428,7 +435,7 @@ def dimension_report(
     return DimensionReport(
         span_deficit=deficit,
         kernel_dim=kernel,
-        conjugate_kernel_dim=f.count - rank_f,
+        conjugate_kernel_dim=f.count - f.rank(tol),
         relation=rel,
     )
 
@@ -444,42 +451,42 @@ def _check_hypotheses(
 
     Returns (y synthesis, span projector, span deficit, kernel dim).
     """
-    y = characterizing_sequence(w, f, u, tol)
-    y_syn = synthesis_matrix(y)
+    y_syn, rank_y, res = _dual_side(w, f, u, tol)
     p = span_projector(w, tol)
     s_y = y_syn @ y_syn.conj().T
     if frobenius(s_y - p) > tol.threshold(max(1.0, frobenius(p))):
         raise HypothesisFailedError(
             "characterizing sequence is not Parseval for span{w}"
         )
-    res = dual_commutation_residual(w, f, u, tol)
-    if res > tol.threshold(max(1.0, frobenius(_cross_gram_matrix(u, f)))):
+    if res > tol.threshold(max(1.0, _adjoint_product_norm(u.vectors, f))):
         raise HypothesisFailedError(
             f"dual commutation condition fails (residual {res:.3e})"
         )
-    rank_w, _ = svd_rank_nullspace(synthesis_matrix(w), tol)
-    rank_y, _ = svd_rank_nullspace(y_syn, tol)
-    return y_syn, p, w.ambient_dim - rank_w, y.count - rank_y
+    return y_syn, p, w.ambient_dim - w.rank(tol), f.count - rank_y
 
 
 def _isometric_extension_v(
     w: VectorFamily,
     y_syn: np.ndarray,
     deficit: int,
+    kernel: int,
     tol: Tolerance,
     label: str,
 ) -> VectorFamily:
-    """Build ``v_i = y_i + Q*(e_i - T_y* y_i)`` where ``Q`` maps an
-    orthonormal basis of the span complement of ``w`` into the kernel of
-    the characterizing-sequence synthesis.  Equals ``Y + Q*`` columnwise
-    since ``Q*`` vanishes on the orthogonal complement of the kernel.
-    """
-    _, ker_basis = svd_rank_nullspace(y_syn, tol)
-    _, comp_basis = svd_rank_nullspace(synthesis_matrix(w).conj().T, tol)
+    """Build ``v = Y + Q*`` where ``Q*`` maps ``deficit`` orthonormal
+    vectors of ker(Y) onto an orthonormal basis of the span complement
+    of ``w`` and vanishes on the rest.  Any such vectors work; these are
+    the trailing right singular vectors of the leading ``rank(Y) +
+    deficit`` columns of ``Y``, zero-padded (by interlacing, their
+    singular values are at most those of ``Y`` past its rank)."""
     if deficit == 0:
         return VectorFamily(y_syn.T, label=label)
-    q_adj = comp_basis[:, :deficit] @ ker_basis[:, :deficit].conj().T
-    return VectorFamily((y_syn + q_adj).T, label=label)
+    head = y_syn.shape[1] - kernel + deficit
+    ker_head = np.linalg.svd(y_syn[:, :head])[2][head - deficit :]
+    _, comp_basis = svd_rank_nullspace(np.conj(w.vectors), tol)
+    v_syn = y_syn.copy()
+    v_syn[:, :head] += comp_basis[:, :deficit] @ ker_head
+    return VectorFamily(v_syn.T, label=label)
 
 
 def build_parseval_v(
@@ -508,7 +515,9 @@ def build_parseval_v(
             f"span deficit equals kernel dimension ({deficit}); only the"
             " orthonormal construction applies"
         )
-    return _isometric_extension_v(w, y_syn, deficit, tol, f"parseval-v({w.label})")
+    return _isometric_extension_v(
+        w, y_syn, deficit, kernel, tol, f"parseval-v({w.label})"
+    )
 
 
 def build_orthonormal_v(
@@ -534,7 +543,7 @@ def build_orthonormal_v(
         raise HypothesisFailedError(
             f"span deficit {deficit} != kernel dimension {kernel}"
         )
-    return _isometric_extension_v(w, y_syn, deficit, tol, f"onb-v({w.label})")
+    return _isometric_extension_v(w, y_syn, deficit, kernel, tol, f"onb-v({w.label})")
 
 
 # ----------------------------------------------------------------------
@@ -607,7 +616,6 @@ def interleaved_weak_r_dual(
     """
     _require_same_count(w, f, u, q)
     n = _require_same_dim(w, f, u, q)
-    y = characterizing_sequence(w, f, u, tol)
     y_syn, p, _, _ = _check_hypotheses(w, f, u, tol)
     comp = np.eye(n) - p
     s_q = frame_operator(q)
@@ -619,7 +627,8 @@ def interleaved_weak_r_dual(
     u_prime = interleave_prime(u)
     w_prime = interleave_prime(w)
     v = VectorFamily(
-        interleave_prime(y).vectors + interleave_double_prime(q).vectors,
+        interleave_prime(VectorFamily(y_syn.T)).vectors
+        + interleave_double_prime(q).vectors,
         label=f"interleaved-v({w.label})",
     )
     cert = _certificate(w_prime, f_prime, u_prime, v, tol)
@@ -665,19 +674,17 @@ def transfer_via_coisometry(
         raise HypothesisFailedError(
             "p is not a weak R-dual of f with respect to u and h"
         )
-    rank_w, _ = svd_rank_nullspace(synthesis_matrix(w), tol)
-    rank_p, _ = svd_rank_nullspace(synthesis_matrix(p), tol)
-    deficit_w, deficit_p = n - rank_w, n - rank_p
+    deficit_w, deficit_p = n - w.rank(tol), n - p.rank(tol)
     if deficit_w > deficit_p:
         raise DeficitOrderError(
             f"span deficit of w ({deficit_w}) exceeds that of p ({deficit_p})"
         )
     _check_hypotheses(w, f, u, tol)
-    a = synthesis_matrix(p)
-    b = synthesis_matrix(w)
-    u1 = b @ np.linalg.pinv(a)
-    _, comp_p = svd_rank_nullspace(a.conj().T, tol)
-    _, comp_w = svd_rank_nullspace(b.conj().T, tol)
+    # T_w T_p^+ with T_p^+ = Vh_r^* diag(1/s_r) U_r^* from the SVD of p.
+    pu, ps, pvh = _span_factors(p, tol)
+    u1 = ((w.vectors.T @ pvh.conj().T) / ps) @ pu.conj().T
+    _, comp_p = svd_rank_nullspace(np.conj(p.vectors), tol)
+    _, comp_w = svd_rank_nullspace(np.conj(w.vectors), tol)
     u2 = comp_w[:, :deficit_w] @ comp_p[:, :deficit_w].conj().T
     op = u1 + u2
     cois_res = frobenius(op @ op.conj().T - np.eye(n))
@@ -772,9 +779,7 @@ def verify_conjugate_witness(
         np.conj((m_inv @ w_dual.vectors.T)).T, label=f"witness-u({w.label})"
     )
     u_pars = frobenius(frame_operator(u) - np.eye(n))
-    dual_res = dual_commutation_residual(w, f, u, tol)
-    y = characterizing_sequence(w, f, u, tol)
-    y_syn = synthesis_matrix(y)
+    y_syn, _, dual_res = _dual_side(w, f, u, tol)
     proj_res = frobenius(y_syn @ y_syn.conj().T - span_projector(w, tol))
     return WitnessVerification(r_w, r_f, True, u, u_pars, dual_res, proj_res)
 
@@ -836,7 +841,7 @@ def gram_invariance_residual(
     _require_same_count(u, w)
     _require_same_dim(u, w)
     w_syn = synthesis_matrix(w)
-    res = w_syn @ _cross_gram_matrix(u, u) - w_syn
+    res = (w_syn @ u.vectors) @ u.vectors.conj().T - w_syn  # W^t G(u,u) - W^t
     return float(np.max(np.linalg.norm(res, axis=0)))
 
 
@@ -873,8 +878,7 @@ def characterizing_sequence_bounds(
         raise HypothesisFailedError("f must be a frame for the ambient space")
     wa = analyze(w, tol)
     y = characterizing_sequence(w, f, u, tol)
-    rank_y, _ = svd_rank_nullspace(synthesis_matrix(y), tol)
-    if rank_y != wa.span_dim:
+    if y.rank(tol) != wa.span_dim:
         raise HypothesisFailedError("characterizing sequence does not span span{w}")
     ya = analyze(y, tol)
     lo = fa.lower_bound / wa.upper_bound
@@ -905,7 +909,7 @@ def synthesized_gram_invariance_residual(
         raise NotParsevalError(
             f"u must be Parseval for the ambient space (residual {pars:.3e})"
         )
-    w_syn = synthesis_matrix(v) @ _cross_gram_matrix(f, u)
+    w_syn = (v.vectors.T @ f.vectors) @ u.vectors.conj().T
     w = VectorFamily(w_syn.T, label="synthesized")
     return gram_invariance_residual(u, w, tol)
 
@@ -919,16 +923,15 @@ def completeness_implies_invariance(
     """Given the dual commutation condition and a characterizing sequence
     complete in span{w}, report whether the Gram invariance condition
     holds (an implication, so the result must be True on valid inputs)."""
-    y = characterizing_sequence(w, f, u, tol)
-    rank_y, _ = svd_rank_nullspace(synthesis_matrix(y), tol)
-    rank_w, _ = svd_rank_nullspace(synthesis_matrix(w), tol)
+    _require_same_count(w, f, u)
+    _, rank_y, res = _dual_side(w, f, u, tol)
+    rank_w = w.rank(tol)
     if rank_y != rank_w:
         raise HypothesisFailedError(
             f"characterizing sequence spans a {rank_y}-dimensional subspace of"
             f" the {rank_w}-dimensional span{{w}}"
         )
-    res = dual_commutation_residual(w, f, u, tol)
-    if res > tol.threshold(max(1.0, frobenius(_cross_gram_matrix(u, f)))):
+    if res > tol.threshold(max(1.0, _adjoint_product_norm(u.vectors, f))):
         raise HypothesisFailedError(
             f"dual commutation condition fails (residual {res:.3e})"
         )
