@@ -19,6 +19,7 @@ from .errors import FixtureParseError, FrameDualError
 from .fixtures import FIXTURE_IDS, run_repro
 from .frames import VectorFamily, analyze, load_family
 from .gabor import (
+    SCHEMA_VERSION,
     GaborLattice,
     duality_check,
     gabor_system,
@@ -34,8 +35,6 @@ from .rduality import (
     characterize,
     weak_r_dual,
 )
-
-SCHEMA_VERSION = 1
 
 
 def _report(payload: dict) -> dict:
@@ -199,9 +198,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--abs-floor", type=float, default=1e-12, help="absolute tolerance floor"
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument("--json", dest="table", action="store_false", default=False)
-    parser.add_argument("--table", dest="table", action="store_true")
+    parser.add_argument("--table", action="store_true")
     parser.add_argument("--out", type=str, default=None, help="write report to a file")
 
 
@@ -255,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex = ga_sub.add_parser("explore")
     p_ex.add_argument("--N", type=str, required=True, help="e.g. 4..8 or 4,6,8")
     p_ex.add_argument("--trials", type=int, default=100)
-    p_ex.add_argument("--normalize", action="store_true")
+    p_ex.add_argument("--seed", type=int, default=0, help="RNG seed")
     _add_common(p_ex)
     p_ex.set_defaults(func=_cmd_gabor)
 

@@ -13,11 +13,14 @@ the same bounds.
 
 Redundancy is N/(a b); the weak R-dual machinery pairs the system
 (count N^2/(a b)) with the adjoint family (count a b).  The counts are
-equalized by zero-padding the adjoint; the padded slots are recorded and
-the certificate identities are evaluated on the unpadded slots, where
-they provably hold.  The full padded dual-commutation residual is also
-recorded: it is the finite-dimensional obstruction that keeps redundant
-adjoint systems from being weak R-duals in the strict equal-index sense.
+equalized by a convention: the adjoint is read as zero-padded to the
+system count.  The padded family is never built; its residuals are
+evaluated in closed form from the a b adjoint members (``_dual_side``).
+The padded slots are recorded and the certificate identities are
+evaluated on the unpadded slots, where they provably hold.  The padded
+dual-commutation residual is also recorded: it is the finite-dimensional
+obstruction that keeps redundant adjoint systems from being weak R-duals
+in the strict equal-index sense.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .frames import (
     span_projector,
     standard_basis_family,
 )
-from .numerics import DEFAULT_TOL, Tolerance, frobenius
+from .numerics import DEFAULT_TOL, Tolerance, frobenius, singular_rank
 from .rduality import (
     WeakRDualCertificate,
     _adjoint_product_norm,
@@ -77,7 +80,7 @@ __all__ = [
     "run_exploration",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -134,12 +137,12 @@ def _modulated_translates(
     scale: float = 1.0,
 ) -> np.ndarray:
     t = np.arange(N)
-    rows = np.empty((n_freqs * n_times, N), dtype=np.complex128)
-    for m in range(n_freqs):
-        phase = np.exp(2j * np.pi * m * freq_step * t / N)
-        for n in range(n_times):
-            rows[m * n_times + n] = scale * phase * np.roll(window, n * time_step)
-    return rows
+    m = np.arange(n_freqs)[:, None]
+    n = np.arange(n_times)[:, None]
+    phase = np.exp(2j * np.pi * m * freq_step * t / N)
+    translates = window[(t - n * time_step) % N]
+    rows = (scale * phase)[:, None, :] * translates
+    return rows.reshape(n_freqs * n_times, N)
 
 
 def gabor_system(lattice: GaborLattice, window: np.ndarray) -> GaborSystem:
@@ -252,17 +255,10 @@ def duality_check(sys: GaborSystem, tol: Tolerance = DEFAULT_TOL) -> DualityRepo
     )
 
 
-def _pad_family(fam: VectorFamily, count: int, label: str) -> VectorFamily:
-    out = np.zeros((count, fam.ambient_dim), dtype=np.complex128)
-    out[: fam.count] = fam.vectors
-    return VectorFamily(out, label=label)
-
-
 @dataclass(frozen=True)
 class TightDualResult:
     v: VectorFamily
     certificate: WeakRDualCertificate
-    padded_adjoint: VectorFamily
     padding_positions: list[int]
     padded_dual_commutation_residual: float
 
@@ -282,13 +278,13 @@ def tight_gabor_weak_r_dual(
 ) -> TightDualResult:
     """Weak R-dual pipeline for a tight, redundant system.
 
-    The adjoint family (a Riesz sequence by duality) is zero-padded to
-    the system count; the characterizing sequence computed through the
-    padded machinery is Parseval for the adjoint span, the span deficit
-    is strictly below the kernel dimension, and the isometric extension
-    produces a Parseval, non-orthonormal ``v``.  The certificate
-    identities are evaluated on the unpadded adjoint slots; the padded
-    dual-commutation residual is recorded as the documented obstruction.
+    The adjoint family (a Riesz sequence by duality) is read as
+    zero-padded to the system count; the characterizing sequence is
+    Parseval for the adjoint span, the span deficit is strictly below the
+    kernel dimension, and the isometric extension produces a Parseval,
+    non-orthonormal ``v``.  The certificate identities are evaluated on
+    the unpadded adjoint slots; the padded dual-commutation residual is
+    recorded as the documented obstruction.
 
     ``u`` defaults to the standard basis padded with zeros to the system
     count; its members at the unpadded slots must be orthonormal for the
@@ -317,13 +313,11 @@ def tight_gabor_weak_r_dual(
             f"u must be Parseval for the ambient space (residual {u_pars:.3e})"
         )
 
-    adj = adjoint_system(sys)
-    w0 = adj.family
-    w_pad = _pad_family(w0, m_count, label=f"padded-{w0.label}")
+    w0 = adjoint_system(sys).family
     u_slice = VectorFamily(u.vectors[:k_count], label=f"{u.label}[:{k_count}]")
 
     f = sys.family
-    y_syn, rank_y, padded_res = _dual_side(w_pad, f, u, tol)
+    y_syn, rank_y, padded_res = _dual_side(w0, f, u, tol)
     p = span_projector(w0, tol)
     proj_parseval = frobenius(y_syn @ y_syn.conj().T - p)
     if proj_parseval > tol.threshold(max(1.0, frobenius(p))):
@@ -345,7 +339,6 @@ def tight_gabor_weak_r_dual(
     return TightDualResult(
         v=v,
         certificate=cert,
-        padded_adjoint=w_pad,
         padding_positions=list(range(k_count, m_count)),
         padded_dual_commutation_residual=padded_res,
     )
@@ -413,10 +406,11 @@ def divisor_lattices(N: int, critical: Optional[bool] = None) -> list[GaborLatti
     return out
 
 
-def _nonzero_spectrum(mat: np.ndarray, tol: Tolerance) -> list[float]:
-    vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    cut = tol.threshold(float(max(vals[-1], 0.0))) if vals.size else 0.0
-    return [float(v) for v in vals if v > cut]
+def _spectrum(fam: VectorFamily, tol: Tolerance) -> list[float]:
+    """Nonzero eigenvalues of the frame operator, ascending: the squared
+    singular values above the rank rule."""
+    s = fam.svd[1]
+    return [float(v) for v in s[: singular_rank(s, tol)][::-1] ** 2]
 
 
 def _window_hash(window: np.ndarray) -> str:
@@ -425,38 +419,28 @@ def _window_hash(window: np.ndarray) -> str:
 
 def _candidate_u_records(
     sys: GaborSystem,
-    w_pad: VectorFamily,
+    w0: VectorFamily,
     rng: np.random.Generator,
     tol: Tolerance,
 ) -> list[dict]:
     """Per-candidate residual records for the padded dual-commutation
-    condition and the Parseval property of the characterizing sequence."""
+    condition and the Parseval property of the characterizing sequence.
+    ``w0`` is the unpadded adjoint; ``_dual_side`` pads it implicitly."""
     lat = sys.lattice
     n, m_count = lat.N, lat.member_count
     f = sys.family
-    p = span_projector(w_pad, tol)
+    p = span_projector(w0, tol)
 
-    candidates: list[tuple[str, Optional[VectorFamily], Optional[str]]] = []
-
-    tight_w = parseval_tighten(w_pad, tol)
-    conj_u = VectorFamily(np.conj(tight_w.vectors), label="conjugated-dual")
-    candidates.append(("conjugated_dual", conj_u, None))
-
-    rand_u = random_parseval(rng, m_count, n, label="randomized-parseval")
-    candidates.append(("randomized_parseval", rand_u, None))
-
-    if w_pad.rank(tol) == n:
-        full_u = VectorFamily(np.conj(tight_w.vectors), label="dual-commuting")
-        candidates.append(("dual_commuting", full_u, None))
-    else:
-        candidates.append(("dual_commuting", None, "adjoint span is proper"))
+    conj_rows = np.zeros((m_count, n), dtype=np.complex128)
+    conj_rows[: w0.count] = np.conj(parseval_tighten(w0, tol).vectors)
+    candidates = [
+        ("conjugated_dual", VectorFamily(conj_rows, label="conjugated-dual")),
+        ("randomized_parseval", random_parseval(rng, m_count, n)),
+    ]
 
     records = []
-    for name, u, gate_reason in candidates:
-        if u is None:
-            records.append({"name": name, "verdict": "Gated", "reason": gate_reason})
-            continue
-        y_syn, _, dual_res = _dual_side(w_pad, f, u, tol)
+    for name, u in candidates:
+        y_syn, _, dual_res = _dual_side(w0, f, u, tol)
         proj_res = frobenius(y_syn @ y_syn.conj().T - p)
         u_pars = frobenius(frame_operator(u) - np.eye(n))
         scale = max(1.0, _adjoint_product_norm(u.vectors, f))
@@ -484,9 +468,10 @@ def evaluate_exploration_trial(
     """Evidence record for one (lattice, window) pair.
 
     The spectral witness test compares the ambient frame operator of the
-    system with that of the padded adjoint; a proper adjoint span gates
-    the test (recorded, not resolved).  Tight systems are tagged and
-    skipped, since the tight pipeline settles them separately.
+    system with that of the adjoint (padding adds only zero members, so
+    the two coincide); a proper adjoint span gates the test (recorded,
+    not resolved).  Tight systems are tagged and skipped, since the
+    tight pipeline settles them separately.
     """
     lat = lattice
     record: dict = {
@@ -499,8 +484,7 @@ def evaluate_exploration_trial(
     }
     sys = gabor_system(lat, window)
     sa = analyze(sys.family, tol)
-    s_f = frame_operator(sys.family)
-    record["system_spectrum"] = _nonzero_spectrum(s_f, tol)
+    record["system_spectrum"] = _spectrum(sys.family, tol)
     if not sa.is_frame_for_ambient:
         record["verdict"] = "NotFrame"
         return record
@@ -508,26 +492,25 @@ def evaluate_exploration_trial(
         record["verdict"] = "Tight"
         return record
 
-    adj = adjoint_system(sys)
-    w_pad = _pad_family(adj.family, lat.member_count, label="padded-adjoint")
-    s_w = frame_operator(w_pad)
-    record["adjoint_spectrum"] = _nonzero_spectrum(s_w, tol)
+    w0 = adjoint_system(sys).family
+    record["adjoint_spectrum"] = _spectrum(w0, tol)
 
-    wa = analyze(w_pad, tol)
-    if wa.deficit != 0:
+    if w0.rank(tol) < lat.N:
         record["witness"] = {
             "verdict": "Gated",
             "reason": "adjoint span is proper in the ambient space",
         }
     else:
         try:
-            witness = find_conjugate_witness(s_w, s_f, tol)
+            witness = find_conjugate_witness(
+                frame_operator(w0), frame_operator(sys.family), tol
+            )
         except NotPositiveDefiniteError:
             witness = None
         record["witness"] = {
             "verdict": "WitnessFound" if witness is not None else "NoWitness"
         }
-    record["candidates"] = _candidate_u_records(sys, w_pad, rng, tol)
+    record["candidates"] = _candidate_u_records(sys, w0, rng, tol)
     record["verdict"] = record["witness"]["verdict"]
     return record
 

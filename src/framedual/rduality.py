@@ -134,14 +134,26 @@ def _dual_side(
 ) -> tuple[np.ndarray, int, float]:
     """Characterizing-sequence synthesis ``Y = (W~^t U) F^*``, its rank,
     and ``||(G(w~,w)^t - I) G(u,f)||_F = ||(conj(W) W~^t U - U) F^*||_F``.
-    ``core conj(U_f) diag(s_f)`` has the singular values of ``Y``."""
+    ``core conj(U_f) diag(s_f)`` has the singular values of ``Y``.
+
+    ``w`` may have fewer members than ``u``: the members of ``u`` past
+    ``w.count`` then pair with zero members.  The canonical dual of
+    ``[W; 0]`` is ``[W~; 0]``, so ``core`` reads only the leading rows of
+    ``U``, and the residual splits into the head ``||(conj(W) core -
+    U_head) F^*||`` and the tail ``||U_tail F^*||``."""
     _require_same_dim(w, f, u)
-    core = canonical_dual(w, tol).vectors.T @ u.vectors
+    head, tail = u.vectors[: w.count], u.vectors[w.count :]
+    core = canonical_dual(w, tol).vectors.T @ head
     f_u, f_s, _ = f.svd
     y_syn = core @ f.vectors.conj().T
     y_core = (core @ f_u.conj()) * f_s
     rank_y = singular_rank(np.linalg.svd(y_core, compute_uv=False), tol)
-    dual_res = _adjoint_product_norm(np.conj(w.vectors) @ core - u.vectors, f)
+    dual_res = float(
+        np.hypot(
+            _adjoint_product_norm(np.conj(w.vectors) @ core - head, f),
+            _adjoint_product_norm(tail, f),
+        )
+    )
     return y_syn, rank_y, dual_res
 
 

@@ -3,9 +3,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from helpers import fam, perturb_member, trio, trio_parseval
-from framedual.cli import main
+from framedual.cli import build_parser, main
 from framedual.frames import save_family
 
 
@@ -26,7 +27,7 @@ class TestAnalyze:
         path = _write(tmp_path, "onb", fam([[1, 0], [0, 1]], label="onb"))
         code, report = _run(capsys, ["analyze", path])
         assert code == 0
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["analysis"]["is_onb"] is True
 
     def test_doubled_pattern_fixture(self, tmp_path, capsys):
@@ -209,3 +210,32 @@ class TestTableMode:
         out = capsys.readouterr().out
         assert code == 0
         assert "all_passed" in out and "{" not in out.splitlines()[0]
+
+
+_GABOR = ["--N", "4", "--a", "1", "--b", "2"]
+_WFU = ["--w", "w", "--f", "f", "--u", "u"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["repro", "all"], ["--json"]),
+        (["analyze", "f.json"], ["--seed", "1"]),
+        (["wrd", "build", "--f", "f", "--u", "u", "--v", "v"], ["--seed", "1"]),
+        (["wrd", "check", *_WFU, "--v", "v"], ["--seed", "1"]),
+        (["wrd", "characterize", *_WFU, "--v", "v"], ["--seed", "1"]),
+        (["wrd", "construct-v", *_WFU], ["--seed", "1"]),
+        (["wrd", "promote", *_WFU], ["--seed", "1"]),
+        (["repro", "all"], ["--seed", "1"]),
+        (["gabor", "duality", *_GABOR], ["--seed", "1"]),
+        (["gabor", "tight-wrd", *_GABOR], ["--seed", "1"]),
+        (["gabor", "explore", "--N", "4"], ["--normalize"]),
+    ],
+    ids=lambda v: " ".join(v),
+)
+def test_removed_flags_are_usage_errors(argv, flag, capsys):
+    build_parser().parse_args(argv)  # the command itself is valid
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
