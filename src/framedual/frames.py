@@ -65,7 +65,7 @@ class VectorFamily:
         v = np.asarray(self.vectors, dtype=np.complex128)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"expected (count, dim) members, got shape {v.shape}")
-        if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+        if not np.isfinite(v).all():
             raise ValueError("family entries must be finite")
         v = v.copy()
         v.flags.writeable = False

@@ -13,14 +13,15 @@ the same bounds.
 
 Redundancy is N/(a b); the weak R-dual machinery pairs the system
 (count N^2/(a b)) with the adjoint family (count a b).  The counts are
-equalized by a convention: the adjoint is read as zero-padded to the
-system count.  The padded family is never built; its residuals are
-evaluated in closed form from the a b adjoint members (``_dual_side``).
-The padded slots are recorded and the certificate identities are
-evaluated on the unpadded slots, where they provably hold.  The padded
-dual-commutation residual is also recorded: it is the finite-dimensional
-obstruction that keeps redundant adjoint systems from being weak R-duals
-in the strict equal-index sense.
+equalized by a convention that only this module knows: the adjoint is
+read as zero-padded to the system count.  The padded family is never
+built.  The dual side is evaluated on the a b unpadded slots, and the
+padded dual-commutation residual is assembled from it and the members of
+``u`` past them (``_padded_dual_commutation``).  The padded slots are
+recorded and the certificate identities are evaluated on the unpadded
+slots, where they provably hold.  The padded residual is also recorded:
+it is the finite-dimensional obstruction that keeps redundant adjoint
+systems from being weak R-duals in the strict equal-index sense.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .frames import (
     frame_operator,
     parseval_tighten,
     random_parseval,
-    span_projector,
     standard_basis_family,
 )
 from .numerics import DEFAULT_TOL, Tolerance, frobenius, singular_rank
@@ -56,7 +56,9 @@ from .rduality import (
     WeakRDualCertificate,
     _adjoint_product_norm,
     _certificate,
+    _commutation_ok,
     _dual_side,
+    _DualSide,
     _isometric_extension_v,
     build_orthonormal_v,
     find_conjugate_witness,
@@ -151,7 +153,7 @@ def gabor_system(lattice: GaborLattice, window: np.ndarray) -> GaborSystem:
     w = np.asarray(window, dtype=np.complex128)
     if w.shape != (lattice.N,):
         raise ShapeMismatchError(f"window must have length {lattice.N}, got {w.shape}")
-    if not (np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag))):
+    if not np.isfinite(w).all():
         raise ZeroWindowError("window entries must be finite")
     if np.linalg.norm(w) <= DEFAULT_TOL.abs_floor:
         raise ZeroWindowError("window is numerically zero")
@@ -255,6 +257,20 @@ def duality_check(sys: GaborSystem, tol: Tolerance = DEFAULT_TOL) -> DualityRepo
     )
 
 
+def _padded_dual_commutation(
+    side: _DualSide, f: VectorFamily, tail: np.ndarray, tol: Tolerance
+) -> tuple[float, bool]:
+    """Dual-commutation residual of the adjoint zero-padded to the count
+    of ``u``, with its accept decision.  ``side`` is the dual side on the
+    unpadded slots and ``tail`` the members of ``u`` past them.  The
+    canonical dual of ``[W; 0]`` is ``[W~; 0]``, so the padded residual
+    is ``hypot(head residual, ||U_tail F^*||)``, and ``||U F^*||`` splits
+    the same way."""
+    tail_norm = _adjoint_product_norm(tail, f)
+    res = float(np.hypot(side.dual_res, tail_norm))
+    return res, _commutation_ok(res, float(np.hypot(side.gram_norm, tail_norm)), tol)
+
+
 @dataclass(frozen=True)
 class TightDualResult:
     v: VectorFamily
@@ -317,25 +333,20 @@ def tight_gabor_weak_r_dual(
     u_slice = VectorFamily(u.vectors[:k_count], label=f"{u.label}[:{k_count}]")
 
     f = sys.family
-    y_syn, rank_y, padded_res = _dual_side(w0, f, u, tol)
-    p = span_projector(w0, tol)
-    proj_parseval = frobenius(y_syn @ y_syn.conj().T - p)
-    if proj_parseval > tol.threshold(max(1.0, frobenius(p))):
+    side = _dual_side(w0, f, u_slice, tol)
+    padded_res, _ = _padded_dual_commutation(side, f, u.vectors[k_count:], tol)
+    if not side.parseval_ok:
         raise HypothesisFailedError(
             "characterizing sequence is not Parseval for the adjoint span"
-            f" (residual {proj_parseval:.3e}); the unpadded slots of u must"
+            f" (residual {side.parseval_res:.3e}); the unpadded slots of u must"
             " be orthonormal"
         )
-    deficit = lat.N - w0.rank(tol)
-    kernel = m_count - rank_y
-    if not deficit < kernel:
+    if not side.deficit < side.kernel:
         raise HypothesisFailedError(
-            f"span deficit {deficit} must be strictly below kernel {kernel}"
+            f"span deficit {side.deficit} must be strictly below kernel {side.kernel}"
         )
-    v = _isometric_extension_v(
-        w0, y_syn, deficit, kernel, tol, f"tight-v({sys.family.label})"
-    )
-    cert = _certificate(w0, f, u_slice, v, tol)
+    v = _isometric_extension_v(w0, side, tol, f"tight-v({sys.family.label})")
+    cert = _certificate(w0, f, u_slice, v, side, tol)
     return TightDualResult(
         v=v,
         certificate=cert,
@@ -374,14 +385,15 @@ def promote_to_r_dual(
             f" {w.ambient_dim}: an orthonormal basis with this index set"
             " cannot exist (expected for every redundant system)"
         )
+    side = _dual_side(w, f, u, tol)
     if v is not None:
-        base = _certificate(w, f, u, v, tol)
+        base = _certificate(w, f, u, v, side, tol)
         if not base.passes():
             raise HypothesisFailedError(
                 "the supplied v does not certify as a weak R-dual"
             )
     v_prime = build_orthonormal_v(w, f, u, tol)
-    cert = _certificate(w, f, u, v_prime, tol)
+    cert = _certificate(w, f, u, v_prime, side, tol)
     if cert.verdict != "RDual":
         raise HypothesisFailedError(
             f"promotion did not reach an R-dual verdict: {cert.verdict}"
@@ -425,35 +437,28 @@ def _candidate_u_records(
 ) -> list[dict]:
     """Per-candidate residual records for the padded dual-commutation
     condition and the Parseval property of the characterizing sequence.
-    ``w0`` is the unpadded adjoint; ``_dual_side`` pads it implicitly."""
+    ``w0`` is the unpadded adjoint; ``conjugated_dual`` has its a b
+    members, as its padded members would be zero."""
     lat = sys.lattice
-    n, m_count = lat.N, lat.member_count
+    n, k = lat.N, w0.count
     f = sys.family
-    p = span_projector(w0, tol)
-
-    conj_rows = np.zeros((m_count, n), dtype=np.complex128)
-    conj_rows[: w0.count] = np.conj(parseval_tighten(w0, tol).vectors)
     candidates = [
-        ("conjugated_dual", VectorFamily(conj_rows, label="conjugated-dual")),
-        ("randomized_parseval", random_parseval(rng, m_count, n)),
+        ("conjugated_dual", VectorFamily(np.conj(parseval_tighten(w0, tol).vectors))),
+        ("randomized_parseval", random_parseval(rng, lat.member_count, n)),
     ]
 
     records = []
     for name, u in candidates:
-        y_syn, _, dual_res = _dual_side(w0, f, u, tol)
-        proj_res = frobenius(y_syn @ y_syn.conj().T - p)
-        u_pars = frobenius(frame_operator(u) - np.eye(n))
-        scale = max(1.0, _adjoint_product_norm(u.vectors, f))
-        ok = dual_res <= tol.threshold(scale) and proj_res <= tol.threshold(
-            max(1.0, frobenius(p))
-        )
+        side = _dual_side(w0, f, VectorFamily(u.vectors[:k]), tol)
+        dual_res, dual_ok = _padded_dual_commutation(side, f, u.vectors[k:], tol)
+        ok = dual_ok and side.parseval_ok
         records.append(
             {
                 "name": name,
                 "verdict": "ConditionsHold" if ok else "ConditionsFail",
                 "dual_commutation_residual": dual_res,
-                "projected_parseval_residual": proj_res,
-                "u_parseval_residual": u_pars,
+                "projected_parseval_residual": side.parseval_res,
+                "u_parseval_residual": frobenius(frame_operator(u) - np.eye(n)),
             }
         )
     return records
@@ -528,7 +533,12 @@ def run_exploration(
     of evaluation order.  No claim is made beyond the recorded evidence.
     """
     N_values = list(N_values)
+    if not N_values:
+        raise BadLatticeError("no N values to explore")
     lattices = {N: divisor_lattices(N, critical=False) for N in N_values}
+    for N, options in lattices.items():
+        if not options:
+            raise BadLatticeError(f"N={N} has no non-critical divisor lattice")
     manifest = [
         {"N": lat.N, "a": lat.a, "b": lat.b}
         for N in sorted(lattices)

@@ -74,7 +74,7 @@ def as_complex_matrix(a: np.ndarray) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -126,7 +126,7 @@ def singular_rank(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     zero when ``s[0]`` is below the absolute floor."""
     if s.size == 0 or s[0] < tol.abs_floor:
         return 0
-    return int(np.sum(s > tol.threshold(float(s[0]))))
+    return int(np.count_nonzero(s > tol.threshold(float(s[0]))))
 
 
 def _svd(a: np.ndarray, **kwargs):

@@ -24,7 +24,7 @@ of ``h``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -129,32 +129,55 @@ def _adjoint_product_norm(x: np.ndarray, h: VectorFamily) -> float:
     return frobenius((x @ u.conj()) * s)
 
 
+@dataclass(frozen=True)
+class _DualSide:
+    """The dual side of ``(w, f, u)``: the characterizing-sequence
+    synthesis ``Y``, the span projector ``P`` of ``w``, the span deficit
+    of ``w`` and the kernel dimension of ``Y``, ``||G(u,f)||_F`` (the
+    scale of the commutation residuals), and the residuals of the dual
+    commutation and of ``Y Y^* = P`` with their accept decisions."""
+
+    y_syn: np.ndarray
+    projector: np.ndarray
+    deficit: int
+    kernel: int
+    gram_norm: float
+    dual_res: float
+    dual_ok: bool
+    parseval_res: float
+    parseval_ok: bool
+
+
+def _commutation_ok(residual: float, gram_norm: float, tol: Tolerance) -> bool:
+    """Accept rule shared by the commutation residuals."""
+    return residual <= tol.threshold(max(1.0, gram_norm))
+
+
 def _dual_side(
     w: VectorFamily, f: VectorFamily, u: VectorFamily, tol: Tolerance
-) -> tuple[np.ndarray, int, float]:
-    """Characterizing-sequence synthesis ``Y = (W~^t U) F^*``, its rank,
-    and ``||(G(w~,w)^t - I) G(u,f)||_F = ||(conj(W) W~^t U - U) F^*||_F``.
-    ``core conj(U_f) diag(s_f)`` has the singular values of ``Y``.
-
-    ``w`` may have fewer members than ``u``: the members of ``u`` past
-    ``w.count`` then pair with zero members.  The canonical dual of
-    ``[W; 0]`` is ``[W~; 0]``, so ``core`` reads only the leading rows of
-    ``U``, and the residual splits into the head ``||(conj(W) core -
-    U_head) F^*||`` and the tail ``||U_tail F^*||``."""
+) -> _DualSide:
+    """Evaluate the dual side once, with ``u`` paired to ``w`` member by
+    member: ``Y = (W~^t U) F^*`` and ``||(G(w~,w)^t - I) G(u,f)||_F =
+    ||(conj(W) W~^t U - U) F^*||_F``.  ``core conj(U_f) diag(s_f)`` has
+    the singular values of ``Y``.  Counts must match; the zero-padded
+    Gabor adjoint and its padded residual are handled in ``gabor``."""
     _require_same_dim(w, f, u)
-    head, tail = u.vectors[: w.count], u.vectors[w.count :]
-    core = canonical_dual(w, tol).vectors.T @ head
+    _require_same_count(w, u)
+    core = canonical_dual(w, tol).vectors.T @ u.vectors
     f_u, f_s, _ = f.svd
     y_syn = core @ f.vectors.conj().T
     y_core = (core @ f_u.conj()) * f_s
     rank_y = singular_rank(np.linalg.svd(y_core, compute_uv=False), tol)
-    dual_res = float(
-        np.hypot(
-            _adjoint_product_norm(np.conj(w.vectors) @ core - head, f),
-            _adjoint_product_norm(tail, f),
-        )
+    p = span_projector(w, tol)
+    gram_norm = _adjoint_product_norm(u.vectors, f)
+    dual_res = _adjoint_product_norm(np.conj(w.vectors) @ core - u.vectors, f)
+    pars_res = frobenius(y_syn @ y_syn.conj().T - p)
+    pars_ok = pars_res <= tol.threshold(max(1.0, frobenius(p)))
+    dual_ok = _commutation_ok(dual_res, gram_norm, tol)
+    deficit, kernel = w.ambient_dim - w.rank(tol), f.count - rank_y
+    return _DualSide(
+        y_syn, p, deficit, kernel, gram_norm, dual_res, dual_ok, pars_res, pars_ok
     )
-    return y_syn, rank_y, dual_res
 
 
 def _gate_parseval(fam: VectorFamily, tol: Tolerance, name: str) -> None:
@@ -201,23 +224,9 @@ class WeakRDualCertificate:
         return self.verdict in ("WeakRDual", "RDual")
 
     def to_json_dict(self) -> dict:
-        return {
-            "synthesis_residual": self.synthesis_residual,
-            "commutation_residual": self.commutation_residual,
-            "dual_commutation_residual": self.dual_commutation_residual,
-            "projected_parseval_residual": self.projected_parseval_residual,
-            "projection_residual": self.projection_residual,
-            "span_deficit": self.span_deficit,
-            "kernel_dim": self.kernel_dim,
-            "u_parseval_residual": self.u_parseval_residual,
-            "v_parseval_residual": self.v_parseval_residual,
-            "u_is_onb": self.u_is_onb,
-            "v_is_onb": self.v_is_onb,
-            "verdict": self.verdict,
-            "characterization_verdict": self.characterization_verdict,
-            "tolerance": {"rel_eps": self.rel_eps, "abs_floor": self.abs_floor},
-            "labels": self.labels,
-        }
+        out = asdict(self)
+        tolerance = {key: out.pop(key) for key in ("rel_eps", "abs_floor")}
+        return {**out, "tolerance": tolerance}
 
 
 @dataclass(frozen=True)
@@ -232,12 +241,7 @@ class DimensionReport:
     relation: str  # "Less" | "Equal" | "Greater"
 
     def to_json_dict(self) -> dict:
-        return {
-            "span_deficit": self.span_deficit,
-            "kernel_dim": self.kernel_dim,
-            "conjugate_kernel_dim": self.conjugate_kernel_dim,
-            "relation": self.relation,
-        }
+        return asdict(self)
 
 
 def _certificate(
@@ -245,19 +249,18 @@ def _certificate(
     f: VectorFamily,
     u: VectorFamily,
     v: VectorFamily,
+    side: _DualSide,
     tol: Tolerance,
 ) -> WeakRDualCertificate:
-    """Compute every residual of the weak R-dual identities.
+    """Compute every residual of the weak R-dual identities; the dual-side
+    ones are read from ``side = _dual_side(w, f, u, tol)``.
 
     Index pairing: ``u`` with ``w`` (count K), ``f`` with ``v`` (count M).
     The square public operations enforce K == M before calling this.
     """
     n = _require_same_dim(w, f, u, v)
-    if u.count != w.count or f.count != v.count:
-        raise ShapeMismatchError(
-            f"u/w counts {u.count}/{w.count} and f/v counts {f.count}/{v.count}"
-            " must pair up"
-        )
+    if f.count != v.count:
+        raise ShapeMismatchError(f"f/v counts {f.count}/{v.count} must pair up")
 
     # G(f,u) = F U^*, so V^t G(f,u) = (V^t F) U^* and
     # (G(v,v)^t - I) G(f,u) = (conj(V) V^t F - F) U^*.
@@ -267,20 +270,13 @@ def _certificate(
     synth_res = float(np.max(np.linalg.norm(w_syn - generated, axis=0)))
     comm_res = _adjoint_product_norm(np.conj(v.vectors) @ core - f.vectors, u)
 
-    y_syn, rank_y, dual_comm_res = _dual_side(w, f, u, tol)
-    p = span_projector(w, tol)
-    s_y = y_syn @ y_syn.conj().T
-    proj_parseval_res = frobenius(s_y - p)
-    proj_res = float(np.max(np.linalg.norm(p @ v.vectors.T - y_syn, axis=0)))
-
-    span_deficit = n - w.rank(tol)
-    kernel_dim = f.count - rank_y
+    proj_res = float(
+        np.max(np.linalg.norm(side.projector @ v.vectors.T - side.y_syn, axis=0))
+    )
 
     w_scale = max(1.0, float(np.max(np.linalg.norm(w_syn, axis=0))))
-    g_scale = max(1.0, _adjoint_product_norm(f.vectors, u))
     synth_ok = synth_res <= tol.threshold(w_scale)
-    comm_ok = comm_res <= tol.threshold(g_scale)
-    dual_ok = dual_comm_res <= tol.threshold(g_scale)
+    comm_ok = _commutation_ok(comm_res, side.gram_norm, tol)
     proj_ok = proj_res <= tol.threshold(w_scale)
 
     ua = analyze(u, tol)
@@ -299,17 +295,17 @@ def _certificate(
     return WeakRDualCertificate(
         synthesis_residual=synth_res,
         commutation_residual=comm_res,
-        dual_commutation_residual=dual_comm_res,
-        projected_parseval_residual=proj_parseval_res,
+        dual_commutation_residual=side.dual_res,
+        projected_parseval_residual=side.parseval_res,
         projection_residual=proj_res,
-        span_deficit=span_deficit,
-        kernel_dim=kernel_dim,
+        span_deficit=side.deficit,
+        kernel_dim=side.kernel,
         u_parseval_residual=u_pars_res,
         v_parseval_residual=v_pars_res,
         u_is_onb=ua.is_onb,
         v_is_onb=va.is_onb,
         verdict=_verdict(synth_ok and comm_ok),
-        characterization_verdict=_verdict(dual_ok and proj_ok),
+        characterization_verdict=_verdict(side.dual_ok and proj_ok),
         rel_eps=tol.rel_eps,
         abs_floor=tol.abs_floor,
         labels={"w": w.label, "f": f.label, "u": u.label, "v": v.label},
@@ -325,7 +321,7 @@ def certify_weak_r_dual(
 ) -> WeakRDualCertificate:
     """Full certificate for a given quadruple, without admission gates."""
     _require_same_count(w, f, u, v)
-    return _certificate(w, f, u, v, tol)
+    return _certificate(w, f, u, v, _dual_side(w, f, u, tol), tol)
 
 
 def weak_r_dual(
@@ -346,7 +342,7 @@ def weak_r_dual(
     _gate_parseval(v, tol, "v")
     w_syn = (v.vectors.T @ f.vectors) @ u.vectors.conj().T
     w = VectorFamily(w_syn.T, label=f"wrd({f.label})")
-    return w, _certificate(w, f, u, v, tol)
+    return w, _certificate(w, f, u, v, _dual_side(w, f, u, tol), tol)
 
 
 def characterize(
@@ -362,7 +358,7 @@ def characterize(
     _require_same_count(w, f, u, v)
     _gate_parseval(u, tol, "u")
     _gate_parseval(v, tol, "v")
-    return _certificate(w, f, u, v, tol)
+    return _certificate(w, f, u, v, _dual_side(w, f, u, tol), tol)
 
 
 # ----------------------------------------------------------------------
@@ -408,8 +404,7 @@ def characterizing_sequence(
 ) -> VectorFamily:
     """``y_i = sum_k <u_k, f_i> w~_k`` over the canonical dual of ``w``."""
     _require_same_count(w, f, u)
-    y_syn, _, _ = _dual_side(w, f, u, tol)
-    return VectorFamily(y_syn.T, label=f"charseq({w.label})")
+    return VectorFamily(_dual_side(w, f, u, tol).y_syn.T, label=f"charseq({w.label})")
 
 
 def dual_commutation_residual(
@@ -423,7 +418,7 @@ def dual_commutation_residual(
     Zero for every Riesz sequence ``w`` by biorthogonality.
     """
     _require_same_count(w, f, u)
-    return _dual_side(w, f, u, tol)[2]
+    return _dual_side(w, f, u, tol).dual_res
 
 
 def dimension_report(
@@ -435,15 +430,9 @@ def dimension_report(
     """Compare the span deficit of ``w`` with the kernel dimension of the
     characterizing-sequence synthesis."""
     _require_same_count(w, f, u)
-    _, rank_y, _ = _dual_side(w, f, u, tol)
-    deficit = w.ambient_dim - w.rank(tol)
-    kernel = f.count - rank_y
-    if deficit < kernel:
-        rel = "Less"
-    elif deficit == kernel:
-        rel = "Equal"
-    else:
-        rel = "Greater"
+    side = _dual_side(w, f, u, tol)
+    deficit, kernel = side.deficit, side.kernel
+    rel = "Less" if deficit < kernel else "Equal" if deficit == kernel else "Greater"
     return DimensionReport(
         span_deficit=deficit,
         kernel_dim=kernel,
@@ -457,47 +446,39 @@ def _check_hypotheses(
     f: VectorFamily,
     u: VectorFamily,
     tol: Tolerance,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
+) -> _DualSide:
     """Verify the shared construction hypotheses: the characterizing
     sequence is Parseval for span{w} and the dual commutation holds.
-
-    Returns (y synthesis, span projector, span deficit, kernel dim).
-    """
-    y_syn, rank_y, res = _dual_side(w, f, u, tol)
-    p = span_projector(w, tol)
-    s_y = y_syn @ y_syn.conj().T
-    if frobenius(s_y - p) > tol.threshold(max(1.0, frobenius(p))):
+    Returns the dual side they were read from."""
+    side = _dual_side(w, f, u, tol)
+    if not side.parseval_ok:
         raise HypothesisFailedError(
             "characterizing sequence is not Parseval for span{w}"
         )
-    if res > tol.threshold(max(1.0, _adjoint_product_norm(u.vectors, f))):
+    if not side.dual_ok:
         raise HypothesisFailedError(
-            f"dual commutation condition fails (residual {res:.3e})"
+            f"dual commutation condition fails (residual {side.dual_res:.3e})"
         )
-    return y_syn, p, w.ambient_dim - w.rank(tol), f.count - rank_y
+    return side
 
 
 def _isometric_extension_v(
-    w: VectorFamily,
-    y_syn: np.ndarray,
-    deficit: int,
-    kernel: int,
-    tol: Tolerance,
-    label: str,
+    w: VectorFamily, side: _DualSide, tol: Tolerance, label: str
 ) -> VectorFamily:
     """Build ``v = Y + Q*`` where ``Q*`` maps ``deficit`` orthonormal
     vectors of ker(Y) onto an orthonormal basis of the span complement
     of ``w`` and vanishes on the rest.  Any such vectors work; these are
     the trailing right singular vectors of the leading ``rank(Y) +
-    deficit`` columns of ``Y``, zero-padded (by interlacing, their
+    deficit`` columns of ``Y``, extended by zeros (by interlacing, their
     singular values are at most those of ``Y`` past its rank)."""
+    y_syn, deficit = side.y_syn, side.deficit
     if deficit == 0:
         return VectorFamily(y_syn.T, label=label)
-    head = y_syn.shape[1] - kernel + deficit
-    ker_head = np.linalg.svd(y_syn[:, :head])[2][head - deficit :]
+    lead = y_syn.shape[1] - side.kernel + deficit
+    ker_lead = np.linalg.svd(y_syn[:, :lead])[2][lead - deficit :]
     _, comp_basis = svd_rank_nullspace(np.conj(w.vectors), tol)
     v_syn = y_syn.copy()
-    v_syn[:, :head] += comp_basis[:, :deficit] @ ker_head
+    v_syn[:, :lead] += comp_basis[:, :deficit] @ ker_lead
     return VectorFamily(v_syn.T, label=label)
 
 
@@ -516,7 +497,8 @@ def build_parseval_v(
     sequence itself is returned.
     """
     _require_same_count(w, f, u)
-    y_syn, _, deficit, kernel = _check_hypotheses(w, f, u, tol)
+    side = _check_hypotheses(w, f, u, tol)
+    deficit, kernel = side.deficit, side.kernel
     if deficit > kernel:
         raise DimensionCaseError(
             f"span deficit {deficit} exceeds kernel dimension {kernel}:"
@@ -527,9 +509,7 @@ def build_parseval_v(
             f"span deficit equals kernel dimension ({deficit}); only the"
             " orthonormal construction applies"
         )
-    return _isometric_extension_v(
-        w, y_syn, deficit, kernel, tol, f"parseval-v({w.label})"
-    )
+    return _isometric_extension_v(w, side, tol, f"parseval-v({w.label})")
 
 
 def build_orthonormal_v(
@@ -550,36 +530,17 @@ def build_orthonormal_v(
             f"orthonormal output needs member count ({w.count}) equal to the"
             f" ambient dimension ({w.ambient_dim})"
         )
-    y_syn, _, deficit, kernel = _check_hypotheses(w, f, u, tol)
-    if deficit != kernel:
+    side = _check_hypotheses(w, f, u, tol)
+    if side.deficit != side.kernel:
         raise HypothesisFailedError(
-            f"span deficit {deficit} != kernel dimension {kernel}"
+            f"span deficit {side.deficit} != kernel dimension {side.kernel}"
         )
-    return _isometric_extension_v(w, y_syn, deficit, kernel, tol, f"onb-v({w.label})")
+    return _isometric_extension_v(w, side, tol, f"onb-v({w.label})")
 
 
 # ----------------------------------------------------------------------
 # Interleavings
 # ----------------------------------------------------------------------
-
-
-def _interleave(h: VectorFamily, odd_slots: bool) -> VectorFamily:
-    m, n = h.count, h.ambient_dim
-    out = np.zeros((2 * m, n), dtype=np.complex128)
-    start = 0 if odd_slots else 1
-    out[start::2] = h.vectors
-    mark = "'" if odd_slots else "''"
-    return VectorFamily(out, label=f"{h.label}{mark}")
-
-
-def interleave_prime(h: VectorFamily) -> VectorFamily:
-    """Members at odd slots, zeros at even slots (doubled count)."""
-    return _interleave(h, odd_slots=True)
-
-
-def interleave_double_prime(h: VectorFamily) -> VectorFamily:
-    """Zeros at odd slots, members at even slots (doubled count)."""
-    return _interleave(h, odd_slots=False)
 
 
 def _star(h: VectorFamily, cutoff: int, odd_slots: bool, mark: str) -> VectorFamily:
@@ -602,6 +563,16 @@ def interleave_star(h: VectorFamily, cutoff: int) -> VectorFamily:
 def interleave_double_star(h: VectorFamily, cutoff: int) -> VectorFamily:
     """Complementary star interleaving (zeros at odd slots up front)."""
     return _star(h, cutoff, odd_slots=False, mark="**")
+
+
+def interleave_prime(h: VectorFamily) -> VectorFamily:
+    """Members at odd slots, zeros at even slots (doubled count)."""
+    return _star(h, h.count, odd_slots=True, mark="'")
+
+
+def interleave_double_prime(h: VectorFamily) -> VectorFamily:
+    """Zeros at odd slots, members at even slots (doubled count)."""
+    return _star(h, h.count, odd_slots=False, mark="''")
 
 
 @dataclass(frozen=True)
@@ -628,8 +599,8 @@ def interleaved_weak_r_dual(
     """
     _require_same_count(w, f, u, q)
     n = _require_same_dim(w, f, u, q)
-    y_syn, p, _, _ = _check_hypotheses(w, f, u, tol)
-    comp = np.eye(n) - p
+    side = _check_hypotheses(w, f, u, tol)
+    comp = np.eye(n) - side.projector
     s_q = frame_operator(q)
     if frobenius(s_q - comp) > tol.threshold(max(1.0, frobenius(comp))):
         raise NotParsevalComplementError(
@@ -639,11 +610,13 @@ def interleaved_weak_r_dual(
     u_prime = interleave_prime(u)
     w_prime = interleave_prime(w)
     v = VectorFamily(
-        interleave_prime(VectorFamily(y_syn.T)).vectors
+        interleave_prime(VectorFamily(side.y_syn.T)).vectors
         + interleave_double_prime(q).vectors,
         label=f"interleaved-v({w.label})",
     )
-    cert = _certificate(w_prime, f_prime, u_prime, v, tol)
+    cert = _certificate(
+        w_prime, f_prime, u_prime, v, _dual_side(w_prime, f_prime, u_prime, tol), tol
+    )
     return InterleavedDualResult(
         f_prime=f_prime, v=v, u_prime=u_prime, w_prime=w_prime, certificate=cert
     )
@@ -681,7 +654,7 @@ def transfer_via_coisometry(
     """
     _require_same_count(w, p, f, u, h)
     n = _require_same_dim(w, p, f, u, h)
-    base = _certificate(p, f, u, h, tol)
+    base = _certificate(p, f, u, h, _dual_side(p, f, u, tol), tol)
     if not base.passes():
         raise HypothesisFailedError(
             "p is not a weak R-dual of f with respect to u and h"
@@ -691,7 +664,7 @@ def transfer_via_coisometry(
         raise DeficitOrderError(
             f"span deficit of w ({deficit_w}) exceeds that of p ({deficit_p})"
         )
-    _check_hypotheses(w, f, u, tol)
+    side = _check_hypotheses(w, f, u, tol)
     # T_w T_p^+ with T_p^+ = Vh_r^* diag(1/s_r) U_r^* from the SVD of p.
     pu, ps, pvh = _span_factors(p, tol)
     u1 = ((w.vectors.T @ pvh.conj().T) / ps) @ pu.conj().T
@@ -701,7 +674,7 @@ def transfer_via_coisometry(
     op = u1 + u2
     cois_res = frobenius(op @ op.conj().T - np.eye(n))
     transported = VectorFamily((op @ h.vectors.T).T, label=f"transfer({h.label})")
-    cert = _certificate(w, f, u, transported, tol)
+    cert = _certificate(w, f, u, transported, side, tol)
     certificate = cert if deficit_w == deficit_p else None
     return TransferResult(
         operator=op,
@@ -791,9 +764,10 @@ def verify_conjugate_witness(
         np.conj((m_inv @ w_dual.vectors.T)).T, label=f"witness-u({w.label})"
     )
     u_pars = frobenius(frame_operator(u) - np.eye(n))
-    y_syn, _, dual_res = _dual_side(w, f, u, tol)
-    proj_res = frobenius(y_syn @ y_syn.conj().T - span_projector(w, tol))
-    return WitnessVerification(r_w, r_f, True, u, u_pars, dual_res, proj_res)
+    side = _dual_side(w, f, u, tol)
+    return WitnessVerification(
+        r_w, r_f, True, u, u_pars, side.dual_res, side.parseval_res
+    )
 
 
 def find_conjugate_witness(
@@ -842,8 +816,9 @@ def dual_commuting_parseval(
         raise GateFailedError(
             "span{w} must equal the ambient space for a Parseval output"
         )
-    tight = parseval_tighten(w, tol)
-    return VectorFamily(np.conj(tight.vectors), label=f"dual-commuting({w.label})")
+    return commuting_parseval_family(w, tol).family.relabel(
+        f"dual-commuting({w.label})"
+    )
 
 
 def gram_invariance_residual(
@@ -936,16 +911,16 @@ def completeness_implies_invariance(
     complete in span{w}, report whether the Gram invariance condition
     holds (an implication, so the result must be True on valid inputs)."""
     _require_same_count(w, f, u)
-    _, rank_y, res = _dual_side(w, f, u, tol)
-    rank_w = w.rank(tol)
+    side = _dual_side(w, f, u, tol)
+    rank_y, rank_w = f.count - side.kernel, w.ambient_dim - side.deficit
     if rank_y != rank_w:
         raise HypothesisFailedError(
             f"characterizing sequence spans a {rank_y}-dimensional subspace of"
             f" the {rank_w}-dimensional span{{w}}"
         )
-    if res > tol.threshold(max(1.0, _adjoint_product_norm(u.vectors, f))):
+    if not side.dual_ok:
         raise HypothesisFailedError(
-            f"dual commutation condition fails (residual {res:.3e})"
+            f"dual commutation condition fails (residual {side.dual_res:.3e})"
         )
     inv = gram_invariance_residual(u, w, tol)
     w_scale = max(1.0, float(np.max(np.linalg.norm(w.vectors, axis=1))))

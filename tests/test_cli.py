@@ -203,6 +203,12 @@ class TestGaborCommands:
         assert code == 0
         assert report["N_values"] == [4, 5]
 
+    @pytest.mark.parametrize("spec", ["1", "0", "2..1", ","])
+    def test_explore_without_lattices_exits_2(self, spec, capsys):
+        code, report = _run(capsys, ["gabor", "explore", "--N", spec, "--trials", "3"])
+        assert code == 2
+        assert report["error"]["type"] == "BadLatticeError"
+
 
 class TestTableMode:
     def test_table_output(self, capsys):

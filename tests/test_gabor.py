@@ -271,6 +271,29 @@ class TestTightPipeline:
         with pytest.raises((HypothesisFailedError, Exception)):
             tight_gabor_weak_r_dual(sys, u)
 
+    def test_dual_side_evaluated_once(self, monkeypatch):
+        # one dual-side record feeds the gates, v and the certificate
+        from framedual import frames, gabor, rduality
+
+        lat = GaborLattice(12, 2, 2)
+        g = canonical_tight_window(lat, _random_window(np.random.default_rng(12), 12))
+        sys = gabor_system(lat, g)
+        calls = {"_dual_side": 0, "canonical_dual": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            for mod in (frames, rduality, gabor):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        assert tight_gabor_weak_r_dual(sys).certificate.passes()
+        assert calls == {"_dual_side": 1, "canonical_dual": 1}
+
 
 class TestPromotion:
     def test_critical_delta_promotes(self):
@@ -341,6 +364,11 @@ class TestExploration:
         by_name = {c["name"]: c for c in rec["candidates"]}
         assert by_name["conjugated_dual"]["verdict"] == "ConditionsHold"
         assert by_name["randomized_parseval"]["verdict"] == "ConditionsFail"
+
+    @pytest.mark.parametrize("N_values", [[1], [0], [], [4, 1]])
+    def test_no_noncritical_lattice_is_typed(self, N_values):
+        with pytest.raises(BadLatticeError, match="N=|no N values"):
+            run_exploration(N_values, seed=0, trials=3)
 
     def test_manifest_lists_noncritical_lattices(self):
         rep = run_exploration([4], seed=0, trials=1)

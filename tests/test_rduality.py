@@ -26,8 +26,10 @@ from framedual.frames import (
     random_parseval,
     random_unitary,
 )
+from framedual.numerics import DEFAULT_TOL
 from framedual.rduality import (
     ConjugateLinearMap,
+    _dual_side,
     build_orthonormal_v,
     build_parseval_v,
     certify_weak_r_dual,
@@ -180,6 +182,13 @@ class TestDualCommutationResidual:
         w = fam([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
         res = dual_commutation_residual(w, _onb(3), _onb(3))
         assert res == pytest.approx(1.0, abs=1e-12)
+
+
+class TestDualSide:
+    def test_unequal_counts_rejected(self):
+        # pairing u with a w of another count (zero padding) is gabor's job
+        with pytest.raises(ShapeMismatchError):
+            _dual_side(_onb(2), _onb(2), fam([[1, 0], [0, 1], [0, 0]]), DEFAULT_TOL)
 
 
 class TestCharacterize:
