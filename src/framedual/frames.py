@@ -50,6 +50,12 @@ def inner(x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.vdot(y, x))
 
 
+def _read_only(factors: tuple) -> tuple:
+    for arr in factors:
+        arr.flags.writeable = False
+    return tuple(factors)
+
+
 @dataclass(frozen=True)
 class VectorFamily:
     """Ordered finite family of complex vectors in ``C^ambient_dim``.
@@ -79,15 +85,28 @@ class VectorFamily:
     def ambient_dim(self) -> int:
         return self.vectors.shape[1]
 
+    @classmethod
+    def _factored(
+        cls,
+        vectors: np.ndarray,
+        factors: tuple[np.ndarray, np.ndarray, np.ndarray],
+        label: str = "",
+    ) -> "VectorFamily":
+        """Trusted constructor for a family whose thin SVD is known from
+        its structure: ``factors`` must be the thin SVD of the synthesis
+        matrix of ``vectors`` (``min(count, dim)`` triples, ``s``
+        descending) and becomes ``svd`` without being recomputed."""
+        fam = cls(vectors, label=label)
+        fam.__dict__["svd"] = _read_only(factors)
+        return fam
+
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thin SVD ``(U, s, Vh)`` of the ``ambient_dim x count`` synthesis
-        matrix, computed on first use.  ``vectors`` is read-only, so the
-        cache cannot go stale; the factors are read-only as well."""
-        factors = thin_svd(self.vectors.T)
-        for arr in factors:
-            arr.flags.writeable = False
-        return factors
+        matrix, computed on first use unless the family was built with its
+        factors.  ``vectors`` is read-only, so the cache cannot go stale;
+        the factors are read-only as well."""
+        return _read_only(thin_svd(self.vectors.T))
 
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
         return singular_rank(self.svd[1], tol)
@@ -175,6 +194,7 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
     Residuals come from the singular values, with no cancelling terms:
     ``S - P`` has eigenvalues ``s_i^2 - 1`` on the span and ``s_i^2`` off
     it; ``G - I`` has ``s_i^2 - 1`` and ``m - min(m, n)`` times ``-1``.
+    An orthonormal basis has exactly ``n`` members, whatever the tolerance.
     """
     m, n = fam.count, fam.ambient_dim
     s = fam.svd[1]
@@ -193,7 +213,12 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
 
     gram_residual = float(np.hypot(np.linalg.norm(sq - 1.0), np.sqrt(m - s.size)))
     is_riesz_seq = rank == m
-    is_onb = is_parseval and rank == n and gram_residual <= tol.threshold(scale)
+    is_onb = (
+        m == n
+        and is_parseval
+        and rank == n
+        and gram_residual <= tol.threshold(scale)
+    )
 
     return FrameAnalysis(
         member_count=m,

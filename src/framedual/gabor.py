@@ -11,6 +11,14 @@ which is certified empirically by ``duality_check`` across the corpus:
 the system is a frame iff the adjoint family is a Riesz sequence with
 the same bounds.
 
+Both families are born with their exact thin SVD, taken from the coset
+(Walnut/Zak) structure and never from the N x M synthesis matrix: with
+L = N/b, the synthesis rows at times t = r + k L of one residue r are
+the b x (N/a) block G_r[k, n] = window[(r + k L - n a) mod N] tensored
+with the DFT phases exp(2 pi i m r / L), and rows of different residues
+are orthogonal, so one batched SVD of the L blocks factors the system
+(``_modulated_translates``; the adjoint is the same on its lattice).
+
 Redundancy is N/(a b); the weak R-dual machinery pairs the system
 (count N^2/(a b)) with the adjoint family (count a b).  The counts are
 equalized by a convention that only this module knows: the adjoint is
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,7 +60,7 @@ from .frames import (
     random_parseval,
     standard_basis_family,
 )
-from .numerics import DEFAULT_TOL, Tolerance, frobenius, singular_rank
+from .numerics import DEFAULT_TOL, Tolerance, _svd, frobenius, singular_rank
 from .rduality import (
     WeakRDualCertificate,
     _adjoint_product_norm,
@@ -60,7 +69,7 @@ from .rduality import (
     _dual_side,
     _DualSide,
     _isometric_extension_v,
-    build_orthonormal_v,
+    _orthonormal_v,
     find_conjugate_witness,
 )
 
@@ -129,6 +138,29 @@ class AdjointSystem:
     family: VectorFamily
 
 
+@lru_cache(maxsize=256)
+def _lattice_tables(
+    N: int, time_step: int, freq_step: int, n_times: int, n_freqs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Constants of one lattice shape: the modulation phases
+    ``phase[m, t]``, the translate gather ``shift[n, t] = (t - n time_step)
+    mod N``, its coset form ``coset[r, k, n] = shift[n, r + k n_freqs]``
+    (``n_freqs * freq_step == N``) and the unit-norm coset phases
+    ``phase[m, r] / sqrt(n_freqs)``, indexed ``[r, m]``.  The cache holds
+    the 168 shapes an exploration over N = 4..12 cycles through."""
+    t = np.arange(N)
+    m = np.arange(n_freqs)[:, None]
+    n = np.arange(n_times)[:, None]
+    phase = np.exp(2j * np.pi * m * freq_step * t / N)
+    shift = (t - n * time_step) % N
+    coset = shift.T.reshape(freq_step, n_freqs, n_times).transpose(1, 0, 2)
+    coset_phase = phase[:, :n_freqs].T / np.sqrt(n_freqs)
+    tables = (phase, shift, coset, coset_phase)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
 def _modulated_translates(
     window: np.ndarray,
     N: int,
@@ -137,14 +169,37 @@ def _modulated_translates(
     n_times: int,
     n_freqs: int,
     scale: float = 1.0,
-) -> np.ndarray:
-    t = np.arange(N)
-    m = np.arange(n_freqs)[:, None]
-    n = np.arange(n_times)[:, None]
-    phase = np.exp(2j * np.pi * m * freq_step * t / N)
-    translates = window[(t - n * time_step) % N]
-    rows = (scale * phase)[:, None, :] * translates
-    return rows.reshape(n_freqs * n_times, N)
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The member rows ``scale * phase[m] * window[shift[n]]``, ordered
+    ``j = m * n_times + n``, and their thin SVD from the coset blocks.
+
+    Write ``L = n_freqs`` and ``t = r + k L``.  The modulation depends on
+    ``t`` through ``r`` alone, so the synthesis rows with residue ``r``
+    are ``scale * G_r[k, n] * phase[m, r]`` with ``G_r = window[coset[r]]``,
+    and rows of different residues are orthogonal (the phases are the
+    columns of an L-point DFT).  With ``G_r = U_r diag(sigma_r) Vh_r``
+    the factors are ``s = scale sqrt(L) sigma``, ``U_r`` placed on the
+    rows ``r + k L``, and ``Vh[(r, i), (m, n)] = phase[m, r] / sqrt(L)
+    * Vh_r[i, n]``: one batched SVD of ``L`` blocks of size
+    ``freq_step x n_times``, never of the ``N x M`` synthesis matrix."""
+    phase, shift, coset, coset_phase = _lattice_tables(
+        N, time_step, freq_step, n_times, n_freqs
+    )
+    rows = (scale * phase)[:, None, :] * window[shift]
+    L = n_freqs
+    u_r, sigma, vh_r = _svd(window[coset], full_matrices=False)
+    k = sigma.shape[1]
+    order = np.argsort(-sigma.ravel(), kind="stable")
+    u = np.zeros((freq_step, L, L, k), dtype=np.complex128)
+    diag = np.arange(L)
+    u[:, diag, diag, :] = u_r.transpose(1, 0, 2)
+    vh = coset_phase[:, None, :, None] * vh_r[:, :, None, :]
+    factors = (
+        u.reshape(N, L * k)[:, order],
+        (scale * np.sqrt(L)) * sigma.ravel()[order],
+        vh.reshape(L * k, L * n_times)[order],
+    )
+    return rows.reshape(n_freqs * n_times, N), factors
 
 
 def gabor_system(lattice: GaborLattice, window: np.ndarray) -> GaborSystem:
@@ -157,7 +212,7 @@ def gabor_system(lattice: GaborLattice, window: np.ndarray) -> GaborSystem:
         raise ZeroWindowError("window entries must be finite")
     if np.linalg.norm(w) <= DEFAULT_TOL.abs_floor:
         raise ZeroWindowError("window is numerically zero")
-    rows = _modulated_translates(
+    rows, factors = _modulated_translates(
         w,
         lattice.N,
         time_step=lattice.a,
@@ -165,7 +220,9 @@ def gabor_system(lattice: GaborLattice, window: np.ndarray) -> GaborSystem:
         n_times=lattice.N // lattice.a,
         n_freqs=lattice.N // lattice.b,
     )
-    fam = VectorFamily(rows, label=f"gabor(N={lattice.N},a={lattice.a},b={lattice.b})")
+    fam = VectorFamily._factored(
+        rows, factors, label=f"gabor(N={lattice.N},a={lattice.a},b={lattice.b})"
+    )
     return GaborSystem(lattice=lattice, window=w, family=fam)
 
 
@@ -174,7 +231,7 @@ def adjoint_system(sys: GaborSystem) -> AdjointSystem:
     scaled by kappa = sqrt(N/(a b))."""
     lat = sys.lattice
     kappa = float(np.sqrt(lat.N / (lat.a * lat.b)))
-    rows = _modulated_translates(
+    rows, factors = _modulated_translates(
         sys.window,
         lat.N,
         time_step=lat.N // lat.b,
@@ -183,16 +240,19 @@ def adjoint_system(sys: GaborSystem) -> AdjointSystem:
         n_freqs=lat.a,
         scale=kappa,
     )
-    fam = VectorFamily(
-        rows, label=f"adjoint(N={lat.N},a={lat.a},b={lat.b})"
+    fam = VectorFamily._factored(
+        rows, factors, label=f"adjoint(N={lat.N},a={lat.a},b={lat.b})"
     )
     return AdjointSystem(base=sys, kappa=kappa, family=fam)
 
 
 def canonical_tight_window(lattice: GaborLattice, window: np.ndarray) -> np.ndarray:
-    """Apply the inverse square root of the system's frame operator to the
-    window; re-analysis (not assumption) confirms the rebuilt system is
-    tight."""
+    """``S^{+1/2} window``, with ``S`` the frame operator of the system:
+    the member at ``(m, n) = (0, 0)`` of the Parseval tightening, read
+    off the system's coset factorization.  ``S`` commutes with the
+    lattice's time-frequency shifts, so the system on the returned window
+    is Parseval for the span of the original one; this function does not
+    re-analyze it."""
     sys = gabor_system(lattice, window)
     tightened = parseval_tighten(sys.family)
     half_count = 0  # window sits at index (m, n) = (0, 0)
@@ -392,7 +452,7 @@ def promote_to_r_dual(
             raise HypothesisFailedError(
                 "the supplied v does not certify as a weak R-dual"
             )
-    v_prime = build_orthonormal_v(w, f, u, tol)
+    v_prime = _orthonormal_v(w, side, tol)
     cert = _certificate(w, f, u, v_prime, side, tol)
     if cert.verdict != "RDual":
         raise HypothesisFailedError(

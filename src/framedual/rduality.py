@@ -279,8 +279,10 @@ def _certificate(
     comm_ok = _commutation_ok(comm_res, side.gram_norm, tol)
     proj_ok = proj_res <= tol.threshold(w_scale)
 
-    ua = analyze(u, tol)
-    va = analyze(v, tol)
+    # An orthonormal basis has exactly n members, so families of any other
+    # count are not factored for the flag.
+    u_onb = u.count == n and analyze(u, tol).is_onb
+    v_onb = v.count == n and analyze(v, tol).is_onb
     eye = np.eye(n)
     u_pars_res = frobenius(frame_operator(u) - eye)
     v_pars_res = frobenius(frame_operator(v) - eye)
@@ -288,7 +290,7 @@ def _certificate(
     def _verdict(ok: bool) -> str:
         if not ok:
             return "NotWeakRDual"
-        if ua.is_onb and va.is_onb:
+        if u_onb and v_onb:
             return "RDual"
         return "WeakRDual"
 
@@ -302,8 +304,8 @@ def _certificate(
         kernel_dim=side.kernel,
         u_parseval_residual=u_pars_res,
         v_parseval_residual=v_pars_res,
-        u_is_onb=ua.is_onb,
-        v_is_onb=va.is_onb,
+        u_is_onb=u_onb,
+        v_is_onb=v_onb,
         verdict=_verdict(synth_ok and comm_ok),
         characterization_verdict=_verdict(side.dual_ok and proj_ok),
         rel_eps=tol.rel_eps,
@@ -441,16 +443,10 @@ def dimension_report(
     )
 
 
-def _check_hypotheses(
-    w: VectorFamily,
-    f: VectorFamily,
-    u: VectorFamily,
-    tol: Tolerance,
-) -> _DualSide:
-    """Verify the shared construction hypotheses: the characterizing
-    sequence is Parseval for span{w} and the dual commutation holds.
-    Returns the dual side they were read from."""
-    side = _dual_side(w, f, u, tol)
+def _check_hypotheses(side: _DualSide) -> _DualSide:
+    """Verify the shared construction hypotheses on a dual side: the
+    characterizing sequence is Parseval for span{w} and the dual
+    commutation holds.  Returns the record."""
     if not side.parseval_ok:
         raise HypothesisFailedError(
             "characterizing sequence is not Parseval for span{w}"
@@ -497,7 +493,7 @@ def build_parseval_v(
     sequence itself is returned.
     """
     _require_same_count(w, f, u)
-    side = _check_hypotheses(w, f, u, tol)
+    side = _check_hypotheses(_dual_side(w, f, u, tol))
     deficit, kernel = side.deficit, side.kernel
     if deficit > kernel:
         raise DimensionCaseError(
@@ -530,7 +526,13 @@ def build_orthonormal_v(
             f"orthonormal output needs member count ({w.count}) equal to the"
             f" ambient dimension ({w.ambient_dim})"
         )
-    side = _check_hypotheses(w, f, u, tol)
+    return _orthonormal_v(w, _dual_side(w, f, u, tol), tol)
+
+
+def _orthonormal_v(w: VectorFamily, side: _DualSide, tol: Tolerance) -> VectorFamily:
+    """``build_orthonormal_v`` past its count gate, on the dual side
+    ``side = _dual_side(w, f, u, tol)`` already evaluated by the caller."""
+    _check_hypotheses(side)
     if side.deficit != side.kernel:
         raise HypothesisFailedError(
             f"span deficit {side.deficit} != kernel dimension {side.kernel}"
@@ -599,7 +601,7 @@ def interleaved_weak_r_dual(
     """
     _require_same_count(w, f, u, q)
     n = _require_same_dim(w, f, u, q)
-    side = _check_hypotheses(w, f, u, tol)
+    side = _check_hypotheses(_dual_side(w, f, u, tol))
     comp = np.eye(n) - side.projector
     s_q = frame_operator(q)
     if frobenius(s_q - comp) > tol.threshold(max(1.0, frobenius(comp))):
@@ -664,7 +666,7 @@ def transfer_via_coisometry(
         raise DeficitOrderError(
             f"span deficit of w ({deficit_w}) exceeds that of p ({deficit_p})"
         )
-    side = _check_hypotheses(w, f, u, tol)
+    side = _check_hypotheses(_dual_side(w, f, u, tol))
     # T_w T_p^+ with T_p^+ = Vh_r^* diag(1/s_r) U_r^* from the SVD of p.
     pu, ps, pvh = _span_factors(p, tol)
     u1 = ((w.vectors.T @ pvh.conj().T) / ps) @ pu.conj().T

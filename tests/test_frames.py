@@ -22,6 +22,7 @@ from framedual.frames import (
     save_family,
     synthesis_matrix,
 )
+from framedual.numerics import Tolerance
 from framedual.rduality import cross_gram
 
 
@@ -103,6 +104,15 @@ class TestAnalyze:
     def test_zero_member_blocks_riesz(self):
         a = analyze(fam([[1, 0], [0, 0]]))
         assert not a.is_riesz_sequence
+
+    def test_onb_needs_as_many_members_as_dimensions(self):
+        # two members of norm sqrt(50) in C^1 pass the Parseval and Gram
+        # residual tests under a very loose tolerance, but cannot be a basis
+        loose = Tolerance(rel_eps=0.999)
+        pair = analyze(fam([[np.sqrt(50)], [np.sqrt(50)]]), loose)
+        assert pair.is_parseval_for_span and pair.span_dim == 1
+        assert not pair.is_onb
+        assert analyze(fam([[1, 0], [0, 1]]), loose).is_onb
 
     def test_empty_span_raises(self):
         with pytest.raises(EmptySpanError):

@@ -306,6 +306,27 @@ class TestPromotion:
         assert res.certificate.verdict == "RDual"
         assert analyze(res.v_prime).is_onb
 
+    def test_dual_side_evaluated_once(self, monkeypatch):
+        # one dual-side record feeds both certificates and v'
+        from framedual import gabor, rduality
+
+        sys = gabor_system(GaborLattice(2, 1, 2), _delta(2))
+        w = adjoint_system(sys).family
+        u = VectorFamily(np.eye(2, dtype=complex), label="onb")
+        calls = []
+        original = rduality._dual_side
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for mod in (rduality, gabor):
+            monkeypatch.setattr(mod, "_dual_side", counted)
+        v_prime = promote_to_r_dual(w, sys.family, u).v_prime
+        assert len(calls) == 1
+        assert promote_to_r_dual(w, sys.family, u, v=v_prime).certificate.passes()
+        assert len(calls) == 2
+
     def test_redundant_system_gates(self):
         # the adjoint of a redundant system is a Riesz sequence with fewer
         # members than the ambient dimension, so no orthonormal completion

@@ -35,7 +35,7 @@ from framedual.gabor import (
     run_exploration,
     tight_gabor_weak_r_dual,
 )
-from framedual.numerics import DEFAULT_TOL, psd_inverse_sqrt
+from framedual.numerics import DEFAULT_TOL, psd_inverse_sqrt, singular_rank
 from framedual.rduality import build_parseval_v, certify_weak_r_dual
 
 TOL = DEFAULT_TOL
@@ -287,6 +287,63 @@ def _window(lat, seed):
 def _complement_basis(w):
     _, basis = dense_rank_nullspace(w.vectors.conj())
     return basis
+
+
+def _lattice_families():
+    """System and adjoint on every divisor lattice with N <= 24."""
+    for N in range(1, 25):
+        for lat in divisor_lattices(N):
+            sys = gabor_system(lat, _window(lat, 5))
+            yield sys.family
+            yield adjoint_system(sys).family
+
+
+def test_seeded_factors_match_dense_on_every_lattice():
+    checked = 0
+    for fam in _lattice_families():
+        t = fam.vectors.T
+        u, s, vh = fam.svd
+        dense = np.linalg.svd(t, compute_uv=False)
+        k = dense.size
+        assert u.shape == (fam.ambient_dim, k) and vh.shape == (k, fam.count)
+        assert singular_rank(s) == dense_rank_nullspace(t)[0]
+        assert np.all(np.abs(s - dense) <= TOL.threshold(dense[0]))
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(k), atol=TOL.threshold(1.0))
+        np.testing.assert_allclose(vh @ vh.conj().T, np.eye(k), atol=TOL.threshold(1.0))
+        np.testing.assert_allclose((u * s) @ vh, t, atol=TOL.threshold(dense[0]))
+        checked += 1
+    assert checked > 700
+
+
+def test_canonical_tight_window_matches_dense_on_every_lattice():
+    for N in range(1, 25):
+        for lat in divisor_lattices(N):
+            window = _window(lat, 6)
+            t = gabor_system(lat, window).family.vectors.T
+            want = psd_inverse_sqrt(t @ t.conj().T) @ window
+            got = canonical_tight_window(lat, window)
+            np.testing.assert_allclose(got, want, atol=TOL.threshold(1.0))
+
+
+def test_tight_pipeline_factors_no_member_axis(monkeypatch):
+    # the system and the output v have M = 2304 members in C^96; neither
+    # is handed to LAPACK, so no factored array has an axis of length M
+    lat = GaborLattice(96, 2, 2)
+    m = lat.member_count
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 7)))
+    res = tight_gabor_weak_r_dual(sys)
+    assert res.certificate.verdict == "WeakRDual"
+    assert not res.certificate.v_is_onb
+    assert shapes
+    assert all(m not in shape for shape in shapes), shapes
 
 
 def test_tight_pipeline_matches_dense_on_every_lattice():
