@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FixtureParseError, FrameDualError
 from .fixtures import FIXTURE_IDS, run_repro
-from .frames import VectorFamily, analyze, load_family
+from .frames import analyze, load_family
 from .gabor import (
     SCHEMA_VERSION,
     GaborLattice,
@@ -58,7 +58,7 @@ def _as_table(obj, prefix: str = "") -> list[str]:
     if isinstance(obj, dict):
         for key in sorted(obj):
             lines.extend(_as_table(obj[key], f"{prefix}{key}."))
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
             lines.extend(_as_table(item, f"{prefix}{i}."))
     else:
@@ -68,10 +68,6 @@ def _as_table(obj, prefix: str = "") -> list[str]:
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
     return Tolerance(rel_eps=args.tol, abs_floor=args.abs_floor)
-
-
-def _load(path: str) -> VectorFamily:
-    return load_family(path)
 
 
 def _window(spec: str, n: int, normalize: bool) -> np.ndarray:
@@ -96,7 +92,7 @@ def _window(spec: str, n: int, normalize: bool) -> np.ndarray:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    fam = _load(args.fixture)
+    fam = load_family(args.fixture)
     result = analyze(fam, _tolerance(args))
     _emit(_report({"analysis": result.to_json_dict(), "label": fam.label}), args)
     return 0
@@ -105,22 +101,22 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_wrd(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     if args.wrd_command == "build":
-        f, u, v = _load(args.f), _load(args.u), _load(args.v)
+        f, u, v = map(load_family, (args.f, args.u, args.v))
         w, cert = weak_r_dual(f, u, v, tol)
         _emit(_report({"certificate": cert.to_json_dict()}), args)
         return 0 if cert.passes() else 1
     if args.wrd_command == "check":
-        w, f, u, v = _load(args.w), _load(args.f), _load(args.u), _load(args.v)
+        w, f, u, v = map(load_family, (args.w, args.f, args.u, args.v))
         cert = certify_weak_r_dual(w, f, u, v, tol)
         _emit(_report({"certificate": cert.to_json_dict()}), args)
         return 0 if cert.passes() else 1
     if args.wrd_command == "characterize":
-        w, f, u, v = _load(args.w), _load(args.f), _load(args.u), _load(args.v)
+        w, f, u, v = map(load_family, (args.w, args.f, args.u, args.v))
         cert = characterize(w, f, u, v, tol)
         _emit(_report({"certificate": cert.to_json_dict()}), args)
         return 0 if cert.characterization_verdict != "NotWeakRDual" else 1
     if args.wrd_command == "construct-v":
-        w, f, u = _load(args.w), _load(args.f), _load(args.u)
+        w, f, u = map(load_family, (args.w, args.f, args.u))
         build = build_orthonormal_v if args.onb else build_parseval_v
         v = build(w, f, u, tol)
         cert = certify_weak_r_dual(w, f, u, v, tol)
@@ -135,8 +131,8 @@ def _cmd_wrd(args: argparse.Namespace) -> int:
         )
         return 0 if cert.passes() else 1
     if args.wrd_command == "promote":
-        w, f, u = _load(args.w), _load(args.f), _load(args.u)
-        v = _load(args.v) if args.v else None
+        w, f, u = map(load_family, (args.w, args.f, args.u))
+        v = load_family(args.v) if args.v else None
         result = promote_to_r_dual(w, f, u, tol, v=v)
         _emit(_report({"certificate": result.certificate.to_json_dict()}), args)
         return 0 if result.certificate.verdict == "RDual" else 1

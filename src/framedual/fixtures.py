@@ -25,14 +25,13 @@ from .frames import (
 )
 from .numerics import DEFAULT_TOL, Tolerance
 from .rduality import (
-    build_orthonormal_v,
-    build_parseval_v,
-    certify_weak_r_dual,
+    _certificate,
+    _completeness_implies_invariance,
+    _dual_side,
+    _orthonormal_v,
+    _parseval_v,
     characterizing_sequence,
-    completeness_implies_invariance,
     cross_gram,
-    dimension_report,
-    dual_commutation_residual,
     gram_invariance_residual,
 )
 
@@ -218,7 +217,8 @@ def _run_weak_dual_fixture(fix: ReproFixture, tol: Tolerance) -> list[dict]:
         )
     )
 
-    y = characterizing_sequence(w, f, u, tol)
+    side = _dual_side(w, f, u, tol)
+    y = side.sequence
     expected = _expected_doubling_y(fix)
     y_res = float(np.max(np.abs(y.vectors - expected)))
     out.append(
@@ -229,7 +229,7 @@ def _run_weak_dual_fixture(fix: ReproFixture, tol: Tolerance) -> list[dict]:
         )
     )
 
-    cond_res = dual_commutation_residual(w, f, u, tol)
+    cond_res = side.dual_res
     out.append(
         _assertion(
             "dual_commutation_holds",
@@ -240,8 +240,8 @@ def _run_weak_dual_fixture(fix: ReproFixture, tol: Tolerance) -> list[dict]:
 
     v = VectorFamily(y.vectors + x.vectors, label=f"v-{fix.fixture_id}")
     va = analyze(v, tol)
-    report = dimension_report(w, f, u, tol)
-    cert = certify_weak_r_dual(w, f, u, v, tol)
+    cert = _certificate(side, v)
+    deficit_detail = f"deficit {side.deficit}, kernel {side.kernel}"
     out.append(
         _assertion(
             "v_parseval_for_ambient",
@@ -271,12 +271,14 @@ def _run_weak_dual_fixture(fix: ReproFixture, tol: Tolerance) -> list[dict]:
         out.append(
             _assertion(
                 "deficit_equals_kernel",
-                report.relation == "Equal",
-                f"deficit {report.span_deficit}, kernel {report.kernel_dim}",
+                side.deficit == side.kernel,
+                deficit_detail,
             )
         )
-        built = build_orthonormal_v(w, f, u, tol)
-        built_cert = certify_weak_r_dual(w, f, u, built, tol)
+        # w has as many members as dimensions, so build_orthonormal_v's
+        # count gate holds
+        built = _orthonormal_v(side)
+        built_cert = _certificate(side, built)
         out.append(
             _assertion(
                 "orthonormal_construction_certifies",
@@ -295,12 +297,12 @@ def _run_weak_dual_fixture(fix: ReproFixture, tol: Tolerance) -> list[dict]:
         out.append(
             _assertion(
                 "deficit_strictly_below_kernel",
-                report.relation == "Less",
-                f"deficit {report.span_deficit}, kernel {report.kernel_dim}",
+                side.deficit < side.kernel,
+                deficit_detail,
             )
         )
-        built = build_parseval_v(w, f, u, tol)
-        built_cert = certify_weak_r_dual(w, f, u, built, tol)
+        built = _parseval_v(side, f"parseval-v({w.label})")
+        built_cert = _certificate(side, built)
         built_a = analyze(built, tol)
         out.append(
             _assertion(
@@ -316,7 +318,8 @@ def _run_weak_dual_fixture(fix: ReproFixture, tol: Tolerance) -> list[dict]:
 def _run_3_1(fix: ReproFixture, tol: Tolerance) -> list[dict]:
     f, u, w = (fix.families[k] for k in ("f", "u", "w"))
     out = []
-    y = characterizing_sequence(w, f, u, tol)
+    side = _dual_side(w, f, u, tol)
+    y = side.sequence
     n = w.ambient_dim
     r2 = np.sqrt(2.0)
     expected = np.zeros((4, n), dtype=np.complex128)
@@ -351,7 +354,7 @@ def _run_3_1(fix: ReproFixture, tol: Tolerance) -> list[dict]:
         )
     )
     try:
-        completeness_implies_invariance(w, f, u, tol)
+        _completeness_implies_invariance(side)
         out.append(
             _assertion("incompleteness_detected", False, "hypothesis gate missed")
         )

@@ -13,7 +13,7 @@ the second.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -143,24 +143,7 @@ class FrameAnalysis:
     gram_identity_residual: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "member_count": self.member_count,
-            "ambient_dim": self.ambient_dim,
-            "span_dim": self.span_dim,
-            "deficit": self.deficit,
-            "kernel_dim": self.kernel_dim,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "is_frame_for_ambient": self.is_frame_for_ambient,
-            "is_frame_sequence": self.is_frame_sequence,
-            "is_parseval_for_span": self.is_parseval_for_span,
-            "is_tight": self.is_tight,
-            "is_riesz_sequence": self.is_riesz_sequence,
-            "is_riesz_basis": self.is_riesz_basis,
-            "is_onb": self.is_onb,
-            "parseval_residual": self.parseval_residual,
-            "gram_identity_residual": self.gram_identity_residual,
-        }
+        return asdict(self)
 
 
 def synthesis_matrix(fam: VectorFamily) -> np.ndarray:

@@ -35,7 +35,7 @@ systems from being weak R-duals in the strict equal-index sense.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -47,13 +47,13 @@ from .errors import (
     GateFailedError,
     HypothesisFailedError,
     NotParsevalError,
-    NotPositiveDefiniteError,
     NotTightError,
     ShapeMismatchError,
     ZeroWindowError,
 )
 from .frames import (
     VectorFamily,
+    _span_factors,
     analyze,
     frame_operator,
     parseval_tighten,
@@ -68,9 +68,8 @@ from .rduality import (
     _commutation_ok,
     _dual_side,
     _DualSide,
-    _isometric_extension_v,
     _orthonormal_v,
-    find_conjugate_witness,
+    _parseval_v,
 )
 
 __all__ = [
@@ -248,15 +247,13 @@ def adjoint_system(sys: GaborSystem) -> AdjointSystem:
 
 def canonical_tight_window(lattice: GaborLattice, window: np.ndarray) -> np.ndarray:
     """``S^{+1/2} window``, with ``S`` the frame operator of the system:
-    the member at ``(m, n) = (0, 0)`` of the Parseval tightening, read
-    off the system's coset factorization.  ``S`` commutes with the
-    lattice's time-frequency shifts, so the system on the returned window
-    is Parseval for the span of the original one; this function does not
-    re-analyze it."""
-    sys = gabor_system(lattice, window)
-    tightened = parseval_tighten(sys.family)
-    half_count = 0  # window sits at index (m, n) = (0, 0)
-    return np.asarray(tightened.vectors[half_count], dtype=np.complex128)
+    the member at ``(m, n) = (0, 0)`` of the Parseval tightening
+    ``U_r Vh_r``, read off the system's coset factorization as one column
+    product.  ``S`` commutes with the lattice's time-frequency shifts, so
+    the system on the returned window is Parseval for the span of the
+    original one; this function does not re-analyze it."""
+    u_r, _, vh_r = _span_factors(gabor_system(lattice, window).family, DEFAULT_TOL)
+    return u_r @ vh_r[:, 0]
 
 
 @dataclass(frozen=True)
@@ -269,14 +266,7 @@ class DualityReport:
     match: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "frame_bounds": list(self.frame_bounds),
-            "riesz_bounds": list(self.riesz_bounds),
-            "system_is_frame": self.system_is_frame,
-            "adjoint_is_riesz": self.adjoint_is_riesz,
-            "bounds_agree": self.bounds_agree,
-            "match": self.match,
-        }
+        return asdict(self)
 
 
 def duality_check(sys: GaborSystem, tol: Tolerance = DEFAULT_TOL) -> DualityReport:
@@ -317,18 +307,17 @@ def duality_check(sys: GaborSystem, tol: Tolerance = DEFAULT_TOL) -> DualityRepo
     )
 
 
-def _padded_dual_commutation(
-    side: _DualSide, f: VectorFamily, tail: np.ndarray, tol: Tolerance
-) -> tuple[float, bool]:
+def _padded_dual_commutation(side: _DualSide, tail: np.ndarray) -> tuple[float, bool]:
     """Dual-commutation residual of the adjoint zero-padded to the count
     of ``u``, with its accept decision.  ``side`` is the dual side on the
     unpadded slots and ``tail`` the members of ``u`` past them.  The
     canonical dual of ``[W; 0]`` is ``[W~; 0]``, so the padded residual
     is ``hypot(head residual, ||U_tail F^*||)``, and ``||U F^*||`` splits
     the same way."""
-    tail_norm = _adjoint_product_norm(tail, f)
+    tail_norm = _adjoint_product_norm(tail, side.f)
     res = float(np.hypot(side.dual_res, tail_norm))
-    return res, _commutation_ok(res, float(np.hypot(side.gram_norm, tail_norm)), tol)
+    gram_norm = float(np.hypot(side.gram_norm, tail_norm))
+    return res, _commutation_ok(res, gram_norm, side.tol)
 
 
 @dataclass(frozen=True)
@@ -392,24 +381,12 @@ def tight_gabor_weak_r_dual(
     w0 = adjoint_system(sys).family
     u_slice = VectorFamily(u.vectors[:k_count], label=f"{u.label}[:{k_count}]")
 
-    f = sys.family
-    side = _dual_side(w0, f, u_slice, tol)
-    padded_res, _ = _padded_dual_commutation(side, f, u.vectors[k_count:], tol)
-    if not side.parseval_ok:
-        raise HypothesisFailedError(
-            "characterizing sequence is not Parseval for the adjoint span"
-            f" (residual {side.parseval_res:.3e}); the unpadded slots of u must"
-            " be orthonormal"
-        )
-    if not side.deficit < side.kernel:
-        raise HypothesisFailedError(
-            f"span deficit {side.deficit} must be strictly below kernel {side.kernel}"
-        )
-    v = _isometric_extension_v(w0, side, tol, f"tight-v({sys.family.label})")
-    cert = _certificate(w0, f, u_slice, v, side, tol)
+    side = _dual_side(w0, sys.family, u_slice, tol)
+    padded_res, _ = _padded_dual_commutation(side, u.vectors[k_count:])
+    v = _parseval_v(side, f"tight-v({sys.family.label})")
     return TightDualResult(
         v=v,
-        certificate=cert,
+        certificate=_certificate(side, v),
         padding_positions=list(range(k_count, m_count)),
         padded_dual_commutation_residual=padded_res,
     )
@@ -446,14 +423,10 @@ def promote_to_r_dual(
             " cannot exist (expected for every redundant system)"
         )
     side = _dual_side(w, f, u, tol)
-    if v is not None:
-        base = _certificate(w, f, u, v, side, tol)
-        if not base.passes():
-            raise HypothesisFailedError(
-                "the supplied v does not certify as a weak R-dual"
-            )
-    v_prime = _orthonormal_v(w, side, tol)
-    cert = _certificate(w, f, u, v_prime, side, tol)
+    if v is not None and not _certificate(side, v).passes():
+        raise HypothesisFailedError("the supplied v does not certify as a weak R-dual")
+    v_prime = _orthonormal_v(side)
+    cert = _certificate(side, v_prime)
     if cert.verdict != "RDual":
         raise HypothesisFailedError(
             f"promotion did not reach an R-dual verdict: {cert.verdict}"
@@ -510,7 +483,7 @@ def _candidate_u_records(
     records = []
     for name, u in candidates:
         side = _dual_side(w0, f, VectorFamily(u.vectors[:k]), tol)
-        dual_res, dual_ok = _padded_dual_commutation(side, f, u.vectors[k:], tol)
+        dual_res, dual_ok = _padded_dual_commutation(side, u.vectors[k:])
         ok = dual_ok and side.parseval_ok
         records.append(
             {
@@ -530,15 +503,23 @@ def evaluate_exploration_trial(
     rng: np.random.Generator,
     tol: Tolerance = DEFAULT_TOL,
 ) -> dict:
-    """Evidence record for one (lattice, window) pair.
+    """Evidence record for one non-critical (lattice, window) pair.
 
-    The spectral witness test compares the ambient frame operator of the
-    system with that of the adjoint (padding adds only zero members, so
-    the two coincide); a proper adjoint span gates the test (recorded,
-    not resolved).  Tight systems are tagged and skipped, since the
-    tight pipeline settles them separately.
+    Critical lattices (ab = N) raise ``CriticalDensityError``: there the
+    adjoint is a Riesz basis and ``promote_to_r_dual`` settles the
+    question.  Systems with ab > N are tagged ``NotFrame`` and tight
+    systems ``Tight`` (the tight pipeline settles them).  Any other frame
+    has ab < N, so its adjoint (ab members) spans a proper subspace and
+    the spectral witness test, which needs two invertible frame
+    operators, is recorded as ``Gated``; the two candidate ``u`` records
+    are the evidence.
     """
     lat = lattice
+    if lat.redundancy == 1.0:
+        raise CriticalDensityError(
+            "exploration samples non-critical lattices; at critical density"
+            " use promote_to_r_dual"
+        )
     record: dict = {
         "N": lat.N,
         "a": lat.a,
@@ -559,22 +540,10 @@ def evaluate_exploration_trial(
 
     w0 = adjoint_system(sys).family
     record["adjoint_spectrum"] = _spectrum(w0, tol)
-
-    if w0.rank(tol) < lat.N:
-        record["witness"] = {
-            "verdict": "Gated",
-            "reason": "adjoint span is proper in the ambient space",
-        }
-    else:
-        try:
-            witness = find_conjugate_witness(
-                frame_operator(w0), frame_operator(sys.family), tol
-            )
-        except NotPositiveDefiniteError:
-            witness = None
-        record["witness"] = {
-            "verdict": "WitnessFound" if witness is not None else "NoWitness"
-        }
+    record["witness"] = {
+        "verdict": "Gated",
+        "reason": "adjoint span is proper in the ambient space",
+    }
     record["candidates"] = _candidate_u_records(sys, w0, rng, tol)
     record["verdict"] = record["witness"]["verdict"]
     return record

@@ -131,12 +131,19 @@ def _adjoint_product_norm(x: np.ndarray, h: VectorFamily) -> float:
 
 @dataclass(frozen=True)
 class _DualSide:
-    """The dual side of ``(w, f, u)``: the characterizing-sequence
-    synthesis ``Y``, the span projector ``P`` of ``w``, the span deficit
-    of ``w`` and the kernel dimension of ``Y``, ``||G(u,f)||_F`` (the
-    scale of the commutation residuals), and the residuals of the dual
-    commutation and of ``Y Y^* = P`` with their accept decisions."""
+    """The dual side of one triple ``(w, f, u)`` under ``tol``, with the
+    triple and the tolerance it was evaluated for: the
+    characterizing-sequence synthesis ``Y``, the span projector ``P`` of
+    ``w``, the span deficit of ``w`` and the kernel dimension of ``Y``,
+    ``||G(u,f)||_F`` (the scale of the commutation residuals), and the
+    residuals of the dual commutation and of ``Y Y^* = P`` with their
+    accept decisions.  Certificates and constructions read the triple
+    from here, so a record cannot be paired with another triple."""
 
+    w: VectorFamily
+    f: VectorFamily
+    u: VectorFamily
+    tol: Tolerance
     y_syn: np.ndarray
     projector: np.ndarray
     deficit: int
@@ -146,6 +153,11 @@ class _DualSide:
     dual_ok: bool
     parseval_res: float
     parseval_ok: bool
+
+    @property
+    def sequence(self) -> VectorFamily:
+        """The characterizing sequence ``y`` as a family."""
+        return VectorFamily(self.y_syn.T, label=f"charseq({self.w.label})")
 
 
 def _commutation_ok(residual: float, gram_norm: float, tol: Tolerance) -> bool:
@@ -176,7 +188,8 @@ def _dual_side(
     dual_ok = _commutation_ok(dual_res, gram_norm, tol)
     deficit, kernel = w.ambient_dim - w.rank(tol), f.count - rank_y
     return _DualSide(
-        y_syn, p, deficit, kernel, gram_norm, dual_res, dual_ok, pars_res, pars_ok
+        w, f, u, tol, y_syn, p, deficit, kernel, gram_norm, dual_res, dual_ok,
+        pars_res, pars_ok,
     )
 
 
@@ -244,21 +257,16 @@ class DimensionReport:
         return asdict(self)
 
 
-def _certificate(
-    w: VectorFamily,
-    f: VectorFamily,
-    u: VectorFamily,
-    v: VectorFamily,
-    side: _DualSide,
-    tol: Tolerance,
-) -> WeakRDualCertificate:
-    """Compute every residual of the weak R-dual identities; the dual-side
-    ones are read from ``side = _dual_side(w, f, u, tol)``.
+def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
+    """Compute every residual of the weak R-dual identities for ``v`` and
+    the triple ``(w, f, u)`` of ``side``; the dual-side residuals, the
+    deficit and the kernel are read from the record.
 
     Index pairing: ``u`` with ``w`` (count K), ``f`` with ``v`` (count M).
     The square public operations enforce K == M before calling this.
     """
-    n = _require_same_dim(w, f, u, v)
+    w, f, u, tol = side.w, side.f, side.u, side.tol
+    n = _require_same_dim(w, v)
     if f.count != v.count:
         raise ShapeMismatchError(f"f/v counts {f.count}/{v.count} must pair up")
 
@@ -323,7 +331,7 @@ def certify_weak_r_dual(
 ) -> WeakRDualCertificate:
     """Full certificate for a given quadruple, without admission gates."""
     _require_same_count(w, f, u, v)
-    return _certificate(w, f, u, v, _dual_side(w, f, u, tol), tol)
+    return _certificate(_dual_side(w, f, u, tol), v)
 
 
 def weak_r_dual(
@@ -344,7 +352,7 @@ def weak_r_dual(
     _gate_parseval(v, tol, "v")
     w_syn = (v.vectors.T @ f.vectors) @ u.vectors.conj().T
     w = VectorFamily(w_syn.T, label=f"wrd({f.label})")
-    return w, _certificate(w, f, u, v, _dual_side(w, f, u, tol), tol)
+    return w, _certificate(_dual_side(w, f, u, tol), v)
 
 
 def characterize(
@@ -360,7 +368,7 @@ def characterize(
     _require_same_count(w, f, u, v)
     _gate_parseval(u, tol, "u")
     _gate_parseval(v, tol, "v")
-    return _certificate(w, f, u, v, _dual_side(w, f, u, tol), tol)
+    return _certificate(_dual_side(w, f, u, tol), v)
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +414,7 @@ def characterizing_sequence(
 ) -> VectorFamily:
     """``y_i = sum_k <u_k, f_i> w~_k`` over the canonical dual of ``w``."""
     _require_same_count(w, f, u)
-    return VectorFamily(_dual_side(w, f, u, tol).y_syn.T, label=f"charseq({w.label})")
+    return _dual_side(w, f, u, tol).sequence
 
 
 def dual_commutation_residual(
@@ -458,9 +466,7 @@ def _check_hypotheses(side: _DualSide) -> _DualSide:
     return side
 
 
-def _isometric_extension_v(
-    w: VectorFamily, side: _DualSide, tol: Tolerance, label: str
-) -> VectorFamily:
+def _isometric_extension_v(side: _DualSide, label: str) -> VectorFamily:
     """Build ``v = Y + Q*`` where ``Q*`` maps ``deficit`` orthonormal
     vectors of ker(Y) onto an orthonormal basis of the span complement
     of ``w`` and vanishes on the rest.  Any such vectors work; these are
@@ -472,7 +478,7 @@ def _isometric_extension_v(
         return VectorFamily(y_syn.T, label=label)
     lead = y_syn.shape[1] - side.kernel + deficit
     ker_lead = np.linalg.svd(y_syn[:, :lead])[2][lead - deficit :]
-    _, comp_basis = svd_rank_nullspace(np.conj(w.vectors), tol)
+    _, comp_basis = svd_rank_nullspace(np.conj(side.w.vectors), side.tol)
     v_syn = y_syn.copy()
     v_syn[:, :lead] += comp_basis[:, :deficit] @ ker_lead
     return VectorFamily(v_syn.T, label=label)
@@ -493,7 +499,13 @@ def build_parseval_v(
     sequence itself is returned.
     """
     _require_same_count(w, f, u)
-    side = _check_hypotheses(_dual_side(w, f, u, tol))
+    return _parseval_v(_dual_side(w, f, u, tol), f"parseval-v({w.label})")
+
+
+def _parseval_v(side: _DualSide, label: str) -> VectorFamily:
+    """``build_parseval_v`` past the dual-side evaluation: the shared
+    hypotheses, then span deficit strictly below the kernel dimension."""
+    _check_hypotheses(side)
     deficit, kernel = side.deficit, side.kernel
     if deficit > kernel:
         raise DimensionCaseError(
@@ -505,7 +517,7 @@ def build_parseval_v(
             f"span deficit equals kernel dimension ({deficit}); only the"
             " orthonormal construction applies"
         )
-    return _isometric_extension_v(w, side, tol, f"parseval-v({w.label})")
+    return _isometric_extension_v(side, label)
 
 
 def build_orthonormal_v(
@@ -526,18 +538,19 @@ def build_orthonormal_v(
             f"orthonormal output needs member count ({w.count}) equal to the"
             f" ambient dimension ({w.ambient_dim})"
         )
-    return _orthonormal_v(w, _dual_side(w, f, u, tol), tol)
+    return _orthonormal_v(_dual_side(w, f, u, tol))
 
 
-def _orthonormal_v(w: VectorFamily, side: _DualSide, tol: Tolerance) -> VectorFamily:
-    """``build_orthonormal_v`` past its count gate, on the dual side
-    ``side = _dual_side(w, f, u, tol)`` already evaluated by the caller."""
+def _orthonormal_v(side: _DualSide) -> VectorFamily:
+    """``build_orthonormal_v`` past its count gate and the dual-side
+    evaluation: the shared hypotheses, then span deficit equal to the
+    kernel dimension."""
     _check_hypotheses(side)
     if side.deficit != side.kernel:
         raise HypothesisFailedError(
             f"span deficit {side.deficit} != kernel dimension {side.kernel}"
         )
-    return _isometric_extension_v(w, side, tol, f"onb-v({w.label})")
+    return _isometric_extension_v(side, f"onb-v({side.w.label})")
 
 
 # ----------------------------------------------------------------------
@@ -612,13 +625,11 @@ def interleaved_weak_r_dual(
     u_prime = interleave_prime(u)
     w_prime = interleave_prime(w)
     v = VectorFamily(
-        interleave_prime(VectorFamily(side.y_syn.T)).vectors
+        interleave_prime(side.sequence).vectors
         + interleave_double_prime(q).vectors,
         label=f"interleaved-v({w.label})",
     )
-    cert = _certificate(
-        w_prime, f_prime, u_prime, v, _dual_side(w_prime, f_prime, u_prime, tol), tol
-    )
+    cert = _certificate(_dual_side(w_prime, f_prime, u_prime, tol), v)
     return InterleavedDualResult(
         f_prime=f_prime, v=v, u_prime=u_prime, w_prime=w_prime, certificate=cert
     )
@@ -656,7 +667,7 @@ def transfer_via_coisometry(
     """
     _require_same_count(w, p, f, u, h)
     n = _require_same_dim(w, p, f, u, h)
-    base = _certificate(p, f, u, h, _dual_side(p, f, u, tol), tol)
+    base = _certificate(_dual_side(p, f, u, tol), h)
     if not base.passes():
         raise HypothesisFailedError(
             "p is not a weak R-dual of f with respect to u and h"
@@ -676,7 +687,7 @@ def transfer_via_coisometry(
     op = u1 + u2
     cois_res = frobenius(op @ op.conj().T - np.eye(n))
     transported = VectorFamily((op @ h.vectors.T).T, label=f"transfer({h.label})")
-    cert = _certificate(w, f, u, transported, side, tol)
+    cert = _certificate(side, transported)
     certificate = cert if deficit_w == deficit_p else None
     return TransferResult(
         operator=op,
@@ -913,7 +924,12 @@ def completeness_implies_invariance(
     complete in span{w}, report whether the Gram invariance condition
     holds (an implication, so the result must be True on valid inputs)."""
     _require_same_count(w, f, u)
-    side = _dual_side(w, f, u, tol)
+    return _completeness_implies_invariance(_dual_side(w, f, u, tol))
+
+
+def _completeness_implies_invariance(side: _DualSide) -> bool:
+    """``completeness_implies_invariance`` past the dual-side evaluation."""
+    w, f, u, tol = side.w, side.f, side.u, side.tol
     rank_y, rank_w = f.count - side.kernel, w.ambient_dim - side.deficit
     if rank_y != rank_w:
         raise HypothesisFailedError(

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import fam, perturb_member, trio, trio_parseval
 from framedual.cli import build_parser, main
+from framedual.fixtures import build_fixture
 from framedual.frames import save_family
 
 
@@ -103,6 +104,20 @@ class TestWrd:
         assert code == 0
         assert report["certificate"]["verdict"] == "WeakRDual"
         assert len(report["v"]) == 4
+
+    def test_construct_v_onb(self, tmp_path, capsys):
+        # fixture 2.10: span deficit equals kernel dimension, so the
+        # orthonormal construction applies; u is not an ONB, so WeakRDual
+        families = build_fixture("2.10").families
+        argv = ["wrd", "construct-v", "--onb"]
+        for name in ("w", "f", "u"):
+            argv += [f"--{name}", _write(tmp_path, name, families[name])]
+        code, report = _run(capsys, argv)
+        assert code == 0
+        cert = report["certificate"]
+        assert cert["verdict"] == cert["characterization_verdict"] == "WeakRDual"
+        assert cert["v_is_onb"] is True and cert["u_is_onb"] is False
+        assert len(report["v"]) == 7
 
 
 class TestWrdPromote:

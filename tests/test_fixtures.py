@@ -2,6 +2,7 @@
 
 import pytest
 
+from framedual import fixtures, gabor, rduality
 from framedual.fixtures import FIXTURE_IDS, build_fixture, run_repro
 from framedual.frames import analyze
 
@@ -50,3 +51,23 @@ def test_reports_are_deterministic():
     a = run_repro("2.8")
     b = run_repro("2.8")
     assert a == b
+
+
+def test_repro_evaluates_dual_side_once_per_triple(monkeypatch):
+    # every certificate and construction of a fixture reads one dual-side
+    # record per distinct (w, f, u) triple
+    original = rduality._dual_side
+    calls = []
+
+    def counted(w, f, u, tol):
+        calls.append(tuple((x.vectors.shape, x.vectors.tobytes()) for x in (w, f, u)))
+        return original(w, f, u, tol)
+
+    for mod in (rduality, fixtures, gabor):
+        if hasattr(mod, "_dual_side"):
+            monkeypatch.setattr(mod, "_dual_side", counted)
+    for fid in FIXTURE_IDS:
+        calls.clear()
+        assert run_repro(fid)["all_passed"]
+        assert calls, fid
+        assert len(calls) == len(set(calls)), fid

@@ -369,11 +369,13 @@ class TestExploration:
         rec = evaluate_exploration_trial(lat, _random_window(rng, 4), rng)
         assert rec["verdict"] == "Tight"
 
-    def test_witness_found_on_critical_trial(self):
+    def test_critical_trial_is_rejected(self):
+        # exploration samples non-critical lattices only; the critical
+        # case is settled by the promotion
         rng = np.random.default_rng(9)
         lat = GaborLattice(2, 1, 2)
-        rec = evaluate_exploration_trial(lat, _random_window(rng, 2), rng)
-        assert rec["verdict"] == "WitnessFound"
+        with pytest.raises(CriticalDensityError):
+            evaluate_exploration_trial(lat, _random_window(rng, 2), rng)
 
     def test_redundant_trial_is_gated_with_candidates(self):
         rng = np.random.default_rng(10)
