@@ -29,8 +29,8 @@ from .gabor import (
 )
 from .numerics import Tolerance
 from .rduality import (
-    build_orthonormal_v,
-    build_parseval_v,
+    _certificate,
+    _constructed_v,
     certify_weak_r_dual,
     characterize,
     weak_r_dual,
@@ -117,9 +117,8 @@ def _cmd_wrd(args: argparse.Namespace) -> int:
         return 0 if cert.characterization_verdict != "NotWeakRDual" else 1
     if args.wrd_command == "construct-v":
         w, f, u = map(load_family, (args.w, args.f, args.u))
-        build = build_orthonormal_v if args.onb else build_parseval_v
-        v = build(w, f, u, tol)
-        cert = certify_weak_r_dual(w, f, u, v, tol)
+        side, v = _constructed_v(w, f, u, tol, orthonormal=args.onb)
+        cert = _certificate(side, v)
         _emit(
             _report(
                 {

@@ -214,13 +214,19 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
         is_frame_for_ambient=rank == n,
         is_frame_sequence=True,
         is_parseval_for_span=is_parseval,
-        is_tight=(upper - lower) <= tol.threshold(upper),
+        is_tight=_is_tight(upper, lower, tol),
         is_riesz_sequence=is_riesz_seq,
         is_riesz_basis=is_riesz_seq and rank == n,
         is_onb=is_onb,
         parseval_residual=parseval_residual,
         gram_identity_residual=gram_residual,
     )
+
+
+def _is_tight(upper, lower, tol: Tolerance):
+    """The tightness rule for frame bounds ``lower <= upper`` (elementwise
+    on arrays)."""
+    return (upper - lower) <= tol.threshold(upper)
 
 
 def _span_factors(fam: VectorFamily, tol: Tolerance):

@@ -18,6 +18,10 @@ the b x (N/a) block G_r[k, n] = window[(r + k L - n a) mod N] tensored
 with the DFT phases exp(2 pi i m r / L), and rows of different residues
 are orthogonal, so one batched SVD of the L blocks factors the system
 (``_modulated_translates``; the adjoint is the same on its lattice).
+The factorization takes a stack of windows on one lattice:
+``gabor_system`` and ``adjoint_system`` pass a stack of one, and the
+exploration passes every trial of a lattice at once, after settling
+frame and tightness from the blocks' singular values alone.
 
 Redundancy is N/(a b); the weak R-dual machinery pairs the system
 (count N^2/(a b)) with the adjoint family (count a b).  The counts are
@@ -35,6 +39,7 @@ systems from being weak R-duals in the strict equal-index sense.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -44,6 +49,7 @@ import numpy as np
 from .errors import (
     BadLatticeError,
     CriticalDensityError,
+    EmptySpanError,
     GateFailedError,
     HypothesisFailedError,
     NotParsevalError,
@@ -53,11 +59,11 @@ from .errors import (
 )
 from .frames import (
     VectorFamily,
+    _is_tight,
     _span_factors,
     analyze,
     frame_operator,
-    parseval_tighten,
-    random_parseval,
+    random_frame,
     standard_basis_family,
 )
 from .numerics import DEFAULT_TOL, Tolerance, _svd, frobenius, singular_rank
@@ -67,7 +73,7 @@ from .rduality import (
     _certificate,
     _commutation_ok,
     _dual_side,
-    _DualSide,
+    _dual_side_residuals,
     _orthonormal_v,
     _parseval_v,
 )
@@ -145,8 +151,10 @@ def _lattice_tables(
     ``phase[m, t]``, the translate gather ``shift[n, t] = (t - n time_step)
     mod N``, its coset form ``coset[r, k, n] = shift[n, r + k n_freqs]``
     (``n_freqs * freq_step == N``) and the unit-norm coset phases
-    ``phase[m, r] / sqrt(n_freqs)``, indexed ``[r, m]``.  The cache holds
-    the 168 shapes an exploration over N = 4..12 cycles through."""
+    ``phase[m, r] / sqrt(n_freqs)``, indexed ``[r, m]``.  An exploration
+    fetches a shape once per lattice stage, not once per trial, so the
+    cache serves repeated runs in one process: the 84 shapes of
+    N = 4..12 fit, the 276 of N = 4..24 cycle through it."""
     t = np.arange(N)
     m = np.arange(n_freqs)[:, None]
     n = np.arange(n_times)[:, None]
@@ -161,7 +169,7 @@ def _lattice_tables(
 
 
 def _modulated_translates(
-    window: np.ndarray,
+    windows: np.ndarray,
     N: int,
     time_step: int,
     freq_step: int,
@@ -169,8 +177,9 @@ def _modulated_translates(
     n_freqs: int,
     scale: float = 1.0,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The member rows ``scale * phase[m] * window[shift[n]]``, ordered
-    ``j = m * n_times + n``, and their thin SVD from the coset blocks.
+    """For each window of a ``(g, N)`` stack: the member rows
+    ``scale * phase[m] * window[shift[n]]``, ordered ``j = m * n_times + n``,
+    and their thin SVD from the coset blocks, stacked along the first axis.
 
     Write ``L = n_freqs`` and ``t = r + k L``.  The modulation depends on
     ``t`` through ``r`` alone, so the synthesis rows with residue ``r``
@@ -179,68 +188,83 @@ def _modulated_translates(
     columns of an L-point DFT).  With ``G_r = U_r diag(sigma_r) Vh_r``
     the factors are ``s = scale sqrt(L) sigma``, ``U_r`` placed on the
     rows ``r + k L``, and ``Vh[(r, i), (m, n)] = phase[m, r] / sqrt(L)
-    * Vh_r[i, n]``: one batched SVD of ``L`` blocks of size
-    ``freq_step x n_times``, never of the ``N x M`` synthesis matrix."""
+    * Vh_r[i, n]``: one batched SVD of the ``g L`` blocks of size
+    ``freq_step x n_times``, never of an ``N x M`` synthesis matrix."""
     phase, shift, coset, coset_phase = _lattice_tables(
         N, time_step, freq_step, n_times, n_freqs
     )
-    rows = (scale * phase)[:, None, :] * window[shift]
-    L = n_freqs
-    u_r, sigma, vh_r = _svd(window[coset], full_matrices=False)
-    k = sigma.shape[1]
-    order = np.argsort(-sigma.ravel(), kind="stable")
-    u = np.zeros((freq_step, L, L, k), dtype=np.complex128)
+    g, L = windows.shape[0], n_freqs
+    rows = (scale * phase)[:, None, :] * windows[:, None, shift]
+    u_r, sigma, vh_r = _svd(windows[:, coset], full_matrices=False)
+    k = sigma.shape[-1]
+    sigma = sigma.reshape(g, L * k)
+    order = np.argsort(-sigma, axis=-1, kind="stable")
+    u = np.zeros((g, freq_step, L, L, k), dtype=np.complex128)
     diag = np.arange(L)
-    u[:, diag, diag, :] = u_r.transpose(1, 0, 2)
-    vh = coset_phase[:, None, :, None] * vh_r[:, :, None, :]
+    u[:, :, diag, diag, :] = u_r.transpose(0, 2, 1, 3)
+    vh = coset_phase[:, None, :, None] * vh_r[:, :, :, None, :]
     factors = (
-        u.reshape(N, L * k)[:, order],
-        (scale * np.sqrt(L)) * sigma.ravel()[order],
-        vh.reshape(L * k, L * n_times)[order],
+        np.take_along_axis(u.reshape(g, N, L * k), order[:, None, :], axis=-1),
+        (scale * np.sqrt(L)) * np.take_along_axis(sigma, order, axis=-1),
+        np.take_along_axis(vh.reshape(g, L * k, L * n_times), order[..., None], axis=1),
     )
-    return rows.reshape(n_freqs * n_times, N), factors
+    return rows.reshape(g, n_freqs * n_times, N), factors
+
+
+def _system_translates(windows: np.ndarray, lat: GaborLattice):
+    """``_modulated_translates`` on the lattice itself."""
+    return _modulated_translates(
+        windows, lat.N, lat.a, lat.b, n_times=lat.N // lat.a, n_freqs=lat.N // lat.b
+    )
+
+
+def _adjoint_translates(windows: np.ndarray, lat: GaborLattice):
+    """``kappa = sqrt(N/(a b))`` and ``_modulated_translates`` on the
+    adjoint lattice (time step N/b, frequency step N/a), scaled by it."""
+    kappa = float(np.sqrt(lat.N / (lat.a * lat.b)))
+    rows, factors = _modulated_translates(
+        windows, lat.N, lat.N // lat.b, lat.N // lat.a, n_times=lat.b,
+        n_freqs=lat.a, scale=kappa,
+    )
+    return kappa, rows, factors
+
+
+def _checked_windows(windows: np.ndarray, N: int) -> np.ndarray:
+    """A ``(g, N)`` stack of windows as complex128, after the checks every
+    system makes on its window: length N, finite entries, nonzero norm."""
+    w = np.asarray(windows, dtype=np.complex128)
+    if w.shape[1:] != (N,):
+        raise ShapeMismatchError(f"window must have length {N}, got {w.shape[1:]}")
+    if not np.isfinite(w).all():
+        raise ZeroWindowError("window entries must be finite")
+    if np.any(np.linalg.norm(w, axis=-1) <= DEFAULT_TOL.abs_floor):
+        raise ZeroWindowError("window is numerically zero")
+    return w
+
+
+def _first(rows: np.ndarray, factors: tuple) -> tuple:
+    """The one member of a stack of one from ``_modulated_translates``."""
+    return rows[0], tuple(arr[0] for arr in factors)
 
 
 def gabor_system(lattice: GaborLattice, window: np.ndarray) -> GaborSystem:
     """Generate the full system for the lattice, modulation applied after
     translation, ordered frequency-major."""
-    w = np.asarray(window, dtype=np.complex128)
-    if w.shape != (lattice.N,):
-        raise ShapeMismatchError(f"window must have length {lattice.N}, got {w.shape}")
-    if not np.isfinite(w).all():
-        raise ZeroWindowError("window entries must be finite")
-    if np.linalg.norm(w) <= DEFAULT_TOL.abs_floor:
-        raise ZeroWindowError("window is numerically zero")
-    rows, factors = _modulated_translates(
-        w,
-        lattice.N,
-        time_step=lattice.a,
-        freq_step=lattice.b,
-        n_times=lattice.N // lattice.a,
-        n_freqs=lattice.N // lattice.b,
-    )
+    w = _checked_windows(np.asarray(window)[None], lattice.N)
+    rows, factors = _first(*_system_translates(w, lattice))
     fam = VectorFamily._factored(
         rows, factors, label=f"gabor(N={lattice.N},a={lattice.a},b={lattice.b})"
     )
-    return GaborSystem(lattice=lattice, window=w, family=fam)
+    return GaborSystem(lattice=lattice, window=w[0], family=fam)
 
 
 def adjoint_system(sys: GaborSystem) -> AdjointSystem:
     """System on the adjoint lattice (time step N/b, frequency step N/a)
     scaled by kappa = sqrt(N/(a b))."""
     lat = sys.lattice
-    kappa = float(np.sqrt(lat.N / (lat.a * lat.b)))
-    rows, factors = _modulated_translates(
-        sys.window,
-        lat.N,
-        time_step=lat.N // lat.b,
-        freq_step=lat.N // lat.a,
-        n_times=lat.b,
-        n_freqs=lat.a,
-        scale=kappa,
-    )
+    kappa, rows, factors = _adjoint_translates(sys.window[None], lat)
     fam = VectorFamily._factored(
-        rows, factors, label=f"adjoint(N={lat.N},a={lat.a},b={lat.b})"
+        *_first(rows, factors), label=f"adjoint(N={lat.N},a={lat.a},b={lat.b})"
     )
     return AdjointSystem(base=sys, kappa=kappa, family=fam)
 
@@ -307,17 +331,16 @@ def duality_check(sys: GaborSystem, tol: Tolerance = DEFAULT_TOL) -> DualityRepo
     )
 
 
-def _padded_dual_commutation(side: _DualSide, tail: np.ndarray) -> tuple[float, bool]:
+def _padded_dual_commutation(dual_res, gram_norm, tail_norm, tol: Tolerance):
     """Dual-commutation residual of the adjoint zero-padded to the count
-    of ``u``, with its accept decision.  ``side`` is the dual side on the
-    unpadded slots and ``tail`` the members of ``u`` past them.  The
-    canonical dual of ``[W; 0]`` is ``[W~; 0]``, so the padded residual
-    is ``hypot(head residual, ||U_tail F^*||)``, and ``||U F^*||`` splits
-    the same way."""
-    tail_norm = _adjoint_product_norm(tail, side.f)
-    res = float(np.hypot(side.dual_res, tail_norm))
-    gram_norm = float(np.hypot(side.gram_norm, tail_norm))
-    return res, _commutation_ok(res, gram_norm, side.tol)
+    of ``u``, with its accept decision (elementwise on arrays), from the
+    unpadded slots' residual and ``||G(u,f)||_F`` and ``tail_norm =
+    ||U_tail F^*||_F`` of the members of ``u`` past them.  The canonical
+    dual of ``[W; 0]`` is ``[W~; 0]``, so the padded residual is
+    ``hypot(unpadded residual, tail_norm)``, and ``||U F^*||`` splits the
+    same way."""
+    res = np.hypot(dual_res, tail_norm)
+    return res, _commutation_ok(res, np.hypot(gram_norm, tail_norm), tol)
 
 
 @dataclass(frozen=True)
@@ -382,13 +405,16 @@ def tight_gabor_weak_r_dual(
     u_slice = VectorFamily(u.vectors[:k_count], label=f"{u.label}[:{k_count}]")
 
     side = _dual_side(w0, sys.family, u_slice, tol)
-    padded_res, _ = _padded_dual_commutation(side, u.vectors[k_count:])
+    tail_norm = _adjoint_product_norm(u.vectors[k_count:], sys.family.svd)
+    padded_res, _ = _padded_dual_commutation(
+        side.dual_res, side.gram_norm, tail_norm, tol
+    )
     v = _parseval_v(side, f"tight-v({sys.family.label})")
     return TightDualResult(
         v=v,
         certificate=_certificate(side, v),
         padding_positions=list(range(k_count, m_count)),
-        padded_dual_commutation_residual=padded_res,
+        padded_dual_commutation_residual=float(padded_res),
     )
 
 
@@ -451,49 +477,145 @@ def divisor_lattices(N: int, critical: Optional[bool] = None) -> list[GaborLatti
     return out
 
 
-def _spectrum(fam: VectorFamily, tol: Tolerance) -> list[float]:
-    """Nonzero eigenvalues of the frame operator, ascending: the squared
-    singular values above the rank rule."""
-    s = fam.svd[1]
-    return [float(v) for v in s[: singular_rank(s, tol)][::-1] ** 2]
+def _spectra(s: np.ndarray, rank: np.ndarray) -> list[list[float]]:
+    """Per row of a stack of descending singular values and its ranks:
+    the nonzero eigenvalues of the frame operator, ascending."""
+    return [(row[:r][::-1] ** 2).tolist() for row, r in zip(s, rank)]
 
 
 def _window_hash(window: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(window).tobytes()).hexdigest()[:16]
 
 
-def _candidate_u_records(
-    sys: GaborSystem,
-    w0: VectorFamily,
-    rng: np.random.Generator,
+def _system_values(windows: np.ndarray, lat: GaborLattice) -> np.ndarray:
+    """The singular values of each window's system, descending: the values
+    of ``_modulated_translates``'s factors without the factors, from one
+    batched values-only SVD of the coset blocks."""
+    L = lat.N // lat.b
+    coset = _lattice_tables(lat.N, lat.a, lat.b, lat.N // lat.a, L)[2]
+    sigma = _svd(windows[:, coset], compute_uv=False).reshape(len(windows), -1)
+    return np.sqrt(L) * -np.sort(-sigma, axis=-1)
+
+
+def _gated_evidence(
+    lat: GaborLattice,
+    windows: np.ndarray,
+    rngs: Sequence[np.random.Generator],
     tol: Tolerance,
 ) -> list[dict]:
-    """Per-candidate residual records for the padded dual-commutation
-    condition and the Parseval property of the characterizing sequence.
-    ``w0`` is the unpadded adjoint; ``conjugated_dual`` has its a b
-    members, as its padded members would be zero."""
-    lat = sys.lattice
-    n, k = lat.N, w0.count
-    f = sys.family
-    candidates = [
-        ("conjugated_dual", VectorFamily(np.conj(parseval_tighten(w0, tol).vectors))),
-        ("randomized_parseval", random_parseval(rng, lat.member_count, n)),
+    """Adjoint spectrum, witness and candidate records of frames that are
+    not tight, stacked over the windows: one factorization of the systems,
+    one of their adjoints (the unpadded ``w0``) and one tightening of the
+    ``randomized_parseval`` Gaussians, each drawn from its trial's
+    generator in order.  The w-only part (canonical dual, projector,
+    Parseval tightening) is computed once per window and shared by both
+    candidates, whose dual sides are one call of ``_dual_side_residuals``
+    on the unpadded slots, completed by the padded dual-commutation
+    residual.  ``conjugated_dual`` (the conjugated Parseval tightening of
+    ``w0``) has the a b unpadded members, as its padded members would be
+    zero."""
+    N, K, M = lat.N, lat.adjoint_count, lat.member_count
+    f_rows, (f_u, f_s, _) = _system_translates(windows, lat)
+    _, w_rows, (w_u, w_s, w_vh) = _adjoint_translates(windows, lat)
+    # the w-only part from the rank-r factors (the other columns zeroed):
+    # projector U_r U_r^*, canonical dual U_r diag(1/s_r) Vh_r and
+    # Parseval tightening U_r Vh_r, as syntheses
+    w_rank = singular_rank(w_s, tol)
+    keep = (np.arange(w_s.shape[-1]) < w_rank[:, None])[:, None, :]
+    q = np.where(keep, w_u, 0)
+    q_over_s = np.divide(w_u, w_s[:, None, :], out=np.zeros_like(w_u), where=keep)
+    dual_syn, tight_syn = q_over_s @ w_vh, q @ w_vh
+
+    gauss = np.stack([random_frame(rng, M, N).vectors for rng in rngs])
+    g_u, g_s, g_vh = _svd(gauss.swapaxes(-1, -2), full_matrices=False)
+    g_keep = (np.arange(N) < singular_rank(g_s)[:, None])[:, None, :]
+    rand_syn = np.where(g_keep, g_u, 0) @ g_vh  # random_parseval, as columns
+
+    u_syn = (np.conj(tight_syn), rand_syn)
+    heads = np.stack([syn[..., :K].swapaxes(-1, -2) for syn in u_syn], axis=1)
+    _, _, gram_norm, dual_res, pars_res, pars_ok = _dual_side_residuals(
+        dual_syn[:, None], w_rows[:, None], heads, f_rows[:, None],
+        (f_u[:, None], f_s[:, None]), (q @ q.conj().swapaxes(-1, -2))[:, None], tol,
+    )
+    tail_norm = _adjoint_product_norm(rand_syn[..., K:].swapaxes(-1, -2), (f_u, f_s))
+    tails = np.stack([np.zeros_like(tail_norm), tail_norm], axis=1)
+    padded_res, padded_ok = _padded_dual_commutation(dual_res, gram_norm, tails, tol)
+    ok = padded_ok & pars_ok
+    eye = np.eye(N)
+    u_pars = np.stack(
+        [frobenius(t @ t.conj().swapaxes(-1, -2) - eye) for t in u_syn], axis=1
+    )
+
+    return [
+        {
+            "adjoint_spectrum": spectrum,
+            "witness": {
+                "verdict": "Gated",
+                "reason": "adjoint span is proper in the ambient space",
+            },
+            "candidates": [
+                {
+                    "name": name,
+                    "verdict": "ConditionsHold" if ok[i, c] else "ConditionsFail",
+                    "dual_commutation_residual": float(padded_res[i, c]),
+                    "projected_parseval_residual": float(pars_res[i, c]),
+                    "u_parseval_residual": float(u_pars[i, c]),
+                }
+                for c, name in enumerate(("conjugated_dual", "randomized_parseval"))
+            ],
+        }
+        for i, spectrum in enumerate(_spectra(w_s, w_rank))
     ]
 
-    records = []
-    for name, u in candidates:
-        side = _dual_side(w0, f, VectorFamily(u.vectors[:k]), tol)
-        dual_res, dual_ok = _padded_dual_commutation(side, u.vectors[k:])
-        ok = dual_ok and side.parseval_ok
-        records.append(
-            {
-                "name": name,
-                "verdict": "ConditionsHold" if ok else "ConditionsFail",
-                "dual_commutation_residual": dual_res,
-                "projected_parseval_residual": side.parseval_res,
-                "u_parseval_residual": frobenius(frame_operator(u) - np.eye(n)),
-            }
+
+def _evaluate_trials(
+    lat: GaborLattice,
+    windows: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+    tol: Tolerance,
+) -> list[dict]:
+    """Evidence records for trials that share one lattice, evaluated
+    together; the evaluator of ``evaluate_exploration_trial`` (one trial)
+    and ``run_exploration`` (the trials of a lattice).  The verdict stage
+    reads rank, frame and tightness off the systems' singular values
+    alone, by the rules of ``analyze``, so ``NotFrame`` and ``Tight`` trials
+    build no system.  Every stacked step acts on each trial separately,
+    so a record does not depend on the other trials evaluated with it."""
+    if lat.redundancy == 1.0:
+        raise CriticalDensityError(
+            "exploration samples non-critical lattices; at critical density"
+            " use promote_to_r_dual"
         )
+    stack = _checked_windows(windows, lat.N)
+    s = _system_values(stack, lat)
+    rank = singular_rank(s, tol)
+    if not rank.all():
+        raise EmptySpanError("all members are numerically zero")
+    sq = s**2
+    upper, lower = sq[:, 0], sq[np.arange(len(sq)), rank - 1]
+    tight = _is_tight(upper, lower, tol)
+    verdicts = [
+        "NotFrame" if r < lat.N else "Tight" if is_tight else "Gated"
+        for r, is_tight in zip(rank, tight)
+    ]
+    records = [
+        {
+            "N": lat.N,
+            "a": lat.a,
+            "b": lat.b,
+            "redundancy": lat.redundancy,
+            "window_hash": _window_hash(window),
+            "schema_version": SCHEMA_VERSION,
+            "system_spectrum": spectrum,
+            "verdict": verdict,
+        }
+        for window, spectrum, verdict in zip(windows, _spectra(s, rank), verdicts)
+    ]
+    gated = [i for i, verdict in enumerate(verdicts) if verdict == "Gated"]
+    if gated:
+        evidence = _gated_evidence(lat, stack[gated], [rngs[i] for i in gated], tol)
+        for i, extra in zip(gated, evidence):
+            records[i].update(extra)
     return records
 
 
@@ -503,7 +625,8 @@ def evaluate_exploration_trial(
     rng: np.random.Generator,
     tol: Tolerance = DEFAULT_TOL,
 ) -> dict:
-    """Evidence record for one non-critical (lattice, window) pair.
+    """Evidence record for one non-critical (lattice, window) pair: the
+    exploration's evaluator on a group of one.
 
     Critical lattices (ab = N) raise ``CriticalDensityError``: there the
     adjoint is a Riesz basis and ``promote_to_r_dual`` settles the
@@ -512,41 +635,10 @@ def evaluate_exploration_trial(
     has ab < N, so its adjoint (ab members) spans a proper subspace and
     the spectral witness test, which needs two invertible frame
     operators, is recorded as ``Gated``; the two candidate ``u`` records
-    are the evidence.
+    are the evidence.  ``rng`` is drawn from only for a ``Gated`` trial,
+    for its ``randomized_parseval`` candidate.
     """
-    lat = lattice
-    if lat.redundancy == 1.0:
-        raise CriticalDensityError(
-            "exploration samples non-critical lattices; at critical density"
-            " use promote_to_r_dual"
-        )
-    record: dict = {
-        "N": lat.N,
-        "a": lat.a,
-        "b": lat.b,
-        "redundancy": lat.redundancy,
-        "window_hash": _window_hash(window),
-        "schema_version": SCHEMA_VERSION,
-    }
-    sys = gabor_system(lat, window)
-    sa = analyze(sys.family, tol)
-    record["system_spectrum"] = _spectrum(sys.family, tol)
-    if not sa.is_frame_for_ambient:
-        record["verdict"] = "NotFrame"
-        return record
-    if sa.is_tight:
-        record["verdict"] = "Tight"
-        return record
-
-    w0 = adjoint_system(sys).family
-    record["adjoint_spectrum"] = _spectrum(w0, tol)
-    record["witness"] = {
-        "verdict": "Gated",
-        "reason": "adjoint span is proper in the ambient space",
-    }
-    record["candidates"] = _candidate_u_records(sys, w0, rng, tol)
-    record["verdict"] = record["witness"]["verdict"]
-    return record
+    return _evaluate_trials(lattice, [window], [rng], tol)[0]
 
 
 def run_exploration(
@@ -559,7 +651,10 @@ def run_exploration(
 
     Each trial derives its randomness from ``(seed, trial index)``, so
     reports are byte-identical for a fixed configuration and independent
-    of evaluation order.  No claim is made beyond the recorded evidence.
+    of evaluation order.  Every trial is drawn first; the trials are then
+    evaluated lattice by lattice, each lattice's trials together, and the
+    records come back in trial order.  No claim is made beyond the
+    recorded evidence.
     """
     N_values = list(N_values)
     if not N_values:
@@ -573,8 +668,7 @@ def run_exploration(
         for N in sorted(lattices)
         for lat in lattices[N]
     ]
-    trial_records = []
-    counts: dict[str, int] = {}
+    groups: dict[GaborLattice, list[tuple[int, np.ndarray, np.random.Generator]]] = {}
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         n_val = N_values[int(rng.integers(0, len(N_values)))]
@@ -582,10 +676,14 @@ def run_exploration(
         lat = options[int(rng.integers(0, len(options)))]
         window = rng.standard_normal(lat.N) + 1j * rng.standard_normal(lat.N)
         window /= np.linalg.norm(window)
-        rec = evaluate_exploration_trial(lat, window, rng, tol)
-        rec["trial"] = t
-        counts[rec["verdict"]] = counts.get(rec["verdict"], 0) + 1
-        trial_records.append(rec)
+        groups.setdefault(lat, []).append((t, window, rng))
+    trial_records: list = [None] * trials
+    for lat, group in groups.items():
+        ts, windows, rngs = zip(*group)
+        for t, rec in zip(ts, _evaluate_trials(lat, windows, rngs, tol)):
+            rec["trial"] = t
+            trial_records[t] = rec
+    counts = Counter(rec["verdict"] for rec in trial_records)
     return {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,

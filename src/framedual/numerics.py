@@ -40,7 +40,8 @@ class Tolerance:
     """Relative threshold with an absolute floor.
 
     ``threshold(scale)`` is the cut used for rank decisions and residual
-    acceptance at the given scale.
+    acceptance at the given scale; an array of scales gets an array of
+    cuts.
     """
 
     rel_eps: float = 1e-9
@@ -50,8 +51,9 @@ class Tolerance:
         if not (self.rel_eps > 0 and self.abs_floor > 0):
             raise ValueError("rel_eps and abs_floor must be positive")
 
-    def threshold(self, scale: float = 1.0) -> float:
-        return max(self.rel_eps * float(scale), self.abs_floor)
+    def threshold(self, scale=1.0):
+        cut = np.maximum(self.rel_eps * np.asarray(scale, dtype=float), self.abs_floor)
+        return float(cut) if cut.ndim == 0 else cut
 
 
 DEFAULT_TOL = Tolerance()
@@ -79,8 +81,18 @@ def as_complex_matrix(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def frobenius(a: np.ndarray):
+    """Frobenius norm; a stack of matrices over leading axes gets an array
+    of norms, each the same sum of squares as the norm of the matrix alone
+    (one dot product of the real parts plus one of the imaginary parts),
+    so a norm does not depend on the stack it was computed in."""
+    a = np.asarray(a)
+    if a.ndim <= 2:
+        return float(np.linalg.norm(a))
+    flat = a.reshape(*a.shape[:-2], 1, -1)
+    re, im = flat.real, flat.imag
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 def hermitian_eig(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> EigenDecomposition:
@@ -121,12 +133,15 @@ def psd_inverse_sqrt(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (v * inv_sqrt) @ v.conj().T
 
 
-def singular_rank(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+def singular_rank(s: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """Number of descending singular values above ``tol.threshold(s[0])``;
-    zero when ``s[0]`` is below the absolute floor."""
-    if s.size == 0 or s[0] < tol.abs_floor:
-        return 0
-    return int(np.count_nonzero(s > tol.threshold(float(s[0]))))
+    zero when ``s[0]`` is below the absolute floor.  A stack of spectra
+    along the last axis gets an integer array, one rank per spectrum."""
+    s = np.asarray(s)
+    top = s[..., :1]
+    above = (s > tol.threshold(top)) & (top >= tol.abs_floor)
+    rank = np.count_nonzero(above, axis=-1)
+    return int(rank) if s.ndim == 1 else rank
 
 
 def _svd(a: np.ndarray, **kwargs):

@@ -121,12 +121,13 @@ def cross_gram(g: VectorFamily, h: VectorFamily) -> np.ndarray:
     return g.vectors @ h.vectors.conj().T
 
 
-def _adjoint_product_norm(x: np.ndarray, h: VectorFamily) -> float:
-    """``||x H^*||_F`` for the member rows ``H`` of ``h``: as
-    ``H^* = conj(U) diag(s) conj(Vh)`` and ``conj(Vh)`` has orthonormal
-    rows, it equals ``||x conj(U) diag(s)||_F``."""
-    u, s, _ = h.svd
-    return frobenius((x @ u.conj()) * s)
+def _adjoint_product_norm(x: np.ndarray, h_svd: tuple) -> float:
+    """``||x H^*||_F`` for the member rows ``H`` of a family with thin SVD
+    ``h_svd = (U, s, Vh)``: as ``H^* = conj(U) diag(s) conj(Vh)`` and
+    ``conj(Vh)`` has orthonormal rows, it equals ``||x conj(U) diag(s)||_F``.
+    Stacked operands give one norm per matrix."""
+    u, s = h_svd[:2]
+    return frobenius((x @ u.conj()) * s[..., None, :])
 
 
 @dataclass(frozen=True)
@@ -160,31 +161,56 @@ class _DualSide:
         return VectorFamily(self.y_syn.T, label=f"charseq({self.w.label})")
 
 
-def _commutation_ok(residual: float, gram_norm: float, tol: Tolerance) -> bool:
-    """Accept rule shared by the commutation residuals."""
-    return residual <= tol.threshold(max(1.0, gram_norm))
+def _commutation_ok(residual, gram_norm, tol: Tolerance):
+    """Accept rule shared by the commutation residuals (elementwise on
+    arrays)."""
+    return residual <= tol.threshold(np.maximum(1.0, gram_norm))
+
+
+def _dual_side_residuals(
+    dual_syn: np.ndarray,
+    w_rows: np.ndarray,
+    u_rows: np.ndarray,
+    f_rows: np.ndarray,
+    f_svd: tuple,
+    projector: np.ndarray,
+    tol: Tolerance,
+) -> tuple:
+    """The arithmetic of the dual side, on operands that may carry leading
+    stack axes (broadcast against each other): ``dual_syn`` is the
+    synthesis ``W~^t`` of the canonical dual of ``w``, ``w_rows``,
+    ``u_rows`` and ``f_rows`` are the members, ``f_svd`` is the thin SVD of
+    ``f`` and ``projector`` the span projector ``P`` of ``w``.
+
+    Returns the core ``W~^t U``, ``Y = (W~^t U) F^*``, ``||G(u,f)||_F``,
+    ``||(G(w~,w)^t - I) G(u,f)||_F = ||(conj(W) W~^t U - U) F^*||_F``,
+    ``||Y Y^* - P||_F`` and the accept decision of the last."""
+    core = dual_syn @ u_rows
+    y_syn = core @ f_rows.conj().swapaxes(-1, -2)
+    gram_norm = _adjoint_product_norm(u_rows, f_svd)
+    dual_res = _adjoint_product_norm(np.conj(w_rows) @ core - u_rows, f_svd)
+    pars_res = frobenius(y_syn @ y_syn.conj().swapaxes(-1, -2) - projector)
+    pars_ok = pars_res <= tol.threshold(np.maximum(1.0, frobenius(projector)))
+    return core, y_syn, gram_norm, dual_res, pars_res, pars_ok
 
 
 def _dual_side(
     w: VectorFamily, f: VectorFamily, u: VectorFamily, tol: Tolerance
 ) -> _DualSide:
     """Evaluate the dual side once, with ``u`` paired to ``w`` member by
-    member: ``Y = (W~^t U) F^*`` and ``||(G(w~,w)^t - I) G(u,f)||_F =
-    ||(conj(W) W~^t U - U) F^*||_F``.  ``core conj(U_f) diag(s_f)`` has
-    the singular values of ``Y``.  Counts must match; the zero-padded
-    Gabor adjoint and its padded residual are handled in ``gabor``."""
+    member (``_dual_side_residuals``).  ``core conj(U_f) diag(s_f)`` has
+    the singular values of ``Y``, whose rank gives the kernel dimension.
+    Counts must match; the zero-padded Gabor adjoint and its padded
+    residual are handled in ``gabor``."""
     _require_same_dim(w, f, u)
     _require_same_count(w, u)
-    core = canonical_dual(w, tol).vectors.T @ u.vectors
+    p = span_projector(w, tol)
+    core, y_syn, gram_norm, dual_res, pars_res, pars_ok = _dual_side_residuals(
+        canonical_dual(w, tol).vectors.T, w.vectors, u.vectors, f.vectors, f.svd, p, tol
+    )
     f_u, f_s, _ = f.svd
-    y_syn = core @ f.vectors.conj().T
     y_core = (core @ f_u.conj()) * f_s
     rank_y = singular_rank(np.linalg.svd(y_core, compute_uv=False), tol)
-    p = span_projector(w, tol)
-    gram_norm = _adjoint_product_norm(u.vectors, f)
-    dual_res = _adjoint_product_norm(np.conj(w.vectors) @ core - u.vectors, f)
-    pars_res = frobenius(y_syn @ y_syn.conj().T - p)
-    pars_ok = pars_res <= tol.threshold(max(1.0, frobenius(p)))
     dual_ok = _commutation_ok(dual_res, gram_norm, tol)
     deficit, kernel = w.ambient_dim - w.rank(tol), f.count - rank_y
     return _DualSide(
@@ -276,7 +302,7 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
     generated = core @ u.vectors.conj().T  # columns: sum_i <f_i,u_j> v_i
     w_syn = synthesis_matrix(w)
     synth_res = float(np.max(np.linalg.norm(w_syn - generated, axis=0)))
-    comm_res = _adjoint_product_norm(np.conj(v.vectors) @ core - f.vectors, u)
+    comm_res = _adjoint_product_norm(np.conj(v.vectors) @ core - f.vectors, u.svd)
 
     proj_res = float(
         np.max(np.linalg.norm(side.projector @ v.vectors.T - side.y_syn, axis=0))
@@ -498,8 +524,7 @@ def build_parseval_v(
     orthonormal basis.  When the deficit is zero the characterizing
     sequence itself is returned.
     """
-    _require_same_count(w, f, u)
-    return _parseval_v(_dual_side(w, f, u, tol), f"parseval-v({w.label})")
+    return _constructed_v(w, f, u, tol, orthonormal=False)[1]
 
 
 def _parseval_v(side: _DualSide, label: str) -> VectorFamily:
@@ -532,13 +557,29 @@ def build_orthonormal_v(
     exactly n members, so the member count must equal the ambient
     dimension; the span deficit must equal the kernel dimension.
     """
+    return _constructed_v(w, f, u, tol, orthonormal=True)[1]
+
+
+def _constructed_v(
+    w: VectorFamily,
+    f: VectorFamily,
+    u: VectorFamily,
+    tol: Tolerance,
+    orthonormal: bool,
+) -> tuple[_DualSide, VectorFamily]:
+    """The dual side of ``(w, f, u)`` and the ``v`` that
+    ``build_orthonormal_v`` (``orthonormal``) or ``build_parseval_v``
+    builds from it, so a caller can certify ``v`` on the same record."""
     _require_same_count(w, f, u)
-    if w.count != w.ambient_dim:
+    if orthonormal and w.count != w.ambient_dim:
         raise GateFailedError(
             f"orthonormal output needs member count ({w.count}) equal to the"
             f" ambient dimension ({w.ambient_dim})"
         )
-    return _orthonormal_v(_dual_side(w, f, u, tol))
+    side = _dual_side(w, f, u, tol)
+    if orthonormal:
+        return side, _orthonormal_v(side)
+    return side, _parseval_v(side, f"parseval-v({w.label})")
 
 
 def _orthonormal_v(side: _DualSide) -> VectorFamily:

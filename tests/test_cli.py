@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import fam, perturb_member, trio, trio_parseval
+from framedual import cli, rduality
 from framedual.cli import build_parser, main
 from framedual.fixtures import build_fixture
 from framedual.frames import save_family
@@ -118,6 +119,27 @@ class TestWrd:
         assert cert["verdict"] == cert["characterization_verdict"] == "WeakRDual"
         assert cert["v_is_onb"] is True and cert["u_is_onb"] is False
         assert len(report["v"]) == 7
+
+    @pytest.mark.parametrize("onb", [True, False])
+    def test_construct_v_evaluates_dual_side_once(self, tmp_path, capsys, monkeypatch, onb):
+        # v and its certificate are read from one dual-side record
+        original, calls = rduality._dual_side, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for mod in (rduality, cli):
+            if hasattr(mod, "_dual_side"):
+                monkeypatch.setattr(mod, "_dual_side", counted)
+        families = build_fixture("2.10").families
+        argv = ["wrd", "construct-v"] + (["--onb"] if onb else [])
+        for name in ("w", "f", "u"):
+            argv += [f"--{name}", _write(tmp_path, name, families[name])]
+        code, _ = _run(capsys, argv)
+        # without --onb, fixture 2.10 has deficit == kernel: a usage error
+        assert code == (0 if onb else 2)
+        assert len(calls) == 1
 
 
 class TestWrdPromote:

@@ -42,6 +42,33 @@ def _random_window(rng, n):
     return w / np.linalg.norm(w)
 
 
+def _replayed_draw(n_values, seed, t):
+    """Lattice, window and generator of exploration trial ``t``, drawn as
+    ``run_exploration`` draws them."""
+    rng = np.random.default_rng([seed, t])
+    n_val = n_values[int(rng.integers(0, len(n_values)))]
+    options = divisor_lattices(n_val, critical=False)
+    lat = options[int(rng.integers(0, len(options)))]
+    window = rng.standard_normal(lat.N) + 1j * rng.standard_normal(lat.N)
+    return lat, window / np.linalg.norm(window), rng
+
+
+def _rule_windows(kind, N, rng):
+    """Unit windows of one kind: three random complex or real ones, or one
+    real even window, or the periodized Gaussian."""
+    t = np.arange(N)
+    if kind == "complex":
+        windows = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(3)]
+    elif kind == "real":
+        windows = [rng.standard_normal(N) for _ in range(3)]
+    elif kind == "real_even":
+        x = rng.standard_normal(N)
+        windows = [x + x[-t % N]]
+    else:
+        windows = [sum(np.exp(-np.pi * (t + k * N) ** 2 / N) for k in range(-2, 3))]
+    return [w / np.linalg.norm(w) for w in windows]
+
+
 class TestLattice:
     def test_divisibility(self):
         with pytest.raises(BadLatticeError):
@@ -387,6 +414,64 @@ class TestExploration:
         by_name = {c["name"]: c for c in rec["candidates"]}
         assert by_name["conjugated_dual"]["verdict"] == "ConditionsHold"
         assert by_name["randomized_parseval"]["verdict"] == "ConditionsFail"
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_grouping_never_changes_a_record(self, seed):
+        # a trial's record depends on (seed, trial) alone, not on the other
+        # trials evaluated with it on its lattice
+        n_values = list(range(4, 13))
+        full = run_exploration(n_values, seed=seed, trials=1000)["records"]
+        head = run_exploration(n_values, seed=seed, trials=200)["records"]
+        assert json.dumps(head, sort_keys=True) == json.dumps(full[:200], sort_keys=True)
+        sample = np.random.default_rng(seed).choice(1000, size=50, replace=False)
+        for t in sample.tolist():
+            want = {k: v for k, v in full[t].items() if k != "trial"}
+            assert evaluate_exploration_trial(*_replayed_draw(n_values, seed, t)) == want
+        assert {full[t]["verdict"] for t in sample} == {"NotFrame", "Tight", "Gated"}
+
+    def test_svd_calls_bounded_per_lattice(self, monkeypatch):
+        # trials that share a lattice share its factorizations: at most the
+        # system, its adjoint, the random Gaussians and one values-only SVD
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = run_exploration(range(4, 13), seed=1, trials=1000)
+        drawn = {(rec["N"], rec["a"], rec["b"]) for rec in report["records"]}
+        assert len(calls) <= 4 * len(drawn)
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "real_even", "gaussian"])
+    def test_conjugated_dual_lattice_rule(self, kind):
+        # On every lattice with N <= 24 whose trials reach the candidates
+        # (ab < N, not a = b = 1), conjugated_dual holds exactly when b = 1,
+        # or b = 2 and ab | N, for complex windows, and exactly when ab | N
+        # for real ones: the verdict depends on the window, not only on
+        # (N, a, b).  Why it holds is open.  randomized_parseval never holds.
+        if kind == "complex":
+            rule = lambda N, a, b: b == 1 or (b == 2 and N % (a * b) == 0)
+        else:
+            rule = lambda N, a, b: N % (a * b) == 0
+        lattices = [
+            lat
+            for N in range(1, 25)
+            for lat in divisor_lattices(N, critical=False)
+            if lat.a * lat.b < N and (lat.a, lat.b) != (1, 1)
+        ]
+        assert len(lattices) == 117
+        rng = np.random.default_rng(11)
+        for lat in lattices:
+            for window in _rule_windows(kind, lat.N, rng):
+                rec = evaluate_exploration_trial(lat, window, rng)
+                assert rec["verdict"] == "Gated", lat
+                got = {c["name"]: c["verdict"] for c in rec["candidates"]}
+                want = "ConditionsHold" if rule(lat.N, lat.a, lat.b) else "ConditionsFail"
+                assert got == {
+                    "conjugated_dual": want,
+                    "randomized_parseval": "ConditionsFail",
+                }, (kind, lat)
 
     @pytest.mark.parametrize("N_values", [[1], [0], [], [4, 1]])
     def test_no_noncritical_lattice_is_typed(self, N_values):

@@ -6,9 +6,11 @@ import pytest
 from framedual.errors import NotHermitianError, ZeroMatrixError
 from framedual.numerics import (
     Tolerance,
+    frobenius,
     hermitian_eig,
     orthonormal_span_basis,
     psd_inverse_sqrt,
+    singular_rank,
     svd_rank_nullspace,
 )
 
@@ -35,6 +37,43 @@ class TestTolerance:
             Tolerance(rel_eps=0.0)
         with pytest.raises(ValueError):
             Tolerance(abs_floor=-1.0)
+
+    def test_threshold_of_an_array_is_elementwise(self):
+        tol = Tolerance(rel_eps=1e-9, abs_floor=1e-12)
+        scales = np.array([[0.0, 1.0], [100.0, 1e-5]])
+        want = [[tol.threshold(float(x)) for x in row] for row in scales]
+        np.testing.assert_array_equal(tol.threshold(scales), want)
+        assert isinstance(tol.threshold(np.float64(2.0)), float)
+
+
+class TestStacks:
+    """Stacked operands get one result per member, equal to the result on
+    the member alone."""
+
+    def test_singular_rank_per_spectrum(self):
+        rng = np.random.default_rng(4)
+        s = -np.sort(-np.abs(rng.standard_normal((3, 4, 6))), axis=-1)
+        s[0, 1, 3:] = 1e-12 * s[0, 1, 0]
+        s[1, 2] = 1e-13  # every value below the absolute floor
+        s[2, 0, 1:] = 0.0
+        ranks = singular_rank(s)
+        assert ranks.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert ranks[idx] == singular_rank(s[idx])
+        assert ranks[0, 1] == 3 and ranks[1, 2] == 0 and ranks[2, 0] == 1
+        assert singular_rank(np.zeros(0)) == 0
+        assert singular_rank(np.zeros((2, 0))).tolist() == [0, 0]
+
+    def test_frobenius_per_matrix(self):
+        rng = np.random.default_rng(5)
+        for shape in ((1, 3, 4), (2, 3, 7, 2), (4, 1, 1)):
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            norms = frobenius(a)
+            assert norms.shape == shape[:-2]
+            for idx in np.ndindex(*shape[:-2]):
+                assert norms[idx] == frobenius(a[idx])
+        real = rng.standard_normal((2, 3, 3))
+        assert frobenius(real).tolist() == [frobenius(m) for m in real]
 
 
 class TestHermitianEig:
