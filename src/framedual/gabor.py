@@ -62,7 +62,6 @@ from .frames import (
     _is_tight,
     _span_factors,
     analyze,
-    frame_operator,
     random_frame,
     standard_basis_family,
 )
@@ -395,7 +394,11 @@ def tight_gabor_weak_r_dual(
         raise ShapeMismatchError(
             f"u must have {m_count} members of dimension {lat.N}"
         )
-    u_pars = frobenius(frame_operator(u) - np.eye(lat.N))
+    # zero members add exactly nothing to the frame operator of u or to the
+    # tail norm, so both read the nonzero members alone
+    live = np.any(u.vectors, axis=1)
+    t = u.vectors[live].T
+    u_pars = frobenius(t @ t.conj().T - np.eye(lat.N))
     if u_pars > tol.threshold(float(lat.N)):
         raise NotParsevalError(
             f"u must be Parseval for the ambient space (residual {u_pars:.3e})"
@@ -405,7 +408,8 @@ def tight_gabor_weak_r_dual(
     u_slice = VectorFamily(u.vectors[:k_count], label=f"{u.label}[:{k_count}]")
 
     side = _dual_side(w0, sys.family, u_slice, tol)
-    tail_norm = _adjoint_product_norm(u.vectors[k_count:], sys.family.svd)
+    tail = u.vectors[k_count:][live[k_count:]]
+    tail_norm = _adjoint_product_norm(tail, sys.family.svd)
     padded_res, _ = _padded_dual_commutation(
         side.dual_res, side.gram_norm, tail_norm, tol
     )
@@ -515,7 +519,7 @@ def _gated_evidence(
     ``w0``) has the a b unpadded members, as its padded members would be
     zero."""
     N, K, M = lat.N, lat.adjoint_count, lat.member_count
-    f_rows, (f_u, f_s, _) = _system_translates(windows, lat)
+    _, (f_u, f_s, _) = _system_translates(windows, lat)
     _, w_rows, (w_u, w_s, w_vh) = _adjoint_translates(windows, lat)
     # the w-only part from the rank-r factors (the other columns zeroed):
     # projector U_r U_r^*, canonical dual U_r diag(1/s_r) Vh_r and
@@ -533,9 +537,9 @@ def _gated_evidence(
 
     u_syn = (np.conj(tight_syn), rand_syn)
     heads = np.stack([syn[..., :K].swapaxes(-1, -2) for syn in u_syn], axis=1)
-    _, _, gram_norm, dual_res, pars_res, pars_ok = _dual_side_residuals(
-        dual_syn[:, None], w_rows[:, None], heads, f_rows[:, None],
-        (f_u[:, None], f_s[:, None]), (q @ q.conj().swapaxes(-1, -2))[:, None], tol,
+    _, gram_norm, dual_res, pars_res, pars_ok = _dual_side_residuals(
+        dual_syn[:, None], w_rows[:, None], heads, (f_u[:, None], f_s[:, None]),
+        (q @ q.conj().swapaxes(-1, -2))[:, None], tol,
     )
     tail_norm = _adjoint_product_norm(rand_syn[..., K:].swapaxes(-1, -2), (f_u, f_s))
     tails = np.stack([np.zeros_like(tail_norm), tail_norm], axis=1)

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     NotHermitianError,
     NumericalFailureError,
-    ZeroMatrixError,
 )
 
 __all__ = [
@@ -27,11 +26,9 @@ __all__ = [
     "as_complex_matrix",
     "frobenius",
     "hermitian_eig",
-    "psd_inverse_sqrt",
     "singular_rank",
     "thin_svd",
     "svd_rank_nullspace",
-    "orthonormal_span_basis",
 ]
 
 
@@ -115,24 +112,6 @@ def hermitian_eig(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> EigenDecomposi
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def psd_inverse_sqrt(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Pseudo-inverse square root of a Hermitian PSD matrix.
-
-    Eigenvalues below ``rel_eps * lambda_max`` (including roundoff
-    negatives, which are clamped) are zeroed, so ``B @ A @ B`` equals the
-    projection onto the numerically positive eigenspace.
-    """
-    dec = hermitian_eig(a, tol)
-    vals = dec.eigenvalues
-    lam_max = float(vals[-1]) if vals.size else 0.0
-    if lam_max <= tol.abs_floor:
-        raise ZeroMatrixError("all eigenvalues below the rank threshold")
-    cut = tol.threshold(lam_max)
-    inv_sqrt = np.where(vals > cut, 1.0 / np.sqrt(np.maximum(vals, cut)), 0.0)
-    v = dec.eigenvectors
-    return (v * inv_sqrt) @ v.conj().T
-
-
 def singular_rank(s: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """Number of descending singular values above ``tol.threshold(s[0])``;
     zero when ``s[0]`` is below the absolute floor.  A stack of spectra
@@ -170,10 +149,3 @@ def svd_rank_nullspace(
     rank = singular_rank(s, tol)
     return rank, vh[rank:].conj().T
 
-
-def orthonormal_span_basis(
-    vectors: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """Orthonormal basis of the column space, as matrix columns."""
-    u, s, _ = thin_svd(vectors)
-    return u[:, : singular_rank(s, tol)]

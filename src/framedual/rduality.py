@@ -17,9 +17,15 @@ is the projection of any admissible ``v`` onto span{w}.  All checks are
 Frobenius-norm residuals against a shared tolerance; the certificate
 records every residual so that verdicts are reproducible.
 
-No count x count matrix is formed: products are re-associated through
-n x n cores such as ``V^t F``, and each ``||X H^*||_F`` uses the thin SVD
-of ``h``.
+No count x count matrix is formed.  With M the count of ``f`` and ``v``
+and K that of ``w`` and ``u``, only the products on ``v``, which may be
+any family, cost O(M n^2): ``V^t F`` and the frame operator
+``V^t conj(V)``.  Products on ``u`` and ``w`` cost O(K n^2), and every
+other product is re-associated through the thin SVDs the families
+carry, at O(M n rank) with the rank of ``u`` or ``w``, or O(n^3): each
+``X H^*`` as ``X conj(U_h) diag(s_h)`` (the factor ``conj(Vh_h)`` has
+orthonormal rows, so norms and Grams are unchanged), and the projector
+``P = q q^*`` of span{w} through its orthonormal basis ``q``.
 """
 
 from __future__ import annotations
@@ -121,32 +127,40 @@ def cross_gram(g: VectorFamily, h: VectorFamily) -> np.ndarray:
     return g.vectors @ h.vectors.conj().T
 
 
-def _adjoint_product_norm(x: np.ndarray, h_svd: tuple) -> float:
-    """``||x H^*||_F`` for the member rows ``H`` of a family with thin SVD
-    ``h_svd = (U, s, Vh)``: as ``H^* = conj(U) diag(s) conj(Vh)`` and
-    ``conj(Vh)`` has orthonormal rows, it equals ``||x conj(U) diag(s)||_F``.
-    Stacked operands give one norm per matrix."""
+def _adjoint_factor(x: np.ndarray, h_svd: tuple) -> np.ndarray:
+    """``x conj(U) diag(s)`` for the member rows ``H`` of a family with thin
+    SVD ``h_svd = (U, s, Vh)``: as ``H^* = conj(U) diag(s) conj(Vh)`` and
+    ``conj(Vh)`` has orthonormal rows, ``x H^*`` is this factor times
+    ``conj(Vh)`` and has its Frobenius norm, Gram ``(x H^*)(x H^*)^*`` and
+    singular values.  Stacked operands give one factor per matrix."""
     u, s = h_svd[:2]
-    return frobenius((x @ u.conj()) * s[..., None, :])
+    return (x @ u.conj()) * s[..., None, :]
+
+
+def _adjoint_product_norm(x: np.ndarray, h_svd: tuple) -> float:
+    """``||x H^*||_F`` as the norm of ``_adjoint_factor``; stacked operands
+    give one norm per matrix."""
+    return frobenius(_adjoint_factor(x, h_svd))
 
 
 @dataclass(frozen=True)
 class _DualSide:
     """The dual side of one triple ``(w, f, u)`` under ``tol``, with the
     triple and the tolerance it was evaluated for: the
-    characterizing-sequence synthesis ``Y``, the span projector ``P`` of
-    ``w``, the span deficit of ``w`` and the kernel dimension of ``Y``,
-    ``||G(u,f)||_F`` (the scale of the commutation residuals), and the
-    residuals of the dual commutation and of ``Y Y^* = P`` with their
-    accept decisions.  Certificates and constructions read the triple
-    from here, so a record cannot be paired with another triple."""
+    characterizing-sequence synthesis ``Y``, the orthonormal basis ``q`` of
+    span{w} (the span projector is ``P = q q^*``), the span deficit of
+    ``w`` and the kernel dimension of ``Y``, ``||G(u,f)||_F`` (the scale of
+    the commutation residuals), and the residuals of the dual commutation
+    and of ``Y Y^* = P`` with their accept decisions.  Certificates and
+    constructions read the triple from here, so a record cannot be paired
+    with another triple."""
 
     w: VectorFamily
     f: VectorFamily
     u: VectorFamily
     tol: Tolerance
     y_syn: np.ndarray
-    projector: np.ndarray
+    q: np.ndarray
     deficit: int
     kernel: int
     gram_norm: float
@@ -171,50 +185,54 @@ def _dual_side_residuals(
     dual_syn: np.ndarray,
     w_rows: np.ndarray,
     u_rows: np.ndarray,
-    f_rows: np.ndarray,
     f_svd: tuple,
     projector: np.ndarray,
     tol: Tolerance,
 ) -> tuple:
     """The arithmetic of the dual side, on operands that may carry leading
     stack axes (broadcast against each other): ``dual_syn`` is the
-    synthesis ``W~^t`` of the canonical dual of ``w``, ``w_rows``,
-    ``u_rows`` and ``f_rows`` are the members, ``f_svd`` is the thin SVD of
-    ``f`` and ``projector`` the span projector ``P`` of ``w``.
+    synthesis ``W~^t`` of the canonical dual of ``w``, ``w_rows`` and
+    ``u_rows`` are the members, ``f_svd`` is the thin SVD of ``f`` and
+    ``projector`` the span projector ``P`` of ``w``.
 
-    Returns the core ``W~^t U``, ``Y = (W~^t U) F^*``, ``||G(u,f)||_F``,
-    ``||(G(w~,w)^t - I) G(u,f)||_F = ||(conj(W) W~^t U - U) F^*||_F``,
-    ``||Y Y^* - P||_F`` and the accept decision of the last."""
+    Returns ``y_core = (W~^t U) conj(U_f) diag(s_f)``, which is ``Y =
+    (W~^t U) F^*`` without its trailing factor ``conj(Vh_f)``
+    (``_adjoint_factor``), so it has the Gram ``Y Y^*`` and the singular
+    values of ``Y``; ``||G(u,f)||_F``, ``||(G(w~,w)^t - I) G(u,f)||_F =
+    ||(conj(W) W~^t U - U) F^*||_F``, ``||Y Y^* - P||_F = ||y_core y_core^*
+    - P||_F`` and the accept decision of the last."""
     core = dual_syn @ u_rows
-    y_syn = core @ f_rows.conj().swapaxes(-1, -2)
+    y_core = _adjoint_factor(core, f_svd)
     gram_norm = _adjoint_product_norm(u_rows, f_svd)
     dual_res = _adjoint_product_norm(np.conj(w_rows) @ core - u_rows, f_svd)
-    pars_res = frobenius(y_syn @ y_syn.conj().swapaxes(-1, -2) - projector)
+    pars_res = frobenius(y_core @ y_core.conj().swapaxes(-1, -2) - projector)
     pars_ok = pars_res <= tol.threshold(np.maximum(1.0, frobenius(projector)))
-    return core, y_syn, gram_norm, dual_res, pars_res, pars_ok
+    return y_core, gram_norm, dual_res, pars_res, pars_ok
 
 
 def _dual_side(
     w: VectorFamily, f: VectorFamily, u: VectorFamily, tol: Tolerance
 ) -> _DualSide:
     """Evaluate the dual side once, with ``u`` paired to ``w`` member by
-    member (``_dual_side_residuals``).  ``core conj(U_f) diag(s_f)`` has
-    the singular values of ``Y``, whose rank gives the kernel dimension.
-    Counts must match; the zero-padded Gabor adjoint and its padded
-    residual are handled in ``gabor``."""
+    member (``_dual_side_residuals``); the rank of ``Y``, which gives the
+    kernel dimension, is read off ``y_core``.  ``Y`` itself is formed once,
+    in the order ``np.linalg.multi_dot`` finds cheaper: ``W~^t (U F^*)``,
+    at O(M n K), when ``w`` has few members K.  Counts must match; the
+    zero-padded Gabor adjoint and its padded residual are handled in
+    ``gabor``."""
     _require_same_dim(w, f, u)
     _require_same_count(w, u)
-    p = span_projector(w, tol)
-    core, y_syn, gram_norm, dual_res, pars_res, pars_ok = _dual_side_residuals(
-        canonical_dual(w, tol).vectors.T, w.vectors, u.vectors, f.vectors, f.svd, p, tol
+    q = _span_factors(w, tol)[0]
+    dual_syn = canonical_dual(w, tol).vectors.T
+    y_core, gram_norm, dual_res, pars_res, pars_ok = _dual_side_residuals(
+        dual_syn, w.vectors, u.vectors, f.svd, q @ q.conj().T, tol
     )
-    f_u, f_s, _ = f.svd
-    y_core = (core @ f_u.conj()) * f_s
+    y_syn = np.linalg.multi_dot([dual_syn, u.vectors, f.vectors.conj().T])
     rank_y = singular_rank(np.linalg.svd(y_core, compute_uv=False), tol)
     dual_ok = _commutation_ok(dual_res, gram_norm, tol)
     deficit, kernel = w.ambient_dim - w.rank(tol), f.count - rank_y
     return _DualSide(
-        w, f, u, tol, y_syn, p, deficit, kernel, gram_norm, dual_res, dual_ok,
+        w, f, u, tol, y_syn, q, deficit, kernel, gram_norm, dual_res, dual_ok,
         pars_res, pars_ok,
     )
 
@@ -297,15 +315,20 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
         raise ShapeMismatchError(f"f/v counts {f.count}/{v.count} must pair up")
 
     # G(f,u) = F U^*, so V^t G(f,u) = (V^t F) U^* and
-    # (G(v,v)^t - I) G(f,u) = (conj(V) V^t F - F) U^*.
+    # (G(v,v)^t - I) G(f,u) = (conj(V) V^t F - F) U^*, whose norm is that of
+    # its ``_adjoint_factor``: conj(V) (V^t F conj(U_u) s_u) - F conj(U_u) s_u.
     core = v.vectors.T @ f.vectors  # (n, n)
     generated = core @ u.vectors.conj().T  # columns: sum_i <f_i,u_j> v_i
     w_syn = synthesis_matrix(w)
     synth_res = float(np.max(np.linalg.norm(w_syn - generated, axis=0)))
-    comm_res = _adjoint_product_norm(np.conj(v.vectors) @ core - f.vectors, u.svd)
-
+    comm_res = frobenius(
+        np.conj(v.vectors) @ _adjoint_factor(core, u.svd)
+        - _adjoint_factor(f.vectors, u.svd)
+    )
+    # P V^t = q (q^* V^t) with q the orthonormal basis of span{w}
+    q = side.q
     proj_res = float(
-        np.max(np.linalg.norm(side.projector @ v.vectors.T - side.y_syn, axis=0))
+        np.max(np.linalg.norm(q @ (q.conj().T @ v.vectors.T) - side.y_syn, axis=0))
     )
 
     w_scale = max(1.0, float(np.max(np.linalg.norm(w_syn, axis=0))))
@@ -656,7 +679,7 @@ def interleaved_weak_r_dual(
     _require_same_count(w, f, u, q)
     n = _require_same_dim(w, f, u, q)
     side = _check_hypotheses(_dual_side(w, f, u, tol))
-    comp = np.eye(n) - side.projector
+    comp = np.eye(n) - side.q @ side.q.conj().T
     s_q = frame_operator(q)
     if frobenius(s_q - comp) > tol.threshold(max(1.0, frobenius(comp))):
         raise NotParsevalComplementError(

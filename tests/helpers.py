@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from framedual import VectorFamily
-from framedual.frames import random_frame, random_parseval
+from framedual.errors import ZeroMatrixError
+from framedual.frames import parseval_tighten, random_frame
+from framedual.numerics import DEFAULT_TOL, Tolerance, hermitian_eig
 from framedual.rduality import commuting_parseval_family, weak_r_dual
 
 
@@ -33,10 +35,12 @@ def trio_parseval(n: int = 2) -> VectorFamily:
 
 def weak_dual_instance(rng: np.random.Generator, dim: int, count: int):
     """Random instance built to satisfy the weak R-dual conditions: ``v``
-    from the conjugate tightening (commutes with every u), random
-    Parseval ``u``, ``w`` synthesized.  Returns (w, f, u, v, cert)."""
+    from the conjugate tightening (commutes with every u), random ``u``
+    Parseval for its span (for the ambient space when ``count >= dim``, an
+    orthonormal sequence when ``count < dim``), ``w`` synthesized.  Returns
+    (w, f, u, v, cert)."""
     f = random_frame(rng, count, dim, label="f")
-    u = random_parseval(rng, count, dim, label="u")
+    u = parseval_tighten(random_frame(rng, count, dim)).relabel("u")
     v = commuting_parseval_family(f).family
     w, cert = weak_r_dual(f, u, v)
     return w, f, u, v, cert
@@ -54,3 +58,22 @@ def perturb_member(
     idx = int(rng.integers(0, fam_in.count))
     vecs[idx] = vecs[idx] + d
     return VectorFamily(vecs, label=f"{fam_in.label}-perturbed")
+
+
+def psd_inverse_sqrt(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Pseudo-inverse square root of a Hermitian PSD matrix, the dense
+    oracle for Parseval tightenings and tight windows.
+
+    Eigenvalues below ``rel_eps * lambda_max`` (including roundoff
+    negatives, which are clamped) are zeroed, so ``B @ A @ B`` equals the
+    projection onto the numerically positive eigenspace.
+    """
+    dec = hermitian_eig(a, tol)
+    vals = dec.eigenvalues
+    lam_max = float(vals[-1]) if vals.size else 0.0
+    if lam_max <= tol.abs_floor:
+        raise ZeroMatrixError("all eigenvalues below the rank threshold")
+    cut = tol.threshold(lam_max)
+    inv_sqrt = np.where(vals > cut, 1.0 / np.sqrt(np.maximum(vals, cut)), 0.0)
+    v = dec.eigenvectors
+    return (v * inv_sqrt) @ v.conj().T

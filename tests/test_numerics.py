@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from helpers import psd_inverse_sqrt
 from framedual.errors import NotHermitianError, ZeroMatrixError
 from framedual.numerics import (
     Tolerance,
     frobenius,
     hermitian_eig,
-    orthonormal_span_basis,
-    psd_inverse_sqrt,
     singular_rank,
     svd_rank_nullspace,
 )
@@ -179,37 +178,3 @@ class TestSvdRankNullspace:
                 np.testing.assert_allclose(
                     basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-10
                 )
-
-
-class TestOrthonormalSpanBasis:
-    def test_collinear_columns(self):
-        q = orthonormal_span_basis(np.array([[1, 2], [0, 0]], dtype=complex))
-        assert q.shape == (2, 1)
-        assert abs(abs(q[0, 0]) - 1.0) <= 1e-12
-
-    def test_plane_in_three_dims(self):
-        a = np.array([[1, 0], [0, 1], [0, 0]], dtype=complex)
-        q = orthonormal_span_basis(a)
-        assert q.shape == (3, 2)
-        np.testing.assert_allclose(q.conj().T @ q, np.eye(2), atol=1e-9)
-        assert np.linalg.norm(q[2, :]) <= 1e-12
-
-    def test_doubled_pair_family_has_half_rank(self):
-        # four vectors supported on two orthogonal pair-sums
-        n = 8
-        y1 = np.zeros(n, dtype=complex)
-        y1[[0, 2]] = 1 / np.sqrt(2)
-        y2 = np.zeros(n, dtype=complex)
-        y2[[4, 6]] = 1 / np.sqrt(2)
-        cols = np.stack([y1, y1, y2, y2], axis=1)
-        # independent oracle: rank of the Gram by direct eigencomputation
-        gram = cols.conj().T @ cols
-        gram_rank = int(np.sum(np.linalg.eigvalsh(gram) > 1e-9))
-        q = orthonormal_span_basis(cols)
-        assert q.shape[1] == gram_rank == 2
-
-    def test_orthonormality_property(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
-        q = orthonormal_span_basis(a)
-        assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-9

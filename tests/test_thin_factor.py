@@ -13,8 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import perturb_member, weak_dual_instance
+from helpers import perturb_member, psd_inverse_sqrt, weak_dual_instance
 from framedual import VectorFamily
+from framedual.errors import NotParsevalError
 from framedual.frames import (
     analyze,
     canonical_dual,
@@ -35,7 +36,7 @@ from framedual.gabor import (
     run_exploration,
     tight_gabor_weak_r_dual,
 )
-from framedual.numerics import DEFAULT_TOL, psd_inverse_sqrt, singular_rank
+from framedual.numerics import DEFAULT_TOL, singular_rank
 from framedual.rduality import build_parseval_v, certify_weak_r_dual
 
 TOL = DEFAULT_TOL
@@ -259,6 +260,12 @@ def _certificate_instances():
     yield "zero-member", (VectorFamily(zero, label="w0"), f, u, v)
     q = VectorFamily(random_unitary(rng, 5), label="q")
     yield "orthonormal", (q, q, q, q)
+    # wide (count < dim): u, v and w have rank count < dim, the low-rank
+    # case of the factor associations
+    for dim, count in ((7, 3), (9, 4)):
+        w, f, u, v, _ = weak_dual_instance(rng, dim, count)
+        yield f"positive-{dim}x{count}", (w, f, u, v)
+        yield f"perturbed-{dim}x{count}", (perturb_member(rng, w), f, u, v)
 
 
 @pytest.mark.parametrize(
@@ -370,6 +377,49 @@ def test_tight_pipeline_matches_dense_on_every_lattice():
         )
         checked += 1
     assert checked > 50
+
+
+def _scattered_parseval_u(lat, rng):
+    """A Parseval ``u`` that is not the padded standard basis: the rows of
+    a random unitary, the first K at the unpadded slots (so the
+    characterizing sequence stays Parseval) and the rest at random slots
+    past K, most of them past N; every other member is zero."""
+    n, k, m = lat.N, lat.adjoint_count, lat.member_count
+    rows = np.zeros((m, n), dtype=np.complex128)
+    slots = np.concatenate([np.arange(k), k + rng.choice(m - k, n - k, replace=False)])
+    rows[slots] = random_unitary(rng, n)
+    assert np.any(slots >= n)
+    return VectorFamily(rows, label="scattered")
+
+
+@pytest.mark.parametrize("shape", [(8, 1, 2), (12, 2, 2), (16, 2, 4), (24, 3, 2)])
+def test_tight_pipeline_custom_u_matches_dense(shape):
+    # the Parseval gate and the padded tail norm read the nonzero members
+    # of u alone, wherever they sit
+    lat = GaborLattice(*shape)
+    rng = np.random.default_rng(list(shape))
+    sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 8)))
+    u = _scattered_parseval_u(lat, rng)
+    res = tight_gabor_weak_r_dual(sys, u=u)
+    w0 = adjoint_system(sys).family
+    u_slice = VectorFamily(u.vectors[: lat.adjoint_count])
+    assert_matches(
+        res.certificate.to_json_dict(),
+        dense_certificate(w0, sys.family, u_slice, res.v),
+    )
+    assert res.certificate.verdict == "WeakRDual"
+    padded = dense_padded_dual_residual(
+        pad_adjoint(w0, lat.member_count), sys.family, u
+    )
+    assert padded > 1e-3  # the tail members are not zero
+    scale = max(1.0, fro(u.vectors @ sys.family.vectors.conj().T))
+    assert abs(res.padded_dual_commutation_residual - padded) <= TOL.threshold(scale)
+
+    # a padded basis whose one defect is a nonzero member past N
+    bad = np.array(standard_basis_family(lat.N, lat.member_count).vectors)
+    bad[lat.member_count - 1] = random_unitary(rng, lat.N)[0]
+    with pytest.raises(NotParsevalError):
+        tight_gabor_weak_r_dual(sys, u=VectorFamily(bad))
 
 
 def test_exploration_trials_match_dense_on_every_lattice():
