@@ -63,7 +63,6 @@ from .frames import (
     _span_factors,
     analyze,
     random_frame,
-    standard_basis_family,
 )
 from .numerics import DEFAULT_TOL, Tolerance, _svd, frobenius, singular_rank
 from .rduality import (
@@ -188,7 +187,9 @@ def _modulated_translates(
     the factors are ``s = scale sqrt(L) sigma``, ``U_r`` placed on the
     rows ``r + k L``, and ``Vh[(r, i), (m, n)] = phase[m, r] / sqrt(L)
     * Vh_r[i, n]``: one batched SVD of the ``g L`` blocks of size
-    ``freq_step x n_times``, never of an ``N x M`` synthesis matrix."""
+    ``freq_step x n_times``, never of an ``N x M`` synthesis matrix.  The
+    triples are gathered once, already in descending order: triple ``j``
+    is ``(r, i) = divmod(order[j], k)``."""
     phase, shift, coset, coset_phase = _lattice_tables(
         N, time_step, freq_step, n_times, n_freqs
     )
@@ -198,14 +199,16 @@ def _modulated_translates(
     k = sigma.shape[-1]
     sigma = sigma.reshape(g, L * k)
     order = np.argsort(-sigma, axis=-1, kind="stable")
-    u = np.zeros((g, freq_step, L, L, k), dtype=np.complex128)
-    diag = np.arange(L)
-    u[:, :, diag, diag, :] = u_r.transpose(0, 2, 1, 3)
-    vh = coset_phase[:, None, :, None] * vh_r[:, :, :, None, :]
+    r, i = np.divmod(order, k)
+    stack, col = np.arange(g)[:, None], np.arange(L * k)
+    # U[(kk, r'), j] = U_r[kk, i] when r' == r, else 0
+    u = np.zeros((g, freq_step, L, L * k), dtype=np.complex128)
+    u[stack, :, r, col] = u_r[stack, r, :, i]
+    vh = coset_phase[r][..., None] * vh_r[stack, r, i][..., None, :]
     factors = (
-        np.take_along_axis(u.reshape(g, N, L * k), order[:, None, :], axis=-1),
+        u.reshape(g, N, L * k),
         (scale * np.sqrt(L)) * np.take_along_axis(sigma, order, axis=-1),
-        np.take_along_axis(vh.reshape(g, L * k, L * n_times), order[..., None], axis=1),
+        vh.reshape(g, L * k, L * n_times),
     )
     return rows.reshape(g, n_freqs * n_times, N), factors
 
@@ -388,16 +391,22 @@ def tight_gabor_weak_r_dual(
         )
     m_count = lat.member_count
     k_count = lat.adjoint_count
+    # zero members add nothing to the frame operator of u, to its members
+    # at the unpadded slots or to the tail norm, so u is read as its nonzero
+    # members and their positions; the default is e_0, ..., e_{N-1} at
+    # positions 0, ..., N-1
     if u is None:
-        u = standard_basis_family(lat.N, m_count)
-    if u.count != m_count or u.ambient_dim != lat.N:
+        positions = np.arange(lat.N)
+        rows = np.eye(lat.N, dtype=np.complex128)
+        label = f"standard-basis-{lat.N}x{m_count}"
+    elif u.count != m_count or u.ambient_dim != lat.N:
         raise ShapeMismatchError(
             f"u must have {m_count} members of dimension {lat.N}"
         )
-    # zero members add exactly nothing to the frame operator of u or to the
-    # tail norm, so both read the nonzero members alone
-    live = np.any(u.vectors, axis=1)
-    t = u.vectors[live].T
+    else:
+        positions = np.flatnonzero(np.any(u.vectors, axis=1))
+        rows, label = u.vectors[positions], u.label
+    t = rows.T
     u_pars = frobenius(t @ t.conj().T - np.eye(lat.N))
     if u_pars > tol.threshold(float(lat.N)):
         raise NotParsevalError(
@@ -405,11 +414,13 @@ def tight_gabor_weak_r_dual(
         )
 
     w0 = adjoint_system(sys).family
-    u_slice = VectorFamily(u.vectors[:k_count], label=f"{u.label}[:{k_count}]")
+    head = positions < k_count
+    u_head = np.zeros((k_count, lat.N), dtype=np.complex128)
+    u_head[positions[head]] = rows[head]
+    u_slice = VectorFamily(u_head, label=f"{label}[:{k_count}]")
 
     side = _dual_side(w0, sys.family, u_slice, tol)
-    tail = u.vectors[k_count:][live[k_count:]]
-    tail_norm = _adjoint_product_norm(tail, sys.family.svd)
+    tail_norm = _adjoint_product_norm(rows[~head], sys.family.svd)
     padded_res, _ = _padded_dual_commutation(
         side.dual_res, side.gram_norm, tail_norm, tol
     )

@@ -18,14 +18,17 @@ Frobenius-norm residuals against a shared tolerance; the certificate
 records every residual so that verdicts are reproducible.
 
 No count x count matrix is formed.  With M the count of ``f`` and ``v``
-and K that of ``w`` and ``u``, only the products on ``v``, which may be
-any family, cost O(M n^2): ``V^t F`` and the frame operator
-``V^t conj(V)``.  Products on ``u`` and ``w`` cost O(K n^2), and every
-other product is re-associated through the thin SVDs the families
-carry, at O(M n rank) with the rank of ``u`` or ``w``, or O(n^3): each
-``X H^*`` as ``X conj(U_h) diag(s_h)`` (the factor ``conj(Vh_h)`` has
-orthonormal rows, so norms and Grams are unchanged), and the projector
-``P = q q^*`` of span{w} through its orthonormal basis ``q``.
+and K that of ``w`` and ``u``, only the frame operator of ``v``, which may
+be any family, costs O(M n^2), and it is one real symmetric product
+(``frames.frame_operator``).  Products on ``u`` and ``w`` cost O(K n^2),
+and every other product is re-associated through the thin SVDs the
+families carry, at O(M n rank) with the rank of ``u`` or ``w``, or
+O(n^3): each ``X H^*`` as ``X conj(U_h) diag(s_h)`` (the factor
+``conj(Vh_h)`` has orthonormal rows, so norms and Grams are unchanged),
+``V^t G(f,u)`` as ``(V^t B) conj(Vh_u)`` with ``B = F conj(U_u)
+diag(s_u)``, and the projector ``P = q q^*`` of span{w} through its
+orthonormal basis ``q``.  The characterizing sequence is kept as member
+rows, so it is read with no transposing copy.
 """
 
 from __future__ import annotations
@@ -146,12 +149,13 @@ def _adjoint_product_norm(x: np.ndarray, h_svd: tuple) -> float:
 @dataclass(frozen=True)
 class _DualSide:
     """The dual side of one triple ``(w, f, u)`` under ``tol``, with the
-    triple and the tolerance it was evaluated for: the
-    characterizing-sequence synthesis ``Y``, the orthonormal basis ``q`` of
-    span{w} (the span projector is ``P = q q^*``), the span deficit of
-    ``w`` and the kernel dimension of ``Y``, ``||G(u,f)||_F`` (the scale of
-    the commutation residuals), and the residuals of the dual commutation
-    and of ``Y Y^* = P`` with their accept decisions.  Certificates and
+    triple and the tolerance it was evaluated for: the characterizing
+    sequence as member rows ``y_rows``, the transpose ``Y^t`` of its
+    synthesis (count x n, C order), the orthonormal basis ``q`` of span{w}
+    (the span projector is ``P = q q^*``), the span deficit of ``w`` and
+    the kernel dimension of ``Y``, ``||G(u,f)||_F`` (the scale of the
+    commutation residuals), and the residuals of the dual commutation and
+    of ``Y Y^* = P`` with their accept decisions.  Certificates and
     constructions read the triple from here, so a record cannot be paired
     with another triple."""
 
@@ -159,7 +163,7 @@ class _DualSide:
     f: VectorFamily
     u: VectorFamily
     tol: Tolerance
-    y_syn: np.ndarray
+    y_rows: np.ndarray
     q: np.ndarray
     deficit: int
     kernel: int
@@ -172,7 +176,7 @@ class _DualSide:
     @property
     def sequence(self) -> VectorFamily:
         """The characterizing sequence ``y`` as a family."""
-        return VectorFamily(self.y_syn.T, label=f"charseq({self.w.label})")
+        return VectorFamily(self.y_rows, label=f"charseq({self.w.label})")
 
 
 def _commutation_ok(residual, gram_norm, tol: Tolerance):
@@ -215,24 +219,29 @@ def _dual_side(
 ) -> _DualSide:
     """Evaluate the dual side once, with ``u`` paired to ``w`` member by
     member (``_dual_side_residuals``); the rank of ``Y``, which gives the
-    kernel dimension, is read off ``y_core``.  ``Y`` itself is formed once,
-    in the order ``np.linalg.multi_dot`` finds cheaper: ``W~^t (U F^*)``,
-    at O(M n K), when ``w`` has few members K.  Counts must match; the
-    zero-padded Gabor adjoint and its padded residual are handled in
-    ``gabor``."""
+    kernel dimension, is read off ``y_core``.  The rows of ``Y`` are formed
+    once, as ``Y^t = conj(F U^* conj(W~))`` in the order
+    ``np.linalg.multi_dot`` finds cheaper: ``(F U^*) conj(W~)``, at
+    O(M n K), when ``w`` has few members K, and ``F (U^* conj(W~))``, with
+    no count x count product, when it has many; only the small factors are
+    conjugated before the product.  Counts must match; the zero-padded
+    Gabor adjoint and its padded residual are handled in ``gabor``."""
     _require_same_dim(w, f, u)
     _require_same_count(w, u)
     q = _span_factors(w, tol)[0]
-    dual_syn = canonical_dual(w, tol).vectors.T
+    dual_rows = canonical_dual(w, tol).vectors
     y_core, gram_norm, dual_res, pars_res, pars_ok = _dual_side_residuals(
-        dual_syn, w.vectors, u.vectors, f.svd, q @ q.conj().T, tol
+        dual_rows.T, w.vectors, u.vectors, f.svd, q @ q.conj().T, tol
     )
-    y_syn = np.linalg.multi_dot([dual_syn, u.vectors, f.vectors.conj().T])
+    y_rows = np.linalg.multi_dot(
+        [f.vectors, u.vectors.conj().T, np.conj(dual_rows)]
+    )
+    np.conjugate(y_rows, out=y_rows)
     rank_y = singular_rank(np.linalg.svd(y_core, compute_uv=False), tol)
     dual_ok = _commutation_ok(dual_res, gram_norm, tol)
     deficit, kernel = w.ambient_dim - w.rank(tol), f.count - rank_y
     return _DualSide(
-        w, f, u, tol, y_syn, q, deficit, kernel, gram_norm, dual_res, dual_ok,
+        w, f, u, tol, y_rows, q, deficit, kernel, gram_norm, dual_res, dual_ok,
         pars_res, pars_ok,
     )
 
@@ -314,22 +323,24 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
     if f.count != v.count:
         raise ShapeMismatchError(f"f/v counts {f.count}/{v.count} must pair up")
 
-    # G(f,u) = F U^*, so V^t G(f,u) = (V^t F) U^* and
-    # (G(v,v)^t - I) G(f,u) = (conj(V) V^t F - F) U^*, whose norm is that of
-    # its ``_adjoint_factor``: conj(V) (V^t F conj(U_u) s_u) - F conj(U_u) s_u.
-    core = v.vectors.T @ f.vectors  # (n, n)
-    generated = core @ u.vectors.conj().T  # columns: sum_i <f_i,u_j> v_i
+    # G(f,u) = F U^* = B conj(Vh_u) with B = F conj(U_u) diag(s_u)
+    # (``_adjoint_factor``), so the synthesis columns V^t G(f,u) are
+    # (V^t B) conj(Vh_u), and (G(v,v)^t - I) G(f,u) = (conj(V) V^t B - B)
+    # conj(Vh_u) has the norm of conj(V) V^t B - B, as conj(Vh_u) has
+    # orthonormal rows; conj(V) X is taken as conj(V conj(X)).
+    b = _adjoint_factor(f.vectors, u.svd)  # (M, min(n, K))
+    vt_b = v.vectors.T @ b
+    generated = vt_b @ np.conj(u.svd[2])  # columns: sum_i <f_i,u_j> v_i
     w_syn = synthesis_matrix(w)
     synth_res = float(np.max(np.linalg.norm(w_syn - generated, axis=0)))
-    comm_res = frobenius(
-        np.conj(v.vectors) @ _adjoint_factor(core, u.svd)
-        - _adjoint_factor(f.vectors, u.svd)
-    )
-    # P V^t = q (q^* V^t) with q the orthonormal basis of span{w}
-    q = side.q
-    proj_res = float(
-        np.max(np.linalg.norm(q @ (q.conj().T @ v.vectors.T) - side.y_syn, axis=0))
-    )
+    comm_res = frobenius(np.conj(v.vectors @ np.conj(vt_b)) - b)
+    # the rows of P V^t - Y are those of V conj(q) q^t - Y^t, with q the
+    # orthonormal basis of span{w}; their squared norms are summed in place
+    diff = (v.vectors @ np.conj(side.q)) @ side.q.T
+    diff -= side.y_rows
+    sq = diff.view(np.float64)
+    np.square(sq, out=sq)
+    proj_res = float(np.sqrt(np.max(sq.sum(axis=1))))
 
     w_scale = max(1.0, float(np.max(np.linalg.norm(w_syn, axis=0))))
     synth_ok = synth_res <= tol.threshold(w_scale)
@@ -522,15 +533,15 @@ def _isometric_extension_v(side: _DualSide, label: str) -> VectorFamily:
     the trailing right singular vectors of the leading ``rank(Y) +
     deficit`` columns of ``Y``, extended by zeros (by interlacing, their
     singular values are at most those of ``Y`` past its rank)."""
-    y_syn, deficit = side.y_syn, side.deficit
+    y_rows, deficit = side.y_rows, side.deficit
     if deficit == 0:
-        return VectorFamily(y_syn.T, label=label)
-    lead = y_syn.shape[1] - side.kernel + deficit
-    ker_lead = np.linalg.svd(y_syn[:, :lead])[2][lead - deficit :]
+        return VectorFamily(y_rows, label=label)
+    lead = y_rows.shape[0] - side.kernel + deficit
+    ker_lead = np.linalg.svd(y_rows[:lead].T)[2][lead - deficit :]
     _, comp_basis = svd_rank_nullspace(np.conj(side.w.vectors), side.tol)
-    v_syn = y_syn.copy()
-    v_syn[:, :lead] += comp_basis[:, :deficit] @ ker_lead
-    return VectorFamily(v_syn.T, label=label)
+    v_rows = y_rows.copy()
+    v_rows[:lead] += (comp_basis[:, :deficit] @ ker_lead).T
+    return VectorFamily(v_rows, label=label)
 
 
 def build_parseval_v(

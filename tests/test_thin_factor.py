@@ -19,6 +19,7 @@ from framedual.errors import NotParsevalError
 from framedual.frames import (
     analyze,
     canonical_dual,
+    frame_operator,
     parseval_tighten,
     random_frame,
     random_parseval,
@@ -37,7 +38,12 @@ from framedual.gabor import (
     tight_gabor_weak_r_dual,
 )
 from framedual.numerics import DEFAULT_TOL, singular_rank
-from framedual.rduality import build_parseval_v, certify_weak_r_dual
+from framedual.rduality import (
+    build_parseval_v,
+    certify_weak_r_dual,
+    commuting_parseval_family,
+    weak_r_dual,
+)
 
 TOL = DEFAULT_TOL
 
@@ -232,6 +238,22 @@ def test_duals_and_projector_match_dense(fam):
     )
 
 
+def _frame_operator_inputs():
+    yield from _families()
+    rng = np.random.default_rng(31)
+    f_order = np.asfortranarray(random_frame(rng, 9, 5).vectors)
+    assert not f_order.flags.c_contiguous
+    yield VectorFamily(f_order, label="f-ordered")
+
+
+@pytest.mark.parametrize("fam", list(_frame_operator_inputs()), ids=lambda f: f.label)
+def test_frame_operator_matches_dense(fam):
+    s = frame_operator(fam)
+    dense = fam.vectors.T @ fam.vectors.conj()
+    assert fro(s - dense) <= TOL.threshold(max(1.0, fro(dense)))
+    assert np.array_equal(s, s.conj().T)  # exactly Hermitian
+
+
 def test_svd_is_computed_once_and_read_only():
     fam = random_frame(np.random.default_rng(5), 7, 3)
     first = fam.svd
@@ -266,6 +288,18 @@ def _certificate_instances():
         w, f, u, v, _ = weak_dual_instance(rng, dim, count)
         yield f"positive-{dim}x{count}", (w, f, u, v)
         yield f"perturbed-{dim}x{count}", (perturb_member(rng, w), f, u, v)
+    # a rank-deficient u: orthonormal members with one set to zero, so
+    # rank(u) = 2 < min(n, K) = 3 and the thin factors of u carry a zero
+    # singular value
+    f = random_frame(rng, 3, 5, label="f")
+    rows = random_unitary(rng, 5)[:3]
+    rows[1] = 0.0
+    u = VectorFamily(rows, label="u-zero-member")
+    assert u.rank() == 2
+    v = commuting_parseval_family(f).family
+    w, _ = weak_r_dual(f, u, v)
+    yield "positive-rank-deficient-u", (w, f, u, v)
+    yield "perturbed-rank-deficient-u", (perturb_member(rng, w), f, u, v)
 
 
 @pytest.mark.parametrize(
@@ -422,6 +456,21 @@ def test_tight_pipeline_custom_u_matches_dense(shape):
         tight_gabor_weak_r_dual(sys, u=VectorFamily(bad))
 
 
+@pytest.mark.parametrize("shape", [(8, 1, 2), (12, 2, 2), (24, 3, 2), (96, 2, 2)])
+def test_tight_pipeline_default_u_is_the_padded_standard_basis(shape):
+    # the default u is read as its nonzero members and never built; an
+    # explicit padded standard basis gives exactly the same result
+    lat = GaborLattice(*shape)
+    sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 9)))
+    default = tight_gabor_weak_r_dual(sys)
+    explicit = tight_gabor_weak_r_dual(
+        sys, u=standard_basis_family(lat.N, lat.member_count)
+    )
+    # the certificate, the padding positions and the padded residual
+    assert default.to_json_dict() == explicit.to_json_dict()
+    assert np.array_equal(default.v.vectors, explicit.v.vectors)
+
+
 def test_exploration_trials_match_dense_on_every_lattice():
     for lat in _lattices():
         if lat.redundancy == 1.0:
@@ -535,3 +584,20 @@ def test_tight_pipeline_peak_memory_below_one_gram():
         tracemalloc.stop()
     assert res.certificate.verdict == "WeakRDual"
     assert peak < m * m * 16  # one M x M complex128 array: 16 MiB
+
+
+def test_tight_pipeline_peak_memory_below_five_member_arrays():
+    # on a prebuilt system, the pipeline keeps the rows of Y and of v and
+    # one certificate product: no M x n array that nothing reads
+    lat = GaborLattice(96, 2, 2)
+    sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 10)))
+    sys.family.svd
+    member_array = lat.member_count * lat.N * 16  # one M x n complex128
+    tracemalloc.start()
+    try:
+        res = tight_gabor_weak_r_dual(sys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.certificate.verdict == "WeakRDual"
+    assert peak < 5 * member_array, peak / member_array
