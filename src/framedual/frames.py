@@ -16,6 +16,7 @@ import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -25,15 +26,12 @@ from .numerics import DEFAULT_TOL, Tolerance, singular_rank, thin_svd
 __all__ = [
     "VectorFamily",
     "FrameAnalysis",
-    "inner",
     "synthesis_matrix",
     "frame_operator",
-    "gram_matrix",
     "span_projector",
     "analyze",
     "canonical_dual",
     "parseval_tighten",
-    "project_onto_span",
     "load_family",
     "save_family",
     "family_from_json_dict",
@@ -45,15 +43,20 @@ __all__ = [
 ]
 
 
-def inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Inner product, linear in the first argument."""
-    return complex(np.vdot(y, x))
-
-
 def _read_only(factors: tuple) -> tuple:
     for arr in factors:
         arr.flags.writeable = False
     return tuple(factors)
+
+
+def _members(v: np.ndarray) -> np.ndarray:
+    """``v`` checked as the members of a family and made read-only."""
+    if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
+        raise ValueError(f"expected (count, dim) members, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("family entries must be finite")
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)
@@ -68,14 +71,8 @@ class VectorFamily:
     label: str = ""
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vectors, dtype=np.complex128)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError(f"expected (count, dim) members, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("family entries must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "vectors", v)
+        v = np.array(self.vectors, dtype=np.complex128, order="C")
+        object.__setattr__(self, "vectors", _members(v))
 
     @property
     def count(self) -> int:
@@ -89,15 +86,23 @@ class VectorFamily:
     def _factored(
         cls,
         vectors: np.ndarray,
-        factors: tuple[np.ndarray, np.ndarray, np.ndarray],
+        factors: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
         label: str = "",
     ) -> "VectorFamily":
-        """Trusted constructor for a family whose thin SVD is known from
-        its structure: ``factors`` must be the thin SVD of the synthesis
-        matrix of ``vectors`` (``min(count, dim)`` triples, ``s``
-        descending) and becomes ``svd`` without being recomputed."""
-        fam = cls(vectors, label=label)
-        fam.__dict__["svd"] = _read_only(factors)
+        """Trusted constructor for an array the library has just built, or
+        the read-only members of another family: ``vectors`` is adopted,
+        not copied (it is made C-contiguous complex128 only if it is not),
+        checked like the public constructor's input and made read-only, so
+        no caller may write to it afterwards.  ``factors``, when given,
+        must be the thin SVD of the synthesis matrix of ``vectors``
+        (``min(count, dim)`` triples, ``s`` descending) and becomes ``svd``
+        without being recomputed."""
+        fam = cls.__new__(cls)
+        v = np.ascontiguousarray(vectors, dtype=np.complex128)
+        object.__setattr__(fam, "vectors", _members(v))
+        object.__setattr__(fam, "label", label)
+        if factors is not None:
+            fam.__dict__["svd"] = _read_only(factors)
         return fam
 
     @cached_property
@@ -118,7 +123,9 @@ class VectorFamily:
         return self.count
 
     def relabel(self, label: str) -> "VectorFamily":
-        return VectorFamily(self.vectors, label=label)
+        """The same members under ``label``: the read-only rows are shared,
+        and a cached ``svd`` is carried over instead of recomputed."""
+        return VectorFamily._factored(self.vectors, self.__dict__.get("svd"), label)
 
 
 @dataclass(frozen=True)
@@ -170,12 +177,6 @@ def frame_operator(fam: VectorFamily) -> np.ndarray:
     return s
 
 
-def gram_matrix(fam: VectorFamily) -> np.ndarray:
-    """Gram matrix with entries ``<f_i, f_j>``."""
-    v = fam.vectors
-    return v @ v.conj().T
-
-
 def span_projector(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of the members."""
     q = fam.svd[0][:, : fam.rank(tol)]
@@ -201,10 +202,7 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
     lower = float(sq[rank - 1])
     upper = float(sq[0])
 
-    parseval_residual = float(
-        np.hypot(np.linalg.norm(sq[:rank] - 1.0), np.linalg.norm(sq[rank:]))
-    )
-    scale = max(1.0, float(np.linalg.norm(sq)))  # ||S||_F == ||G||_F
+    parseval_residual, scale = _parseval_residual(s, rank)  # ||S||_F == ||G||_F
     is_parseval = parseval_residual <= tol.threshold(scale)
 
     gram_residual = float(np.hypot(np.linalg.norm(sq - 1.0), np.sqrt(m - s.size)))
@@ -236,6 +234,15 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
     )
 
 
+def _parseval_residual(s: np.ndarray, rank: int) -> tuple[float, float]:
+    """``||S - P||_F`` and its scale ``max(1, ||S||_F)`` from the descending
+    singular values ``s`` of a family and its rank: ``S - P`` has the
+    eigenvalues ``s_i^2 - 1`` on the span and ``s_i^2`` off it."""
+    sq = s**2
+    res = float(np.hypot(np.linalg.norm(sq[:rank] - 1.0), np.linalg.norm(sq[rank:])))
+    return res, max(1.0, float(np.linalg.norm(sq)))
+
+
 def _is_tight(upper, lower, tol: Tolerance):
     """The tightness rule for frame bounds ``lower <= upper`` (elementwise
     on arrays)."""
@@ -256,7 +263,7 @@ def canonical_dual(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> VectorFam
     applied member-wise (handles frame sequences, not just frames).
     With ``T = U_r diag(s_r) Vh_r`` this is ``S^+ T = U_r diag(1/s_r) Vh_r``."""
     u, s, vh = _span_factors(fam, tol)
-    return VectorFamily(((u / s) @ vh).T, label=f"dual({fam.label})")
+    return VectorFamily._factored(((u / s) @ vh).T, label=f"dual({fam.label})")
 
 
 def parseval_tighten(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> VectorFamily:
@@ -264,19 +271,7 @@ def parseval_tighten(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> VectorF
     producing a family Parseval for the span of the input:
     ``S^{+1/2} T = U_r Vh_r``."""
     u, _, vh = _span_factors(fam, tol)
-    return VectorFamily((u @ vh).T, label=f"tight({fam.label})")
-
-
-def project_onto_span(
-    fam: VectorFamily, x: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """Orthogonal projection of ``x`` onto the span of the family."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (fam.ambient_dim,):
-        raise ShapeMismatchError(
-            f"vector has shape {x.shape}, expected ({fam.ambient_dim},)"
-        )
-    return span_projector(fam, tol) @ x
+    return VectorFamily._factored((u @ vh).T, label=f"tight({fam.label})")
 
 
 # ----------------------------------------------------------------------

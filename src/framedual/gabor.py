@@ -300,9 +300,11 @@ def duality_check(sys: GaborSystem, tol: Tolerance = DEFAULT_TOL) -> DualityRepo
 
     Riesz bounds are the extreme eigenvalues of the adjoint Gram matrix
     (computed from singular values of the synthesis; an adjoint with more
-    members than the dimension gets a zero lower bound).  ``match`` holds
-    when frame-ness and Riesz-ness agree and, if both hold, the bounds
-    coincide within tolerance.
+    members than the dimension gets a zero lower bound).  The adjoint is a
+    Riesz sequence when its rank, by the rank rule ``analyze`` applies to
+    the system, equals its member count.  ``match`` holds when frame-ness
+    and Riesz-ness agree and, if both hold, the bounds coincide within
+    tolerance.
     """
     sa = analyze(sys.family, tol)
     adj = adjoint_system(sys)
@@ -310,7 +312,7 @@ def duality_check(sys: GaborSystem, tol: Tolerance = DEFAULT_TOL) -> DualityRepo
     count = adj.family.count
     upper = float(sigma[0] ** 2)
     lower = float(sigma[-1] ** 2) if count <= sys.lattice.N else 0.0
-    is_riesz = count <= sys.lattice.N and lower > tol.threshold(upper)
+    is_riesz = adj.family.rank(tol) == count
     is_frame = sa.is_frame_for_ambient
     fb = (sa.lower_bound, sa.upper_bound)
     rb = (lower, upper)

@@ -52,13 +52,12 @@ from .errors import (
 )
 from .frames import (
     VectorFamily,
+    _parseval_residual,
     _span_factors,
     analyze,
     canonical_dual,
     frame_operator,
     parseval_tighten,
-    span_projector,
-    synthesis_matrix,
 )
 from .numerics import (
     DEFAULT_TOL,
@@ -151,9 +150,9 @@ class _DualSide:
     """The dual side of one triple ``(w, f, u)`` under ``tol``, with the
     triple and the tolerance it was evaluated for: the characterizing
     sequence as member rows ``y_rows``, the transpose ``Y^t`` of its
-    synthesis (count x n, C order), the orthonormal basis ``q`` of span{w}
-    (the span projector is ``P = q q^*``), the span deficit of ``w`` and
-    the kernel dimension of ``Y``, ``||G(u,f)||_F`` (the scale of the
+    synthesis (count x n, C order, read-only), the orthonormal basis
+    ``q`` of span{w} (the span projector is ``P = q q^*``), the span
+    deficit of ``w`` and the kernel dimension of ``Y``, ``||G(u,f)||_F`` (the scale of the
     commutation residuals), and the residuals of the dual commutation and
     of ``Y Y^* = P`` with their accept decisions.  Certificates and
     constructions read the triple from here, so a record cannot be paired
@@ -175,8 +174,9 @@ class _DualSide:
 
     @property
     def sequence(self) -> VectorFamily:
-        """The characterizing sequence ``y`` as a family."""
-        return VectorFamily(self.y_rows, label=f"charseq({self.w.label})")
+        """The characterizing sequence ``y`` as a family, sharing the
+        record's read-only ``y_rows``."""
+        return VectorFamily._factored(self.y_rows, label=f"charseq({self.w.label})")
 
 
 def _commutation_ok(residual, gram_norm, tol: Tolerance):
@@ -237,6 +237,7 @@ def _dual_side(
         [f.vectors, u.vectors.conj().T, np.conj(dual_rows)]
     )
     np.conjugate(y_rows, out=y_rows)
+    y_rows.flags.writeable = False
     rank_y = singular_rank(np.linalg.svd(y_core, compute_uv=False), tol)
     dual_ok = _commutation_ok(dual_res, gram_norm, tol)
     deficit, kernel = w.ambient_dim - w.rank(tol), f.count - rank_y
@@ -247,10 +248,11 @@ def _dual_side(
 
 
 def _gate_parseval(fam: VectorFamily, tol: Tolerance, name: str) -> None:
-    """Reject inputs that are not even coarsely Parseval for their span."""
-    s = frame_operator(fam)
-    p = span_projector(fam, tol)
-    if frobenius(s - p) > PARSEVAL_GATE * max(1.0, frobenius(s)):
+    """Reject inputs that are not even coarsely Parseval for their span:
+    ``||S - P||_F`` against ``PARSEVAL_GATE`` times ``max(1, ||S||_F)``,
+    both read off the singular values, so the all-zero family passes."""
+    res, scale = _parseval_residual(fam.svd[1], fam.rank(tol))
+    if res > PARSEVAL_GATE * scale:
         raise NotParsevalError(f"family '{name}' is not approximately Parseval")
 
 
@@ -331,7 +333,7 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
     b = _adjoint_factor(f.vectors, u.svd)  # (M, min(n, K))
     vt_b = v.vectors.T @ b
     generated = vt_b @ np.conj(u.svd[2])  # columns: sum_i <f_i,u_j> v_i
-    w_syn = synthesis_matrix(w)
+    w_syn = w.vectors.T
     synth_res = float(np.max(np.linalg.norm(w_syn - generated, axis=0)))
     comm_res = frobenius(np.conj(v.vectors @ np.conj(vt_b)) - b)
     # the rows of P V^t - Y are those of V conj(q) q^t - Y^t, with q the
@@ -535,13 +537,13 @@ def _isometric_extension_v(side: _DualSide, label: str) -> VectorFamily:
     singular values are at most those of ``Y`` past its rank)."""
     y_rows, deficit = side.y_rows, side.deficit
     if deficit == 0:
-        return VectorFamily(y_rows, label=label)
+        return VectorFamily._factored(y_rows, label=label)
     lead = y_rows.shape[0] - side.kernel + deficit
     ker_lead = np.linalg.svd(y_rows[:lead].T)[2][lead - deficit :]
     _, comp_basis = svd_rank_nullspace(np.conj(side.w.vectors), side.tol)
     v_rows = y_rows.copy()
     v_rows[:lead] += (comp_basis[:, :deficit] @ ker_lead).T
-    return VectorFamily(v_rows, label=label)
+    return VectorFamily._factored(v_rows, label=label)
 
 
 def build_parseval_v(
@@ -833,8 +835,7 @@ def verify_conjugate_witness(
         raise GateFailedError(f"witness matrix must be {n}x{n}, got {m.shape}")
     if analyze(w, tol).deficit != 0:
         raise GateFailedError("span{w} must equal the ambient space")
-    sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma[-1] <= tol.threshold(float(sigma[0])):
+    if singular_rank(np.linalg.svd(m, compute_uv=False), tol) < n:
         raise NotInvertibleError("witness matrix is numerically singular")
 
     s_w = frame_operator(w)
@@ -915,7 +916,7 @@ def gram_invariance_residual(
     """``max_k || sum_j <u_j, u_k> w_j - w_k ||``."""
     _require_same_count(u, w)
     _require_same_dim(u, w)
-    w_syn = synthesis_matrix(w)
+    w_syn = w.vectors.T
     res = (w_syn @ u.vectors) @ u.vectors.conj().T - w_syn  # W^t G(u,u) - W^t
     return float(np.max(np.linalg.norm(res, axis=0)))
 

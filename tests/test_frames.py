@@ -17,13 +17,36 @@ from framedual.frames import (
     frame_operator,
     load_family,
     parseval_tighten,
-    project_onto_span,
     random_frame,
     save_family,
+    span_projector,
     synthesis_matrix,
 )
 from framedual.numerics import Tolerance
 from framedual.rduality import cross_gram
+
+
+class TestVectorFamily:
+    def test_constructor_copies_the_callers_array(self):
+        arr = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.complex128)
+        f = VectorFamily(arr)
+        arr[0, 0] = 7.0
+        np.testing.assert_array_equal(f.vectors[0], [1, 0])
+        assert not f.vectors.flags.writeable
+
+    def test_relabel_shares_rows_and_factors(self, monkeypatch):
+        from framedual import frames
+
+        f = random_frame(np.random.default_rng(3), 5, 3)
+        factors = f.svd
+        calls = []
+        thin_svd = frames.thin_svd
+        monkeypatch.setattr(frames, "thin_svd", lambda a: calls.append(a) or thin_svd(a))
+        g = f.relabel("other")
+        assert g.label == "other"
+        assert g.vectors is f.vectors
+        assert all(x is y for x, y in zip(g.svd, factors))
+        assert not calls
 
 
 class TestSynthesisMatrix:
@@ -196,18 +219,18 @@ class TestParsevalTighten:
 
 class TestProjectOntoSpan:
     def test_single_direction(self):
-        p = project_onto_span(fam([[1, 0]]), np.array([1, 1], dtype=complex))
+        p = span_projector(fam([[1, 0]])) @ np.array([1, 1], dtype=complex)
         np.testing.assert_allclose(p, [1, 0], atol=1e-12)
 
     def test_spanning_family_is_identity(self):
         rng = np.random.default_rng(29)
         f = random_frame(rng, 5, 3)
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        np.testing.assert_allclose(project_onto_span(f, x), x, atol=1e-10)
+        np.testing.assert_allclose(span_projector(f) @ x, x, atol=1e-10)
 
     def test_orthogonal_direction_projects_to_zero(self):
         w = fam([unit(4, 0), unit(4, 2)])
-        p = project_onto_span(w, unit(4, 1))
+        p = span_projector(w) @ unit(4, 1)
         np.testing.assert_allclose(p, np.zeros(4), atol=1e-12)
 
 

@@ -16,7 +16,7 @@ from framedual.errors import (
     ShapeMismatchError,
     ZeroWindowError,
 )
-from framedual.frames import analyze, frame_operator, gram_matrix
+from framedual.frames import analyze, frame_operator
 from framedual.gabor import (
     GaborLattice,
     adjoint_system,
@@ -29,6 +29,7 @@ from framedual.gabor import (
     run_exploration,
     tight_gabor_weak_r_dual,
 )
+from framedual.rduality import cross_gram
 
 
 def _delta(n):
@@ -144,7 +145,9 @@ class TestGaborSystem:
         mags = np.abs(ratio[np.abs(sys.family.vectors) > 1e-12])
         np.testing.assert_allclose(mags, 1.0, atol=1e-10)
         np.testing.assert_allclose(
-            np.abs(gram_matrix(swapped_fam)), np.abs(gram_matrix(sys.family)), atol=1e-10
+            np.abs(cross_gram(swapped_fam, swapped_fam)),
+            np.abs(cross_gram(sys.family, sys.family)),
+            atol=1e-10,
         )
 
     def test_zero_window(self):
@@ -233,6 +236,20 @@ class TestDualityCheck:
             rep = duality_check(gabor_system(GaborLattice(8, 2, 2), w))
             assert rep.system_is_frame and rep.adjoint_is_riesz
             assert rep.bounds_agree and rep.match
+
+    def test_riesz_verdict_uses_the_frame_rank_rule(self):
+        # s_min / s_max of the adjoint is about 3e-7, inside (rel_eps,
+        # sqrt(rel_eps)]: a rule on squared singular values called the
+        # adjoint not Riesz although its bounds equal the frame bounds
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        window = np.array([1, 0, 1, 0], dtype=complex) + 1e-6 * z
+        rep = duality_check(gabor_system(GaborLattice(4, 2, 2), window))
+        lower, upper = rep.riesz_bounds
+        assert 1e-18 < lower / upper <= 1e-9
+        assert rep.frame_bounds == rep.riesz_bounds
+        assert rep.system_is_frame and rep.adjoint_is_riesz
+        assert rep.bounds_agree and rep.match
 
     def test_degenerate_pair_matches_statuses(self):
         # too few members to span: not a frame, and the adjoint cannot be

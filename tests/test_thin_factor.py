@@ -17,6 +17,7 @@ from helpers import perturb_member, psd_inverse_sqrt, weak_dual_instance
 from framedual import VectorFamily
 from framedual.errors import NotParsevalError
 from framedual.frames import (
+    _parseval_residual,
     analyze,
     canonical_dual,
     frame_operator,
@@ -39,6 +40,8 @@ from framedual.gabor import (
 )
 from framedual.numerics import DEFAULT_TOL, singular_rank
 from framedual.rduality import (
+    PARSEVAL_GATE,
+    _gate_parseval,
     build_parseval_v,
     certify_weak_r_dual,
     commuting_parseval_family,
@@ -236,6 +239,29 @@ def test_duals_and_projector_match_dense(fam):
     np.testing.assert_allclose(
         parseval_tighten(fam).vectors.T, tight, atol=TOL.threshold(1.0)
     )
+
+
+@pytest.mark.parametrize(
+    "fam",
+    list(_families()) + [VectorFamily(np.zeros((4, 3)), label="all-zero")],
+    ids=lambda f: f.label,
+)
+def test_parseval_gate_matches_dense(fam):
+    # the gate reads ||S - P||_F off the singular values; the dense form
+    # builds S and P, and its accept/reject must be the gate's (the
+    # all-zero family has S = P = 0, so it passes, with no EmptySpanError)
+    t = fam.vectors.T
+    s_op = t @ t.conj().T
+    dense_res, dense_scale = fro(s_op - dense_projector(t)), max(1.0, fro(s_op))
+    res, scale = _parseval_residual(fam.svd[1], fam.rank(TOL))
+    assert abs(res - dense_res) <= TOL.threshold(dense_scale)
+    assert abs(scale - dense_scale) <= TOL.threshold(dense_scale)
+    try:
+        _gate_parseval(fam, TOL, "fam")
+        accepted = True
+    except NotParsevalError:
+        accepted = False
+    assert accepted == (dense_res <= PARSEVAL_GATE * dense_scale)
 
 
 def _frame_operator_inputs():
@@ -584,6 +610,21 @@ def test_tight_pipeline_peak_memory_below_one_gram():
         tracemalloc.stop()
     assert res.certificate.verdict == "WeakRDual"
     assert peak < m * m * 16  # one M x M complex128 array: 16 MiB
+
+
+def test_gabor_system_adopts_its_rows():
+    # the rows and the factors are built once and adopted, not copied
+    lat = GaborLattice(96, 2, 2)
+    window = _window(lat, 10)
+    member_array = lat.member_count * lat.N * 16  # one M x N complex128
+    tracemalloc.start()
+    try:
+        sys = gabor_system(lat, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not sys.family.vectors.flags.writeable
+    assert peak < 2.5 * member_array, peak / member_array
 
 
 def test_tight_pipeline_peak_memory_below_five_member_arrays():
