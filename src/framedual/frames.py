@@ -45,7 +45,8 @@ __all__ = [
 
 def _read_only(factors: tuple) -> tuple:
     for arr in factors:
-        arr.flags.writeable = False
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
     return tuple(factors)
 
 
@@ -64,7 +65,9 @@ class VectorFamily:
     """Ordered finite family of complex vectors in ``C^ambient_dim``.
 
     ``vectors`` has one member per row.  Zero members are permitted.
-    ``svd`` is the family's one factorization; everything else reads it.
+    ``svd`` is the family's one factorization; everything else reads it,
+    and what needs only ``U`` and ``s`` reads ``_factors[:2]``, which
+    does not assemble a ``Vh`` that is built on demand.
     """
 
     vectors: np.ndarray
@@ -96,25 +99,37 @@ class VectorFamily:
         no caller may write to it afterwards.  ``factors``, when given,
         must be the thin SVD of the synthesis matrix of ``vectors``
         (``min(count, dim)`` triples, ``s`` descending) and becomes ``svd``
-        without being recomputed."""
+        without being recomputed; its ``Vh`` may be a function that
+        assembles it, called the first time ``svd`` is read."""
         fam = cls.__new__(cls)
         v = np.ascontiguousarray(vectors, dtype=np.complex128)
         object.__setattr__(fam, "vectors", _members(v))
         object.__setattr__(fam, "label", label)
         if factors is not None:
-            fam.__dict__["svd"] = _read_only(factors)
+            fam.__dict__["_factors"] = _read_only(factors)
         return fam
 
     @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD ``(U, s, Vh)`` of the ``ambient_dim x count`` synthesis
-        matrix, computed on first use unless the family was built with its
-        factors.  ``vectors`` is read-only, so the cache cannot go stale;
-        the factors are read-only as well."""
+    def _factors(self) -> tuple:
+        """``(U, s, Vh)`` as far as it is built: ``Vh`` may still be the
+        function that assembles it, so ``_factors[:2]`` reads ``U`` and
+        ``s`` without building ``Vh``.  Computed on first use unless the
+        family was built with its factors."""
         return _read_only(thin_svd(self.vectors.T))
 
+    @property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD ``(U, s, Vh)`` of the ``ambient_dim x count`` synthesis
+        matrix, with ``Vh`` assembled on first use if it was given as a
+        function.  ``vectors`` is read-only, so the factors cannot go
+        stale; they are read-only as well."""
+        u, s, vh = self._factors
+        if callable(vh):
+            self.__dict__["_factors"] = _read_only((u, s, vh()))
+        return self._factors
+
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        return singular_rank(self.svd[1], tol)
+        return singular_rank(self._factors[1], tol)
 
     def member(self, i: int) -> np.ndarray:
         return self.vectors[i]
@@ -124,8 +139,9 @@ class VectorFamily:
 
     def relabel(self, label: str) -> "VectorFamily":
         """The same members under ``label``: the read-only rows are shared,
-        and a cached ``svd`` is carried over instead of recomputed."""
-        return VectorFamily._factored(self.vectors, self.__dict__.get("svd"), label)
+        and known factors are carried over instead of recomputed."""
+        factors = self.__dict__.get("_factors")
+        return VectorFamily._factored(self.vectors, factors, label)
 
 
 @dataclass(frozen=True)
@@ -179,7 +195,7 @@ def frame_operator(fam: VectorFamily) -> np.ndarray:
 
 def span_projector(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of the members."""
-    q = fam.svd[0][:, : fam.rank(tol)]
+    q = fam._factors[0][:, : fam.rank(tol)]
     return q @ q.conj().T
 
 
@@ -194,7 +210,7 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
     An orthonormal basis has exactly ``n`` members, whatever the tolerance.
     """
     m, n = fam.count, fam.ambient_dim
-    s = fam.svd[1]
+    s = fam._factors[1]
     rank = singular_rank(s, tol)
     if rank == 0:
         raise EmptySpanError("all members are numerically zero")

@@ -11,17 +11,23 @@ which is certified empirically by ``duality_check`` across the corpus:
 the system is a frame iff the adjoint family is a Riesz sequence with
 the same bounds.
 
-Both families are born with their exact thin SVD, taken from the coset
-(Walnut/Zak) structure and never from the N x M synthesis matrix: with
-L = N/b, the synthesis rows at times t = r + k L of one residue r are
-the b x (N/a) block G_r[k, n] = window[(r + k L - n a) mod N] tensored
-with the DFT phases exp(2 pi i m r / L), and rows of different residues
-are orthogonal, so one batched SVD of the L blocks factors the system
-(``_modulated_translates``; the adjoint is the same on its lattice).
-The factorization takes a stack of windows on one lattice:
-``gabor_system`` and ``adjoint_system`` pass a stack of one, and the
-exploration passes every trial of a lattice at once, after settling
-frame and tightness from the blocks' singular values alone.
+Both families take their exact thin SVD from the coset (Walnut/Zak)
+structure, never from the N x M synthesis matrix: with L = N/b, the
+synthesis rows at times t = r + k L of one residue r are the b x (N/a)
+block G_r[k, n] = window[(r + k L - n a) mod N] tensored with the DFT
+phases exp(2 pi i m r / L), and rows of different residues are
+orthogonal, so one batched SVD of the L blocks factors the system
+(``_coset_svd``; the adjoint is the same on its lattice).  The member
+rows, ``U`` and ``Vh`` are assembled from the blocks by separate
+functions.  A family is born with its rows, ``U`` and singular values;
+its ``Vh``, an array as large as its rows, is assembled only when
+something reads ``svd`` in full, which nothing in the tight pipeline
+does for the system.  ``canonical_tight_window`` reads the one column of
+``Vh`` it needs straight from the blocks.  The factorization takes a
+stack of windows on one lattice: ``gabor_system`` and ``adjoint_system``
+pass a stack of one, and the exploration passes every trial of a lattice
+at once, after settling frame and tightness from the blocks' singular
+values alone.
 
 Redundancy is N/(a b); the weak R-dual machinery pairs the system
 (count N^2/(a b)) with the adjoint family (count a b).  The counts are
@@ -60,7 +66,6 @@ from .errors import (
 from .frames import (
     VectorFamily,
     _is_tight,
-    _span_factors,
     analyze,
     random_frame,
 )
@@ -166,7 +171,35 @@ def _lattice_tables(
     return tables
 
 
-def _modulated_translates(
+@dataclass(frozen=True)
+class _Cosets:
+    """The batched coset SVD of a ``(g, N)`` stack of windows on one
+    lattice shape, with what the assemblers need: the lattice shape, the
+    scale, the block factors ``u_r`` and ``vh_r``, the block position
+    ``(r[j], i[j])`` of each singular triple ``j`` and the singular values
+    ``s`` of the systems, descending (all stacked along the first axis)."""
+
+    windows: np.ndarray
+    N: int
+    time_step: int
+    freq_step: int
+    n_times: int
+    n_freqs: int
+    scale: float
+    u_r: np.ndarray
+    vh_r: np.ndarray
+    r: np.ndarray
+    i: np.ndarray
+    s: np.ndarray
+
+    @property
+    def tables(self) -> tuple:
+        return _lattice_tables(
+            self.N, self.time_step, self.freq_step, self.n_times, self.n_freqs
+        )
+
+
+def _coset_svd(
     windows: np.ndarray,
     N: int,
     time_step: int,
@@ -174,10 +207,12 @@ def _modulated_translates(
     n_times: int,
     n_freqs: int,
     scale: float = 1.0,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """For each window of a ``(g, N)`` stack: the member rows
-    ``scale * phase[m] * window[shift[n]]``, ordered ``j = m * n_times + n``,
-    and their thin SVD from the coset blocks, stacked along the first axis.
+) -> _Cosets:
+    """The thin SVD of the systems of a ``(g, N)`` stack of windows, whose
+    members are ``scale * phase[m] * window[shift[n]]``, ordered ``j = m *
+    n_times + n``, from their coset blocks; ``_assemble_rows``,
+    ``_assemble_u`` and ``_assemble_vh`` build the members and the
+    factors from it.
 
     Write ``L = n_freqs`` and ``t = r + k L``.  The modulation depends on
     ``t`` through ``r`` alone, so the synthesis rows with residue ``r``
@@ -188,47 +223,62 @@ def _modulated_translates(
     rows ``r + k L``, and ``Vh[(r, i), (m, n)] = phase[m, r] / sqrt(L)
     * Vh_r[i, n]``: one batched SVD of the ``g L`` blocks of size
     ``freq_step x n_times``, never of an ``N x M`` synthesis matrix.  The
-    triples are gathered once, already in descending order: triple ``j``
-    is ``(r, i) = divmod(order[j], k)``."""
-    phase, shift, coset, coset_phase = _lattice_tables(
-        N, time_step, freq_step, n_times, n_freqs
-    )
-    g, L = windows.shape[0], n_freqs
-    rows = (scale * phase)[:, None, :] * windows[:, None, shift]
+    triples are gathered in descending order: triple ``j`` is ``(r, i) =
+    divmod(order[j], k)``."""
+    coset = _lattice_tables(N, time_step, freq_step, n_times, n_freqs)[2]
     u_r, sigma, vh_r = _svd(windows[:, coset], full_matrices=False)
     k = sigma.shape[-1]
-    sigma = sigma.reshape(g, L * k)
+    sigma = sigma.reshape(windows.shape[0], n_freqs * k)
     order = np.argsort(-sigma, axis=-1, kind="stable")
     r, i = np.divmod(order, k)
-    stack, col = np.arange(g)[:, None], np.arange(L * k)
-    # U[(kk, r'), j] = U_r[kk, i] when r' == r, else 0
-    u = np.zeros((g, freq_step, L, L * k), dtype=np.complex128)
-    u[stack, :, r, col] = u_r[stack, r, :, i]
-    vh = coset_phase[r][..., None] * vh_r[stack, r, i][..., None, :]
-    factors = (
-        u.reshape(g, N, L * k),
-        (scale * np.sqrt(L)) * np.take_along_axis(sigma, order, axis=-1),
-        vh.reshape(g, L * k, L * n_times),
+    s = (scale * np.sqrt(n_freqs)) * np.take_along_axis(sigma, order, axis=-1)
+    return _Cosets(
+        windows, N, time_step, freq_step, n_times, n_freqs, scale, u_r, vh_r, r, i, s
     )
-    return rows.reshape(g, n_freqs * n_times, N), factors
 
 
-def _system_translates(windows: np.ndarray, lat: GaborLattice):
-    """``_modulated_translates`` on the lattice itself."""
-    return _modulated_translates(
+def _assemble_rows(c: _Cosets) -> np.ndarray:
+    """The member rows of each system, ``(g, M, N)``."""
+    phase, shift = c.tables[:2]
+    rows = (c.scale * phase)[:, None, :] * c.windows[:, None, shift]
+    return rows.reshape(len(c.windows), c.n_freqs * c.n_times, c.N)
+
+
+def _assemble_u(c: _Cosets) -> np.ndarray:
+    """The left factors ``U``, ``(g, N, L k)``: ``U_r`` on the rows of
+    residue ``r``."""
+    g, count = c.r.shape
+    stack, col = np.arange(g)[:, None], np.arange(count)
+    # U[(kk, r'), j] = U_r[kk, i] when r' == r, else 0
+    u = np.zeros((g, c.freq_step, c.n_freqs, count), dtype=np.complex128)
+    u[stack, :, c.r, col] = c.u_r[stack, c.r, :, c.i]
+    return u.reshape(g, c.N, count)
+
+
+def _assemble_vh(c: _Cosets) -> np.ndarray:
+    """The right factors ``Vh``, ``(g, L k, M)``: one row per triple, the
+    coset phases of its residue times its block's right vector."""
+    g, count = c.r.shape
+    stack = np.arange(g)[:, None]
+    vh = c.tables[3][c.r][..., None] * c.vh_r[stack, c.r, c.i][..., None, :]
+    return vh.reshape(g, count, c.n_freqs * c.n_times)
+
+
+def _system_cosets(windows: np.ndarray, lat: GaborLattice) -> _Cosets:
+    """``_coset_svd`` on the lattice itself."""
+    return _coset_svd(
         windows, lat.N, lat.a, lat.b, n_times=lat.N // lat.a, n_freqs=lat.N // lat.b
     )
 
 
-def _adjoint_translates(windows: np.ndarray, lat: GaborLattice):
-    """``kappa = sqrt(N/(a b))`` and ``_modulated_translates`` on the
-    adjoint lattice (time step N/b, frequency step N/a), scaled by it."""
+def _adjoint_cosets(windows: np.ndarray, lat: GaborLattice) -> _Cosets:
+    """``_coset_svd`` on the adjoint lattice (time step N/b, frequency
+    step N/a), scaled by ``kappa = sqrt(N/(a b))``."""
     kappa = float(np.sqrt(lat.N / (lat.a * lat.b)))
-    rows, factors = _modulated_translates(
+    return _coset_svd(
         windows, lat.N, lat.N // lat.b, lat.N // lat.a, n_times=lat.b,
         n_freqs=lat.a, scale=kappa,
     )
-    return kappa, rows, factors
 
 
 def _checked_windows(windows: np.ndarray, N: int) -> np.ndarray:
@@ -244,18 +294,22 @@ def _checked_windows(windows: np.ndarray, N: int) -> np.ndarray:
     return w
 
 
-def _first(rows: np.ndarray, factors: tuple) -> tuple:
-    """The one member of a stack of one from ``_modulated_translates``."""
-    return rows[0], tuple(arr[0] for arr in factors)
+def _family(c: _Cosets, label: str) -> VectorFamily:
+    """The family of a stack of one: its rows, ``U`` and ``s`` now, and
+    ``Vh`` assembled when something reads it."""
+    return VectorFamily._factored(
+        _assemble_rows(c)[0], (_assemble_u(c)[0], c.s[0], lambda: _assemble_vh(c)[0]),
+        label=label,
+    )
 
 
 def gabor_system(lattice: GaborLattice, window: np.ndarray) -> GaborSystem:
     """Generate the full system for the lattice, modulation applied after
     translation, ordered frequency-major."""
     w = _checked_windows(np.asarray(window)[None], lattice.N)
-    rows, factors = _first(*_system_translates(w, lattice))
-    fam = VectorFamily._factored(
-        rows, factors, label=f"gabor(N={lattice.N},a={lattice.a},b={lattice.b})"
+    fam = _family(
+        _system_cosets(w, lattice),
+        f"gabor(N={lattice.N},a={lattice.a},b={lattice.b})",
     )
     return GaborSystem(lattice=lattice, window=w[0], family=fam)
 
@@ -264,22 +318,26 @@ def adjoint_system(sys: GaborSystem) -> AdjointSystem:
     """System on the adjoint lattice (time step N/b, frequency step N/a)
     scaled by kappa = sqrt(N/(a b))."""
     lat = sys.lattice
-    kappa, rows, factors = _adjoint_translates(sys.window[None], lat)
-    fam = VectorFamily._factored(
-        *_first(rows, factors), label=f"adjoint(N={lat.N},a={lat.a},b={lat.b})"
-    )
-    return AdjointSystem(base=sys, kappa=kappa, family=fam)
+    c = _adjoint_cosets(sys.window[None], lat)
+    fam = _family(c, f"adjoint(N={lat.N},a={lat.a},b={lat.b})")
+    return AdjointSystem(base=sys, kappa=c.scale, family=fam)
 
 
 def canonical_tight_window(lattice: GaborLattice, window: np.ndarray) -> np.ndarray:
     """``S^{+1/2} window``, with ``S`` the frame operator of the system:
     the member at ``(m, n) = (0, 0)`` of the Parseval tightening
-    ``U_r Vh_r``, read off the system's coset factorization as one column
-    product.  ``S`` commutes with the lattice's time-frequency shifts, so
-    the system on the returned window is Parseval for the span of the
-    original one; this function does not re-analyze it."""
-    u_r, _, vh_r = _span_factors(gabor_system(lattice, window).family, DEFAULT_TOL)
-    return u_r @ vh_r[:, 0]
+    ``U_r Vh_r``, read off the coset factorization as one column product,
+    with column ``j = 0`` of ``Vh_r`` taken from the blocks (no system
+    rows, no ``Vh``).  ``S`` commutes with the lattice's time-frequency
+    shifts, so the system on the returned window is Parseval for the span
+    of the original one; this function does not re-analyze it."""
+    c = _system_cosets(_checked_windows(np.asarray(window)[None], lattice.N), lattice)
+    rank = singular_rank(c.s[0], DEFAULT_TOL)
+    if rank == 0:
+        raise EmptySpanError("all members are numerically zero")
+    r, i = c.r[0, :rank], c.i[0, :rank]
+    vh_col = c.tables[3][r, 0] * c.vh_r[0, r, i, 0]
+    return _assemble_u(c)[0, :, :rank] @ vh_col
 
 
 @dataclass(frozen=True)
@@ -308,7 +366,7 @@ def duality_check(sys: GaborSystem, tol: Tolerance = DEFAULT_TOL) -> DualityRepo
     """
     sa = analyze(sys.family, tol)
     adj = adjoint_system(sys)
-    sigma = adj.family.svd[1]
+    sigma = adj.family._factors[1]
     count = adj.family.count
     upper = float(sigma[0] ** 2)
     lower = float(sigma[-1] ** 2) if count <= sys.lattice.N else 0.0
@@ -422,7 +480,7 @@ def tight_gabor_weak_r_dual(
     u_slice = VectorFamily(u_head, label=f"{label}[:{k_count}]")
 
     side = _dual_side(w0, sys.family, u_slice, tol)
-    tail_norm = _adjoint_product_norm(rows[~head], sys.family.svd)
+    tail_norm = _adjoint_product_norm(rows[~head], sys.family._factors)
     padded_res, _ = _padded_dual_commutation(
         side.dual_res, side.gram_norm, tail_norm, tol
     )
@@ -505,9 +563,9 @@ def _window_hash(window: np.ndarray) -> str:
 
 
 def _system_values(windows: np.ndarray, lat: GaborLattice) -> np.ndarray:
-    """The singular values of each window's system, descending: the values
-    of ``_modulated_translates``'s factors without the factors, from one
-    batched values-only SVD of the coset blocks."""
+    """The singular values of each window's system, descending: the ``s``
+    of ``_coset_svd`` without the block factors, from one batched
+    values-only SVD of the coset blocks."""
     L = lat.N // lat.b
     coset = _lattice_tables(lat.N, lat.a, lat.b, lat.N // lat.a, L)[2]
     sigma = _svd(windows[:, coset], compute_uv=False).reshape(len(windows), -1)
@@ -532,8 +590,10 @@ def _gated_evidence(
     ``w0``) has the a b unpadded members, as its padded members would be
     zero."""
     N, K, M = lat.N, lat.adjoint_count, lat.member_count
-    _, (f_u, f_s, _) = _system_translates(windows, lat)
-    _, w_rows, (w_u, w_s, w_vh) = _adjoint_translates(windows, lat)
+    f = _system_cosets(windows, lat)
+    f_u, f_s = _assemble_u(f), f.s
+    w = _adjoint_cosets(windows, lat)
+    w_rows, w_u, w_s, w_vh = _assemble_rows(w), _assemble_u(w), w.s, _assemble_vh(w)
     # the w-only part from the rank-r factors (the other columns zeroed):
     # projector U_r U_r^*, canonical dual U_r diag(1/s_r) Vh_r and
     # Parseval tightening U_r Vh_r, as syntheses

@@ -27,8 +27,11 @@ O(n^3): each ``X H^*`` as ``X conj(U_h) diag(s_h)`` (the factor
 ``conj(Vh_h)`` has orthonormal rows, so norms and Grams are unchanged),
 ``V^t G(f,u)`` as ``(V^t B) conj(Vh_u)`` with ``B = F conj(U_u)
 diag(s_u)``, and the projector ``P = q q^*`` of span{w} through its
-orthonormal basis ``q``.  The characterizing sequence is kept as member
-rows, so it is read with no transposing copy.
+orthonormal basis ``q``.  The characterizing sequence is kept as the two
+factors of its member rows, an M x K and a K x n one when K is small:
+its rows are built when the sequence is read, the constructed ``v`` is
+written once from the factors, and the certificate reads its projection
+residual against them in blocks of rows, with no M x n temporary.
 """
 
 from __future__ import annotations
@@ -107,6 +110,10 @@ __all__ = [
 # used to produce unambiguous negative verdicts.
 PARSEVAL_GATE = 5e-2
 
+# Rows per block of the certificate's projection residual: a block's
+# temporaries stay small, whatever the member count.
+_BLOCK_ROWS = 128
+
 
 def _require_same_dim(*fams: VectorFamily) -> int:
     dims = {f.ambient_dim for f in fams}
@@ -149,20 +156,20 @@ def _adjoint_product_norm(x: np.ndarray, h_svd: tuple) -> float:
 class _DualSide:
     """The dual side of one triple ``(w, f, u)`` under ``tol``, with the
     triple and the tolerance it was evaluated for: the characterizing
-    sequence as member rows ``y_rows``, the transpose ``Y^t`` of its
-    synthesis (count x n, C order, read-only), the orthonormal basis
-    ``q`` of span{w} (the span projector is ``P = q q^*``), the span
-    deficit of ``w`` and the kernel dimension of ``Y``, ``||G(u,f)||_F`` (the scale of the
-    commutation residuals), and the residuals of the dual commutation and
-    of ``Y Y^* = P`` with their accept decisions.  Certificates and
-    constructions read the triple from here, so a record cannot be paired
-    with another triple."""
+    sequence as the factor pair ``y_factors = (left, right)`` of its
+    member rows ``Y^t = conj(left @ right)`` (``_sequence_rows``), the
+    orthonormal basis ``q`` of span{w} (the span projector is ``P = q
+    q^*``), the span deficit of ``w`` and the kernel dimension of ``Y``,
+    ``||G(u,f)||_F`` (the scale of the commutation residuals), and the
+    residuals of the dual commutation and of ``Y Y^* = P`` with their
+    accept decisions.  Certificates and constructions read the triple
+    from here, so a record cannot be paired with another triple."""
 
     w: VectorFamily
     f: VectorFamily
     u: VectorFamily
     tol: Tolerance
-    y_rows: np.ndarray
+    y_factors: tuple[np.ndarray, np.ndarray]
     q: np.ndarray
     deficit: int
     kernel: int
@@ -174,9 +181,19 @@ class _DualSide:
 
     @property
     def sequence(self) -> VectorFamily:
-        """The characterizing sequence ``y`` as a family, sharing the
-        record's read-only ``y_rows``."""
-        return VectorFamily._factored(self.y_rows, label=f"charseq({self.w.label})")
+        """The characterizing sequence ``y`` as a family, its member rows
+        built from ``y_factors`` on each read."""
+        return VectorFamily._factored(
+            _sequence_rows(self.y_factors), label=f"charseq({self.w.label})"
+        )
+
+
+def _sequence_rows(y_factors: tuple, rows: slice = slice(None)) -> np.ndarray:
+    """Member rows ``rows`` of the characterizing sequence, ``conj(left[rows]
+    @ right)``, as a fresh C-ordered array."""
+    left, right = y_factors
+    out = np.dot(left[rows], right)
+    return np.conjugate(out, out=out)
 
 
 def _commutation_ok(residual, gram_norm, tol: Tolerance):
@@ -219,30 +236,33 @@ def _dual_side(
 ) -> _DualSide:
     """Evaluate the dual side once, with ``u`` paired to ``w`` member by
     member (``_dual_side_residuals``); the rank of ``Y``, which gives the
-    kernel dimension, is read off ``y_core``.  The rows of ``Y`` are formed
-    once, as ``Y^t = conj(F U^* conj(W~))`` in the order
-    ``np.linalg.multi_dot`` finds cheaper: ``(F U^*) conj(W~)``, at
-    O(M n K), when ``w`` has few members K, and ``F (U^* conj(W~))``, with
-    no count x count product, when it has many; only the small factors are
-    conjugated before the product.  Counts must match; the zero-padded
-    Gabor adjoint and its padded residual are handled in ``gabor``."""
+    kernel dimension, is read off ``y_core``.  The rows ``Y^t = conj(F U^*
+    conj(W~))`` of ``Y`` are not formed: the record keeps the two factors
+    of the association ``np.linalg.multi_dot`` finds cheaper, by its cost
+    rule, so the rows built from them are the ones it builds.  That is
+    ``(F U^*, conj(W~))``, an M x K and a K x n factor, when ``w`` has few
+    members K, and ``(F, U^* conj(W~))``, with no count x count product,
+    when it has many; only the small factors are conjugated.  Counts must
+    match; the zero-padded Gabor adjoint and its padded residual are
+    handled in ``gabor``."""
     _require_same_dim(w, f, u)
     _require_same_count(w, u)
     q = _span_factors(w, tol)[0]
     dual_rows = canonical_dual(w, tol).vectors
     y_core, gram_norm, dual_res, pars_res, pars_ok = _dual_side_residuals(
-        dual_rows.T, w.vectors, u.vectors, f.svd, q @ q.conj().T, tol
+        dual_rows.T, w.vectors, u.vectors, f._factors, q @ q.conj().T, tol
     )
-    y_rows = np.linalg.multi_dot(
-        [f.vectors, u.vectors.conj().T, np.conj(dual_rows)]
-    )
-    np.conjugate(y_rows, out=y_rows)
-    y_rows.flags.writeable = False
+    a, b, c = f.vectors, u.vectors.conj().T, np.conj(dual_rows)
+    (m, n), k = a.shape, c.shape[0]
+    if m * k * (n + n) < n * n * (m + k):  # multi_dot: (a b) c costs less
+        y_factors = (np.dot(a, b), c)
+    else:
+        y_factors = (a, np.dot(b, c))
     rank_y = singular_rank(np.linalg.svd(y_core, compute_uv=False), tol)
     dual_ok = _commutation_ok(dual_res, gram_norm, tol)
     deficit, kernel = w.ambient_dim - w.rank(tol), f.count - rank_y
     return _DualSide(
-        w, f, u, tol, y_rows, q, deficit, kernel, gram_norm, dual_res, dual_ok,
+        w, f, u, tol, y_factors, q, deficit, kernel, gram_norm, dual_res, dual_ok,
         pars_res, pars_ok,
     )
 
@@ -336,13 +356,7 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
     w_syn = w.vectors.T
     synth_res = float(np.max(np.linalg.norm(w_syn - generated, axis=0)))
     comm_res = frobenius(np.conj(v.vectors @ np.conj(vt_b)) - b)
-    # the rows of P V^t - Y are those of V conj(q) q^t - Y^t, with q the
-    # orthonormal basis of span{w}; their squared norms are summed in place
-    diff = (v.vectors @ np.conj(side.q)) @ side.q.T
-    diff -= side.y_rows
-    sq = diff.view(np.float64)
-    np.square(sq, out=sq)
-    proj_res = float(np.sqrt(np.max(sq.sum(axis=1))))
+    proj_res = _projection_residual(v.vectors, side.q, side.y_factors)
 
     w_scale = max(1.0, float(np.max(np.linalg.norm(w_syn, axis=0))))
     synth_ok = synth_res <= tol.threshold(w_scale)
@@ -382,6 +396,28 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
         abs_floor=tol.abs_floor,
         labels={"w": w.label, "f": f.label, "u": u.label, "v": v.label},
     )
+
+
+def _projection_residual(
+    v_rows: np.ndarray, q: np.ndarray, y_factors: tuple
+) -> float:
+    """``max_i ||P v_i - y_i||``: the rows of ``P V^t - Y^t`` are those of
+    ``V conj(q) q^t - Y^t``, with ``q`` the orthonormal basis of span{w}
+    and ``Y^t`` built from ``y_factors``.  They are formed and their
+    squared norms summed in place, ``_BLOCK_ROWS`` rows at a time, so no
+    count x n temporary exists.  A trailing block of one row is joined to
+    the one before it: a one-row product takes another BLAS path, and the
+    blocks give the rows of the one-shot products bit for bit."""
+    conj_q, count = np.conj(q), v_rows.shape[0]
+    starts = list(range(0, max(count - 1, 1), _BLOCK_ROWS)) + [count]
+    top = 0.0
+    for start, stop in zip(starts, starts[1:]):
+        diff = (v_rows[start:stop] @ conj_q) @ q.T
+        diff -= _sequence_rows(y_factors, slice(start, stop))
+        sq = diff.view(np.float64)
+        np.square(sq, out=sq)
+        top = max(top, float(np.max(sq.sum(axis=1))))
+    return float(np.sqrt(top))
 
 
 def certify_weak_r_dual(
@@ -532,17 +568,21 @@ def _isometric_extension_v(side: _DualSide, label: str) -> VectorFamily:
     """Build ``v = Y + Q*`` where ``Q*`` maps ``deficit`` orthonormal
     vectors of ker(Y) onto an orthonormal basis of the span complement
     of ``w`` and vanishes on the rest.  Any such vectors work; these are
-    the trailing right singular vectors of the leading ``rank(Y) +
-    deficit`` columns of ``Y``, extended by zeros (by interlacing, their
-    singular values are at most those of ``Y`` past its rank)."""
-    y_rows, deficit = side.y_rows, side.deficit
-    if deficit == 0:
-        return VectorFamily._factored(y_rows, label=label)
-    lead = y_rows.shape[0] - side.kernel + deficit
-    ker_lead = np.linalg.svd(y_rows[:lead].T)[2][lead - deficit :]
-    _, comp_basis = svd_rank_nullspace(np.conj(side.w.vectors), side.tol)
-    v_rows = y_rows.copy()
-    v_rows[:lead] += (comp_basis[:, :deficit] @ ker_lead).T
+    kernel vectors of the leading ``lead = rank(Y) + deficit`` columns of
+    ``Y``, extended by zeros.  Those columns lie in span{w} = range(q), so
+    ``Y_lead c = 0`` exactly when ``q^* Y_lead c = 0``, and the kernel is
+    the orthogonal complement of the range of the ``lead x rank`` block
+    ``Y_lead^* q = conj(Y_lead^t) q``: the trailing ``deficit`` columns of
+    the ``Q`` of its complete QR.  The rows of ``v`` are written once: the
+    rows of ``Y`` from ``y_factors``, then the kernel term added to the
+    leading ones in place."""
+    v_rows, deficit = _sequence_rows(side.y_factors), side.deficit
+    if deficit:
+        lead = v_rows.shape[0] - side.kernel + deficit
+        block = np.conj(v_rows[:lead]) @ side.q
+        ker_lead = np.linalg.qr(block, mode="complete")[0][:, lead - deficit :]
+        _, comp_basis = svd_rank_nullspace(np.conj(side.w.vectors), side.tol)
+        v_rows[:lead] += np.conj(ker_lead) @ comp_basis[:, :deficit].T
     return VectorFamily._factored(v_rows, label=label)
 
 
@@ -643,7 +683,7 @@ def _star(h: VectorFamily, cutoff: int, odd_slots: bool, mark: str) -> VectorFam
     start = 0 if odd_slots else 1
     out[start : 2 * cutoff : 2] = h.vectors[:cutoff]
     out[2 * cutoff :] = h.vectors[cutoff:]
-    return VectorFamily(out, label=f"{h.label}{mark}")
+    return VectorFamily._factored(out, label=f"{h.label}{mark}")
 
 
 def interleave_star(h: VectorFamily, cutoff: int) -> VectorFamily:

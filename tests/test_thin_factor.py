@@ -28,8 +28,10 @@ from framedual.frames import (
     span_projector,
     standard_basis_family,
 )
+from framedual import gabor
 from framedual.gabor import (
     GaborLattice,
+    _lattice_tables,
     adjoint_system,
     canonical_tight_window,
     divisor_lattices,
@@ -40,8 +42,11 @@ from framedual.gabor import (
 )
 from framedual.numerics import DEFAULT_TOL, singular_rank
 from framedual.rduality import (
+    _BLOCK_ROWS,
     PARSEVAL_GATE,
+    _dual_side,
     _gate_parseval,
+    _projection_residual,
     build_parseval_v,
     certify_weak_r_dual,
     commuting_parseval_family,
@@ -337,6 +342,47 @@ def test_certificate_matches_dense(quad):
     assert_matches(cert.to_json_dict(), dense_certificate(*quad))
 
 
+def test_sequence_rows_are_the_multi_dot_product():
+    # the dual side keeps Y^t as two factors; the rows built from them are
+    # those of the one-shot conj(F U^* conj(W~)), bit for bit, in either
+    # association (wide instances take (F U^*) conj(W~), tall and square
+    # ones F (U^* conj(W~)))
+    associations = set()
+    for _, (w, f, u, _) in _certificate_instances():
+        side = _dual_side(w, f, u, TOL)
+        dual_rows = canonical_dual(w, TOL).vectors
+        want = np.conj(
+            np.linalg.multi_dot([f.vectors, u.vectors.conj().T, np.conj(dual_rows)])
+        )
+        assert np.array_equal(side.sequence.vectors, want)
+        associations.add(side.y_factors[0] is f.vectors)
+    assert associations == {True, False}
+
+
+def _one_shot_projection_residual(v_rows, q, y_rows):
+    diff = (v_rows @ np.conj(q)) @ q.T - y_rows
+    sq = np.square(diff.view(np.float64))
+    return float(np.sqrt(np.max(sq.sum(axis=1))))
+
+
+@pytest.mark.parametrize("dim,k", [(8, 2), (5, 3)])
+@pytest.mark.parametrize(
+    "count",
+    [_BLOCK_ROWS - 7, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 37],
+    ids=["below", "one-block", "one-block-plus-one", "not-a-multiple"],
+)
+def test_blocked_projection_residual_equals_one_shot(dim, k, count):
+    # (8, 2) keeps the factors (F U^*, conj(W~)), (5, 3) the factors
+    # (F, U^* conj(W~)); the blocks give the one-shot rows bit for bit
+    rng = np.random.default_rng([dim, k, count])
+    w, u = random_frame(rng, k, dim), random_frame(rng, k, dim)
+    f, v = random_frame(rng, count, dim), random_frame(rng, count, dim)
+    side = _dual_side(w, f, u, TOL)
+    got = _projection_residual(v.vectors, side.q, side.y_factors)
+    want = _one_shot_projection_residual(v.vectors, side.q, side.sequence.vectors)
+    assert got == want
+
+
 # ----------------------------------------------------------------------
 # Gabor: every divisor lattice with N <= 24
 # ----------------------------------------------------------------------
@@ -379,6 +425,53 @@ def test_seeded_factors_match_dense_on_every_lattice():
         np.testing.assert_allclose(vh @ vh.conj().T, np.eye(k), atol=TOL.threshold(1.0))
         np.testing.assert_allclose((u * s) @ vh, t, atol=TOL.threshold(dense[0]))
         checked += 1
+    assert checked > 700
+
+
+def eager_translates(windows, N, time_step, freq_step, n_times, n_freqs, scale=1.0):
+    """The member rows and the thin SVD ``(U, s, Vh)`` of a stack of
+    systems, all assembled at once from the coset blocks: the oracle for
+    the assemblers, which build ``Vh`` only when it is read."""
+    phase, shift, coset, coset_phase = _lattice_tables(
+        N, time_step, freq_step, n_times, n_freqs
+    )
+    g, L = windows.shape[0], n_freqs
+    rows = (scale * phase)[:, None, :] * windows[:, None, shift]
+    u_r, sigma, vh_r = np.linalg.svd(windows[:, coset], full_matrices=False)
+    k = sigma.shape[-1]
+    sigma = sigma.reshape(g, L * k)
+    order = np.argsort(-sigma, axis=-1, kind="stable")
+    r, i = np.divmod(order, k)
+    stack, col = np.arange(g)[:, None], np.arange(L * k)
+    u = np.zeros((g, freq_step, L, L * k), dtype=np.complex128)
+    u[stack, :, r, col] = u_r[stack, r, :, i]
+    vh = coset_phase[r][..., None] * vh_r[stack, r, i][..., None, :]
+    factors = (
+        u.reshape(g, N, L * k),
+        (scale * np.sqrt(L)) * np.take_along_axis(sigma, order, axis=-1),
+        vh.reshape(g, L * k, L * n_times),
+    )
+    return rows.reshape(g, n_freqs * n_times, N), factors
+
+
+def test_on_demand_factors_equal_the_eager_assembly_on_every_lattice():
+    checked = 0
+    for N in range(1, 25):
+        for lat in divisor_lattices(N):
+            sys = gabor_system(lat, _window(lat, 11))
+            kappa = np.sqrt(N / (lat.a * lat.b))
+            adjoint_shape = (N, N // lat.b, N // lat.a, lat.b, lat.a, kappa)
+            shapes = [
+                (sys.family, (N, lat.a, lat.b, N // lat.a, N // lat.b)),
+                (adjoint_system(sys).family, adjoint_shape),
+            ]
+            for fam, shape in shapes:
+                rows, factors = eager_translates(sys.window[None], *shape)
+                assert callable(fam._factors[2])  # Vh not yet assembled
+                assert np.array_equal(fam.vectors, rows[0])
+                for got, want in zip(fam.svd, factors):
+                    assert np.array_equal(got, want[0])
+                checked += 1
     assert checked > 700
 
 
@@ -613,7 +706,8 @@ def test_tight_pipeline_peak_memory_below_one_gram():
 
 
 def test_gabor_system_adopts_its_rows():
-    # the rows and the factors are built once and adopted, not copied
+    # the rows, U and s are built once and adopted, not copied, and the
+    # M-column Vh is not built at all
     lat = GaborLattice(96, 2, 2)
     window = _window(lat, 10)
     member_array = lat.member_count * lat.N * 16  # one M x N complex128
@@ -624,12 +718,50 @@ def test_gabor_system_adopts_its_rows():
     finally:
         tracemalloc.stop()
     assert not sys.family.vectors.flags.writeable
-    assert peak < 2.5 * member_array, peak / member_array
+    assert peak < 1.5 * member_array, peak / member_array
+
+
+def test_tight_pipeline_from_a_window_peak_below_three_member_arrays():
+    # from the window to the result, the M x n arrays are the system rows,
+    # which the certificate reads, and v, the result: the characterizing
+    # sequence stays factored and the projection residual is blocked
+    lat = GaborLattice(96, 2, 2)
+    window = canonical_tight_window(lat, _window(lat, 10))
+    member_array = lat.member_count * lat.N * 16
+    tracemalloc.start()
+    try:
+        res = tight_gabor_weak_r_dual(gabor_system(lat, window))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.certificate.verdict == "WeakRDual"
+    assert peak < 3 * member_array, peak / member_array
+
+
+def test_tight_pipeline_never_assembles_the_system_vh(monkeypatch):
+    # the adjoint's a b x a b Vh is read by its canonical dual; the system's
+    # Vh, with M columns, is read by nothing in the pipeline
+    lat = GaborLattice(24, 2, 2)
+    counts = []
+    assemble = gabor._assemble_vh
+
+    def recorded(c):
+        counts.append(c.n_freqs * c.n_times)
+        return assemble(c)
+
+    monkeypatch.setattr(gabor, "_assemble_vh", recorded)
+    sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 12)))
+    res = tight_gabor_weak_r_dual(sys)
+    assert res.certificate.verdict == "WeakRDual"
+    assert lat.member_count not in counts, counts
+    assert callable(sys.family._factors[2])
+    sys.family.svd  # reading svd assembles it, through the wrapper
+    assert counts[-1] == lat.member_count
 
 
 def test_tight_pipeline_peak_memory_below_five_member_arrays():
-    # on a prebuilt system, the pipeline keeps the rows of Y and of v and
-    # one certificate product: no M x n array that nothing reads
+    # on a prebuilt system, the pipeline writes v and no M x n array that
+    # nothing reads
     lat = GaborLattice(96, 2, 2)
     sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 10)))
     sys.family.svd
