@@ -16,7 +16,7 @@ import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -61,13 +61,26 @@ def _members(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _RowsOnDemand:
+    """Member rows that a family builds only when they are read: their
+    ``shape``, ``assemble()``, which builds them, and ``times(x)``, which
+    is ``assemble() @ x`` taken without building them."""
+
+    shape: tuple[int, int]
+    assemble: Callable[[], np.ndarray]
+    times: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
 class VectorFamily:
     """Ordered finite family of complex vectors in ``C^ambient_dim``.
 
     ``vectors`` has one member per row.  Zero members are permitted.
     ``svd`` is the family's one factorization; everything else reads it,
     and what needs only ``U`` and ``s`` reads ``_factors[:2]``, which
-    does not assemble a ``Vh`` that is built on demand.
+    does not assemble a ``Vh`` that is built on demand.  Products
+    ``vectors @ x`` go through ``_times``, which does not assemble rows
+    that are built on demand.
     """
 
     vectors: np.ndarray
@@ -77,18 +90,34 @@ class VectorFamily:
         v = np.array(self.vectors, dtype=np.complex128, order="C")
         object.__setattr__(self, "vectors", _members(v))
 
+    def __getattr__(self, name: str):
+        # Reached only when ``name`` is not set: the ``vectors`` of a family
+        # built with rows on demand are assembled, checked and cached on
+        # their first read.
+        on_demand = self.__dict__.get("_on_demand")
+        if name != "vectors" or on_demand is None:
+            raise AttributeError(name)
+        rows = np.ascontiguousarray(on_demand.assemble(), dtype=np.complex128)
+        self.__dict__["vectors"] = rows = _members(rows)
+        return rows
+
+    @property
+    def _shape(self) -> tuple[int, int]:
+        on_demand = self.__dict__.get("_on_demand")
+        return self.vectors.shape if on_demand is None else on_demand.shape
+
     @property
     def count(self) -> int:
-        return self.vectors.shape[0]
+        return self._shape[0]
 
     @property
     def ambient_dim(self) -> int:
-        return self.vectors.shape[1]
+        return self._shape[1]
 
     @classmethod
     def _factored(
         cls,
-        vectors: np.ndarray,
+        vectors: np.ndarray | _RowsOnDemand,
         factors: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
         label: str = "",
     ) -> "VectorFamily":
@@ -96,14 +125,20 @@ class VectorFamily:
         the read-only members of another family: ``vectors`` is adopted,
         not copied (it is made C-contiguous complex128 only if it is not),
         checked like the public constructor's input and made read-only, so
-        no caller may write to it afterwards.  ``factors``, when given,
-        must be the thin SVD of the synthesis matrix of ``vectors``
-        (``min(count, dim)`` triples, ``s`` descending) and becomes ``svd``
-        without being recomputed; its ``Vh`` may be a function that
-        assembles it, called the first time ``svd`` is read."""
+        no caller may write to it afterwards.  ``vectors`` may instead be
+        ``_RowsOnDemand``: the rows are then assembled, and checked, the
+        first time ``vectors`` is read, and ``_times`` never assembles
+        them.  ``factors``, when given, must be the thin SVD of the
+        synthesis matrix of ``vectors`` (``min(count, dim)`` triples, ``s``
+        descending) and becomes ``svd`` without being recomputed; its
+        ``Vh`` may be a function that assembles it, called the first time
+        ``svd`` is read."""
         fam = cls.__new__(cls)
-        v = np.ascontiguousarray(vectors, dtype=np.complex128)
-        object.__setattr__(fam, "vectors", _members(v))
+        if isinstance(vectors, _RowsOnDemand):
+            fam.__dict__["_on_demand"] = vectors
+        else:
+            v = np.ascontiguousarray(vectors, dtype=np.complex128)
+            object.__setattr__(fam, "vectors", _members(v))
         object.__setattr__(fam, "label", label)
         if factors is not None:
             fam.__dict__["_factors"] = _read_only(factors)
@@ -128,6 +163,14 @@ class VectorFamily:
             self.__dict__["_factors"] = _read_only((u, s, vh()))
         return self._factors
 
+    def _times(self, x: np.ndarray) -> np.ndarray:
+        """``vectors @ x`` for an ``ambient_dim x p`` matrix ``x``.  Rows
+        given on demand are never assembled for it: their ``times`` takes
+        the product whether or not the rows have been read, so a result
+        does not depend on what was read before."""
+        on_demand = self.__dict__.get("_on_demand")
+        return self.vectors @ x if on_demand is None else on_demand.times(x)
+
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
         return singular_rank(self._factors[1], tol)
 
@@ -138,10 +181,12 @@ class VectorFamily:
         return self.count
 
     def relabel(self, label: str) -> "VectorFamily":
-        """The same members under ``label``: the read-only rows are shared,
-        and known factors are carried over instead of recomputed."""
-        factors = self.__dict__.get("_factors")
-        return VectorFamily._factored(self.vectors, factors, label)
+        """The same members under ``label``: the read-only rows (or the
+        rows on demand) are shared, and known factors are carried over
+        instead of recomputed."""
+        fam = VectorFamily.__new__(VectorFamily)
+        fam.__dict__.update(self.__dict__, label=label)
+        return fam
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,15 @@ phases exp(2 pi i m r / L), and rows of different residues are
 orthogonal, so one batched SVD of the L blocks factors the system
 (``_coset_svd``; the adjoint is the same on its lattice).  The member
 rows, ``U`` and ``Vh`` are assembled from the blocks by separate
-functions.  A family is born with its rows, ``U`` and singular values;
-its ``Vh``, an array as large as its rows, is assembled only when
-something reads ``svd`` in full, which nothing in the tight pipeline
-does for the system.  ``canonical_tight_window`` reads the one column of
-``Vh`` it needs straight from the blocks.  The factorization takes a
+functions.  A family is born with ``U`` and its singular values alone.
+Its rows and its ``Vh``, each an array with the member count along one
+axis, are assembled only when something reads ``vectors`` or ``svd``
+in full, which nothing in the tight pipeline or the duality check does
+for the system: a product ``rows @ x`` is taken from the blocks
+(``_coset_product``), and the rows, when they are built, are finite
+because ``_checked_windows`` checked the window.
+``canonical_tight_window`` reads the one column of ``Vh`` it needs
+straight from the blocks.  The factorization takes a
 stack of windows on one lattice: ``gabor_system`` and ``adjoint_system``
 pass a stack of one, and the exploration passes every trial of a lattice
 at once, after settling frame and tightness from the blocks' singular
@@ -65,6 +69,7 @@ from .errors import (
 )
 from .frames import (
     VectorFamily,
+    _RowsOnDemand,
     _is_tight,
     analyze,
     random_frame,
@@ -76,9 +81,9 @@ from .rduality import (
     _certificate,
     _commutation_ok,
     _dual_side,
-    _dual_side_residuals,
     _orthonormal_v,
     _parseval_v,
+    _span_residuals,
 )
 
 __all__ = [
@@ -244,6 +249,22 @@ def _assemble_rows(c: _Cosets) -> np.ndarray:
     return rows.reshape(len(c.windows), c.n_freqs * c.n_times, c.N)
 
 
+def _coset_product(c: _Cosets, x: np.ndarray) -> np.ndarray:
+    """``rows @ x`` for each system of the stack, ``(g, M, p)`` for an
+    ``N x p`` matrix ``x``, without the rows.  The member ``(m, n)`` is
+    ``scale * phase[m, t] * G_r[k, n]`` at ``t = r + k L``, and ``phase[m,
+    t] = exp(2 pi i m r / L)``, so its product with ``x`` is ``scale *
+    sum_r exp(2 pi i m r / L) H_r[n]`` with ``H_r = G_r^t x_r`` and ``x_r``
+    the rows ``r + k L`` of ``x``: one batched product of the blocks and
+    an unnormalized L-point inverse DFT over the residues ``r``."""
+    blocks = c.windows[:, c.tables[2]]  # (g, L, freq_step, n_times)
+    x_r = x.reshape(c.freq_step, c.n_freqs, -1).swapaxes(0, 1)
+    h = blocks.swapaxes(-1, -2) @ x_r  # (g, L, n_times, p)
+    out = np.fft.ifft(h, axis=1, norm="forward")
+    out *= c.scale
+    return out.reshape(len(c.windows), c.n_freqs * c.n_times, -1)
+
+
 def _assemble_u(c: _Cosets) -> np.ndarray:
     """The left factors ``U``, ``(g, N, L k)``: ``U_r`` on the rows of
     residue ``r``."""
@@ -283,7 +304,11 @@ def _adjoint_cosets(windows: np.ndarray, lat: GaborLattice) -> _Cosets:
 
 def _checked_windows(windows: np.ndarray, N: int) -> np.ndarray:
     """A ``(g, N)`` stack of windows as complex128, after the checks every
-    system makes on its window: length N, finite entries, nonzero norm."""
+    system makes on its window: length N, finite entries, nonzero norm.
+    The member rows are window entries times a scale and unit phases, so
+    products taken from the coset blocks, which never build the rows,
+    rest on this check; rows assembled on demand are checked again when
+    they are read."""
     w = np.asarray(windows, dtype=np.complex128)
     if w.shape[1:] != (N,):
         raise ShapeMismatchError(f"window must have length {N}, got {w.shape[1:]}")
@@ -295,11 +320,16 @@ def _checked_windows(windows: np.ndarray, N: int) -> np.ndarray:
 
 
 def _family(c: _Cosets, label: str) -> VectorFamily:
-    """The family of a stack of one: its rows, ``U`` and ``s`` now, and
-    ``Vh`` assembled when something reads it."""
+    """The family of a stack of one: ``U`` and ``s`` now, its rows and
+    ``Vh`` assembled when something reads them, and its products with
+    the rows taken from the blocks."""
+    rows = _RowsOnDemand(
+        (c.n_freqs * c.n_times, c.N),
+        lambda: _assemble_rows(c)[0],
+        lambda x: _coset_product(c, x)[0],
+    )
     return VectorFamily._factored(
-        _assemble_rows(c)[0], (_assemble_u(c)[0], c.s[0], lambda: _assemble_vh(c)[0]),
-        label=label,
+        rows, (_assemble_u(c)[0], c.s[0], lambda: _assemble_vh(c)[0]), label=label
     )
 
 
@@ -582,26 +612,30 @@ def _gated_evidence(
     not tight, stacked over the windows: one factorization of the systems,
     one of their adjoints (the unpadded ``w0``) and one tightening of the
     ``randomized_parseval`` Gaussians, each drawn from its trial's
-    generator in order.  The w-only part (canonical dual, projector,
-    Parseval tightening) is computed once per window and shared by both
-    candidates, whose dual sides are one call of ``_dual_side_residuals``
-    on the unpadded slots, completed by the padded dual-commutation
-    residual.  ``conjugated_dual`` (the conjugated Parseval tightening of
-    ``w0``) has the a b unpadded members, as its padded members would be
-    zero."""
+    generator in order.  The w-only part (span basis, canonical dual
+    factor, Parseval tightening) is computed once per window and shared
+    by both candidates, whose dual sides are one call of
+    ``_span_residuals`` on the unpadded slots, completed by the padded
+    dual-commutation residual.  ``conjugated_dual`` (the conjugated
+    Parseval tightening of ``w0``) has the a b unpadded members, as its
+    padded members would be zero."""
     N, K, M = lat.N, lat.adjoint_count, lat.member_count
     f = _system_cosets(windows, lat)
     f_u, f_s = _assemble_u(f), f.s
     w = _adjoint_cosets(windows, lat)
     w_rows, w_u, w_s, w_vh = _assemble_rows(w), _assemble_u(w), w.s, _assemble_vh(w)
-    # the w-only part from the rank-r factors (the other columns zeroed):
-    # projector U_r U_r^*, canonical dual U_r diag(1/s_r) Vh_r and
-    # Parseval tightening U_r Vh_r, as syntheses
+    # the w-only part from the rank-r factors, padded to a common width
+    # with zeros: the span basis q = U_r, the canonical dual factor
+    # diag(1/s_r) Vh_r and the Parseval tightening U_r Vh_r (a synthesis);
+    # in span coordinates the identity is the diagonal rank mask
     w_rank = singular_rank(w_s, tol)
     keep = (np.arange(w_s.shape[-1]) < w_rank[:, None])[:, None, :]
     q = np.where(keep, w_u, 0)
-    q_over_s = np.divide(w_u, w_s[:, None, :], out=np.zeros_like(w_u), where=keep)
-    dual_syn, tight_syn = q_over_s @ w_vh, q @ w_vh
+    inv_vh = np.divide(
+        w_vh, w_s[..., None], out=np.zeros_like(w_vh), where=keep.swapaxes(-1, -2)
+    )
+    span_eye = np.eye(w_s.shape[-1]) * keep
+    tight_syn = q @ w_vh
 
     gauss = np.stack([random_frame(rng, M, N).vectors for rng in rngs])
     g_u, g_s, g_vh = _svd(gauss.swapaxes(-1, -2), full_matrices=False)
@@ -610,9 +644,9 @@ def _gated_evidence(
 
     u_syn = (np.conj(tight_syn), rand_syn)
     heads = np.stack([syn[..., :K].swapaxes(-1, -2) for syn in u_syn], axis=1)
-    _, gram_norm, dual_res, pars_res, pars_ok = _dual_side_residuals(
-        dual_syn[:, None], w_rows[:, None], heads, (f_u[:, None], f_s[:, None]),
-        (q @ q.conj().swapaxes(-1, -2))[:, None], tol,
+    _, gram_norm, dual_res, pars_res, pars_ok = _span_residuals(
+        q[:, None], inv_vh[:, None], w_rows[:, None], heads,
+        (f_u[:, None], f_s[:, None]), span_eye[:, None], tol,
     )
     tail_norm = _adjoint_product_norm(rand_syn[..., K:].swapaxes(-1, -2), (f_u, f_s))
     tails = np.stack([np.zeros_like(tail_norm), tail_norm], axis=1)

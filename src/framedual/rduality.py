@@ -22,16 +22,19 @@ and K that of ``w`` and ``u``, only the frame operator of ``v``, which may
 be any family, costs O(M n^2), and it is one real symmetric product
 (``frames.frame_operator``).  Products on ``u`` and ``w`` cost O(K n^2),
 and every other product is re-associated through the thin SVDs the
-families carry, at O(M n rank) with the rank of ``u`` or ``w``, or
-O(n^3): each ``X H^*`` as ``X conj(U_h) diag(s_h)`` (the factor
-``conj(Vh_h)`` has orthonormal rows, so norms and Grams are unchanged),
-``V^t G(f,u)`` as ``(V^t B) conj(Vh_u)`` with ``B = F conj(U_u)
-diag(s_u)``, and the projector ``P = q q^*`` of span{w} through its
-orthonormal basis ``q``.  The characterizing sequence is kept as the two
-factors of its member rows, an M x K and a K x n one when K is small:
-its rows are built when the sequence is read, the constructed ``v`` is
-written once from the factors, and the certificate reads its projection
-residual against them in blocks of rows, with no M x n temporary.
+families carry, at O(M n rank) with the rank of ``u`` or ``w``: each
+``X H^*`` as ``X conj(U_h) diag(s_h)`` (the factor ``conj(Vh_h)`` has
+orthonormal rows, so norms and Grams are unchanged), and ``V^t G(f,u)``
+as ``(V^t B) conj(Vh_u)`` with ``B = F conj(U_u) diag(s_u)``.  Products
+with the rows of ``f`` go through ``VectorFamily._times``, so a Gabor
+system takes them from its coset blocks and never builds its rows.  The
+dual side is evaluated in the coordinates of an orthonormal basis ``q``
+of span{w} (``_span_residuals``), where every operand has the rank of
+``w`` along one axis.  The characterizing sequence is kept as the M x
+rank factor ``left`` of its member rows ``Y^t = conj(left q^*)``: its
+rows are built when the sequence is read, the constructed ``v`` is
+written once from ``left``, and the certificate reads its projection
+residual as the row norms of ``V conj(q) - conj(left)``.
 """
 
 from __future__ import annotations
@@ -110,10 +113,6 @@ __all__ = [
 # used to produce unambiguous negative verdicts.
 PARSEVAL_GATE = 5e-2
 
-# Rows per block of the certificate's projection residual: a block's
-# temporaries stay small, whatever the member count.
-_BLOCK_ROWS = 128
-
 
 def _require_same_dim(*fams: VectorFamily) -> int:
     dims = {f.ambient_dim for f in fams}
@@ -155,21 +154,21 @@ def _adjoint_product_norm(x: np.ndarray, h_svd: tuple) -> float:
 @dataclass(frozen=True)
 class _DualSide:
     """The dual side of one triple ``(w, f, u)`` under ``tol``, with the
-    triple and the tolerance it was evaluated for: the characterizing
-    sequence as the factor pair ``y_factors = (left, right)`` of its
-    member rows ``Y^t = conj(left @ right)`` (``_sequence_rows``), the
-    orthonormal basis ``q`` of span{w} (the span projector is ``P = q
-    q^*``), the span deficit of ``w`` and the kernel dimension of ``Y``,
-    ``||G(u,f)||_F`` (the scale of the commutation residuals), and the
-    residuals of the dual commutation and of ``Y Y^* = P`` with their
-    accept decisions.  Certificates and constructions read the triple
-    from here, so a record cannot be paired with another triple."""
+    triple and the tolerance it was evaluated for: the orthonormal basis
+    ``q`` of span{w} (the span projector is ``P = q q^*``), the M x rank
+    factor ``left`` of the characterizing sequence's member rows ``Y^t =
+    conj(left q^*)`` (``_sequence_rows``), the span deficit of ``w`` and
+    the kernel dimension of ``Y``, ``||G(u,f)||_F`` (the scale of the
+    commutation residuals), and the residuals of the dual commutation and
+    of ``Y Y^* = P`` with their accept decisions.  Certificates and
+    constructions read the triple from here, so a record cannot be paired
+    with another triple."""
 
     w: VectorFamily
     f: VectorFamily
     u: VectorFamily
     tol: Tolerance
-    y_factors: tuple[np.ndarray, np.ndarray]
+    left: np.ndarray
     q: np.ndarray
     deficit: int
     kernel: int
@@ -182,18 +181,16 @@ class _DualSide:
     @property
     def sequence(self) -> VectorFamily:
         """The characterizing sequence ``y`` as a family, its member rows
-        built from ``y_factors`` on each read."""
+        built from ``left`` and ``q`` on each read."""
         return VectorFamily._factored(
-            _sequence_rows(self.y_factors), label=f"charseq({self.w.label})"
+            _sequence_rows(self), label=f"charseq({self.w.label})"
         )
 
 
-def _sequence_rows(y_factors: tuple, rows: slice = slice(None)) -> np.ndarray:
-    """Member rows ``rows`` of the characterizing sequence, ``conj(left[rows]
-    @ right)``, as a fresh C-ordered array."""
-    left, right = y_factors
-    out = np.dot(left[rows], right)
-    return np.conjugate(out, out=out)
+def _sequence_rows(side: _DualSide) -> np.ndarray:
+    """The member rows ``Y^t = conj(left q^*) = conj(left) q^t`` of the
+    characterizing sequence, as a fresh C-ordered array."""
+    return np.conj(side.left) @ side.q.T
 
 
 def _commutation_ok(residual, gram_norm, tol: Tolerance):
@@ -202,67 +199,67 @@ def _commutation_ok(residual, gram_norm, tol: Tolerance):
     return residual <= tol.threshold(np.maximum(1.0, gram_norm))
 
 
-def _dual_side_residuals(
-    dual_syn: np.ndarray,
+def _span_residuals(
+    q: np.ndarray,
+    inv_vh: np.ndarray,
     w_rows: np.ndarray,
     u_rows: np.ndarray,
     f_svd: tuple,
-    projector: np.ndarray,
+    span_eye: np.ndarray,
     tol: Tolerance,
 ) -> tuple:
-    """The arithmetic of the dual side, on operands that may carry leading
-    stack axes (broadcast against each other): ``dual_syn`` is the
-    synthesis ``W~^t`` of the canonical dual of ``w``, ``w_rows`` and
-    ``u_rows`` are the members, ``f_svd`` is the thin SVD of ``f`` and
-    ``projector`` the span projector ``P`` of ``w``.
+    """The arithmetic of the dual side in the coordinates of the
+    orthonormal basis ``q`` of span{w}, on operands that may carry
+    leading stack axes (broadcast against each other).  The synthesis of
+    the canonical dual of ``w`` is ``W~^t = q C`` with ``C = inv_vh =
+    diag(1/s_r) Vh_r``; ``w_rows`` and ``u_rows`` are the members, and
+    ``f_svd`` is the thin SVD of ``f``.  With ``A = U conj(U_f)
+    diag(s_f)``, which is ``G(u,f) = U F^*`` without its trailing factor
+    ``conj(Vh_f)`` (``_adjoint_factor``), and ``c = C A``, the sequence
+    is ``Y = W~^t G(u,f) = q c conj(Vh_f)``; ``q`` has orthonormal
+    columns and ``conj(Vh_f)`` orthonormal rows, so ``c`` has the
+    singular values of ``Y``.
 
-    Returns ``y_core = (W~^t U) conj(U_f) diag(s_f)``, which is ``Y =
-    (W~^t U) F^*`` without its trailing factor ``conj(Vh_f)``
-    (``_adjoint_factor``), so it has the Gram ``Y Y^*`` and the singular
-    values of ``Y``; ``||G(u,f)||_F``, ``||(G(w~,w)^t - I) G(u,f)||_F =
-    ||(conj(W) W~^t U - U) F^*||_F``, ``||Y Y^* - P||_F = ||y_core y_core^*
-    - P||_F`` and the accept decision of the last."""
-    core = dual_syn @ u_rows
-    y_core = _adjoint_factor(core, f_svd)
-    gram_norm = _adjoint_product_norm(u_rows, f_svd)
-    dual_res = _adjoint_product_norm(np.conj(w_rows) @ core - u_rows, f_svd)
-    pars_res = frobenius(y_core @ y_core.conj().swapaxes(-1, -2) - projector)
-    pars_ok = pars_res <= tol.threshold(np.maximum(1.0, frobenius(projector)))
-    return y_core, gram_norm, dual_res, pars_res, pars_ok
+    Returns ``c``; ``||A||_F = ||G(u,f)||_F``; ``||(conj(W) q C - I)
+    A||_F = ||(G(w~,w)^t - I) G(u,f)||_F``; ``||c c^* - span_eye||_F =
+    ||Y Y^* - P||_F`` and the accept decision of the last.  ``span_eye``
+    is the identity of the span coordinates, ``I_r``; a stack padded to a
+    common width with zero columns of ``q`` and zero rows of ``C`` passes
+    the diagonal mask of each rank instead."""
+    a = _adjoint_factor(u_rows, f_svd)
+    c = inv_vh @ a
+    gram_norm = frobenius(a)
+    dual_res = frobenius((np.conj(w_rows) @ q) @ c - a)
+    pars_res = frobenius(c @ c.conj().swapaxes(-1, -2) - span_eye)
+    pars_ok = pars_res <= tol.threshold(np.maximum(1.0, frobenius(span_eye)))
+    return c, gram_norm, dual_res, pars_res, pars_ok
 
 
 def _dual_side(
     w: VectorFamily, f: VectorFamily, u: VectorFamily, tol: Tolerance
 ) -> _DualSide:
     """Evaluate the dual side once, with ``u`` paired to ``w`` member by
-    member (``_dual_side_residuals``); the rank of ``Y``, which gives the
-    kernel dimension, is read off ``y_core``.  The rows ``Y^t = conj(F U^*
-    conj(W~))`` of ``Y`` are not formed: the record keeps the two factors
-    of the association ``np.linalg.multi_dot`` finds cheaper, by its cost
-    rule, so the rows built from them are the ones it builds.  That is
-    ``(F U^*, conj(W~))``, an M x K and a K x n factor, when ``w`` has few
-    members K, and ``(F, U^* conj(W~))``, with no count x count product,
-    when it has many; only the small factors are conjugated.  Counts must
-    match; the zero-padded Gabor adjoint and its padded residual are
-    handled in ``gabor``."""
+    member, in span coordinates (``_span_residuals``); the rank of ``Y``,
+    which gives the kernel dimension, is read off the rank x min(n, M)
+    matrix ``c``.  The rows ``Y^t = conj(F U^* conj(W~))`` of ``Y`` are not
+    formed: with ``W~^t = q C`` they are ``conj(left q^*)``, and the record
+    keeps ``left = F conj(C U)^t``, an M x rank product taken by
+    ``f._times``.  Neither the canonical dual's rows nor an n x n product
+    is formed.  Counts must match; the zero-padded Gabor adjoint and its
+    padded residual are handled in ``gabor``."""
     _require_same_dim(w, f, u)
     _require_same_count(w, u)
-    q = _span_factors(w, tol)[0]
-    dual_rows = canonical_dual(w, tol).vectors
-    y_core, gram_norm, dual_res, pars_res, pars_ok = _dual_side_residuals(
-        dual_rows.T, w.vectors, u.vectors, f._factors, q @ q.conj().T, tol
+    q, s_r, vh_r = _span_factors(w, tol)
+    inv_vh = vh_r / s_r[:, None]
+    c, gram_norm, dual_res, pars_res, pars_ok = _span_residuals(
+        q, inv_vh, w.vectors, u.vectors, f._factors, np.eye(q.shape[1]), tol
     )
-    a, b, c = f.vectors, u.vectors.conj().T, np.conj(dual_rows)
-    (m, n), k = a.shape, c.shape[0]
-    if m * k * (n + n) < n * n * (m + k):  # multi_dot: (a b) c costs less
-        y_factors = (np.dot(a, b), c)
-    else:
-        y_factors = (a, np.dot(b, c))
-    rank_y = singular_rank(np.linalg.svd(y_core, compute_uv=False), tol)
+    left = f._times(np.conj(inv_vh @ u.vectors).T)
+    rank_y = singular_rank(np.linalg.svd(c, compute_uv=False), tol)
     dual_ok = _commutation_ok(dual_res, gram_norm, tol)
-    deficit, kernel = w.ambient_dim - w.rank(tol), f.count - rank_y
+    deficit, kernel = w.ambient_dim - q.shape[1], f.count - rank_y
     return _DualSide(
-        w, f, u, tol, y_factors, q, deficit, kernel, gram_norm, dual_res, dual_ok,
+        w, f, u, tol, left, q, deficit, kernel, gram_norm, dual_res, dual_ok,
         pars_res, pars_ok,
     )
 
@@ -350,13 +347,19 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
     # (V^t B) conj(Vh_u), and (G(v,v)^t - I) G(f,u) = (conj(V) V^t B - B)
     # conj(Vh_u) has the norm of conj(V) V^t B - B, as conj(Vh_u) has
     # orthonormal rows; conj(V) X is taken as conj(V conj(X)).
-    b = _adjoint_factor(f.vectors, u.svd)  # (M, min(n, K))
+    u_u, s_u, vh_u = u.svd
+    b = f._times(np.conj(u_u)) * s_u  # (M, min(n, K))
     vt_b = v.vectors.T @ b
-    generated = vt_b @ np.conj(u.svd[2])  # columns: sum_i <f_i,u_j> v_i
+    generated = vt_b @ np.conj(vh_u)  # columns: sum_i <f_i,u_j> v_i
     w_syn = w.vectors.T
     synth_res = float(np.max(np.linalg.norm(w_syn - generated, axis=0)))
     comm_res = frobenius(np.conj(v.vectors @ np.conj(vt_b)) - b)
-    proj_res = _projection_residual(v.vectors, side.q, side.y_factors)
+    # The rows of P V^t - Y^t are those of (V conj(q) - conj(left)) q^t,
+    # and q^t has orthonormal rows, so max_i ||P v_i - y_i|| is the largest
+    # row norm of the count x rank matrix V conj(q) - conj(left).
+    in_span = v.vectors @ np.conj(side.q)
+    in_span -= np.conj(side.left)
+    proj_res = float(np.max(np.linalg.norm(in_span, axis=1)))
 
     w_scale = max(1.0, float(np.max(np.linalg.norm(w_syn, axis=0))))
     synth_ok = synth_res <= tol.threshold(w_scale)
@@ -398,28 +401,6 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
     )
 
 
-def _projection_residual(
-    v_rows: np.ndarray, q: np.ndarray, y_factors: tuple
-) -> float:
-    """``max_i ||P v_i - y_i||``: the rows of ``P V^t - Y^t`` are those of
-    ``V conj(q) q^t - Y^t``, with ``q`` the orthonormal basis of span{w}
-    and ``Y^t`` built from ``y_factors``.  They are formed and their
-    squared norms summed in place, ``_BLOCK_ROWS`` rows at a time, so no
-    count x n temporary exists.  A trailing block of one row is joined to
-    the one before it: a one-row product takes another BLAS path, and the
-    blocks give the rows of the one-shot products bit for bit."""
-    conj_q, count = np.conj(q), v_rows.shape[0]
-    starts = list(range(0, max(count - 1, 1), _BLOCK_ROWS)) + [count]
-    top = 0.0
-    for start, stop in zip(starts, starts[1:]):
-        diff = (v_rows[start:stop] @ conj_q) @ q.T
-        diff -= _sequence_rows(y_factors, slice(start, stop))
-        sq = diff.view(np.float64)
-        np.square(sq, out=sq)
-        top = max(top, float(np.max(sq.sum(axis=1))))
-    return float(np.sqrt(top))
-
-
 def certify_weak_r_dual(
     w: VectorFamily,
     f: VectorFamily,
@@ -449,7 +430,7 @@ def weak_r_dual(
     _gate_parseval(u, tol, "u")
     _gate_parseval(v, tol, "v")
     w_syn = (v.vectors.T @ f.vectors) @ u.vectors.conj().T
-    w = VectorFamily(w_syn.T, label=f"wrd({f.label})")
+    w = VectorFamily._factored(w_syn.T, label=f"wrd({f.label})")
     return w, _certificate(_dual_side(w, f, u, tol), v)
 
 
@@ -572,15 +553,16 @@ def _isometric_extension_v(side: _DualSide, label: str) -> VectorFamily:
     ``Y``, extended by zeros.  Those columns lie in span{w} = range(q), so
     ``Y_lead c = 0`` exactly when ``q^* Y_lead c = 0``, and the kernel is
     the orthogonal complement of the range of the ``lead x rank`` block
-    ``Y_lead^* q = conj(Y_lead^t) q``: the trailing ``deficit`` columns of
-    the ``Q`` of its complete QR.  The rows of ``v`` are written once: the
-    rows of ``Y`` from ``y_factors``, then the kernel term added to the
-    leading ones in place."""
-    v_rows, deficit = _sequence_rows(side.y_factors), side.deficit
+    ``Y_lead^* q = conj(Y_lead^t) q``, which is ``left[:lead]`` (``Y^t =
+    conj(left q^*)`` and ``q^* q = I``): the trailing ``deficit`` columns
+    of the ``Q`` of its complete QR.  The rows of ``v`` are written once:
+    the rows of ``Y``, then the kernel term added to the leading ones in
+    place."""
+    v_rows, deficit = _sequence_rows(side), side.deficit
     if deficit:
         lead = v_rows.shape[0] - side.kernel + deficit
-        block = np.conj(v_rows[:lead]) @ side.q
-        ker_lead = np.linalg.qr(block, mode="complete")[0][:, lead - deficit :]
+        q_lead = np.linalg.qr(side.left[:lead], mode="complete")[0]
+        ker_lead = q_lead[:, lead - deficit :]
         _, comp_basis = svd_rank_nullspace(np.conj(side.w.vectors), side.tol)
         v_rows[:lead] += np.conj(ker_lead) @ comp_basis[:, :deficit].T
     return VectorFamily._factored(v_rows, label=label)
@@ -741,7 +723,7 @@ def interleaved_weak_r_dual(
     f_prime = interleave_prime(f)
     u_prime = interleave_prime(u)
     w_prime = interleave_prime(w)
-    v = VectorFamily(
+    v = VectorFamily._factored(
         interleave_prime(side.sequence).vectors
         + interleave_double_prime(q).vectors,
         label=f"interleaved-v({w.label})",
@@ -803,7 +785,9 @@ def transfer_via_coisometry(
     u2 = comp_w[:, :deficit_w] @ comp_p[:, :deficit_w].conj().T
     op = u1 + u2
     cois_res = frobenius(op @ op.conj().T - np.eye(n))
-    transported = VectorFamily((op @ h.vectors.T).T, label=f"transfer({h.label})")
+    transported = VectorFamily._factored(
+        (op @ h.vectors.T).T, label=f"transfer({h.label})"
+    )
     cert = _certificate(side, transported)
     certificate = cert if deficit_w == deficit_p else None
     return TransferResult(
@@ -889,7 +873,7 @@ def verify_conjugate_witness(
 
     m_inv = np.linalg.inv(m)
     w_dual = canonical_dual(w, tol)
-    u = VectorFamily(
+    u = VectorFamily._factored(
         np.conj((m_inv @ w_dual.vectors.T)).T, label=f"witness-u({w.label})"
     )
     u_pars = frobenius(frame_operator(u) - np.eye(n))
@@ -1026,7 +1010,7 @@ def synthesized_gram_invariance_residual(
             f"u must be Parseval for the ambient space (residual {pars:.3e})"
         )
     w_syn = (v.vectors.T @ f.vectors) @ u.vectors.conj().T
-    w = VectorFamily(w_syn.T, label="synthesized")
+    w = VectorFamily._factored(w_syn.T, label="synthesized")
     return gram_invariance_residual(u, w, tol)
 
 

@@ -316,7 +316,8 @@ class TestTightPipeline:
             tight_gabor_weak_r_dual(sys, u)
 
     def test_dual_side_evaluated_once(self, monkeypatch):
-        # one dual-side record feeds the gates, v and the certificate
+        # one dual-side record feeds the gates, v and the certificate; it
+        # reads the canonical dual in span coordinates, never as rows
         from framedual import frames, gabor, rduality
 
         lat = GaborLattice(12, 2, 2)
@@ -336,7 +337,7 @@ class TestTightPipeline:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         assert tight_gabor_weak_r_dual(sys).certificate.passes()
-        assert calls == {"_dual_side": 1, "canonical_dual": 1}
+        assert calls == {"_dual_side": 1, "canonical_dual": 0}
 
 
 class TestPromotion:

@@ -35,6 +35,7 @@ from framedual.gabor import (
     adjoint_system,
     canonical_tight_window,
     divisor_lattices,
+    duality_check,
     evaluate_exploration_trial,
     gabor_system,
     run_exploration,
@@ -42,11 +43,10 @@ from framedual.gabor import (
 )
 from framedual.numerics import DEFAULT_TOL, singular_rank
 from framedual.rduality import (
-    _BLOCK_ROWS,
     PARSEVAL_GATE,
+    _certificate,
     _dual_side,
     _gate_parseval,
-    _projection_residual,
     build_parseval_v,
     certify_weak_r_dual,
     commuting_parseval_family,
@@ -342,45 +342,54 @@ def test_certificate_matches_dense(quad):
     assert_matches(cert.to_json_dict(), dense_certificate(*quad))
 
 
-def test_sequence_rows_are_the_multi_dot_product():
-    # the dual side keeps Y^t as two factors; the rows built from them are
-    # those of the one-shot conj(F U^* conj(W~)), bit for bit, in either
-    # association (wide instances take (F U^*) conj(W~), tall and square
-    # ones F (U^* conj(W~)))
-    associations = set()
-    for _, (w, f, u, _) in _certificate_instances():
+def dense_sequence_syn(w, f, u):
+    """``Y = W~^t G(u,f)``, the synthesis of the characterizing sequence."""
+    return dense_dual_syn(w) @ (u.vectors @ f.vectors.conj().T)
+
+
+def dense_projection_residual(w, f, u, v):
+    """``max_i ||P v_i - y_i||`` with the dense projector of span{w}."""
+    p = dense_projector(w.vectors.T)
+    diff = p @ v.vectors.T - dense_sequence_syn(w, f, u)
+    return float(np.max(np.linalg.norm(diff, axis=0)))
+
+
+def test_dual_side_in_span_coordinates_matches_dense():
+    # the record's span-coordinate quantities against the dense forms:
+    # ||G(u,f)||, ||(G(w~,w)^t - I) G(u,f)||, ||Y Y^* - P||, rank(Y), the
+    # rows of Y, and the certificate's max ||P v_i - y_i||
+    for name, (w, f, u, v) in _certificate_instances():
         side = _dual_side(w, f, u, TOL)
-        dual_rows = canonical_dual(w, TOL).vectors
-        want = np.conj(
-            np.linalg.multi_dot([f.vectors, u.vectors.conj().T, np.conj(dual_rows)])
-        )
-        assert np.array_equal(side.sequence.vectors, want)
-        associations.add(side.y_factors[0] is f.vectors)
-    assert associations == {True, False}
-
-
-def _one_shot_projection_residual(v_rows, q, y_rows):
-    diff = (v_rows @ np.conj(q)) @ q.T - y_rows
-    sq = np.square(diff.view(np.float64))
-    return float(np.sqrt(np.max(sq.sum(axis=1))))
+        g_uf = u.vectors @ f.vectors.conj().T
+        g_scale = max(1.0, fro(g_uf))
+        y_syn = dense_sequence_syn(w, f, u)
+        g_wd_w = dense_dual_syn(w).T @ w.vectors.conj().T
+        dual = fro((g_wd_w.T - np.eye(w.count)) @ g_uf)
+        p = dense_projector(w.vectors.T)
+        pars, pars_scale = _against(y_syn @ y_syn.conj().T, p)
+        assert abs(side.gram_norm - fro(g_uf)) <= TOL.threshold(g_scale), name
+        assert abs(side.dual_res - dual) <= TOL.threshold(g_scale), name
+        assert abs(side.parseval_res - pars) <= TOL.threshold(pars_scale), name
+        assert side.kernel == f.count - dense_rank_nullspace(y_syn)[0], name
+        y_scale = max(1.0, fro(y_syn))
+        assert fro(side.sequence.vectors - y_syn.T) <= TOL.threshold(y_scale), name
+        w_scale = max(1.0, float(np.max(np.linalg.norm(w.vectors, axis=1))))
+        proj = _certificate(side, v).projection_residual
+        want = dense_projection_residual(w, f, u, v)
+        assert abs(proj - want) <= TOL.threshold(w_scale), name
 
 
 @pytest.mark.parametrize("dim,k", [(8, 2), (5, 3)])
-@pytest.mark.parametrize(
-    "count",
-    [_BLOCK_ROWS - 7, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 37],
-    ids=["below", "one-block", "one-block-plus-one", "not-a-multiple"],
-)
-def test_blocked_projection_residual_equals_one_shot(dim, k, count):
-    # (8, 2) keeps the factors (F U^*, conj(W~)), (5, 3) the factors
-    # (F, U^* conj(W~)); the blocks give the one-shot rows bit for bit
+@pytest.mark.parametrize("count", [121, 128, 129, 293])
+def test_projection_residual_matches_dense(dim, k, count):
+    # f and v with many more members than w and u: the residual is read as
+    # the row norms of the count x rank matrix V conj(q) - conj(left)
     rng = np.random.default_rng([dim, k, count])
     w, u = random_frame(rng, k, dim), random_frame(rng, k, dim)
     f, v = random_frame(rng, count, dim), random_frame(rng, count, dim)
-    side = _dual_side(w, f, u, TOL)
-    got = _projection_residual(v.vectors, side.q, side.y_factors)
-    want = _one_shot_projection_residual(v.vectors, side.q, side.sequence.vectors)
-    assert got == want
+    got = _certificate(_dual_side(w, f, u, TOL), v).projection_residual
+    want = dense_projection_residual(w, f, u, v)
+    assert abs(got - want) <= TOL.threshold(max(1.0, want))
 
 
 # ----------------------------------------------------------------------
@@ -471,6 +480,26 @@ def test_on_demand_factors_equal_the_eager_assembly_on_every_lattice():
                 assert np.array_equal(fam.vectors, rows[0])
                 for got, want in zip(fam.svd, factors):
                     assert np.array_equal(got, want[0])
+                checked += 1
+    assert checked > 700
+
+
+def test_coset_product_matches_the_rows_on_every_lattice():
+    # rows @ x for the system and the adjoint, taken from the coset blocks
+    # without assembling the rows, against the assembled rows; x is a
+    # transposed view, as the pipeline passes it
+    checked = 0
+    for N in range(1, 25):
+        for lat in divisor_lattices(N):
+            sys = gabor_system(lat, _window(lat, 13))
+            rng = np.random.default_rng([13, N, lat.a, lat.b])
+            x = (rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))).T
+            for fam in (sys.family, adjoint_system(sys).family):
+                got = fam._times(x)
+                assert "vectors" not in fam.__dict__  # rows not assembled
+                want = fam.vectors @ x
+                assert got.shape == want.shape == (fam.count, 3)
+                assert fro(got - want) <= TOL.threshold(max(1.0, fro(want)))
                 checked += 1
     assert checked > 700
 
@@ -644,6 +673,36 @@ def test_run_exploration_records_match_dense():
         )
 
 
+def test_gated_evidence_with_adjoint_ranks_differing_across_the_stack():
+    # the adjoint of the delta window on (12, 2, 2) has rank 2, that of a
+    # random window rank 4: the span coordinates are padded to width 4,
+    # and the identity in ||c c^* - I_r|| must be each trial's rank mask
+    lat = GaborLattice(12, 2, 2)
+    delta = np.zeros(lat.N, dtype=np.complex128)
+    delta[0] = 1.0
+    random = _window(lat, 14)
+    windows = np.stack([random / np.linalg.norm(random), delta])
+    records = gabor._gated_evidence(
+        lat, windows, [np.random.default_rng(i) for i in range(2)], TOL
+    )
+    assert [len(rec["adjoint_spectrum"]) for rec in records] == [4, 2]
+    for i, (window, rec) in enumerate(zip(windows, records)):
+        sys = gabor_system(lat, window)
+        w_pad = pad_adjoint(adjoint_system(sys).family, lat.member_count)
+        t = w_pad.vectors.T
+        tight = (psd_inverse_sqrt(t @ t.conj().T) @ t).T
+        candidates = {
+            "conjugated_dual": VectorFamily(np.conj(tight)),
+            "randomized_parseval": random_parseval(
+                np.random.default_rng(i), lat.member_count, lat.N
+            ),
+        }
+        p = dense_projector(t)
+        for got in rec["candidates"]:
+            want = dense_candidate(w_pad, sys.family, candidates[got["name"]], p)
+            assert_matches(got, want)
+
+
 # ----------------------------------------------------------------------
 # ONB guard, kernel columns, memory
 # ----------------------------------------------------------------------
@@ -706,8 +765,8 @@ def test_tight_pipeline_peak_memory_below_one_gram():
 
 
 def test_gabor_system_adopts_its_rows():
-    # the rows, U and s are built once and adopted, not copied, and the
-    # M-column Vh is not built at all
+    # U and s are built once and adopted, not copied; the rows and the
+    # M-column Vh are not built until they are read, and then read-only
     lat = GaborLattice(96, 2, 2)
     window = _window(lat, 10)
     member_array = lat.member_count * lat.N * 16  # one M x N complex128
@@ -722,9 +781,9 @@ def test_gabor_system_adopts_its_rows():
 
 
 def test_tight_pipeline_from_a_window_peak_below_three_member_arrays():
-    # from the window to the result, the M x n arrays are the system rows,
-    # which the certificate reads, and v, the result: the characterizing
-    # sequence stays factored and the projection residual is blocked
+    # from the window to the result, the one M x n array is v, the result:
+    # the system's products are taken from its coset blocks, and the
+    # characterizing sequence and the projection residual stay M x rank
     lat = GaborLattice(96, 2, 2)
     window = canonical_tight_window(lat, _window(lat, 10))
     member_array = lat.member_count * lat.N * 16
@@ -735,27 +794,51 @@ def test_tight_pipeline_from_a_window_peak_below_three_member_arrays():
     finally:
         tracemalloc.stop()
     assert res.certificate.verdict == "WeakRDual"
-    assert peak < 3 * member_array, peak / member_array
+    assert peak < 1.6 * member_array, peak / member_array
 
 
-def test_tight_pipeline_never_assembles_the_system_vh(monkeypatch):
-    # the adjoint's a b x a b Vh is read by its canonical dual; the system's
-    # Vh, with M columns, is read by nothing in the pipeline
-    lat = GaborLattice(24, 2, 2)
+def _recorded_assembler(monkeypatch, name):
+    """Wrap ``gabor.<name>`` to record the member count it assembles for."""
     counts = []
-    assemble = gabor._assemble_vh
+    assemble = getattr(gabor, name)
 
     def recorded(c):
         counts.append(c.n_freqs * c.n_times)
         return assemble(c)
 
-    monkeypatch.setattr(gabor, "_assemble_vh", recorded)
+    monkeypatch.setattr(gabor, name, recorded)
+    return counts
+
+
+def test_tight_pipeline_never_assembles_the_system_vh(monkeypatch):
+    # the adjoint's a b x a b Vh is read by its span factors; the system's
+    # Vh, with M columns, is read by nothing in the pipeline or the duality
+    # check
+    lat = GaborLattice(24, 2, 2)
+    counts = _recorded_assembler(monkeypatch, "_assemble_vh")
     sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 12)))
     res = tight_gabor_weak_r_dual(sys)
     assert res.certificate.verdict == "WeakRDual"
+    assert duality_check(sys).match
     assert lat.member_count not in counts, counts
     assert callable(sys.family._factors[2])
     sys.family.svd  # reading svd assembles it, through the wrapper
+    assert counts[-1] == lat.member_count
+
+
+def test_tight_pipeline_and_duality_never_assemble_the_system_rows(monkeypatch):
+    # the pipeline's products with the system rows come from the coset
+    # blocks, and the duality check reads singular values alone; the
+    # adjoint's a b rows are read
+    lat = GaborLattice(24, 2, 2)
+    counts = _recorded_assembler(monkeypatch, "_assemble_rows")
+    sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 12)))
+    res = tight_gabor_weak_r_dual(sys)
+    assert res.certificate.verdict == "WeakRDual"
+    assert duality_check(sys).match
+    assert lat.member_count not in counts, counts
+    assert lat.adjoint_count in counts
+    sys.family.vectors  # reading the rows assembles them, through the wrapper
     assert counts[-1] == lat.member_count
 
 
