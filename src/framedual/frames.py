@@ -16,7 +16,6 @@ import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,11 +42,10 @@ __all__ = [
 ]
 
 
-def _read_only(factors: tuple) -> tuple:
-    for arr in factors:
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-    return tuple(factors)
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def _members(v: np.ndarray) -> np.ndarray:
@@ -61,26 +59,16 @@ def _members(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _RowsOnDemand:
-    """Member rows that a family builds only when they are read: their
-    ``shape``, ``assemble()``, which builds them, and ``times(x)``, which
-    is ``assemble() @ x`` taken without building them."""
-
-    shape: tuple[int, int]
-    assemble: Callable[[], np.ndarray]
-    times: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class VectorFamily:
     """Ordered finite family of complex vectors in ``C^ambient_dim``.
 
     ``vectors`` has one member per row.  Zero members are permitted.
-    ``svd`` is the family's one factorization; everything else reads it,
-    and what needs only ``U`` and ``s`` reads ``_factors[:2]``, which
-    does not assemble a ``Vh`` that is built on demand.  Products
-    ``vectors @ x`` go through ``_times``, which does not assemble rows
-    that are built on demand.
+    ``svd`` is the family's one factorization, computed on first read and
+    cached; what needs only the singular values reads ``_s``, and what
+    needs ``U`` and ``s`` reads ``_us``.  Products ``vectors @ x`` go
+    through ``_times``.  A subclass that knows more about its members
+    (the Gabor families of ``gabor``) answers these readers without the
+    full factorization or the rows.
     """
 
     vectors: np.ndarray
@@ -90,89 +78,50 @@ class VectorFamily:
         v = np.array(self.vectors, dtype=np.complex128, order="C")
         object.__setattr__(self, "vectors", _members(v))
 
-    def __getattr__(self, name: str):
-        # Reached only when ``name`` is not set: the ``vectors`` of a family
-        # built with rows on demand are assembled, checked and cached on
-        # their first read.
-        on_demand = self.__dict__.get("_on_demand")
-        if name != "vectors" or on_demand is None:
-            raise AttributeError(name)
-        rows = np.ascontiguousarray(on_demand.assemble(), dtype=np.complex128)
-        self.__dict__["vectors"] = rows = _members(rows)
-        return rows
-
-    @property
-    def _shape(self) -> tuple[int, int]:
-        on_demand = self.__dict__.get("_on_demand")
-        return self.vectors.shape if on_demand is None else on_demand.shape
-
     @property
     def count(self) -> int:
-        return self._shape[0]
+        return self.vectors.shape[0]
 
     @property
     def ambient_dim(self) -> int:
-        return self._shape[1]
+        return self.vectors.shape[1]
 
     @classmethod
-    def _factored(
-        cls,
-        vectors: np.ndarray | _RowsOnDemand,
-        factors: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-        label: str = "",
-    ) -> "VectorFamily":
+    def _factored(cls, vectors: np.ndarray, label: str = "") -> "VectorFamily":
         """Trusted constructor for an array the library has just built, or
         the read-only members of another family: ``vectors`` is adopted,
         not copied (it is made C-contiguous complex128 only if it is not),
         checked like the public constructor's input and made read-only, so
-        no caller may write to it afterwards.  ``vectors`` may instead be
-        ``_RowsOnDemand``: the rows are then assembled, and checked, the
-        first time ``vectors`` is read, and ``_times`` never assembles
-        them.  ``factors``, when given, must be the thin SVD of the
-        synthesis matrix of ``vectors`` (``min(count, dim)`` triples, ``s``
-        descending) and becomes ``svd`` without being recomputed; its
-        ``Vh`` may be a function that assembles it, called the first time
-        ``svd`` is read."""
+        no caller may write to it afterwards."""
         fam = cls.__new__(cls)
-        if isinstance(vectors, _RowsOnDemand):
-            fam.__dict__["_on_demand"] = vectors
-        else:
-            v = np.ascontiguousarray(vectors, dtype=np.complex128)
-            object.__setattr__(fam, "vectors", _members(v))
+        v = np.ascontiguousarray(vectors, dtype=np.complex128)
+        object.__setattr__(fam, "vectors", _members(v))
         object.__setattr__(fam, "label", label)
-        if factors is not None:
-            fam.__dict__["_factors"] = _read_only(factors)
         return fam
 
     @cached_property
-    def _factors(self) -> tuple:
-        """``(U, s, Vh)`` as far as it is built: ``Vh`` may still be the
-        function that assembles it, so ``_factors[:2]`` reads ``U`` and
-        ``s`` without building ``Vh``.  Computed on first use unless the
-        family was built with its factors."""
-        return _read_only(thin_svd(self.vectors.T))
-
-    @property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thin SVD ``(U, s, Vh)`` of the ``ambient_dim x count`` synthesis
-        matrix, with ``Vh`` assembled on first use if it was given as a
-        function.  ``vectors`` is read-only, so the factors cannot go
-        stale; they are read-only as well."""
-        u, s, vh = self._factors
-        if callable(vh):
-            self.__dict__["_factors"] = _read_only((u, s, vh()))
-        return self._factors
+        matrix.  ``vectors`` is read-only, so the factors cannot go stale;
+        they are read-only as well."""
+        return _read_only(*thin_svd(self.vectors.T))
+
+    @property
+    def _s(self) -> np.ndarray:
+        """The singular values of ``svd``, descending."""
+        return self.svd[1]
+
+    @property
+    def _us(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(U, s)`` of ``svd``."""
+        return self.svd[:2]
 
     def _times(self, x: np.ndarray) -> np.ndarray:
-        """``vectors @ x`` for an ``ambient_dim x p`` matrix ``x``.  Rows
-        given on demand are never assembled for it: their ``times`` takes
-        the product whether or not the rows have been read, so a result
-        does not depend on what was read before."""
-        on_demand = self.__dict__.get("_on_demand")
-        return self.vectors @ x if on_demand is None else on_demand.times(x)
+        """``vectors @ x`` for an ``ambient_dim x p`` matrix ``x``."""
+        return self.vectors @ x
 
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        return singular_rank(self._factors[1], tol)
+        return singular_rank(self._s, tol)
 
     def member(self, i: int) -> np.ndarray:
         return self.vectors[i]
@@ -181,10 +130,10 @@ class VectorFamily:
         return self.count
 
     def relabel(self, label: str) -> "VectorFamily":
-        """The same members under ``label``: the read-only rows (or the
-        rows on demand) are shared, and known factors are carried over
-        instead of recomputed."""
-        fam = VectorFamily.__new__(VectorFamily)
+        """The same members under ``label``, in a family of the same type:
+        the read-only rows and whatever else is built are shared, not
+        recomputed."""
+        fam = type(self).__new__(type(self))
         fam.__dict__.update(self.__dict__, label=label)
         return fam
 
@@ -240,7 +189,7 @@ def frame_operator(fam: VectorFamily) -> np.ndarray:
 
 def span_projector(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of the members."""
-    q = fam._factors[0][:, : fam.rank(tol)]
+    q = fam._us[0][:, : fam.rank(tol)]
     return q @ q.conj().T
 
 
@@ -255,7 +204,7 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
     An orthonormal basis has exactly ``n`` members, whatever the tolerance.
     """
     m, n = fam.count, fam.ambient_dim
-    s = fam._factors[1]
+    s = fam._s
     rank = singular_rank(s, tol)
     if rank == 0:
         raise EmptySpanError("all members are numerically zero")
@@ -310,7 +259,7 @@ def _is_tight(upper, lower, tol: Tolerance):
     return (upper - lower) <= tol.threshold(upper)
 
 
-def _span_factors(fam: VectorFamily, tol: Tolerance):
+def _span_svd(fam: VectorFamily, tol: Tolerance):
     """The rank-r part ``(U_r, s_r, Vh_r)`` of the family's SVD."""
     u, s, vh = fam.svd
     rank = singular_rank(s, tol)
@@ -323,7 +272,7 @@ def canonical_dual(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> VectorFam
     """Canonical dual family: the pseudo-inverse of the frame operator
     applied member-wise (handles frame sequences, not just frames).
     With ``T = U_r diag(s_r) Vh_r`` this is ``S^+ T = U_r diag(1/s_r) Vh_r``."""
-    u, s, vh = _span_factors(fam, tol)
+    u, s, vh = _span_svd(fam, tol)
     return VectorFamily._factored(((u / s) @ vh).T, label=f"dual({fam.label})")
 
 
@@ -331,7 +280,7 @@ def parseval_tighten(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> VectorF
     """Apply the pseudo-inverse square root of the frame operator,
     producing a family Parseval for the span of the input:
     ``S^{+1/2} T = U_r Vh_r``."""
-    u, _, vh = _span_factors(fam, tol)
+    u, _, vh = _span_svd(fam, tol)
     return VectorFamily._factored((u @ vh).T, label=f"tight({fam.label})")
 
 

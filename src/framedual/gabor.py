@@ -19,11 +19,14 @@ phases exp(2 pi i m r / L), and rows of different residues are
 orthogonal, so one batched SVD of the L blocks factors the system
 (``_coset_svd``; the adjoint is the same on its lattice).  The member
 rows, ``U`` and ``Vh`` are assembled from the blocks by separate
-functions.  A family is born with ``U`` and its singular values alone.
-Its rows and its ``Vh``, each an array with the member count along one
-axis, are assembled only when something reads ``vectors`` or ``svd``
-in full, which nothing in the tight pipeline or the duality check does
-for the system: a product ``rows @ x`` is taken from the blocks
+functions.  A Gabor family is its coset record (``_CosetFamily``), and
+this module alone decides what it builds and when: its singular values
+are read off the blocks, and its rows, its ``U`` (as large as N x N)
+and its ``Vh`` (with the member count along one axis) are each
+assembled the first time something reads them.  ``analyze`` and
+``duality_check`` read singular values alone, so they build none of
+the three.  The tight pipeline reads the system's ``U``, never its rows
+or ``Vh``: a product ``rows @ x`` is taken from the blocks
 (``_coset_product``), and the rows, when they are built, are finite
 because ``_checked_windows`` checked the window.
 ``canonical_tight_window`` reads the one column of ``Vh`` it needs
@@ -51,7 +54,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,8 +72,9 @@ from .errors import (
 )
 from .frames import (
     VectorFamily,
-    _RowsOnDemand,
     _is_tight,
+    _members,
+    _read_only,
     analyze,
     random_frame,
 )
@@ -319,25 +323,50 @@ def _checked_windows(windows: np.ndarray, N: int) -> np.ndarray:
     return w
 
 
-def _family(c: _Cosets, label: str) -> VectorFamily:
-    """The family of a stack of one: ``U`` and ``s`` now, its rows and
-    ``Vh`` assembled when something reads them, and its products with
-    the rows taken from the blocks."""
-    rows = _RowsOnDemand(
-        (c.n_freqs * c.n_times, c.N),
-        lambda: _assemble_rows(c)[0],
-        lambda x: _coset_product(c, x)[0],
-    )
-    return VectorFamily._factored(
-        rows, (_assemble_u(c)[0], c.s[0], lambda: _assemble_vh(c)[0]), label=label
-    )
+class _CosetFamily(VectorFamily):
+    """The family of a stack of one, held as its coset record: the
+    singular values are read off the blocks, ``U``, the member rows and
+    ``Vh`` are each assembled on first read and cached, and products with
+    the rows are taken from the blocks (``_coset_product``) whether or not
+    the rows are built, so a result does not depend on what was read
+    before.  Rows, when built, are checked like any family's."""
+
+    def __init__(self, cosets: _Cosets, label: str) -> None:
+        self.__dict__.update(_cosets=cosets, label=label)
+
+    @property
+    def count(self) -> int:
+        return self._cosets.n_freqs * self._cosets.n_times
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._cosets.N
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return _members(_assemble_rows(self._cosets)[0])
+
+    @cached_property
+    def _s(self) -> np.ndarray:
+        return _read_only(self._cosets.s[0])[0]
+
+    @cached_property
+    def _us(self) -> tuple[np.ndarray, np.ndarray]:
+        return _read_only(_assemble_u(self._cosets)[0]) + (self._s,)
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._us + _read_only(_assemble_vh(self._cosets)[0])
+
+    def _times(self, x: np.ndarray) -> np.ndarray:
+        return _coset_product(self._cosets, x)[0]
 
 
 def gabor_system(lattice: GaborLattice, window: np.ndarray) -> GaborSystem:
     """Generate the full system for the lattice, modulation applied after
     translation, ordered frequency-major."""
     w = _checked_windows(np.asarray(window)[None], lattice.N)
-    fam = _family(
+    fam = _CosetFamily(
         _system_cosets(w, lattice),
         f"gabor(N={lattice.N},a={lattice.a},b={lattice.b})",
     )
@@ -349,7 +378,7 @@ def adjoint_system(sys: GaborSystem) -> AdjointSystem:
     scaled by kappa = sqrt(N/(a b))."""
     lat = sys.lattice
     c = _adjoint_cosets(sys.window[None], lat)
-    fam = _family(c, f"adjoint(N={lat.N},a={lat.a},b={lat.b})")
+    fam = _CosetFamily(c, f"adjoint(N={lat.N},a={lat.a},b={lat.b})")
     return AdjointSystem(base=sys, kappa=c.scale, family=fam)
 
 
@@ -396,7 +425,7 @@ def duality_check(sys: GaborSystem, tol: Tolerance = DEFAULT_TOL) -> DualityRepo
     """
     sa = analyze(sys.family, tol)
     adj = adjoint_system(sys)
-    sigma = adj.family._factors[1]
+    sigma = adj.family._s
     count = adj.family.count
     upper = float(sigma[0] ** 2)
     lower = float(sigma[-1] ** 2) if count <= sys.lattice.N else 0.0
@@ -510,7 +539,7 @@ def tight_gabor_weak_r_dual(
     u_slice = VectorFamily(u_head, label=f"{label}[:{k_count}]")
 
     side = _dual_side(w0, sys.family, u_slice, tol)
-    tail_norm = _adjoint_product_norm(rows[~head], sys.family._factors)
+    tail_norm = _adjoint_product_norm(rows[~head], sys.family._us)
     padded_res, _ = _padded_dual_commutation(
         side.dual_res, side.gram_norm, tail_norm, tol
     )

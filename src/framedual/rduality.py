@@ -59,7 +59,7 @@ from .errors import (
 from .frames import (
     VectorFamily,
     _parseval_residual,
-    _span_factors,
+    _span_svd,
     analyze,
     canonical_dual,
     frame_operator,
@@ -135,20 +135,21 @@ def cross_gram(g: VectorFamily, h: VectorFamily) -> np.ndarray:
     return g.vectors @ h.vectors.conj().T
 
 
-def _adjoint_factor(x: np.ndarray, h_svd: tuple) -> np.ndarray:
-    """``x conj(U) diag(s)`` for the member rows ``H`` of a family with thin
-    SVD ``h_svd = (U, s, Vh)``: as ``H^* = conj(U) diag(s) conj(Vh)`` and
-    ``conj(Vh)`` has orthonormal rows, ``x H^*`` is this factor times
-    ``conj(Vh)`` and has its Frobenius norm, Gram ``(x H^*)(x H^*)^*`` and
-    singular values.  Stacked operands give one factor per matrix."""
-    u, s = h_svd[:2]
+def _adjoint_factor(x: np.ndarray, h_us: tuple) -> np.ndarray:
+    """``x conj(U) diag(s)`` for the member rows ``H`` of a family whose
+    thin SVD ``(U, s, Vh)`` has ``h_us = (U, s)``: as ``H^* = conj(U)
+    diag(s) conj(Vh)`` and ``conj(Vh)`` has orthonormal rows, ``x H^*`` is
+    this factor times ``conj(Vh)`` and has its Frobenius norm, Gram ``(x
+    H^*)(x H^*)^*`` and singular values.  Stacked operands give one factor
+    per matrix."""
+    u, s = h_us
     return (x @ u.conj()) * s[..., None, :]
 
 
-def _adjoint_product_norm(x: np.ndarray, h_svd: tuple) -> float:
+def _adjoint_product_norm(x: np.ndarray, h_us: tuple) -> float:
     """``||x H^*||_F`` as the norm of ``_adjoint_factor``; stacked operands
     give one norm per matrix."""
-    return frobenius(_adjoint_factor(x, h_svd))
+    return frobenius(_adjoint_factor(x, h_us))
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def _span_residuals(
     inv_vh: np.ndarray,
     w_rows: np.ndarray,
     u_rows: np.ndarray,
-    f_svd: tuple,
+    f_us: tuple,
     span_eye: np.ndarray,
     tol: Tolerance,
 ) -> tuple:
@@ -213,9 +214,9 @@ def _span_residuals(
     leading stack axes (broadcast against each other).  The synthesis of
     the canonical dual of ``w`` is ``W~^t = q C`` with ``C = inv_vh =
     diag(1/s_r) Vh_r``; ``w_rows`` and ``u_rows`` are the members, and
-    ``f_svd`` is the thin SVD of ``f``.  With ``A = U conj(U_f)
-    diag(s_f)``, which is ``G(u,f) = U F^*`` without its trailing factor
-    ``conj(Vh_f)`` (``_adjoint_factor``), and ``c = C A``, the sequence
+    ``f_us`` is ``(U_f, s_f)`` of the thin SVD of ``f``.  With ``A = U
+    conj(U_f) diag(s_f)``, which is ``G(u,f) = U F^*`` without its trailing
+    factor ``conj(Vh_f)`` (``_adjoint_factor``), and ``c = C A``, the sequence
     is ``Y = W~^t G(u,f) = q c conj(Vh_f)``; ``q`` has orthonormal
     columns and ``conj(Vh_f)`` orthonormal rows, so ``c`` has the
     singular values of ``Y``.
@@ -226,7 +227,7 @@ def _span_residuals(
     is the identity of the span coordinates, ``I_r``; a stack padded to a
     common width with zero columns of ``q`` and zero rows of ``C`` passes
     the diagonal mask of each rank instead."""
-    a = _adjoint_factor(u_rows, f_svd)
+    a = _adjoint_factor(u_rows, f_us)
     c = inv_vh @ a
     gram_norm = frobenius(a)
     dual_res = frobenius((np.conj(w_rows) @ q) @ c - a)
@@ -249,10 +250,10 @@ def _dual_side(
     padded residual are handled in ``gabor``."""
     _require_same_dim(w, f, u)
     _require_same_count(w, u)
-    q, s_r, vh_r = _span_factors(w, tol)
+    q, s_r, vh_r = _span_svd(w, tol)
     inv_vh = vh_r / s_r[:, None]
     c, gram_norm, dual_res, pars_res, pars_ok = _span_residuals(
-        q, inv_vh, w.vectors, u.vectors, f._factors, np.eye(q.shape[1]), tol
+        q, inv_vh, w.vectors, u.vectors, f._us, np.eye(q.shape[1]), tol
     )
     left = f._times(np.conj(inv_vh @ u.vectors).T)
     rank_y = singular_rank(np.linalg.svd(c, compute_uv=False), tol)
@@ -268,7 +269,7 @@ def _gate_parseval(fam: VectorFamily, tol: Tolerance, name: str) -> None:
     """Reject inputs that are not even coarsely Parseval for their span:
     ``||S - P||_F`` against ``PARSEVAL_GATE`` times ``max(1, ||S||_F)``,
     both read off the singular values, so the all-zero family passes."""
-    res, scale = _parseval_residual(fam.svd[1], fam.rank(tol))
+    res, scale = _parseval_residual(fam._s, fam.rank(tol))
     if res > PARSEVAL_GATE * scale:
         raise NotParsevalError(f"family '{name}' is not approximately Parseval")
 
@@ -778,7 +779,7 @@ def transfer_via_coisometry(
         )
     side = _check_hypotheses(_dual_side(w, f, u, tol))
     # T_w T_p^+ with T_p^+ = Vh_r^* diag(1/s_r) U_r^* from the SVD of p.
-    pu, ps, pvh = _span_factors(p, tol)
+    pu, ps, pvh = _span_svd(p, tol)
     u1 = ((w.vectors.T @ pvh.conj().T) / ps) @ pu.conj().T
     _, comp_p = svd_rank_nullspace(np.conj(p.vectors), tol)
     _, comp_w = svd_rank_nullspace(np.conj(w.vectors), tol)

@@ -35,17 +35,35 @@ class TestVectorFamily:
         assert not f.vectors.flags.writeable
 
     def test_relabel_shares_rows_and_factors(self, monkeypatch):
-        from framedual import frames
+        from framedual import frames, gabor
 
-        f = random_frame(np.random.default_rng(3), 5, 3)
-        factors = f.svd
+        rng = np.random.default_rng(3)
+        dense = random_frame(rng, 5, 3)
+        lat = gabor.GaborLattice(12, 2, 2)
+        window = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        coset = gabor.gabor_system(lat, window).family
+        # the dense family is fully factored; the Gabor family has its rows
+        # and U built, and its Vh not
+        built = [
+            (dense, dense.vectors, "svd", dense.svd),
+            (coset, coset.vectors, "_us", coset._us),
+        ]
         calls = []
-        thin_svd = frames.thin_svd
-        monkeypatch.setattr(frames, "thin_svd", lambda a: calls.append(a) or thin_svd(a))
-        g = f.relabel("other")
-        assert g.label == "other"
-        assert g.vectors is f.vectors
-        assert all(x is y for x, y in zip(g.svd, factors))
+        for module, name in (
+            (frames, "thin_svd"),
+            (gabor, "_assemble_rows"),
+            (gabor, "_assemble_u"),
+            (gabor, "_assemble_vh"),
+        ):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda a, fn=fn: calls.append(a) or fn(a))
+        for f, rows, reader, factors in built:
+            g = f.relabel("other")
+            assert type(g) is type(f)
+            assert g.label == "other"
+            assert g.vectors is rows
+            assert all(x is y for x, y in zip(getattr(g, reader), factors))
+        assert "svd" not in g.__dict__  # g is the relabelled Gabor family
         assert not calls
 
 

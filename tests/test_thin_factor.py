@@ -463,7 +463,11 @@ def eager_translates(windows, N, time_step, freq_step, n_times, n_freqs, scale=1
     return rows.reshape(g, n_freqs * n_times, N), factors
 
 
-def test_on_demand_factors_equal_the_eager_assembly_on_every_lattice():
+def test_on_demand_factors_equal_the_eager_assembly_on_every_lattice(monkeypatch):
+    built = {
+        name: _recorded_assembler(monkeypatch, name)
+        for name in ("_assemble_u", "_assemble_vh")
+    }
     checked = 0
     for N in range(1, 25):
         for lat in divisor_lattices(N):
@@ -476,10 +480,13 @@ def test_on_demand_factors_equal_the_eager_assembly_on_every_lattice():
             ]
             for fam, shape in shapes:
                 rows, factors = eager_translates(sys.window[None], *shape)
-                assert callable(fam._factors[2])  # Vh not yet assembled
+                assert built == {name: [] for name in built}  # no U, no Vh yet
                 assert np.array_equal(fam.vectors, rows[0])
                 for got, want in zip(fam.svd, factors):
                     assert np.array_equal(got, want[0])
+                assert built == {name: [fam.count] for name in built}
+                for counts in built.values():
+                    counts.clear()
                 checked += 1
     assert checked > 700
 
@@ -821,9 +828,23 @@ def test_tight_pipeline_never_assembles_the_system_vh(monkeypatch):
     assert res.certificate.verdict == "WeakRDual"
     assert duality_check(sys).match
     assert lat.member_count not in counts, counts
-    assert callable(sys.family._factors[2])
+    assert "svd" not in sys.family.__dict__
     sys.family.svd  # reading svd assembles it, through the wrapper
     assert counts[-1] == lat.member_count
+
+
+def test_analyze_and_duality_assemble_nothing(monkeypatch):
+    # both read singular values alone, which the system and its adjoint
+    # take off their coset blocks: no N x N U, no rows and no Vh is built
+    lat = GaborLattice(24, 2, 2)
+    built = {
+        name: _recorded_assembler(monkeypatch, name)
+        for name in ("_assemble_u", "_assemble_rows", "_assemble_vh")
+    }
+    sys = gabor_system(lat, _window(lat, 12))
+    assert analyze(sys.family).is_frame_for_ambient
+    assert duality_check(sys).match
+    assert built == {name: [] for name in built}
 
 
 def test_tight_pipeline_and_duality_never_assemble_the_system_rows(monkeypatch):
