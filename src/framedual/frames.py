@@ -66,9 +66,12 @@ class VectorFamily:
     ``svd`` is the family's one factorization, computed on first read and
     cached; what needs only the singular values reads ``_s``, and what
     needs ``U`` and ``s`` reads ``_us``.  Products ``vectors @ x`` go
-    through ``_times``.  A subclass that knows more about its members
-    (the Gabor families of ``gabor``) answers these readers without the
-    full factorization or the rows.
+    through ``_times``, products ``vectors.T @ y`` through
+    ``_transposed_times``, and the frame operator through
+    ``_frame_operator``.  A subclass that knows more about its members
+    (the Gabor families of ``gabor``, the constructed ``v`` of
+    ``rduality``) answers these readers without the full factorization
+    or the rows.
     """
 
     vectors: np.ndarray
@@ -120,6 +123,15 @@ class VectorFamily:
         """``vectors @ x`` for an ``ambient_dim x p`` matrix ``x``."""
         return self.vectors @ x
 
+    def _transposed_times(self, y: np.ndarray) -> np.ndarray:
+        """``vectors.T @ y`` for a ``count x p`` matrix ``y``."""
+        return self.vectors.T @ y
+
+    def _frame_operator(self) -> np.ndarray:
+        """``frame_operator``: ``S = T T^*`` as one real symmetric product
+        of the members."""
+        return _real_symmetric_square(self.vectors)
+
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
         return singular_rank(self._s, tol)
 
@@ -169,19 +181,25 @@ def synthesis_matrix(fam: VectorFamily) -> np.ndarray:
 
 
 def frame_operator(fam: VectorFamily) -> np.ndarray:
-    """S = T T*, the Hermitian PSD operator x -> sum <x, f_i> f_i.
+    """S = T T*, the Hermitian PSD operator x -> sum <x, f_i> f_i, from the
+    family's own reader (``VectorFamily._frame_operator``), which a family
+    held as factors answers from them."""
+    return fam._frame_operator()
 
-    Computed as one real symmetric product: with ``Z`` the members viewed
-    as ``count x 2 dim`` reals (``vectors`` is C-contiguous complex128),
-    the 2 x 2 block ``(i, j)`` of ``G = Z^t Z`` holds the sums over the
-    members of ``Re_i Re_j``, ``Re_i Im_j``, ``Im_i Re_j`` and
-    ``Im_i Im_j``, so ``Re S = G_rr + G_ii`` and ``Im S = G_ir - G_ri``.
-    numpy evaluates ``Z^t Z`` as a symmetric rank update, at half the
-    flops of ``T T^*``, and its exact symmetry makes ``S`` exactly
-    Hermitian."""
-    z = fam.vectors.view(np.float64)
+
+def _real_symmetric_square(rows: np.ndarray) -> np.ndarray:
+    """``rows^t conj(rows)`` for C-contiguous complex128 ``rows``, as one
+    real symmetric product: with ``Z`` the rows viewed as ``count x 2
+    dim`` reals, the 2 x 2 block ``(i, j)`` of ``G = Z^t Z`` holds the
+    sums over the rows of ``Re_i Re_j``, ``Re_i Im_j``, ``Im_i Re_j`` and
+    ``Im_i Im_j``, so the real part is ``G_rr + G_ii`` and the imaginary
+    part ``G_ir - G_ri``.  numpy evaluates ``Z^t Z`` as a symmetric rank
+    update, at half the flops of the complex product, and its exact
+    symmetry makes the result exactly Hermitian."""
+    z = rows.view(np.float64)
     g = z.T @ z
-    s = np.empty((fam.ambient_dim, fam.ambient_dim), dtype=np.complex128)
+    dim = rows.shape[1]
+    s = np.empty((dim, dim), dtype=np.complex128)
     s.real = g[0::2, 0::2] + g[1::2, 1::2]
     s.imag = g[1::2, 0::2] - g[0::2, 1::2]
     return s

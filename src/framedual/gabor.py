@@ -155,29 +155,53 @@ class AdjointSystem:
     family: VectorFamily
 
 
+# The constants of one lattice shape ``(N, time_step, freq_step,
+# n_times, n_freqs)``, with ``n_freqs * freq_step == N``, each built and
+# cached only when it is read: the coset gather, for the coset SVD, the
+# products and the values-only spectra; the modulation phases and the
+# translate gather, for the member rows; the coset phases, for ``Vh``
+# and ``canonical_tight_window``.  An exploration fetches a shape once
+# per lattice stage, not once per trial, so the caches serve repeated
+# runs in one process: the 84 shapes of N = 4..12 fit, the 276 of
+# N = 4..24 cycle through them.
+
+
 @lru_cache(maxsize=256)
-def _lattice_tables(
+def _coset_gather(
     N: int, time_step: int, freq_step: int, n_times: int, n_freqs: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Constants of one lattice shape: the modulation phases
-    ``phase[m, t]``, the translate gather ``shift[n, t] = (t - n time_step)
-    mod N``, its coset form ``coset[r, k, n] = shift[n, r + k n_freqs]``
-    (``n_freqs * freq_step == N``) and the unit-norm coset phases
-    ``phase[m, r] / sqrt(n_freqs)``, indexed ``[r, m]``.  An exploration
-    fetches a shape once per lattice stage, not once per trial, so the
-    cache serves repeated runs in one process: the 84 shapes of
-    N = 4..12 fit, the 276 of N = 4..24 cycle through it."""
+) -> np.ndarray:
+    """``coset[r, k, n] = (r + k n_freqs - n time_step) mod N``: the
+    translate gather of the member rows at the times ``t = r + k n_freqs``
+    of residue ``r``, stored with ``r`` fastest and ``n`` slowest (the
+    order of the translate gather itself), which the gathered blocks
+    inherit."""
+    t = np.arange(N).reshape(freq_step, n_freqs)
+    gather = (t - np.arange(n_times)[:, None, None] * time_step) % N
+    return _read_only(gather.transpose(2, 1, 0))[0]
+
+
+@lru_cache(maxsize=256)
+def _row_tables(
+    N: int, time_step: int, freq_step: int, n_times: int, n_freqs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The modulation phases ``phase[m, t] = exp(2 pi i m freq_step t /
+    N)`` and the translate gather ``shift[n, t] = (t - n time_step) mod
+    N``."""
     t = np.arange(N)
     m = np.arange(n_freqs)[:, None]
-    n = np.arange(n_times)[:, None]
     phase = np.exp(2j * np.pi * m * freq_step * t / N)
-    shift = (t - n * time_step) % N
-    coset = shift.T.reshape(freq_step, n_freqs, n_times).transpose(1, 0, 2)
-    coset_phase = phase[:, :n_freqs].T / np.sqrt(n_freqs)
-    tables = (phase, shift, coset, coset_phase)
-    for arr in tables:
-        arr.flags.writeable = False
-    return tables
+    shift = (t - np.arange(n_times)[:, None] * time_step) % N
+    return _read_only(phase, shift)
+
+
+@lru_cache(maxsize=256)
+def _coset_phases(N: int, freq_step: int, n_freqs: int) -> np.ndarray:
+    """The unit-norm coset phases ``phase[m, r] / sqrt(n_freqs)`` of the
+    residues ``r < n_freqs``, indexed ``[r, m]``."""
+    r = np.arange(n_freqs)
+    m = np.arange(n_freqs)[:, None]
+    phase = np.exp(2j * np.pi * m * freq_step * r / N)
+    return _read_only(phase.T / np.sqrt(n_freqs))[0]
 
 
 @dataclass(frozen=True)
@@ -202,10 +226,14 @@ class _Cosets:
     s: np.ndarray
 
     @property
-    def tables(self) -> tuple:
-        return _lattice_tables(
-            self.N, self.time_step, self.freq_step, self.n_times, self.n_freqs
-        )
+    def shape(self) -> tuple[int, int, int, int, int]:
+        """The lattice shape, the key of its cached tables."""
+        return self.N, self.time_step, self.freq_step, self.n_times, self.n_freqs
+
+    @property
+    def coset_phases(self) -> np.ndarray:
+        """``_coset_phases`` of the lattice shape."""
+        return _coset_phases(self.N, self.freq_step, self.n_freqs)
 
 
 def _coset_svd(
@@ -234,7 +262,7 @@ def _coset_svd(
     ``freq_step x n_times``, never of an ``N x M`` synthesis matrix.  The
     triples are gathered in descending order: triple ``j`` is ``(r, i) =
     divmod(order[j], k)``."""
-    coset = _lattice_tables(N, time_step, freq_step, n_times, n_freqs)[2]
+    coset = _coset_gather(N, time_step, freq_step, n_times, n_freqs)
     u_r, sigma, vh_r = _svd(windows[:, coset], full_matrices=False)
     k = sigma.shape[-1]
     sigma = sigma.reshape(windows.shape[0], n_freqs * k)
@@ -248,7 +276,7 @@ def _coset_svd(
 
 def _assemble_rows(c: _Cosets) -> np.ndarray:
     """The member rows of each system, ``(g, M, N)``."""
-    phase, shift = c.tables[:2]
+    phase, shift = _row_tables(*c.shape)
     rows = (c.scale * phase)[:, None, :] * c.windows[:, None, shift]
     return rows.reshape(len(c.windows), c.n_freqs * c.n_times, c.N)
 
@@ -261,7 +289,7 @@ def _coset_product(c: _Cosets, x: np.ndarray) -> np.ndarray:
     sum_r exp(2 pi i m r / L) H_r[n]`` with ``H_r = G_r^t x_r`` and ``x_r``
     the rows ``r + k L`` of ``x``: one batched product of the blocks and
     an unnormalized L-point inverse DFT over the residues ``r``."""
-    blocks = c.windows[:, c.tables[2]]  # (g, L, freq_step, n_times)
+    blocks = c.windows[:, _coset_gather(*c.shape)]  # (g, L, freq_step, n_times)
     x_r = x.reshape(c.freq_step, c.n_freqs, -1).swapaxes(0, 1)
     h = blocks.swapaxes(-1, -2) @ x_r  # (g, L, n_times, p)
     out = np.fft.ifft(h, axis=1, norm="forward")
@@ -285,7 +313,7 @@ def _assemble_vh(c: _Cosets) -> np.ndarray:
     coset phases of its residue times its block's right vector."""
     g, count = c.r.shape
     stack = np.arange(g)[:, None]
-    vh = c.tables[3][c.r][..., None] * c.vh_r[stack, c.r, c.i][..., None, :]
+    vh = c.coset_phases[c.r][..., None] * c.vh_r[stack, c.r, c.i][..., None, :]
     return vh.reshape(g, count, c.n_freqs * c.n_times)
 
 
@@ -395,7 +423,7 @@ def canonical_tight_window(lattice: GaborLattice, window: np.ndarray) -> np.ndar
     if rank == 0:
         raise EmptySpanError("all members are numerically zero")
     r, i = c.r[0, :rank], c.i[0, :rank]
-    vh_col = c.tables[3][r, 0] * c.vh_r[0, r, i, 0]
+    vh_col = c.coset_phases[r, 0] * c.vh_r[0, r, i, 0]
     return _assemble_u(c)[0, :, :rank] @ vh_col
 
 
@@ -626,7 +654,7 @@ def _system_values(windows: np.ndarray, lat: GaborLattice) -> np.ndarray:
     of ``_coset_svd`` without the block factors, from one batched
     values-only SVD of the coset blocks."""
     L = lat.N // lat.b
-    coset = _lattice_tables(lat.N, lat.a, lat.b, lat.N // lat.a, L)[2]
+    coset = _coset_gather(lat.N, lat.a, lat.b, lat.N // lat.a, L)
     sigma = _svd(windows[:, coset], compute_uv=False).reshape(len(windows), -1)
     return np.sqrt(L) * -np.sort(-sigma, axis=-1)
 

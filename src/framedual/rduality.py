@@ -18,28 +18,35 @@ Frobenius-norm residuals against a shared tolerance; the certificate
 records every residual so that verdicts are reproducible.
 
 No count x count matrix is formed.  With M the count of ``f`` and ``v``
-and K that of ``w`` and ``u``, only the frame operator of ``v``, which may
-be any family, costs O(M n^2), and it is one real symmetric product
-(``frames.frame_operator``).  Products on ``u`` and ``w`` cost O(K n^2),
-and every other product is re-associated through the thin SVDs the
-families carry, at O(M n rank) with the rank of ``u`` or ``w``: each
-``X H^*`` as ``X conj(U_h) diag(s_h)`` (the factor ``conj(Vh_h)`` has
-orthonormal rows, so norms and Grams are unchanged), and ``V^t G(f,u)``
-as ``(V^t B) conj(Vh_u)`` with ``B = F conj(U_u) diag(s_u)``.  Products
-with the rows of ``f`` go through ``VectorFamily._times``, so a Gabor
-system takes them from its coset blocks and never builds its rows.  The
-dual side is evaluated in the coordinates of an orthonormal basis ``q``
-of span{w} (``_span_residuals``), where every operand has the rank of
-``w`` along one axis.  The characterizing sequence is kept as the M x
-rank factor ``left`` of its member rows ``Y^t = conj(left q^*)``: its
-rows are built when the sequence is read, the constructed ``v`` is
-written once from ``left``, and the certificate reads its projection
-residual as the row norms of ``V conj(q) - conj(left)``.
+and K that of ``w`` and ``u``, ``v`` is read only through its products
+``V x`` and ``V^t y`` and its frame operator.  A ``v`` the caller
+supplies, which may be any family, answers them from its rows, at
+O(M n p) for ``p`` columns and O(M n^2) for the frame operator (one
+real symmetric product, ``frames.frame_operator``).  A ``v`` the library
+constructs is born factored (``_ExtensionFamily``): its at most n
+leading rows and the M x rank coefficients of the rest in the span basis
+``q``, so a certificate on it costs O(M rank p + n^3) and writes no
+M x n array.  Products on ``u`` and ``w`` cost O(K n^2), and every other
+product is re-associated through the thin SVDs the families carry, at
+O(M n rank) with the rank of ``u`` or ``w``: each ``X H^*`` as ``X
+conj(U_h) diag(s_h)`` (the factor ``conj(Vh_h)`` has orthonormal rows,
+so norms and Grams are unchanged), and ``V^t G(f,u)`` as ``(V^t B)
+conj(Vh_u)`` with ``B = F conj(U_u) diag(s_u)``.  Products with the rows
+of ``f`` go through ``VectorFamily._times``, so a Gabor system takes
+them from its coset blocks and never builds its rows.  The dual side is
+evaluated in the coordinates of an orthonormal basis ``q`` of span{w}
+(``_span_residuals``), where every operand has the rank of ``w`` along
+one axis.  The characterizing sequence is kept as the M x rank factor
+``left`` of its member rows ``Y^t = conj(left q^*)``: its rows are built
+when the sequence is read, the constructed ``v`` keeps ``conj(left)``
+past its leading rows as its coefficients, and the certificate reads its
+projection residual as the row norms of ``V conj(q) - conj(left)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,7 +65,10 @@ from .errors import (
 )
 from .frames import (
     VectorFamily,
+    _members,
     _parseval_residual,
+    _read_only,
+    _real_symmetric_square,
     _span_svd,
     analyze,
     canonical_dual,
@@ -347,18 +357,21 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
     # (``_adjoint_factor``), so the synthesis columns V^t G(f,u) are
     # (V^t B) conj(Vh_u), and (G(v,v)^t - I) G(f,u) = (conj(V) V^t B - B)
     # conj(Vh_u) has the norm of conj(V) V^t B - B, as conj(Vh_u) has
-    # orthonormal rows; conj(V) X is taken as conj(V conj(X)).
+    # orthonormal rows; conj(V) X is taken as conj(V conj(X)).  ``v`` is
+    # read through its products and its frame operator alone, so a
+    # constructed ``v`` answers from its factors and writes no count x n
+    # array.
     u_u, s_u, vh_u = u.svd
     b = f._times(np.conj(u_u)) * s_u  # (M, min(n, K))
-    vt_b = v.vectors.T @ b
+    vt_b = v._transposed_times(b)
     generated = vt_b @ np.conj(vh_u)  # columns: sum_i <f_i,u_j> v_i
     w_syn = w.vectors.T
     synth_res = float(np.max(np.linalg.norm(w_syn - generated, axis=0)))
-    comm_res = frobenius(np.conj(v.vectors @ np.conj(vt_b)) - b)
+    comm_res = frobenius(np.conj(v._times(np.conj(vt_b))) - b)
     # The rows of P V^t - Y^t are those of (V conj(q) - conj(left)) q^t,
     # and q^t has orthonormal rows, so max_i ||P v_i - y_i|| is the largest
     # row norm of the count x rank matrix V conj(q) - conj(left).
-    in_span = v.vectors @ np.conj(side.q)
+    in_span = v._times(np.conj(side.q))
     in_span -= np.conj(side.left)
     proj_res = float(np.max(np.linalg.norm(in_span, axis=1)))
 
@@ -546,6 +559,64 @@ def _check_hypotheses(side: _DualSide) -> _DualSide:
     return side
 
 
+class _ExtensionFamily(VectorFamily):
+    """The constructed ``v`` of the isometric extension, held as its
+    factors: the member rows are ``[head; tail q^t]``, with ``head`` the
+    ``lead x n`` leading rows, ``tail`` the ``(count - lead) x rank``
+    coefficients of the rows past them and ``q`` the ``n x rank`` span
+    basis.  The three factors are checked finite here, so the products
+    taken from them rest on this check.  The readers answer from the
+    factors, at O(count rank p + lead n p) for a product with ``p``
+    columns and O(count rank^2 + lead n^2 + n^2 rank) for the frame
+    operator; the member rows are assembled on first read, checked like
+    any family's and cached."""
+
+    def __init__(
+        self, head: np.ndarray, tail: np.ndarray, q: np.ndarray, label: str
+    ) -> None:
+        for factor in (head, tail, q):
+            if not np.isfinite(factor).all():
+                raise ValueError("family entries must be finite")
+        _read_only(head, tail, q)
+        self.__dict__.update(_head=head, _tail=tail, _q=q, label=label)
+
+    @property
+    def count(self) -> int:
+        return self._head.shape[0] + self._tail.shape[0]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._q.shape[0]
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        lead = self._head.shape[0]
+        rows = np.empty((self.count, self.ambient_dim), dtype=np.complex128)
+        rows[:lead] = self._head
+        np.matmul(self._tail, self._q.T, out=rows[lead:])
+        return _members(rows)
+
+    def _times(self, x: np.ndarray) -> np.ndarray:
+        """``V x = [head x; tail (q^t x)]``."""
+        return np.concatenate([self._head @ x, self._tail @ (self._q.T @ x)])
+
+    def _transposed_times(self, y: np.ndarray) -> np.ndarray:
+        """``V^t y = head^t y_head + q (tail^t y_tail)``."""
+        lead = self._head.shape[0]
+        return self._head.T @ y[:lead] + self._q @ (self._tail.T @ y[lead:])
+
+    def _frame_operator(self) -> np.ndarray:
+        """``S = head^t conj(head) + q (tail^t conj(tail)) q^*``, each term
+        exactly Hermitian (the second is made so by averaging it with its
+        adjoint), so ``S`` is too."""
+        q = self._q
+        s = (q @ _real_symmetric_square(self._tail)) @ q.conj().T
+        s += s.conj().T
+        s *= 0.5
+        s += _real_symmetric_square(self._head)
+        return s
+
+
 def _isometric_extension_v(side: _DualSide, label: str) -> VectorFamily:
     """Build ``v = Y + Q*`` where ``Q*`` maps ``deficit`` orthonormal
     vectors of ker(Y) onto an orthonormal basis of the span complement
@@ -556,17 +627,19 @@ def _isometric_extension_v(side: _DualSide, label: str) -> VectorFamily:
     the orthogonal complement of the range of the ``lead x rank`` block
     ``Y_lead^* q = conj(Y_lead^t) q``, which is ``left[:lead]`` (``Y^t =
     conj(left q^*)`` and ``q^* q = I``): the trailing ``deficit`` columns
-    of the ``Q`` of its complete QR.  The rows of ``v`` are written once:
-    the rows of ``Y``, then the kernel term added to the leading ones in
-    place."""
-    v_rows, deficit = _sequence_rows(side), side.deficit
+    of the ``Q`` of its complete QR.  So only the ``lead <= n`` leading
+    rows of ``v`` differ from those of ``Y``: ``v`` is born factored
+    (``_ExtensionFamily``), as those rows and the rows ``conj(left[lead:])
+    q^t`` past them, and no count x n array is written."""
+    left, q, deficit = side.left, side.q, side.deficit
+    lead = left.shape[0] - side.kernel + deficit
+    head = np.conj(left[:lead]) @ q.T
     if deficit:
-        lead = v_rows.shape[0] - side.kernel + deficit
-        q_lead = np.linalg.qr(side.left[:lead], mode="complete")[0]
+        q_lead = np.linalg.qr(left[:lead], mode="complete")[0]
         ker_lead = q_lead[:, lead - deficit :]
         _, comp_basis = svd_rank_nullspace(np.conj(side.w.vectors), side.tol)
-        v_rows[:lead] += np.conj(ker_lead) @ comp_basis[:, :deficit].T
-    return VectorFamily._factored(v_rows, label=label)
+        head += np.conj(ker_lead) @ comp_basis[:, :deficit].T
+    return _ExtensionFamily(head, np.conj(left[lead:]), q, label)
 
 
 def build_parseval_v(
