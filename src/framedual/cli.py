@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -255,16 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process: building it costs
-    milliseconds, and parsing leaves it unchanged.  ``build_parser``
-    returns a fresh one, so no caller can change this one."""
-    return build_parser()
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (FrameDualError, ValueError) as exc:

@@ -159,11 +159,11 @@ class AdjointSystem:
 # n_times, n_freqs)``, with ``n_freqs * freq_step == N``, each built and
 # cached only when it is read: the coset gather, for the coset SVD, the
 # products and the values-only spectra; the modulation phases and the
-# translate gather, for the member rows; the coset phases, for ``Vh``
-# and ``canonical_tight_window``.  An exploration fetches a shape once
-# per lattice stage, not once per trial, so the caches serve repeated
-# runs in one process: the 84 shapes of N = 4..12 fit, the 276 of
-# N = 4..24 cycle through them.
+# translate gather (a view of the coset gather), for the member rows;
+# the coset phases, for ``Vh`` and ``canonical_tight_window``.  An
+# exploration fetches a shape once per lattice stage, not once per
+# trial, so the caches serve repeated runs in one process: the 84
+# shapes of N = 4..12 fit, the 276 of N = 4..24 cycle through them.
 
 
 @lru_cache(maxsize=256)
@@ -190,8 +190,9 @@ def _row_tables(
     t = np.arange(N)
     m = np.arange(n_freqs)[:, None]
     phase = np.exp(2j * np.pi * m * freq_step * t / N)
-    shift = (t - np.arange(n_times)[:, None] * time_step) % N
-    return _read_only(phase, shift)
+    # the coset gather is the translate gather in coset order: a view
+    coset = _coset_gather(N, time_step, freq_step, n_times, n_freqs)
+    return _read_only(phase)[0], coset.T.reshape(n_times, N)
 
 
 @lru_cache(maxsize=256)
@@ -229,11 +230,6 @@ class _Cosets:
     def shape(self) -> tuple[int, int, int, int, int]:
         """The lattice shape, the key of its cached tables."""
         return self.N, self.time_step, self.freq_step, self.n_times, self.n_freqs
-
-    @property
-    def coset_phases(self) -> np.ndarray:
-        """``_coset_phases`` of the lattice shape."""
-        return _coset_phases(self.N, self.freq_step, self.n_freqs)
 
 
 def _coset_svd(
@@ -313,7 +309,8 @@ def _assemble_vh(c: _Cosets) -> np.ndarray:
     coset phases of its residue times its block's right vector."""
     g, count = c.r.shape
     stack = np.arange(g)[:, None]
-    vh = c.coset_phases[c.r][..., None] * c.vh_r[stack, c.r, c.i][..., None, :]
+    phases = _coset_phases(c.N, c.freq_step, c.n_freqs)
+    vh = phases[c.r][..., None] * c.vh_r[stack, c.r, c.i][..., None, :]
     return vh.reshape(g, count, c.n_freqs * c.n_times)
 
 
@@ -423,7 +420,7 @@ def canonical_tight_window(lattice: GaborLattice, window: np.ndarray) -> np.ndar
     if rank == 0:
         raise EmptySpanError("all members are numerically zero")
     r, i = c.r[0, :rank], c.i[0, :rank]
-    vh_col = c.coset_phases[r, 0] * c.vh_r[0, r, i, 0]
+    vh_col = _coset_phases(c.N, c.freq_step, c.n_freqs)[r, 0] * c.vh_r[0, r, i, 0]
     return _assemble_u(c)[0, :, :rank] @ vh_col
 
 

@@ -282,38 +282,3 @@ def test_removed_flags_are_usage_errors(argv, flag, capsys):
         main(argv + flag)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
-
-
-_DUALITY = ["gabor", "duality", "--N", "12", "--a", "2", "--b", "2"]
-
-
-def test_main_builds_its_parser_once(monkeypatch, capsys):
-    built = []
-
-    def counted():
-        built.append(1)
-        return build_parser()
-
-    monkeypatch.setattr(cli, "build_parser", counted)
-    cli._parser.cache_clear()
-    try:
-        assert main(_DUALITY) == 0
-        assert main(["repro", "2.8"]) == 0
-    finally:
-        cli._parser.cache_clear()
-    assert built == [1]
-    assert build_parser() is not build_parser()  # callers still get fresh ones
-
-
-def test_usage_error_leaves_the_parser_as_it_was(capsys):
-    # a parse that fails part-way through a subcommand must not leak into
-    # the next parse with the same cached parser
-    code = main(_DUALITY)
-    alone = capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["gabor", "duality", "--N", "12", "--a", "x", "--table"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    assert main(_DUALITY) == code == 0
-    after = capsys.readouterr()
-    assert (after.out, after.err) == (alone.out, alone.err)

@@ -918,6 +918,18 @@ def test_duality_builds_no_row_or_vh_table(monkeypatch):
     assert peak < 200 * 2**20, peak / 2**20
 
 
+@pytest.mark.parametrize("shape", [(12, 2, 3, 6, 4), (96, 2, 2, 48, 48), (8, 8, 1, 1, 8)])
+def test_translate_gather_shares_the_coset_gather(shape):
+    # a process that reads rows and coset blocks of one shape holds the
+    # gather once
+    N, time_step, _, n_times, _ = shape
+    shift = _row_tables(*shape)[1]
+    assert np.shares_memory(shift, _coset_gather(*shape))
+    np.testing.assert_array_equal(
+        shift, (np.arange(N) - np.arange(n_times)[:, None] * time_step) % N
+    )
+
+
 # ----------------------------------------------------------------------
 # The constructed v, held as its factors
 # ----------------------------------------------------------------------
