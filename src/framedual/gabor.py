@@ -16,25 +16,28 @@ structure, never from the N x M synthesis matrix: with L = N/b, the
 synthesis rows at times t = r + k L of one residue r are the b x (N/a)
 block G_r[k, n] = window[(r + k L - n a) mod N] tensored with the DFT
 phases exp(2 pi i m r / L), and rows of different residues are
-orthogonal, so one batched SVD of the L blocks factors the system
-(``_coset_svd``; the adjoint is the same on its lattice).  The member
-rows, ``U`` and ``Vh`` are assembled from the blocks by separate
+orthogonal, so the L blocks factor the system (``_coset_svd``; the
+adjoint is the same on its lattice).  Its record (``_Cosets``) holds
+the singular values from one batched values-only SVD of the blocks and
+takes the block vectors from one batched SVD of the same blocks on
+first read, so a family reports one ``s`` whatever is read first.  The
+member rows, ``U`` and ``Vh`` are assembled from the record by separate
 functions.  A Gabor family is its coset record (``_CosetFamily``), and
-this module alone decides what it builds and when: its singular values
-are read off the blocks, and its rows, its ``U`` (as large as N x N)
-and its ``Vh`` (with the member count along one axis) are each
-assembled the first time something reads them.  ``analyze`` and
-``duality_check`` read singular values alone, so they build none of
-the three.  The tight pipeline reads the system's ``U``, never its rows
-or ``Vh``: a product ``rows @ x`` is taken from the blocks
-(``_coset_product``), and the rows, when they are built, are finite
-because ``_checked_windows`` checked the window.
-``canonical_tight_window`` reads the one column of ``Vh`` it needs
-straight from the blocks.  The factorization takes a
-stack of windows on one lattice: ``gabor_system`` and ``adjoint_system``
-pass a stack of one, and the exploration passes every trial of a lattice
-at once, after settling frame and tightness from the blocks' singular
-values alone.
+this module alone decides what it builds and when: its rows, its ``U``
+(as large as N x N) and its ``Vh`` (with the member count along one
+axis) are each assembled the first time something reads them.
+``analyze`` and ``duality_check`` read singular values alone, so they
+compute no block vectors and build none of the three.  The tight
+pipeline reads the system's ``U``, never its rows or ``Vh``: a product
+``rows @ x`` is taken from the blocks (``_coset_product``), and the
+rows, when they are built, are finite because ``_checked_windows``
+checked the window.  ``canonical_tight_window`` reads the one column of
+``Vh`` it needs straight from the block vectors.  The factorization
+takes a stack of windows on one lattice: ``gabor_system`` and
+``adjoint_system`` pass a stack of one, and the exploration passes
+every trial of a lattice at once, settles frame and tightness from
+their singular values and takes the block vectors of the gated trials
+alone (``_Cosets.take``).
 
 Redundancy is N/(a b); the weak R-dual machinery pairs the system
 (count N^2/(a b)) with the adjoint family (count a b).  The counts are
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
@@ -207,11 +210,11 @@ def _coset_phases(N: int, freq_step: int, n_freqs: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Cosets:
-    """The batched coset SVD of a ``(g, N)`` stack of windows on one
-    lattice shape, with what the assemblers need: the lattice shape, the
-    scale, the block factors ``u_r`` and ``vh_r``, the block position
-    ``(r[j], i[j])`` of each singular triple ``j`` and the singular values
-    ``s`` of the systems, descending (all stacked along the first axis)."""
+    """The coset record of a ``(g, N)`` stack of windows on one lattice
+    shape: the lattice shape, the scale, the singular values ``s`` of the
+    systems, descending, and the block position ``(r[j], i[j])`` of each
+    singular triple ``j`` (all stacked along the first axis).  The block
+    vectors ``u_r`` and ``vh_r`` are ``factors``, taken on first read."""
 
     windows: np.ndarray
     N: int
@@ -220,8 +223,6 @@ class _Cosets:
     n_times: int
     n_freqs: int
     scale: float
-    u_r: np.ndarray
-    vh_r: np.ndarray
     r: np.ndarray
     i: np.ndarray
     s: np.ndarray
@@ -230,6 +231,25 @@ class _Cosets:
     def shape(self) -> tuple[int, int, int, int, int]:
         """The lattice shape, the key of its cached tables."""
         return self.N, self.time_step, self.freq_step, self.n_times, self.n_freqs
+
+    def blocks(self) -> np.ndarray:
+        """The coset blocks ``G_r``, ``(g, L, freq_step, n_times)``."""
+        return self.windows[:, _coset_gather(*self.shape)]
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The block vectors ``(u_r, vh_r)``, from one batched SVD of the
+        blocks; triple ``(r, i)`` pairs ``s`` with the ``i``-th vectors of
+        block ``r``."""
+        u_r, _, vh_r = _svd(self.blocks(), full_matrices=False)
+        return u_r, vh_r
+
+    def take(self, index) -> "_Cosets":
+        """The record of the windows ``index`` of the stack."""
+        return replace(
+            self, windows=self.windows[index], r=self.r[index], i=self.i[index],
+            s=self.s[index],
+        )
 
 
 def _coset_svd(
@@ -254,20 +274,19 @@ def _coset_svd(
     columns of an L-point DFT).  With ``G_r = U_r diag(sigma_r) Vh_r``
     the factors are ``s = scale sqrt(L) sigma``, ``U_r`` placed on the
     rows ``r + k L``, and ``Vh[(r, i), (m, n)] = phase[m, r] / sqrt(L)
-    * Vh_r[i, n]``: one batched SVD of the ``g L`` blocks of size
-    ``freq_step x n_times``, never of an ``N x M`` synthesis matrix.  The
-    triples are gathered in descending order: triple ``j`` is ``(r, i) =
-    divmod(order[j], k)``."""
+    * Vh_r[i, n]``: one batched values-only SVD of the ``g L`` blocks of
+    size ``freq_step x n_times`` gives ``s``, and the block vectors come
+    from one batched SVD on first read, never from an ``N x M`` synthesis
+    matrix.  The triples are gathered in descending order: triple ``j`` is
+    ``(r, i) = divmod(order[j], k)``."""
     coset = _coset_gather(N, time_step, freq_step, n_times, n_freqs)
-    u_r, sigma, vh_r = _svd(windows[:, coset], full_matrices=False)
+    sigma = _svd(windows[:, coset], compute_uv=False)
     k = sigma.shape[-1]
     sigma = sigma.reshape(windows.shape[0], n_freqs * k)
     order = np.argsort(-sigma, axis=-1, kind="stable")
     r, i = np.divmod(order, k)
     s = (scale * np.sqrt(n_freqs)) * np.take_along_axis(sigma, order, axis=-1)
-    return _Cosets(
-        windows, N, time_step, freq_step, n_times, n_freqs, scale, u_r, vh_r, r, i, s
-    )
+    return _Cosets(windows, N, time_step, freq_step, n_times, n_freqs, scale, r, i, s)
 
 
 def _assemble_rows(c: _Cosets) -> np.ndarray:
@@ -285,9 +304,8 @@ def _coset_product(c: _Cosets, x: np.ndarray) -> np.ndarray:
     sum_r exp(2 pi i m r / L) H_r[n]`` with ``H_r = G_r^t x_r`` and ``x_r``
     the rows ``r + k L`` of ``x``: one batched product of the blocks and
     an unnormalized L-point inverse DFT over the residues ``r``."""
-    blocks = c.windows[:, _coset_gather(*c.shape)]  # (g, L, freq_step, n_times)
     x_r = x.reshape(c.freq_step, c.n_freqs, -1).swapaxes(0, 1)
-    h = blocks.swapaxes(-1, -2) @ x_r  # (g, L, n_times, p)
+    h = c.blocks().swapaxes(-1, -2) @ x_r  # (g, L, n_times, p)
     out = np.fft.ifft(h, axis=1, norm="forward")
     out *= c.scale
     return out.reshape(len(c.windows), c.n_freqs * c.n_times, -1)
@@ -300,7 +318,7 @@ def _assemble_u(c: _Cosets) -> np.ndarray:
     stack, col = np.arange(g)[:, None], np.arange(count)
     # U[(kk, r'), j] = U_r[kk, i] when r' == r, else 0
     u = np.zeros((g, c.freq_step, c.n_freqs, count), dtype=np.complex128)
-    u[stack, :, c.r, col] = c.u_r[stack, c.r, :, c.i]
+    u[stack, :, c.r, col] = c.factors[0][stack, c.r, :, c.i]
     return u.reshape(g, c.N, count)
 
 
@@ -310,7 +328,7 @@ def _assemble_vh(c: _Cosets) -> np.ndarray:
     g, count = c.r.shape
     stack = np.arange(g)[:, None]
     phases = _coset_phases(c.N, c.freq_step, c.n_freqs)
-    vh = phases[c.r][..., None] * c.vh_r[stack, c.r, c.i][..., None, :]
+    vh = phases[c.r][..., None] * c.factors[1][stack, c.r, c.i][..., None, :]
     return vh.reshape(g, count, c.n_freqs * c.n_times)
 
 
@@ -420,7 +438,8 @@ def canonical_tight_window(lattice: GaborLattice, window: np.ndarray) -> np.ndar
     if rank == 0:
         raise EmptySpanError("all members are numerically zero")
     r, i = c.r[0, :rank], c.i[0, :rank]
-    vh_col = _coset_phases(c.N, c.freq_step, c.n_freqs)[r, 0] * c.vh_r[0, r, i, 0]
+    vh_r = c.factors[1]
+    vh_col = _coset_phases(c.N, c.freq_step, c.n_freqs)[r, 0] * vh_r[0, r, i, 0]
     return _assemble_u(c)[0, :, :rank] @ vh_col
 
 
@@ -646,37 +665,26 @@ def _window_hash(window: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(window).tobytes()).hexdigest()[:16]
 
 
-def _system_values(windows: np.ndarray, lat: GaborLattice) -> np.ndarray:
-    """The singular values of each window's system, descending: the ``s``
-    of ``_coset_svd`` without the block factors, from one batched
-    values-only SVD of the coset blocks."""
-    L = lat.N // lat.b
-    coset = _coset_gather(lat.N, lat.a, lat.b, lat.N // lat.a, L)
-    sigma = _svd(windows[:, coset], compute_uv=False).reshape(len(windows), -1)
-    return np.sqrt(L) * -np.sort(-sigma, axis=-1)
-
-
 def _gated_evidence(
     lat: GaborLattice,
-    windows: np.ndarray,
+    f: _Cosets,
     rngs: Sequence[np.random.Generator],
     tol: Tolerance,
 ) -> list[dict]:
     """Adjoint spectrum, witness and candidate records of frames that are
-    not tight, stacked over the windows: one factorization of the systems,
-    one of their adjoints (the unpadded ``w0``) and one tightening of the
-    ``randomized_parseval`` Gaussians, each drawn from its trial's
-    generator in order.  The w-only part (span basis, canonical dual
-    factor, Parseval tightening) is computed once per window and shared
-    by both candidates, whose dual sides are one call of
-    ``_span_residuals`` on the unpadded slots, completed by the padded
-    dual-commutation residual.  ``conjugated_dual`` (the conjugated
-    Parseval tightening of ``w0``) has the a b unpadded members, as its
-    padded members would be zero."""
+    not tight, stacked over the coset record ``f`` of their systems: the
+    block vectors of ``f``, one factorization of their adjoints (the
+    unpadded ``w0``) and one tightening of the ``randomized_parseval``
+    Gaussians, each drawn from its trial's generator in order.  The
+    w-only part (span basis, canonical dual factor, Parseval tightening)
+    is computed once per window and shared by both candidates, whose dual
+    sides are one call of ``_span_residuals`` on the unpadded slots,
+    completed by the padded dual-commutation residual.
+    ``conjugated_dual`` (the conjugated Parseval tightening of ``w0``) has
+    the a b unpadded members, as its padded members would be zero."""
     N, K, M = lat.N, lat.adjoint_count, lat.member_count
-    f = _system_cosets(windows, lat)
     f_u, f_s = _assemble_u(f), f.s
-    w = _adjoint_cosets(windows, lat)
+    w = _adjoint_cosets(f.windows, lat)
     w_rows, w_u, w_s, w_vh = _assemble_rows(w), _assemble_u(w), w.s, _assemble_vh(w)
     # the w-only part from the rank-r factors, padded to a common width
     # with zeros: the span basis q = U_r, the canonical dual factor
@@ -751,8 +759,8 @@ def _evaluate_trials(
             "exploration samples non-critical lattices; at critical density"
             " use promote_to_r_dual"
         )
-    stack = _checked_windows(windows, lat.N)
-    s = _system_values(stack, lat)
+    cosets = _system_cosets(_checked_windows(windows, lat.N), lat)
+    s = cosets.s
     rank = singular_rank(s, tol)
     if not rank.all():
         raise EmptySpanError("all members are numerically zero")
@@ -778,7 +786,8 @@ def _evaluate_trials(
     ]
     gated = [i for i, verdict in enumerate(verdicts) if verdict == "Gated"]
     if gated:
-        evidence = _gated_evidence(lat, stack[gated], [rngs[i] for i in gated], tol)
+        g_rngs = [rngs[i] for i in gated]
+        evidence = _gated_evidence(lat, cosets.take(gated), g_rngs, tol)
         for i, extra in zip(gated, evidence):
             records[i].update(extra)
     return records

@@ -2,10 +2,10 @@
 
 All rank and equality decisions are made relative to the largest
 singular value (or matrix scale) with an absolute floor, never by exact
-comparison; ``singular_rank`` is the one rank rule.  Rank-only callers
-need singular values alone, and no routine builds an ``m x m`` factor
-of a tall ``m x n`` input.  Every routine is a pure function of its
-inputs.
+comparison; ``singular_rank`` is the one rank rule, applied to singular
+values the caller already holds, so a family's rank comes from its one
+factorization.  ``thin_svd`` builds no ``m x m`` factor of a tall ``m x
+n`` input.  Every routine is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "hermitian_eig",
     "singular_rank",
     "thin_svd",
-    "svd_rank_nullspace",
 ]
 
 
@@ -133,19 +132,4 @@ def _svd(a: np.ndarray, **kwargs):
 def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(U, s, Vh)`` with ``min(m, n)`` singular triples, ``s`` descending."""
     return tuple(_svd(as_complex_matrix(a), full_matrices=False))
-
-
-def svd_rank_nullspace(
-    a: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> tuple[int, np.ndarray]:
-    """Numerical rank and an orthonormal basis of the right null space.
-
-    The null basis is returned as the columns of an ``n x (n - rank)``
-    matrix (possibly with zero columns count).  Only a wide input needs
-    the full right factor; a tall one gets it from the thin SVD.
-    """
-    a = as_complex_matrix(a)
-    _, s, vh = _svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = singular_rank(s, tol)
-    return rank, vh[rank:].conj().T
 

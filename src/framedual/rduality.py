@@ -81,7 +81,6 @@ from .numerics import (
     frobenius,
     hermitian_eig,
     singular_rank,
-    svd_rank_nullspace,
 )
 
 __all__ = [
@@ -617,28 +616,37 @@ class _ExtensionFamily(VectorFamily):
         return s
 
 
+def _span_complement(q: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the complement of ``range(q)``, for an ``n x
+    r`` ``q`` with orthonormal columns: the trailing ``n - r`` columns of
+    the ``Q`` of its complete QR."""
+    return np.linalg.qr(q, mode="complete")[0][:, q.shape[1] :]
+
+
 def _isometric_extension_v(side: _DualSide, label: str) -> VectorFamily:
     """Build ``v = Y + Q*`` where ``Q*`` maps ``deficit`` orthonormal
     vectors of ker(Y) onto an orthonormal basis of the span complement
-    of ``w`` and vanishes on the rest.  Any such vectors work; these are
-    kernel vectors of the leading ``lead = rank(Y) + deficit`` columns of
-    ``Y``, extended by zeros.  Those columns lie in span{w} = range(q), so
-    ``Y_lead c = 0`` exactly when ``q^* Y_lead c = 0``, and the kernel is
-    the orthogonal complement of the range of the ``lead x rank`` block
-    ``Y_lead^* q = conj(Y_lead^t) q``, which is ``left[:lead]`` (``Y^t =
-    conj(left q^*)`` and ``q^* q = I``): the trailing ``deficit`` columns
-    of the ``Q`` of its complete QR.  So only the ``lead <= n`` leading
-    rows of ``v`` differ from those of ``Y``: ``v`` is born factored
-    (``_ExtensionFamily``), as those rows and the rows ``conj(left[lead:])
-    q^t`` past them, and no count x n array is written."""
+    of ``w`` and vanishes on the rest.  The complement basis is read off
+    the span basis ``q`` (``_span_complement``), so it has exactly
+    ``deficit`` columns by the rank decision that gave ``q``.  Any such
+    kernel vectors work; these are kernel vectors of the leading ``lead =
+    rank(Y) + deficit`` columns of ``Y``, extended by zeros.  Those
+    columns lie in span{w} = range(q), so ``Y_lead c = 0`` exactly when
+    ``q^* Y_lead c = 0``, and the kernel is the orthogonal complement of
+    the range of the ``lead x rank`` block ``Y_lead^* q = conj(Y_lead^t)
+    q``, which is ``left[:lead]`` (``Y^t = conj(left q^*)`` and ``q^* q =
+    I``): the trailing ``deficit`` columns of the ``Q`` of its complete
+    QR.  So only the ``lead <= n`` leading rows of ``v`` differ from
+    those of ``Y``: ``v`` is born factored (``_ExtensionFamily``), as
+    those rows and the rows ``conj(left[lead:]) q^t`` past them, and no
+    count x n array is written."""
     left, q, deficit = side.left, side.q, side.deficit
     lead = left.shape[0] - side.kernel + deficit
     head = np.conj(left[:lead]) @ q.T
     if deficit:
         q_lead = np.linalg.qr(left[:lead], mode="complete")[0]
         ker_lead = q_lead[:, lead - deficit :]
-        _, comp_basis = svd_rank_nullspace(np.conj(side.w.vectors), side.tol)
-        head += np.conj(ker_lead) @ comp_basis[:, :deficit].T
+        head += np.conj(ker_lead) @ _span_complement(q).T
     return _ExtensionFamily(head, np.conj(left[lead:]), q, label)
 
 
@@ -854,9 +862,8 @@ def transfer_via_coisometry(
     # T_w T_p^+ with T_p^+ = Vh_r^* diag(1/s_r) U_r^* from the SVD of p.
     pu, ps, pvh = _span_svd(p, tol)
     u1 = ((w.vectors.T @ pvh.conj().T) / ps) @ pu.conj().T
-    _, comp_p = svd_rank_nullspace(np.conj(p.vectors), tol)
-    _, comp_w = svd_rank_nullspace(np.conj(w.vectors), tol)
-    u2 = comp_w[:, :deficit_w] @ comp_p[:, :deficit_w].conj().T
+    comp_p = _span_complement(pu)[:, :deficit_w]
+    u2 = _span_complement(side.q) @ comp_p.conj().T
     op = u1 + u2
     cois_res = frobenius(op @ op.conj().T - np.eye(n))
     transported = VectorFamily._factored(

@@ -2,11 +2,12 @@
 the tight weak-dual pipeline, promotion, and the exploration harness."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from framedual import VectorFamily
+from framedual import VectorFamily, gabor, numerics
 from framedual.errors import (
     BadLatticeError,
     CriticalDensityError,
@@ -52,6 +53,24 @@ def _replayed_draw(n_values, seed, t):
     lat = options[int(rng.integers(0, len(options)))]
     window = rng.standard_normal(lat.N) + 1j * rng.standard_normal(lat.N)
     return lat, window / np.linalg.norm(window), rng
+
+
+def _recorded_svd(monkeypatch):
+    """Wrap ``numerics._svd``, in ``numerics`` and where ``gabor`` binds
+    it, to record the keyword arguments of every call."""
+    svd, calls = numerics._svd, []
+
+    def recorded(a, **kwargs):
+        calls.append(kwargs)
+        return svd(a, **kwargs)
+
+    for module in (numerics, gabor):
+        monkeypatch.setattr(module, "_svd", recorded)
+    return calls
+
+
+def _values_only(calls):
+    return bool(calls) and all(kw.get("compute_uv") is False for kw in calls)
 
 
 def _rule_windows(kind, N, rng):
@@ -251,6 +270,15 @@ class TestDualityCheck:
         assert rep.system_is_frame and rep.adjoint_is_riesz
         assert rep.bounds_agree and rep.match
 
+    @pytest.mark.parametrize("N", [24, 96])
+    def test_no_block_vectors_are_computed(self, monkeypatch, N):
+        # the system and the duality check read singular values alone
+        lat = GaborLattice(N, 2, 2)
+        window = _random_window(np.random.default_rng(N), N)
+        calls = _recorded_svd(monkeypatch)
+        assert duality_check(gabor_system(lat, window)).match
+        assert _values_only(calls), calls
+
     def test_degenerate_pair_matches_statuses(self):
         # too few members to span: not a frame, and the adjoint cannot be
         # a Riesz sequence either
@@ -414,6 +442,20 @@ class TestExploration:
         rec = evaluate_exploration_trial(lat, _random_window(rng, 4), rng)
         assert rec["verdict"] == "Tight"
 
+    def test_verdict_stage_computes_no_block_vectors(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        tight_lat = GaborLattice(12, 2, 2)
+        tight = canonical_tight_window(tight_lat, _random_window(rng, 12))
+        trials = [
+            (tight_lat, tight, "Tight"),
+            (GaborLattice(12, 4, 6), _random_window(rng, 12), "NotFrame"),
+        ]
+        calls = _recorded_svd(monkeypatch)
+        for lat, window, verdict in trials:
+            calls.clear()
+            assert evaluate_exploration_trial(lat, window, rng)["verdict"] == verdict
+            assert _values_only(calls), (verdict, calls)
+
     def test_critical_trial_is_rejected(self):
         # exploration samples non-critical lattices only; the critical
         # case is settled by the promotion
@@ -448,8 +490,10 @@ class TestExploration:
         assert {full[t]["verdict"] for t in sample} == {"NotFrame", "Tight", "Gated"}
 
     def test_svd_calls_bounded_per_lattice(self, monkeypatch):
-        # trials that share a lattice share its factorizations: at most the
-        # system, its adjoint, the random Gaussians and one values-only SVD
+        # trials that share a lattice share its factorizations: one
+        # values-only SVD of the systems per lattice, and on a lattice with
+        # gated trials their block vectors, the adjoints' values and
+        # vectors and the random Gaussians
         svd, calls = np.linalg.svd, []
 
         def counted(*args, **kwargs):
@@ -458,8 +502,24 @@ class TestExploration:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         report = run_exploration(range(4, 13), seed=1, trials=1000)
-        drawn = {(rec["N"], rec["a"], rec["b"]) for rec in report["records"]}
-        assert len(calls) <= 4 * len(drawn)
+        key = lambda rec: (rec["N"], rec["a"], rec["b"])
+        drawn = {key(rec) for rec in report["records"]}
+        gated = {key(rec) for rec in report["records"] if rec["verdict"] == "Gated"}
+        assert len(calls) == len(drawn) + 4 * len(gated)
+
+    def test_verdict_counts_are_pinned(self):
+        report = run_exploration(range(4, 13), seed=1, trials=1000)
+        assert report["verdict_counts"] == {"Gated": 275, "NotFrame": 468, "Tight": 257}
+        candidates = Counter(
+            (c["name"], c["verdict"])
+            for rec in report["records"]
+            for c in rec.get("candidates", ())
+        )
+        assert candidates == {
+            ("conjugated_dual", "ConditionsHold"): 184,
+            ("conjugated_dual", "ConditionsFail"): 91,
+            ("randomized_parseval", "ConditionsFail"): 275,
+        }
 
     @pytest.mark.parametrize("kind", ["complex", "real", "real_even", "gaussian"])
     def test_conjugated_dual_lattice_rule(self, kind):

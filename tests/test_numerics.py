@@ -10,7 +10,6 @@ from framedual.numerics import (
     frobenius,
     hermitian_eig,
     singular_rank,
-    svd_rank_nullspace,
 )
 
 
@@ -144,37 +143,3 @@ class TestPsdInverseSqrt:
         b = psd_inverse_sqrt(a)
         np.testing.assert_allclose(b, np.diag([1.0, 0.0]), atol=1e-12)
 
-
-class TestSvdRankNullspace:
-    def test_identity(self):
-        rank, basis = svd_rank_nullspace(np.eye(3, dtype=complex))
-        assert rank == 3
-        assert basis.shape == (3, 0)
-
-    def test_wide_matrix(self):
-        rank, basis = svd_rank_nullspace(
-            np.array([[1, 0, 0], [0, 1, 0]], dtype=complex)
-        )
-        assert rank == 2
-        assert basis.shape == (3, 1)
-        np.testing.assert_allclose(np.abs(basis[:, 0]), [0, 0, 1], atol=1e-12)
-
-    def test_repeated_family_null_vector(self):
-        # synthesis of {e1, e1, e2}: null vector proportional to (1, -1, 0)
-        t = np.array([[1, 1, 0], [0, 0, 1]], dtype=complex)
-        rank, basis = svd_rank_nullspace(t)
-        assert rank == 2 and basis.shape == (3, 1)
-        expected = np.array([1, -1, 0]) / np.sqrt(2)
-        assert abs(abs(np.vdot(expected, basis[:, 0])) - 1.0) <= 1e-12
-
-    def test_rank_plus_nullity(self):
-        rng = np.random.default_rng(3)
-        for shape in ((2, 5), (5, 2), (4, 4), (1, 1)):
-            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            rank, basis = svd_rank_nullspace(a)
-            assert rank + basis.shape[1] == shape[1]
-            if basis.shape[1]:
-                assert np.linalg.norm(a @ basis) <= 1e-9 * max(1, np.linalg.norm(a))
-                np.testing.assert_allclose(
-                    basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-10
-                )

@@ -422,19 +422,25 @@ def _complement_basis(w):
 
 
 def _lattice_families():
-    """System and adjoint on every divisor lattice with N <= 24."""
+    """Builders of the system and the adjoint on every divisor lattice
+    with N <= 24, each call a fresh family."""
     for N in range(1, 25):
         for lat in divisor_lattices(N):
-            sys = gabor_system(lat, _window(lat, 5))
-            yield sys.family
-            yield adjoint_system(sys).family
+            window = _window(lat, 5)
+            yield lambda lat=lat, window=window: gabor_system(lat, window).family
+            yield lambda lat=lat, window=window: adjoint_system(
+                gabor_system(lat, window)
+            ).family
 
 
 def test_seeded_factors_match_dense_on_every_lattice():
     checked = 0
-    for fam in _lattice_families():
-        t = fam.vectors.T
+    for build in _lattice_families():
+        # one s per family, whatever is read first
+        values_first, fam = build(), build()
         u, s, vh = fam.svd
+        assert np.array_equal(values_first._s, s)
+        t = fam.vectors.T
         dense = np.linalg.svd(t, compute_uv=False)
         k = dense.size
         assert u.shape == (fam.ambient_dim, k) and vh.shape == (k, fam.count)
@@ -449,14 +455,17 @@ def test_seeded_factors_match_dense_on_every_lattice():
 
 def eager_translates(windows, N, time_step, freq_step, n_times, n_freqs, scale=1.0):
     """The member rows and the thin SVD ``(U, s, Vh)`` of a stack of
-    systems, all assembled at once from the coset blocks: the oracle for
-    the assemblers, which build ``Vh`` only when it is read."""
+    systems, all assembled at once from the coset blocks, with ``s`` and
+    its order from the values-only SVD and the vectors from the full one:
+    the oracle for the assemblers, which build ``Vh`` only when it is
+    read."""
     shape = (N, time_step, freq_step, n_times, n_freqs)
     phase, shift = _row_tables(*shape)
     coset, coset_phase = _coset_gather(*shape), _coset_phases(N, freq_step, n_freqs)
     g, L = windows.shape[0], n_freqs
     rows = (scale * phase)[:, None, :] * windows[:, None, shift]
-    u_r, sigma, vh_r = np.linalg.svd(windows[:, coset], full_matrices=False)
+    sigma = np.linalg.svd(windows[:, coset], compute_uv=False)
+    u_r, _, vh_r = np.linalg.svd(windows[:, coset], full_matrices=False)
     k = sigma.shape[-1]
     sigma = sigma.reshape(g, L * k)
     order = np.argsort(-sigma, axis=-1, kind="stable")
@@ -700,7 +709,10 @@ def test_gated_evidence_with_adjoint_ranks_differing_across_the_stack():
     random = _window(lat, 14)
     windows = np.stack([random / np.linalg.norm(random), delta])
     records = gabor._gated_evidence(
-        lat, windows, [np.random.default_rng(i) for i in range(2)], TOL
+        lat,
+        gabor._system_cosets(windows, lat),
+        [np.random.default_rng(i) for i in range(2)],
+        TOL,
     )
     assert [len(rec["adjoint_spectrum"]) for rec in records] == [4, 2]
     for i, (window, rec) in enumerate(zip(windows, records)):
@@ -742,16 +754,19 @@ def _kernel_columns(v, y_syn, w):
 
 
 def test_kernel_columns_are_orthonormal_and_annihilated():
-    lat = GaborLattice(12, 2, 2)
+    # the tight pipeline on (12, 2, 2) and on (24, 4, 4), whose adjoint
+    # (16 members in C^24) leaves a large span deficit
+    cases = []
+    for lat, seed in ((GaborLattice(12, 2, 2), 3), (GaborLattice(24, 4, 4), 15)):
+        sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, seed)))
+        res = tight_gabor_weak_r_dual(sys)
+        u = standard_basis_family(lat.N, lat.member_count)
+        w0 = adjoint_system(sys).family
+        y_syn = dense_dual_syn(pad_adjoint(w0, lat.member_count)) @ (
+            u.vectors @ sys.family.vectors.conj().T
+        )
+        cases.append((res.v, y_syn, w0, res.certificate.span_deficit))
     rng = np.random.default_rng(9)
-    sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 3)))
-    res = tight_gabor_weak_r_dual(sys)
-    u = standard_basis_family(lat.N, lat.member_count)
-    w0 = adjoint_system(sys).family
-    y_syn = dense_dual_syn(pad_adjoint(w0, lat.member_count)) @ (
-        u.vectors @ sys.family.vectors.conj().T
-    )
-    cases = [(res.v, y_syn, w0)]
     # The doubled half-weight construct-v instance (span{w} proper in C^3),
     # moved by one random unitary, which keeps every Gram matrix.
     q = random_unitary(rng, 3).T
@@ -759,10 +774,12 @@ def test_kernel_columns_are_orthonormal_and_annihilated():
     f = VectorFamily(np.array([e[0], e[0], e[1], e[1]]) @ q)
     w = VectorFamily(np.array([e[1], e[1], e[2], e[2]]) @ q)
     v = build_parseval_v(w, f, f)
-    cases.append((v, dense_dual_syn(w) @ (f.vectors @ f.vectors.conj().T), w))
-    for v, y_syn, w in cases:
+    deficit = certify_weak_r_dual(w, f, f, v).span_deficit
+    cases.append((v, dense_dual_syn(w) @ (f.vectors @ f.vectors.conj().T), w, deficit))
+    for v, y_syn, w, deficit in cases:
         k = _kernel_columns(v, y_syn, w)
-        assert k.shape[1] == w.ambient_dim - dense_rank_nullspace(w.vectors.T)[0] > 0
+        assert k.shape[1] == deficit
+        assert deficit == w.ambient_dim - dense_rank_nullspace(w.vectors.T)[0] > 0
         np.testing.assert_allclose(k.conj().T @ k, np.eye(k.shape[1]), atol=1e-10)
         assert fro(y_syn @ k) <= TOL.threshold(max(1.0, fro(y_syn)))
 
