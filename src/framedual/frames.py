@@ -265,7 +265,8 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
 def _parseval_residual(s: np.ndarray, rank: int) -> tuple[float, float]:
     """``||S - P||_F`` and its scale ``max(1, ||S||_F)`` from the descending
     singular values ``s`` of a family and its rank: ``S - P`` has the
-    eigenvalues ``s_i^2 - 1`` on the span and ``s_i^2`` off it."""
+    eigenvalues ``s_i^2 - 1`` on the span and ``s_i^2`` off it.  Parseval is
+    not a homogeneous property, so this scale alone keeps a unit clamp."""
     sq = s**2
     res = float(np.hypot(np.linalg.norm(sq[:rank] - 1.0), np.linalg.norm(sq[rank:])))
     return res, max(1.0, float(np.linalg.norm(sq)))

@@ -86,7 +86,6 @@ from .rduality import (
     WeakRDualCertificate,
     _adjoint_product_norm,
     _certificate,
-    _commutation_ok,
     _dual_side,
     _orthonormal_v,
     _parseval_v,
@@ -351,18 +350,18 @@ def _adjoint_cosets(windows: np.ndarray, lat: GaborLattice) -> _Cosets:
 
 def _checked_windows(windows: np.ndarray, N: int) -> np.ndarray:
     """A ``(g, N)`` stack of windows as complex128, after the checks every
-    system makes on its window: length N, finite entries, nonzero norm.
+    system makes on its window: length N, finite entries, not exactly zero
+    (a small window is left to the rank rule at the caller's tolerance).
     The member rows are window entries times a scale and unit phases, so
     products taken from the coset blocks, which never build the rows,
-    rest on this check; rows assembled on demand are checked again when
-    they are read."""
+    rest on this check; rows assembled on demand are checked again."""
     w = np.asarray(windows, dtype=np.complex128)
     if w.shape[1:] != (N,):
         raise ShapeMismatchError(f"window must have length {N}, got {w.shape[1:]}")
     if not np.isfinite(w).all():
         raise ZeroWindowError("window entries must be finite")
-    if np.any(np.linalg.norm(w, axis=-1) <= DEFAULT_TOL.abs_floor):
-        raise ZeroWindowError("window is numerically zero")
+    if not np.any(w, axis=-1).all():
+        raise ZeroWindowError("window is zero")
     return w
 
 
@@ -502,10 +501,10 @@ def _padded_dual_commutation(dual_res, gram_norm, tail_norm, tol: Tolerance):
     unpadded slots' residual and ``||G(u,f)||_F`` and ``tail_norm =
     ||U_tail F^*||_F`` of the members of ``u`` past them.  The canonical
     dual of ``[W; 0]`` is ``[W~; 0]``, so the padded residual is
-    ``hypot(unpadded residual, tail_norm)``, and ``||U F^*||`` splits the
-    same way."""
+    ``hypot(unpadded residual, tail_norm)``, and its scale ``||U F^*||_F``
+    splits the same way."""
     res = np.hypot(dual_res, tail_norm)
-    return res, _commutation_ok(res, np.hypot(gram_norm, tail_norm), tol)
+    return res, res <= tol.threshold(np.hypot(gram_norm, tail_norm))
 
 
 @dataclass(frozen=True)
@@ -554,36 +553,34 @@ def tight_gabor_weak_r_dual(
         )
     m_count = lat.member_count
     k_count = lat.adjoint_count
-    # zero members add nothing to the frame operator of u, to its members
-    # at the unpadded slots or to the tail norm, so u is read as its nonzero
-    # members and their positions; the default is e_0, ..., e_{N-1} at
-    # positions 0, ..., N-1
+    # the default u, e_0, ..., e_{N-1} padded with zeros, is exactly Parseval,
+    # and the tail factor of its rows e_K, ... is conj(U) diag(s) past row K
     if u is None:
-        positions = np.arange(lat.N)
-        rows = np.eye(lat.N, dtype=np.complex128)
+        u_head = np.eye(k_count, lat.N, dtype=np.complex128)
         label = f"standard-basis-{lat.N}x{m_count}"
+        tail_norm = frobenius(np.conj(sys.family._us[0][k_count:]) * sys.family._s)
     elif u.count != m_count or u.ambient_dim != lat.N:
         raise ShapeMismatchError(
             f"u must have {m_count} members of dimension {lat.N}"
         )
     else:
+        # zero members add nothing to S_u, the unpadded slots or the tail
+        # norm, so u is read as its nonzero members and their positions
         positions = np.flatnonzero(np.any(u.vectors, axis=1))
         rows, label = u.vectors[positions], u.label
-    t = rows.T
-    u_pars = frobenius(t @ t.conj().T - np.eye(lat.N))
-    if u_pars > tol.threshold(float(lat.N)):
-        raise NotParsevalError(
-            f"u must be Parseval for the ambient space (residual {u_pars:.3e})"
-        )
-
-    w0 = adjoint_system(sys).family
-    head = positions < k_count
-    u_head = np.zeros((k_count, lat.N), dtype=np.complex128)
-    u_head[positions[head]] = rows[head]
+        u_pars = frobenius(rows.T @ rows.conj() - np.eye(lat.N))
+        if u_pars > tol.threshold(np.sqrt(lat.N)):  # ||I_N||_F
+            raise NotParsevalError(
+                f"u must be Parseval for the ambient space (residual {u_pars:.3e})"
+            )
+        head = positions < k_count
+        u_head = np.zeros((k_count, lat.N), dtype=np.complex128)
+        u_head[positions[head]] = rows[head]
+        tail_norm = _adjoint_product_norm(rows[~head], sys.family._us)
     u_slice = VectorFamily(u_head, label=f"{label}[:{k_count}]")
 
+    w0 = adjoint_system(sys).family
     side = _dual_side(w0, sys.family, u_slice, tol)
-    tail_norm = _adjoint_product_norm(rows[~head], sys.family._us)
     padded_res, _ = _padded_dual_commutation(
         side.dual_res, side.gram_norm, tail_norm, tol
     )

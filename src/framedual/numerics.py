@@ -2,10 +2,13 @@
 
 All rank and equality decisions are made relative to the largest
 singular value (or matrix scale) with an absolute floor, never by exact
-comparison; ``singular_rank`` is the one rank rule, applied to singular
-values the caller already holds, so a family's rank comes from its one
-factorization.  ``thin_svd`` builds no ``m x m`` factor of a tall ``m x
-n`` input.  Every routine is a pure function of its inputs.
+comparison: a residual is accepted when ``residual <=
+tol.threshold(scale)``, with ``scale`` what it is homogeneous in and no
+unit clamp (only the Parseval residual, which is not homogeneous, keeps
+``max(1, ||S||_F)``).  ``singular_rank`` is the one rank rule, applied
+to singular values the caller already holds, so a family's rank comes
+from its one factorization.  ``thin_svd`` builds no ``m x m`` factor of
+a tall ``m x n`` input.  Every routine is a pure function of its inputs.
 """
 
 from __future__ import annotations

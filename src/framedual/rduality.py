@@ -203,12 +203,6 @@ def _sequence_rows(side: _DualSide) -> np.ndarray:
     return np.conj(side.left) @ side.q.T
 
 
-def _commutation_ok(residual, gram_norm, tol: Tolerance):
-    """Accept rule shared by the commutation residuals (elementwise on
-    arrays)."""
-    return residual <= tol.threshold(np.maximum(1.0, gram_norm))
-
-
 def _span_residuals(
     q: np.ndarray,
     inv_vh: np.ndarray,
@@ -241,7 +235,7 @@ def _span_residuals(
     gram_norm = frobenius(a)
     dual_res = frobenius((np.conj(w_rows) @ q) @ c - a)
     pars_res = frobenius(c @ c.conj().swapaxes(-1, -2) - span_eye)
-    pars_ok = pars_res <= tol.threshold(np.maximum(1.0, frobenius(span_eye)))
+    pars_ok = pars_res <= tol.threshold(frobenius(span_eye))
     return c, gram_norm, dual_res, pars_res, pars_ok
 
 
@@ -266,7 +260,7 @@ def _dual_side(
     )
     left = f._times(np.conj(inv_vh @ u.vectors).T)
     rank_y = singular_rank(np.linalg.svd(c, compute_uv=False), tol)
-    dual_ok = _commutation_ok(dual_res, gram_norm, tol)
+    dual_ok = dual_res <= tol.threshold(gram_norm)
     deficit, kernel = w.ambient_dim - q.shape[1], f.count - rank_y
     return _DualSide(
         w, f, u, tol, left, q, deficit, kernel, gram_norm, dual_res, dual_ok,
@@ -374,10 +368,10 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
     in_span -= np.conj(side.left)
     proj_res = float(np.max(np.linalg.norm(in_span, axis=1)))
 
-    w_scale = max(1.0, float(np.max(np.linalg.norm(w_syn, axis=0))))
+    w_scale = float(np.max(np.linalg.norm(w_syn, axis=0)))
     synth_ok = synth_res <= tol.threshold(w_scale)
-    comm_ok = _commutation_ok(comm_res, side.gram_norm, tol)
-    proj_ok = proj_res <= tol.threshold(w_scale)
+    comm_ok = comm_res <= tol.threshold(side.gram_norm)
+    proj_ok = proj_res <= tol.threshold(1.0)  # degree 0, and ||P v_i|| <= 1
 
     # An orthonormal basis has exactly n members, so families of any other
     # count are not factored for the flag.
@@ -442,9 +436,14 @@ def weak_r_dual(
     _require_same_dim(f, u, v)
     _gate_parseval(u, tol, "u")
     _gate_parseval(v, tol, "v")
-    w_syn = (v.vectors.T @ f.vectors) @ u.vectors.conj().T
-    w = VectorFamily._factored(w_syn.T, label=f"wrd({f.label})")
+    w = _synthesize(f, u, v, label=f"wrd({f.label})")
     return w, _certificate(_dual_side(w, f, u, tol), v)
+
+
+def _synthesize(f: VectorFamily, u: VectorFamily, v: VectorFamily, label: str):
+    """The family ``w_j = sum_i <f_i, u_j> v_i``."""
+    w_syn = (v.vectors.T @ f.vectors) @ u.vectors.conj().T
+    return VectorFamily._factored(w_syn.T, label=label)
 
 
 def characterize(
@@ -798,7 +797,7 @@ def interleaved_weak_r_dual(
     side = _check_hypotheses(_dual_side(w, f, u, tol))
     comp = np.eye(n) - side.q @ side.q.conj().T
     s_q = frame_operator(q)
-    if frobenius(s_q - comp) > tol.threshold(max(1.0, frobenius(comp))):
+    if frobenius(s_q - comp) > tol.threshold(frobenius(comp)):
         raise NotParsevalComplementError(
             "q is not Parseval for the orthogonal complement of span{w}"
         )
@@ -947,8 +946,7 @@ def verify_conjugate_witness(
     s_f = frame_operator(f)
     r_w = frobenius(np.linalg.inv(lmap.compose_adjoint_right()) - s_w)
     r_f = frobenius(np.linalg.inv(lmap.compose_adjoint_left()) - s_f)
-    scale = max(1.0, frobenius(s_w), frobenius(s_f))
-    ok = r_w <= tol.threshold(scale) and r_f <= tol.threshold(scale)
+    ok = r_w <= tol.threshold(frobenius(s_w)) and r_f <= tol.threshold(frobenius(s_f))
     if not ok:
         return WitnessVerification(r_w, r_f, False, None, None, None, None)
 
@@ -1048,9 +1046,8 @@ def characterizing_sequence_bounds(
     Requires the Gram invariance condition for ``u`` against ``w`` and a
     frame ``f`` for the ambient space.
     """
-    res = gram_invariance_residual(u, w, tol)
-    w_scale = max(1.0, float(np.max(np.linalg.norm(w.vectors, axis=1))))
-    if res > tol.threshold(w_scale):
+    res, holds = _gram_invariance(u, w, tol)
+    if not holds:
         raise HypothesisFailedError(
             f"Gram invariance condition fails (residual {res:.3e})"
         )
@@ -1086,13 +1083,11 @@ def synthesized_gram_invariance_residual(
     _require_same_count(f, u, v)
     n = _require_same_dim(f, u, v)
     pars = frobenius(frame_operator(u) - np.eye(n))
-    if pars > tol.threshold(max(1.0, float(n))):
+    if pars > tol.threshold(np.sqrt(n)):  # ||I_n||_F
         raise NotParsevalError(
             f"u must be Parseval for the ambient space (residual {pars:.3e})"
         )
-    w_syn = (v.vectors.T @ f.vectors) @ u.vectors.conj().T
-    w = VectorFamily._factored(w_syn.T, label="synthesized")
-    return gram_invariance_residual(u, w, tol)
+    return gram_invariance_residual(u, _synthesize(f, u, v, "synthesized"), tol)
 
 
 def completeness_implies_invariance(
@@ -1121,6 +1116,10 @@ def _completeness_implies_invariance(side: _DualSide) -> bool:
         raise HypothesisFailedError(
             f"dual commutation condition fails (residual {side.dual_res:.3e})"
         )
-    inv = gram_invariance_residual(u, w, tol)
-    w_scale = max(1.0, float(np.max(np.linalg.norm(w.vectors, axis=1))))
-    return inv <= tol.threshold(w_scale)
+    return _gram_invariance(u, w, tol)[1]
+
+
+def _gram_invariance(u: VectorFamily, w: VectorFamily, tol: Tolerance):
+    """The Gram invariance residual and its decision at ``max_k ||w_k||``."""
+    res = gram_invariance_residual(u, w, tol)
+    return res, res <= tol.threshold(np.linalg.norm(w.vectors, axis=1).max())

@@ -173,6 +173,17 @@ class TestWindowFile:
         assert code == 0
         assert report["duality"]["match"] is True
 
+    def test_small_window_meets_the_floor_in_its_units(self, tmp_path, capsys):
+        path = _write(tmp_path, "win", fam([[1e-20, 0, 0, 0]], label="window"))
+        argv = ["gabor", "tight-wrd", "--N", "4", "--a", "1", "--b", "2"]
+        argv += ["--window", path]
+        code, report = _run(capsys, argv)
+        assert code == 2
+        assert report["error"]["type"] == "EmptySpanError"
+        code, report = _run(capsys, argv + ["--abs-floor", "1e-32"])
+        assert code == 0
+        assert report["tight_weak_r_dual"]["certificate"]["verdict"] == "WeakRDual"
+
 
 class TestRepro:
     def test_single(self, capsys):

@@ -11,6 +11,7 @@ from framedual import VectorFamily, gabor, numerics
 from framedual.errors import (
     BadLatticeError,
     CriticalDensityError,
+    EmptySpanError,
     GateFailedError,
     HypothesisFailedError,
     NotTightError,
@@ -30,6 +31,7 @@ from framedual.gabor import (
     run_exploration,
     tight_gabor_weak_r_dual,
 )
+from framedual.numerics import Tolerance
 from framedual.rduality import cross_gram
 
 
@@ -317,6 +319,20 @@ class TestTightPipeline:
         u = VectorFamily(vecs, label="padded-unitary")
         res = tight_gabor_weak_r_dual(sys, u)
         assert res.certificate.passes()
+
+    def test_small_window_is_left_to_the_rank_rule(self):
+        # a window below the default floor is not zero: with the floor in
+        # its units it certifies, and at the default floor the rank rule
+        # finds no span
+        lat = GaborLattice(12, 2, 2)
+        g = canonical_tight_window(lat, _random_window(np.random.default_rng(12), 12))
+        c = 2.0**-40
+        sys = gabor_system(lat, c * g)
+        tol = Tolerance(abs_floor=1e-12 * c)
+        cert = tight_gabor_weak_r_dual(sys, tol=tol).certificate
+        assert cert.verdict == cert.characterization_verdict == "WeakRDual"
+        with pytest.raises(EmptySpanError):
+            tight_gabor_weak_r_dual(sys)
 
     def test_critical_density_gate(self):
         with pytest.raises(CriticalDensityError):
