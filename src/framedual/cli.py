@@ -98,44 +98,45 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_wrd(args: argparse.Namespace) -> int:
+def _emit_certificate(cert, args: argparse.Namespace, passed: bool, **extra) -> int:
+    _emit(_report({"certificate": cert.to_json_dict(), **extra}), args)
+    return 0 if passed else 1
+
+
+def _cmd_wrd_build(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    if args.wrd_command == "build":
-        f, u, v = map(load_family, (args.f, args.u, args.v))
-        w, cert = weak_r_dual(f, u, v, tol)
-        _emit(_report({"certificate": cert.to_json_dict()}), args)
-        return 0 if cert.passes() else 1
-    if args.wrd_command == "check":
-        w, f, u, v = map(load_family, (args.w, args.f, args.u, args.v))
-        cert = certify_weak_r_dual(w, f, u, v, tol)
-        _emit(_report({"certificate": cert.to_json_dict()}), args)
-        return 0 if cert.passes() else 1
-    if args.wrd_command == "characterize":
-        w, f, u, v = map(load_family, (args.w, args.f, args.u, args.v))
-        cert = characterize(w, f, u, v, tol)
-        _emit(_report({"certificate": cert.to_json_dict()}), args)
-        return 0 if cert.characterization_verdict != "NotWeakRDual" else 1
-    if args.wrd_command == "construct-v":
-        w, f, u = map(load_family, (args.w, args.f, args.u))
-        side, v = _constructed_v(w, f, u, tol, orthonormal=args.onb)
-        cert = _certificate(side, v)
-        _emit(
-            _report(
-                {
-                    "certificate": cert.to_json_dict(),
-                    "v": [[ [z.real, z.imag] for z in row] for row in v.vectors],
-                }
-            ),
-            args,
-        )
-        return 0 if cert.passes() else 1
-    if args.wrd_command == "promote":
-        w, f, u = map(load_family, (args.w, args.f, args.u))
-        v = load_family(args.v) if args.v else None
-        result = promote_to_r_dual(w, f, u, tol, v=v)
-        _emit(_report({"certificate": result.certificate.to_json_dict()}), args)
-        return 0 if result.certificate.verdict == "RDual" else 1
-    raise AssertionError(f"unhandled subcommand {args.wrd_command}")
+    _, cert = weak_r_dual(*map(load_family, (args.f, args.u, args.v)), tol)
+    return _emit_certificate(cert, args, cert.passes())
+
+
+def _cmd_wrd_check(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
+    cert = certify_weak_r_dual(*map(load_family, (args.w, args.f, args.u, args.v)), tol)
+    return _emit_certificate(cert, args, cert.passes())
+
+
+def _cmd_wrd_characterize(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
+    cert = characterize(*map(load_family, (args.w, args.f, args.u, args.v)), tol)
+    passed = cert.characterization_verdict != "NotWeakRDual"
+    return _emit_certificate(cert, args, passed)
+
+
+def _cmd_wrd_construct_v(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
+    w, f, u = map(load_family, (args.w, args.f, args.u))
+    side, v = _constructed_v(w, f, u, tol, orthonormal=args.onb)
+    cert = _certificate(side, v)
+    rows = [[[z.real, z.imag] for z in row] for row in v.vectors]
+    return _emit_certificate(cert, args, cert.passes(), v=rows)
+
+
+def _cmd_wrd_promote(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
+    w, f, u = map(load_family, (args.w, args.f, args.u))
+    v = load_family(args.v) if args.v else None
+    cert = promote_to_r_dual(w, f, u, tol, v=v).certificate
+    return _emit_certificate(cert, args, cert.verdict == "RDual")
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
@@ -145,35 +146,32 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     return 0 if all(r["all_passed"] for r in reports) else 1
 
 
-def _cmd_gabor(args: argparse.Namespace) -> int:
+def _cmd_gabor_explore(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    if args.gabor_command == "explore":
-        report = run_exploration(
-            _parse_n_values(args.N), seed=args.seed, trials=args.trials, tol=tol
-        )
-        _emit(_report(report), args)
-        return 0
+    N_values = _parse_n_values(args.N)
+    _emit(_report(run_exploration(N_values, args.seed, args.trials, tol)), args)
+    return 0
+
+
+def _system(args: argparse.Namespace):
     lattice = GaborLattice(args.N_single, args.a, args.b)
-    window = _window(args.window, lattice.N, args.normalize)
-    sys_ = gabor_system(lattice, window)
-    if args.gabor_command == "duality":
-        report = duality_check(sys_, tol)
-        _emit(_report({"duality": report.to_json_dict()}), args)
-        return 0 if report.match else 1
-    if args.gabor_command == "tight-wrd":
-        result = tight_gabor_weak_r_dual(sys_, tol=tol)
-        v_is_onb = result.certificate.v_is_onb
-        _emit(
-            _report(
-                {
-                    "tight_weak_r_dual": result.to_json_dict(),
-                    "v_is_onb": v_is_onb,
-                }
-            ),
-            args,
-        )
-        return 0 if result.certificate.passes() and not v_is_onb else 1
-    raise AssertionError(f"unhandled subcommand {args.gabor_command}")
+    return gabor_system(lattice, _window(args.window, lattice.N, args.normalize))
+
+
+def _cmd_gabor_duality(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
+    report = duality_check(_system(args), tol)
+    _emit(_report({"duality": report.to_json_dict()}), args)
+    return 0 if report.match else 1
+
+
+def _cmd_gabor_tight_wrd(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
+    result = tight_gabor_weak_r_dual(_system(args), tol=tol)
+    v_is_onb = result.certificate.v_is_onb
+    report = {"tight_weak_r_dual": result.to_json_dict(), "v_is_onb": v_is_onb}
+    _emit(_report(report), args)
+    return 0 if result.certificate.passes() and not v_is_onb else 1
 
 
 def _parse_n_values(spec: str) -> list[int]:
@@ -211,12 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wrd = sub.add_parser("wrd", help="weak R-dual operations")
     wrd_sub = p_wrd.add_subparsers(dest="wrd_command", required=True)
-    for name, needs in (
-        ("build", "fuv"),
-        ("check", "wfuv"),
-        ("characterize", "wfuv"),
-        ("construct-v", "wfu"),
-        ("promote", "wfu"),
+    for name, needs, func in (
+        ("build", "fuv", _cmd_wrd_build),
+        ("check", "wfuv", _cmd_wrd_check),
+        ("characterize", "wfuv", _cmd_wrd_characterize),
+        ("construct-v", "wfu", _cmd_wrd_construct_v),
+        ("promote", "wfu", _cmd_wrd_promote),
     ):
         p = wrd_sub.add_parser(name)
         for letter in needs:
@@ -226,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "promote":
             p.add_argument("--v", required=False, default=None)
         _add_common(p)
-        p.set_defaults(func=_cmd_wrd)
+        p.set_defaults(func=func)
 
     p_re = sub.add_parser("repro", help="run a built-in reproduction fixture")
     p_re.add_argument("id", choices=list(FIXTURE_IDS) + ["all"])
@@ -235,7 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ga = sub.add_parser("gabor", help="Gabor operations on Z_N")
     ga_sub = p_ga.add_subparsers(dest="gabor_command", required=True)
-    for name in ("duality", "tight-wrd"):
+    for name, func in (
+        ("duality", _cmd_gabor_duality),
+        ("tight-wrd", _cmd_gabor_tight_wrd),
+    ):
         p = ga_sub.add_parser(name)
         p.add_argument("--N", dest="N_single", type=int, required=True)
         p.add_argument("--a", type=int, required=True)
@@ -243,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", type=str, default="delta")
         p.add_argument("--normalize", action="store_true")
         _add_common(p)
-        p.set_defaults(func=_cmd_gabor)
+        p.set_defaults(func=func)
     p_ex = ga_sub.add_parser("explore")
     p_ex.add_argument("--N", type=str, required=True, help="e.g. 4..8 or 4,6,8")
     p_ex.add_argument("--trials", type=int, default=100)
     p_ex.add_argument("--seed", type=int, default=0, help="RNG seed")
     _add_common(p_ex)
-    p_ex.set_defaults(func=_cmd_gabor)
+    p_ex.set_defaults(func=_cmd_gabor_explore)
 
     return parser
 

@@ -58,7 +58,7 @@ def _members(v: np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class VectorFamily:
     """Ordered finite family of complex vectors in ``C^ambient_dim``.
 
@@ -71,7 +71,8 @@ class VectorFamily:
     ``_frame_operator``.  A subclass that knows more about its members
     (the Gabor families of ``gabor``, the constructed ``v`` of
     ``rduality``) answers these readers without the full factorization
-    or the rows.
+    or the rows.  Families compare and hash by identity, and their repr
+    shows the label and the shape, so neither reads the members.
     """
 
     vectors: np.ndarray
@@ -140,6 +141,10 @@ class VectorFamily:
 
     def __len__(self) -> int:
         return self.count
+
+    def __repr__(self) -> str:
+        shape = f"count={self.count}, ambient_dim={self.ambient_dim}"
+        return f"{type(self).__name__}(label={self.label!r}, {shape})"
 
     def relabel(self, label: str) -> "VectorFamily":
         """The same members under ``label``, in a family of the same type:
@@ -223,9 +228,7 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
     """
     m, n = fam.count, fam.ambient_dim
     s = fam._s
-    rank = singular_rank(s, tol)
-    if rank == 0:
-        raise EmptySpanError("all members are numerically zero")
+    rank = _span_rank(s, tol)
     sq = s**2
     lower = float(sq[rank - 1])
     upper = float(sq[0])
@@ -262,6 +265,15 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
     )
 
 
+def _span_rank(s: np.ndarray, tol: Tolerance):
+    """``singular_rank`` of descending singular values ``s`` (one rank per
+    spectrum of a stack), raising ``EmptySpanError`` when any is zero."""
+    rank = singular_rank(s, tol)
+    if not np.all(rank):
+        raise EmptySpanError("all members are numerically zero")
+    return rank
+
+
 def _parseval_residual(s: np.ndarray, rank: int) -> tuple[float, float]:
     """``||S - P||_F`` and its scale ``max(1, ||S||_F)`` from the descending
     singular values ``s`` of a family and its rank: ``S - P`` has the
@@ -281,9 +293,7 @@ def _is_tight(upper, lower, tol: Tolerance):
 def _span_svd(fam: VectorFamily, tol: Tolerance):
     """The rank-r part ``(U_r, s_r, Vh_r)`` of the family's SVD."""
     u, s, vh = fam.svd
-    rank = singular_rank(s, tol)
-    if rank == 0:
-        raise EmptySpanError("all members are numerically zero")
+    rank = _span_rank(s, tol)
     return u[:, :rank], s[:rank], vh[:rank]
 
 

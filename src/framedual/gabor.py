@@ -31,10 +31,10 @@ compute no block vectors and build none of the three.  The tight
 pipeline reads the system's ``U``, never its rows or ``Vh``: a product
 ``rows @ x`` is taken from the blocks (``_coset_product``), and the
 rows, when they are built, are finite because ``_checked_windows``
-checked the window.  ``canonical_tight_window`` reads the one column of
-``Vh`` it needs straight from the block vectors.  The factorization
-takes a stack of windows on one lattice: ``gabor_system`` and
-``adjoint_system`` pass a stack of one, and the exploration passes
+checked the window.  ``canonical_tight_window`` sums its window block
+by block from the block vectors, with no ``U`` or ``Vh``.  The
+factorization takes a stack of windows on one lattice: ``gabor_system``
+and ``adjoint_system`` pass a stack of one, and the exploration passes
 every trial of a lattice at once, settles frame and tightness from
 their singular values and takes the block vectors of the gated trials
 alone (``_Cosets.take``).
@@ -65,10 +65,7 @@ import numpy as np
 from .errors import (
     BadLatticeError,
     CriticalDensityError,
-    EmptySpanError,
-    GateFailedError,
     HypothesisFailedError,
-    NotParsevalError,
     NotTightError,
     ShapeMismatchError,
     ZeroWindowError,
@@ -78,6 +75,8 @@ from .frames import (
     _is_tight,
     _members,
     _read_only,
+    _real_symmetric_square,
+    _span_rank,
     analyze,
     random_frame,
 )
@@ -87,8 +86,9 @@ from .rduality import (
     _adjoint_product_norm,
     _certificate,
     _dual_side,
-    _orthonormal_v,
-    _parseval_v,
+    _gate_ambient_parseval,
+    _gate_onb_count,
+    _isometric_extension_v,
     _span_residuals,
 )
 
@@ -162,10 +162,10 @@ class AdjointSystem:
 # cached only when it is read: the coset gather, for the coset SVD, the
 # products and the values-only spectra; the modulation phases and the
 # translate gather (a view of the coset gather), for the member rows;
-# the coset phases, for ``Vh`` and ``canonical_tight_window``.  An
-# exploration fetches a shape once per lattice stage, not once per
-# trial, so the caches serve repeated runs in one process: the 84
-# shapes of N = 4..12 fit, the 276 of N = 4..24 cycle through them.
+# the coset phases, for ``Vh``.  An exploration fetches a shape once per
+# lattice stage, not once per trial, so the caches serve repeated runs
+# in one process: the 84 shapes of N = 4..12 fit, the 276 of N = 4..24
+# cycle through them.
 
 
 @lru_cache(maxsize=256)
@@ -426,20 +426,21 @@ def adjoint_system(sys: GaborSystem) -> AdjointSystem:
 
 def canonical_tight_window(lattice: GaborLattice, window: np.ndarray) -> np.ndarray:
     """``S^{+1/2} window``, with ``S`` the frame operator of the system:
-    the member at ``(m, n) = (0, 0)`` of the Parseval tightening
-    ``U_r Vh_r``, read off the coset factorization as one column product,
-    with column ``j = 0`` of ``Vh_r`` taken from the blocks (no system
-    rows, no ``Vh``).  ``S`` commutes with the lattice's time-frequency
-    shifts, so the system on the returned window is Parseval for the span
-    of the original one; this function does not re-analyze it."""
+    the member at ``(m, n) = (0, 0)`` of the Parseval tightening ``U_r
+    Vh_r``.  Column 0 of ``Vh`` is ``Vh_r[i, 0] / sqrt(L)`` at triple ``(r,
+    i)`` (the coset phase of ``m = 0`` is ``1/sqrt(L)``), so the window at
+    ``t = r + k L`` is the sum of ``U_r[k, i] Vh_r[i, 0] / sqrt(L)`` over
+    the kept triples of block ``r``: no rows, ``U`` or ``Vh`` is built.
+    ``S`` commutes with the lattice's time-frequency shifts, so the system
+    on the returned window is Parseval for the span of the original one;
+    this function does not re-analyze it."""
     c = _system_cosets(_checked_windows(np.asarray(window)[None], lattice.N), lattice)
-    rank = singular_rank(c.s[0], DEFAULT_TOL)
-    if rank == 0:
-        raise EmptySpanError("all members are numerically zero")
+    rank = _span_rank(c.s[0], DEFAULT_TOL)
+    u_r, vh_r = (factor[0] for factor in c.factors)
+    coef = np.zeros(u_r.shape[::2], dtype=np.complex128)  # (L, k)
     r, i = c.r[0, :rank], c.i[0, :rank]
-    vh_r = c.factors[1]
-    vh_col = _coset_phases(c.N, c.freq_step, c.n_freqs)[r, 0] * vh_r[0, r, i, 0]
-    return _assemble_u(c)[0, :, :rank] @ vh_col
+    coef[r, i] = vh_r[r, i, 0] / np.sqrt(c.n_freqs)
+    return (u_r @ coef[..., None])[..., 0].T.reshape(c.N)
 
 
 @dataclass(frozen=True)
@@ -568,11 +569,7 @@ def tight_gabor_weak_r_dual(
         # norm, so u is read as its nonzero members and their positions
         positions = np.flatnonzero(np.any(u.vectors, axis=1))
         rows, label = u.vectors[positions], u.label
-        u_pars = frobenius(rows.T @ rows.conj() - np.eye(lat.N))
-        if u_pars > tol.threshold(np.sqrt(lat.N)):  # ||I_N||_F
-            raise NotParsevalError(
-                f"u must be Parseval for the ambient space (residual {u_pars:.3e})"
-            )
+        _gate_ambient_parseval(_real_symmetric_square(rows), tol)
         head = positions < k_count
         u_head = np.zeros((k_count, lat.N), dtype=np.complex128)
         u_head[positions[head]] = rows[head]
@@ -584,7 +581,8 @@ def tight_gabor_weak_r_dual(
     padded_res, _ = _padded_dual_commutation(
         side.dual_res, side.gram_norm, tail_norm, tol
     )
-    v = _parseval_v(side, f"tight-v({sys.family.label})")
+    label = f"tight-v({sys.family.label})"
+    v = _isometric_extension_v(side, orthonormal=False).relabel(label)
     return TightDualResult(
         v=v,
         certificate=_certificate(side, v),
@@ -608,25 +606,20 @@ def promote_to_r_dual(
 ) -> PromotionResult:
     """Promote a weak R-dual with a Riesz-sequence ``w`` to an R-dual.
 
-    Finite gate: the orthonormal ``v'`` needs member count equal to the
-    ambient dimension, which for Gabor systems happens exactly at
-    critical density; redundant systems report the gate as the
-    documented finite-dimensional obstruction.  When ``v`` is supplied,
-    its certificate must pass.
+    Finite gate, checked first: the orthonormal ``v'`` needs member count
+    equal to the ambient dimension (the gate of ``build_orthonormal_v``),
+    which for Gabor systems happens exactly at critical density;
+    redundant systems report the gate as the documented
+    finite-dimensional obstruction.  When ``v`` is supplied, its
+    certificate must pass.
     """
-    wa = analyze(w, tol)
-    if not wa.is_riesz_sequence:
+    _gate_onb_count(w)
+    if not analyze(w, tol).is_riesz_sequence:
         raise HypothesisFailedError("w must be a Riesz sequence")
-    if w.count != w.ambient_dim:
-        raise GateFailedError(
-            f"member count {w.count} differs from ambient dimension"
-            f" {w.ambient_dim}: an orthonormal basis with this index set"
-            " cannot exist (expected for every redundant system)"
-        )
     side = _dual_side(w, f, u, tol)
     if v is not None and not _certificate(side, v).passes():
         raise HypothesisFailedError("the supplied v does not certify as a weak R-dual")
-    v_prime = _orthonormal_v(side)
+    v_prime = _isometric_extension_v(side, orthonormal=True)
     cert = _certificate(side, v_prime)
     if cert.verdict != "RDual":
         raise HypothesisFailedError(
@@ -758,9 +751,7 @@ def _evaluate_trials(
         )
     cosets = _system_cosets(_checked_windows(windows, lat.N), lat)
     s = cosets.s
-    rank = singular_rank(s, tol)
-    if not rank.all():
-        raise EmptySpanError("all members are numerically zero")
+    rank = _span_rank(s, tol)
     sq = s**2
     upper, lower = sq[:, 0], sq[np.arange(len(sq)), rank - 1]
     tight = _is_tight(upper, lower, tol)

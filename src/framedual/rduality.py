@@ -69,6 +69,7 @@ from .frames import (
     _parseval_residual,
     _read_only,
     _real_symmetric_square,
+    _span_rank,
     _span_svd,
     analyze,
     canonical_dual,
@@ -78,6 +79,7 @@ from .frames import (
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _svd,
     frobenius,
     hermitian_eig,
     singular_rank,
@@ -121,6 +123,9 @@ __all__ = [
 # grossly non-Parseval inputs while still admitting the small perturbations
 # used to produce unambiguous negative verdicts.
 PARSEVAL_GATE = 5e-2
+
+# Relative slack of the frame-bound sandwich of the characterizing sequence.
+_SANDWICH_SLACK = 1e-8
 
 
 def _require_same_dim(*fams: VectorFamily) -> int:
@@ -167,7 +172,7 @@ class _DualSide:
     triple and the tolerance it was evaluated for: the orthonormal basis
     ``q`` of span{w} (the span projector is ``P = q q^*``), the M x rank
     factor ``left`` of the characterizing sequence's member rows ``Y^t =
-    conj(left q^*)`` (``_sequence_rows``), the span deficit of ``w`` and
+    conj(left q^*)`` (``sequence``), the span deficit of ``w`` and
     the kernel dimension of ``Y``, ``||G(u,f)||_F`` (the scale of the
     commutation residuals), and the residuals of the dual commutation and
     of ``Y Y^* = P`` with their accept decisions.  Certificates and
@@ -191,16 +196,9 @@ class _DualSide:
     @property
     def sequence(self) -> VectorFamily:
         """The characterizing sequence ``y`` as a family, its member rows
-        built from ``left`` and ``q`` on each read."""
-        return VectorFamily._factored(
-            _sequence_rows(self), label=f"charseq({self.w.label})"
-        )
-
-
-def _sequence_rows(side: _DualSide) -> np.ndarray:
-    """The member rows ``Y^t = conj(left q^*) = conj(left) q^t`` of the
-    characterizing sequence, as a fresh C-ordered array."""
-    return np.conj(side.left) @ side.q.T
+        ``Y^t = conj(left q^*) = conj(left) q^t`` built on each read."""
+        rows = np.conj(self.left) @ self.q.T
+        return VectorFamily._factored(rows, label=f"charseq({self.w.label})")
 
 
 def _span_residuals(
@@ -259,7 +257,7 @@ def _dual_side(
         q, inv_vh, w.vectors, u.vectors, f._us, np.eye(q.shape[1]), tol
     )
     left = f._times(np.conj(inv_vh @ u.vectors).T)
-    rank_y = singular_rank(np.linalg.svd(c, compute_uv=False), tol)
+    rank_y = singular_rank(_svd(c, compute_uv=False), tol)
     dual_ok = dual_res <= tol.threshold(gram_norm)
     deficit, kernel = w.ambient_dim - q.shape[1], f.count - rank_y
     return _DualSide(
@@ -275,6 +273,36 @@ def _gate_parseval(fam: VectorFamily, tol: Tolerance, name: str) -> None:
     res, scale = _parseval_residual(fam._s, fam.rank(tol))
     if res > PARSEVAL_GATE * scale:
         raise NotParsevalError(f"family '{name}' is not approximately Parseval")
+
+
+def _identity_residual(s_op: np.ndarray) -> float:
+    """``||S - I||_F`` for the frame operator ``S`` of a family."""
+    return frobenius(s_op - np.eye(len(s_op)))
+
+
+def _gate_ambient_parseval(s_u: np.ndarray, tol: Tolerance) -> None:
+    """Reject a ``u`` with frame operator ``s_u`` not Parseval for the
+    ambient space, at the scale ``||I_n||_F``."""
+    res = _identity_residual(s_u)
+    if res > tol.threshold(np.sqrt(len(s_u))):
+        raise NotParsevalError(
+            f"u must be Parseval for the ambient space (residual {res:.3e})"
+        )
+
+
+def _gate_spanning(w: VectorFamily, tol: Tolerance) -> None:
+    """Reject a ``w`` that does not span (``EmptySpanError`` if all zero)."""
+    if _span_rank(w._s, tol) != w.ambient_dim:
+        raise GateFailedError("span{w} must equal the ambient space")
+
+
+def _gate_onb_count(w: VectorFamily) -> None:
+    """An orthonormal basis of an n-dimensional space has n members."""
+    if w.count != w.ambient_dim:
+        raise GateFailedError(
+            f"orthonormal output needs member count ({w.count}) equal to the"
+            f" ambient dimension ({w.ambient_dim})"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -377,9 +405,8 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
     # count are not factored for the flag.
     u_onb = u.count == n and analyze(u, tol).is_onb
     v_onb = v.count == n and analyze(v, tol).is_onb
-    eye = np.eye(n)
-    u_pars_res = frobenius(frame_operator(u) - eye)
-    v_pars_res = frobenius(frame_operator(v) - eye)
+    u_pars_res = _identity_residual(frame_operator(u))
+    v_pars_res = _identity_residual(frame_operator(v))
 
     def _verdict(ok: bool) -> str:
         if not ok:
@@ -550,11 +577,15 @@ def _check_hypotheses(side: _DualSide) -> _DualSide:
         raise HypothesisFailedError(
             "characterizing sequence is not Parseval for span{w}"
         )
+    _require_dual_commutation(side)
+    return side
+
+
+def _require_dual_commutation(side: _DualSide) -> None:
     if not side.dual_ok:
         raise HypothesisFailedError(
             f"dual commutation condition fails (residual {side.dual_res:.3e})"
         )
-    return side
 
 
 class _ExtensionFamily(VectorFamily):
@@ -622,30 +653,46 @@ def _span_complement(q: np.ndarray) -> np.ndarray:
     return np.linalg.qr(q, mode="complete")[0][:, q.shape[1] :]
 
 
-def _isometric_extension_v(side: _DualSide, label: str) -> VectorFamily:
-    """Build ``v = Y + Q*`` where ``Q*`` maps ``deficit`` orthonormal
-    vectors of ker(Y) onto an orthonormal basis of the span complement
-    of ``w`` and vanishes on the rest.  The complement basis is read off
-    the span basis ``q`` (``_span_complement``), so it has exactly
-    ``deficit`` columns by the rank decision that gave ``q``.  Any such
-    kernel vectors work; these are kernel vectors of the leading ``lead =
-    rank(Y) + deficit`` columns of ``Y``, extended by zeros.  Those
-    columns lie in span{w} = range(q), so ``Y_lead c = 0`` exactly when
-    ``q^* Y_lead c = 0``, and the kernel is the orthogonal complement of
-    the range of the ``lead x rank`` block ``Y_lead^* q = conj(Y_lead^t)
-    q``, which is ``left[:lead]`` (``Y^t = conj(left q^*)`` and ``q^* q =
-    I``): the trailing ``deficit`` columns of the ``Q`` of its complete
-    QR.  So only the ``lead <= n`` leading rows of ``v`` differ from
-    those of ``Y``: ``v`` is born factored (``_ExtensionFamily``), as
-    those rows and the rows ``conj(left[lead:]) q^t`` past them, and no
-    count x n array is written."""
-    left, q, deficit = side.left, side.q, side.deficit
-    lead = left.shape[0] - side.kernel + deficit
+def _isometric_extension_v(side: _DualSide, orthonormal: bool) -> VectorFamily:
+    """The ``v`` of ``build_orthonormal_v`` (``orthonormal``, past its count
+    gate) or ``build_parseval_v`` on a dual side: past the shared
+    hypotheses and a span deficit equal to (orthonormal) or below the
+    kernel dimension, ``v = Y + Q*``, where ``Q*`` maps ``deficit``
+    orthonormal vectors of ker(Y) onto an orthonormal basis of the span
+    complement of ``w`` (read off ``q``, so it has exactly ``deficit``
+    columns) and vanishes on the rest.  Any such kernel vectors work;
+    these are kernel vectors of the leading ``lead = rank(Y) + deficit``
+    columns of ``Y``, extended by zeros.  Those columns lie in range(q),
+    so the kernel is the orthogonal complement of the range of ``Y_lead^*
+    q = conj(Y_lead^t) q``, which is ``left[:lead]``: the trailing
+    ``deficit`` columns of the ``Q`` of its complete QR.  So only the
+    ``lead <= n`` leading rows of ``v`` differ from those of ``Y``, and
+    ``v`` is born factored (``_ExtensionFamily``): no count x n array is
+    written."""
+    _check_hypotheses(side)
+    left, q, deficit, kernel = side.left, side.q, side.deficit, side.kernel
+    if orthonormal:
+        if deficit != kernel:
+            raise HypothesisFailedError(
+                f"span deficit {deficit} != kernel dimension {kernel}"
+            )
+    elif deficit > kernel:
+        raise DimensionCaseError(
+            f"span deficit {deficit} exceeds kernel dimension {kernel}:"
+            " no Parseval completion exists"
+        )
+    elif deficit == kernel:
+        raise HypothesisFailedError(
+            f"span deficit equals kernel dimension ({deficit}); only the"
+            " orthonormal construction applies"
+        )
+    lead = left.shape[0] - kernel + deficit
     head = np.conj(left[:lead]) @ q.T
     if deficit:
         q_lead = np.linalg.qr(left[:lead], mode="complete")[0]
         ker_lead = q_lead[:, lead - deficit :]
         head += np.conj(ker_lead) @ _span_complement(q).T
+    label = f"{'onb' if orthonormal else 'parseval'}-v({side.w.label})"
     return _ExtensionFamily(head, np.conj(left[lead:]), q, label)
 
 
@@ -664,24 +711,6 @@ def build_parseval_v(
     sequence itself is returned.
     """
     return _constructed_v(w, f, u, tol, orthonormal=False)[1]
-
-
-def _parseval_v(side: _DualSide, label: str) -> VectorFamily:
-    """``build_parseval_v`` past the dual-side evaluation: the shared
-    hypotheses, then span deficit strictly below the kernel dimension."""
-    _check_hypotheses(side)
-    deficit, kernel = side.deficit, side.kernel
-    if deficit > kernel:
-        raise DimensionCaseError(
-            f"span deficit {deficit} exceeds kernel dimension {kernel}:"
-            " no Parseval completion exists"
-        )
-    if deficit == kernel:
-        raise HypothesisFailedError(
-            f"span deficit equals kernel dimension ({deficit}); only the"
-            " orthonormal construction applies"
-        )
-    return _isometric_extension_v(side, label)
 
 
 def build_orthonormal_v(
@@ -710,27 +739,10 @@ def _constructed_v(
     ``build_orthonormal_v`` (``orthonormal``) or ``build_parseval_v``
     builds from it, so a caller can certify ``v`` on the same record."""
     _require_same_count(w, f, u)
-    if orthonormal and w.count != w.ambient_dim:
-        raise GateFailedError(
-            f"orthonormal output needs member count ({w.count}) equal to the"
-            f" ambient dimension ({w.ambient_dim})"
-        )
-    side = _dual_side(w, f, u, tol)
     if orthonormal:
-        return side, _orthonormal_v(side)
-    return side, _parseval_v(side, f"parseval-v({w.label})")
-
-
-def _orthonormal_v(side: _DualSide) -> VectorFamily:
-    """``build_orthonormal_v`` past its count gate and the dual-side
-    evaluation: the shared hypotheses, then span deficit equal to the
-    kernel dimension."""
-    _check_hypotheses(side)
-    if side.deficit != side.kernel:
-        raise HypothesisFailedError(
-            f"span deficit {side.deficit} != kernel dimension {side.kernel}"
-        )
-    return _isometric_extension_v(side, f"onb-v({side.w.label})")
+        _gate_onb_count(w)
+    side = _dual_side(w, f, u, tol)
+    return side, _isometric_extension_v(side, orthonormal)
 
 
 # ----------------------------------------------------------------------
@@ -937,9 +949,8 @@ def verify_conjugate_witness(
     n = _require_same_dim(w, f)
     if m.shape != (n, n):
         raise GateFailedError(f"witness matrix must be {n}x{n}, got {m.shape}")
-    if analyze(w, tol).deficit != 0:
-        raise GateFailedError("span{w} must equal the ambient space")
-    if singular_rank(np.linalg.svd(m, compute_uv=False), tol) < n:
+    _gate_spanning(w, tol)
+    if singular_rank(_svd(m, compute_uv=False), tol) < n:
         raise NotInvertibleError("witness matrix is numerically singular")
 
     s_w = frame_operator(w)
@@ -955,7 +966,7 @@ def verify_conjugate_witness(
     u = VectorFamily._factored(
         np.conj((m_inv @ w_dual.vectors.T)).T, label=f"witness-u({w.label})"
     )
-    u_pars = frobenius(frame_operator(u) - np.eye(n))
+    u_pars = _identity_residual(frame_operator(u))
     side = _dual_side(w, f, u, tol)
     return WitnessVerification(
         r_w, r_f, True, u, u_pars, side.dual_res, side.parseval_res
@@ -978,7 +989,7 @@ def find_conjugate_witness(
     if lam_w.size != lam_f.size:
         return None
     for lam in (lam_w, lam_f):
-        if lam[0] <= tol.threshold(float(lam[-1])):
+        if singular_rank(lam[::-1], tol) < lam.size:
             raise NotPositiveDefiniteError("operator is not positive definite")
     scale = float(max(lam_w[-1], lam_f[-1]))
     if np.max(np.abs(lam_w - lam_f)) > tol.threshold(scale):
@@ -1004,10 +1015,7 @@ def dual_commuting_parseval(
     """
     _require_same_count(w, f)
     _require_same_dim(w, f)
-    if analyze(w, tol).deficit != 0:
-        raise GateFailedError(
-            "span{w} must equal the ambient space for a Parseval output"
-        )
+    _gate_spanning(w, tol)
     return commuting_parseval_family(w, tol).family.relabel(
         f"dual-commuting({w.label})"
     )
@@ -1038,7 +1046,6 @@ def characterizing_sequence_bounds(
     f: VectorFamily,
     u: VectorFamily,
     tol: Tolerance = DEFAULT_TOL,
-    slack: float = 1e-8,
 ) -> CharacterizingBounds:
     """Frame bounds of the characterizing sequence, checked against the
     sandwich ``A_f / B_w <= A_y <= B_y <= B_f / A_w``.
@@ -1061,7 +1068,10 @@ def characterizing_sequence_bounds(
     ya = analyze(y, tol)
     lo = fa.lower_bound / wa.upper_bound
     hi = fa.upper_bound / wa.lower_bound
-    ok = ya.lower_bound >= lo * (1 - slack) and ya.upper_bound <= hi * (1 + slack)
+    ok = (
+        ya.lower_bound >= lo * (1 - _SANDWICH_SLACK)
+        and ya.upper_bound <= hi * (1 + _SANDWICH_SLACK)
+    )
     return CharacterizingBounds(
         lower=ya.lower_bound,
         upper=ya.upper_bound,
@@ -1081,12 +1091,8 @@ def synthesized_gram_invariance_residual(
     residual against ``u``; vanishes whenever ``u`` is Parseval for the
     ambient space (necessity check, self-validating)."""
     _require_same_count(f, u, v)
-    n = _require_same_dim(f, u, v)
-    pars = frobenius(frame_operator(u) - np.eye(n))
-    if pars > tol.threshold(np.sqrt(n)):  # ||I_n||_F
-        raise NotParsevalError(
-            f"u must be Parseval for the ambient space (residual {pars:.3e})"
-        )
+    _require_same_dim(f, u, v)
+    _gate_ambient_parseval(frame_operator(u), tol)
     return gram_invariance_residual(u, _synthesize(f, u, v, "synthesized"), tol)
 
 
@@ -1112,10 +1118,7 @@ def _completeness_implies_invariance(side: _DualSide) -> bool:
             f"characterizing sequence spans a {rank_y}-dimensional subspace of"
             f" the {rank_w}-dimensional span{{w}}"
         )
-    if not side.dual_ok:
-        raise HypothesisFailedError(
-            f"dual commutation condition fails (residual {side.dual_res:.3e})"
-        )
+    _require_dual_commutation(side)
     return _gram_invariance(u, w, tol)[1]
 
 

@@ -197,7 +197,7 @@ def test_criterion_7_sequence_condition_suite():
         f = random_frame(rng, dim, dim)
         w = random_frame(rng, dim, dim)
         u = VectorFamily(random_unitary(rng, dim).T, label="onb")
-        res = characterizing_sequence_bounds(w, f, u, slack=1e-8)
+        res = characterizing_sequence_bounds(w, f, u)
         assert res.sandwich_ok
     report = run_repro("3.3")
     by_name = {a["name"]: a for a in report["assertions"]}

@@ -157,6 +157,18 @@ class TestWrdPromote:
         assert code == 2
         assert report["error"]["type"] == "HypothesisFailedError"
 
+    def test_orthonormal_gate_is_shared_with_construct_v(self, tmp_path, capsys):
+        # fixture 2.8 has 4 members in C^3: promote stops at the count gate
+        # of construct-v --onb, with the same report
+        fams = build_fixture("2.8").families
+        args = []
+        for k in "wfu":
+            args += [f"--{k}", _write(tmp_path, k, fams[k])]
+        code, promote = _run(capsys, ["wrd", "promote", *args])
+        assert code == 2
+        assert promote["error"]["type"] == "GateFailedError"
+        assert _run(capsys, ["wrd", "construct-v", "--onb", *args]) == (2, promote)
+
 
 class TestWindowFile:
     def test_gabor_duality_with_file_window(self, tmp_path, capsys):

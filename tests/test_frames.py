@@ -67,6 +67,35 @@ class TestVectorFamily:
         assert not calls
 
 
+    def test_equality_and_hash_are_by_identity(self):
+        f = fam([[1, 0], [0, 1]])
+        g = fam([[1, 0], [0, 1]])
+        assert f == f and f != g
+        assert len({f, g, f}) == 2
+
+    def test_repr_reads_no_members(self):
+        from framedual import gabor
+        from framedual.fixtures import build_fixture
+        from framedual.rduality import build_parseval_v
+
+        rng = np.random.default_rng(4)
+        lat = gabor.GaborLattice(12, 2, 2)
+        window = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        sys = gabor.gabor_system(lat, window)
+        assert repr(sys.family) == (
+            "_CosetFamily(label='gabor(N=12,a=2,b=2)', count=36, ambient_dim=12)"
+        )
+        assert "vectors" not in sys.family.__dict__
+        repr(sys)
+        assert "vectors" not in sys.family.__dict__
+        fams = build_fixture("2.8").families
+        v = build_parseval_v(fams["w"], fams["f"], fams["u"])
+        assert repr(v) == (
+            "_ExtensionFamily(label='parseval-v(w-2.8)', count=4, ambient_dim=3)"
+        )
+        assert "vectors" not in v.__dict__
+
+
 class TestSynthesisMatrix:
     def test_orthonormal_pair(self):
         assert np.allclose(synthesis_matrix(fam([[1, 0], [0, 1]])), np.eye(2))

@@ -32,7 +32,7 @@ from framedual.gabor import (
     tight_gabor_weak_r_dual,
 )
 from framedual.numerics import Tolerance
-from framedual.rduality import cross_gram
+from framedual.rduality import build_orthonormal_v, cross_gram
 
 
 def _delta(n):
@@ -427,6 +427,20 @@ class TestPromotion:
         u = VectorFamily(np.eye(4, dtype=complex)[:2], label="u-head")
         with pytest.raises(GateFailedError):
             promote_to_r_dual(adj.family, head, u)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_count_gate_matches_build_orthonormal_v(self, count):
+        # one gate, checked first, with one message: a Riesz sequence with
+        # fewer members than dimensions and a family with more
+        rng = np.random.default_rng(count)
+        w = VectorFamily(rng.standard_normal((count, 3)), label="w")
+        u = VectorFamily(np.eye(count, 3, dtype=complex), label="u")
+        raised = []
+        for build in (build_orthonormal_v, promote_to_r_dual):
+            with pytest.raises(GateFailedError) as exc:
+                build(w, w, u)
+            raised.append(str(exc.value))
+        assert raised[0] == raised[1]
 
     def test_non_riesz_gate(self):
         w = VectorFamily(

@@ -10,12 +10,14 @@ from framedual.errors import (
     BadCutoffError,
     DeficitOrderError,
     DimensionCaseError,
+    EmptySpanError,
     GateFailedError,
     HypothesisFailedError,
     NotInvertibleError,
     NotParsevalComplementError,
     NotParsevalError,
     NotPositiveDefiniteError,
+    NumericalFailureError,
     ShapeMismatchError,
 )
 from framedual.frames import (
@@ -26,7 +28,7 @@ from framedual.frames import (
     random_parseval,
     random_unitary,
 )
-from framedual.numerics import DEFAULT_TOL
+from framedual.numerics import DEFAULT_TOL, Tolerance, hermitian_eig
 from framedual.rduality import (
     ConjugateLinearMap,
     _dual_side,
@@ -189,6 +191,24 @@ class TestDualSide:
         # pairing u with a w of another count (zero padding) is gabor's job
         with pytest.raises(ShapeMismatchError):
             _dual_side(_onb(2), _onb(2), fam([[1, 0], [0, 1], [0, 0]]), DEFAULT_TOL)
+
+    def test_rank_svd_failure_is_typed(self, monkeypatch):
+        # the rank of Y is read off the values-only SVD of the small matrix
+        # c, which goes through numerics._svd: a LAPACK failure there is a
+        # NumericalFailureError, not a bare LinAlgError
+        w, f, u, _, _ = weak_dual_instance(np.random.default_rng(19), 3, 6)
+        for family in (w, f, u):
+            family.svd  # the families' own factorizations are not the target
+        svd = np.linalg.svd
+
+        def failing(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True) is False:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(NumericalFailureError):
+            _dual_side(w, f, u, DEFAULT_TOL)
 
 
 class TestCharacterize:
@@ -433,6 +453,11 @@ class TestDualCommutingParseval:
         with pytest.raises(GateFailedError):
             dual_commuting_parseval(w, f)
 
+    def test_all_zero_w_is_an_empty_span(self):
+        zero = VectorFamily(np.zeros((3, 3)), label="zero")
+        with pytest.raises(EmptySpanError):
+            dual_commuting_parseval(zero, _onb(3))
+
 
 class TestConjugateLinearMap:
     def test_adjoint_identity(self):
@@ -502,6 +527,13 @@ class TestVerifyConjugateWitness:
                 ConjugateLinearMap(np.eye(3, dtype=complex)), w, _onb(3)
             )
 
+    def test_all_zero_w_is_an_empty_span(self):
+        zero = VectorFamily(np.zeros((3, 3)), label="zero")
+        with pytest.raises(EmptySpanError):
+            verify_conjugate_witness(
+                ConjugateLinearMap(np.eye(3, dtype=complex)), zero, _onb(3)
+            )
+
 
 class TestFindConjugateWitness:
     def test_identity_pair(self):
@@ -533,6 +565,33 @@ class TestFindConjugateWitness:
             find_conjugate_witness(
                 np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex)
             )
+
+    @pytest.mark.parametrize(
+        "top, factor, rejected",
+        [
+            (1.0, 1.0, True),  # smallest eigenvalue at the cut
+            (1.0, 1 + 1e-6, False),  # just above it
+            (1.0, 1 - 1e-6, True),  # just below it
+            (1e6, 1.0, True),  # the relative cut at a large scale
+            (1e6, 1 + 1e-6, False),
+            (8e-13, 0.5, True),  # largest eigenvalue below the absolute floor
+            (1.0, -1.0, True),  # an indefinite operator
+        ],
+    )
+    def test_positive_definite_cut_is_the_rank_rule(self, top, factor, rejected):
+        # the cut is the rank rule on the descending spectrum, which rejects
+        # exactly where the smallest eigenvalue is at most
+        # tol.threshold(largest)
+        tol = Tolerance()
+        small = factor * (tol.threshold(top) if top >= tol.abs_floor else top)
+        s = np.diag([small, top]).astype(complex)
+        lam = hermitian_eig(s, tol).eigenvalues
+        assert (lam[0] <= tol.threshold(lam[-1])) == rejected
+        if rejected:
+            with pytest.raises(NotPositiveDefiniteError):
+                find_conjugate_witness(s, s, tol)
+        else:
+            assert find_conjugate_witness(s, s, tol) is not None
 
     def test_gauge_freedom(self):
         rng = np.random.default_rng(18)

@@ -540,6 +540,18 @@ def test_canonical_tight_window_matches_dense_on_every_lattice():
             np.testing.assert_allclose(got, want, atol=TOL.threshold(1.0))
 
 
+def test_canonical_tight_window_assembles_nothing(monkeypatch):
+    # the window is summed block by block from the block vectors: no N x N
+    # U, no Vh and no rows
+    built = {
+        name: _recorded_assembler(monkeypatch, name)
+        for name in ("_assemble_u", "_assemble_rows", "_assemble_vh")
+    }
+    lat = GaborLattice(24, 2, 3)
+    canonical_tight_window(lat, _window(lat, 6))
+    assert built == {name: [] for name in built}
+
+
 def test_tight_pipeline_factors_no_member_axis(monkeypatch):
     # the system and the output v have M = 2304 members in C^96; neither
     # is handed to LAPACK, so no factored array has an axis of length M
