@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FixtureParseError, FrameDualError
 from .fixtures import FIXTURE_IDS, run_repro
-from .frames import analyze, load_family
+from .frames import analyze, family_to_json_dict, load_family
 from .gabor import (
     SCHEMA_VERSION,
     GaborLattice,
@@ -66,10 +66,6 @@ def _as_table(obj, prefix: str = "") -> list[str]:
     return lines
 
 
-def _tolerance(args: argparse.Namespace) -> Tolerance:
-    return Tolerance(rel_eps=args.tol, abs_floor=args.abs_floor)
-
-
 def _window(spec: str, n: int, normalize: bool) -> np.ndarray:
     if spec == "delta":
         w = np.zeros(n, dtype=np.complex128)
@@ -91,9 +87,9 @@ def _window(spec: str, n: int, normalize: bool) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace, tol: Tolerance) -> int:
     fam = load_family(args.fixture)
-    result = analyze(fam, _tolerance(args))
+    result = analyze(fam, tol)
     _emit(_report({"analysis": result.to_json_dict(), "label": fam.label}), args)
     return 0
 
@@ -103,51 +99,45 @@ def _emit_certificate(cert, args: argparse.Namespace, passed: bool, **extra) -> 
     return 0 if passed else 1
 
 
-def _cmd_wrd_build(args: argparse.Namespace) -> int:
-    tol = _tolerance(args)
+def _cmd_wrd_build(args: argparse.Namespace, tol: Tolerance) -> int:
     _, cert = weak_r_dual(*map(load_family, (args.f, args.u, args.v)), tol)
     return _emit_certificate(cert, args, cert.passes())
 
 
-def _cmd_wrd_check(args: argparse.Namespace) -> int:
-    tol = _tolerance(args)
+def _cmd_wrd_check(args: argparse.Namespace, tol: Tolerance) -> int:
     cert = certify_weak_r_dual(*map(load_family, (args.w, args.f, args.u, args.v)), tol)
     return _emit_certificate(cert, args, cert.passes())
 
 
-def _cmd_wrd_characterize(args: argparse.Namespace) -> int:
-    tol = _tolerance(args)
+def _cmd_wrd_characterize(args: argparse.Namespace, tol: Tolerance) -> int:
     cert = characterize(*map(load_family, (args.w, args.f, args.u, args.v)), tol)
     passed = cert.characterization_verdict != "NotWeakRDual"
     return _emit_certificate(cert, args, passed)
 
 
-def _cmd_wrd_construct_v(args: argparse.Namespace) -> int:
-    tol = _tolerance(args)
+def _cmd_wrd_construct_v(args: argparse.Namespace, tol: Tolerance) -> int:
     w, f, u = map(load_family, (args.w, args.f, args.u))
     side, v = _constructed_v(w, f, u, tol, orthonormal=args.onb)
     cert = _certificate(side, v)
-    rows = [[[z.real, z.imag] for z in row] for row in v.vectors]
+    rows = family_to_json_dict(v)["vectors"]
     return _emit_certificate(cert, args, cert.passes(), v=rows)
 
 
-def _cmd_wrd_promote(args: argparse.Namespace) -> int:
-    tol = _tolerance(args)
+def _cmd_wrd_promote(args: argparse.Namespace, tol: Tolerance) -> int:
     w, f, u = map(load_family, (args.w, args.f, args.u))
     v = load_family(args.v) if args.v else None
     cert = promote_to_r_dual(w, f, u, tol, v=v).certificate
     return _emit_certificate(cert, args, cert.verdict == "RDual")
 
 
-def _cmd_repro(args: argparse.Namespace) -> int:
+def _cmd_repro(args: argparse.Namespace, tol: Tolerance) -> int:
     ids = FIXTURE_IDS if args.id == "all" else (args.id,)
-    reports = [run_repro(fid, _tolerance(args)) for fid in ids]
+    reports = [run_repro(fid, tol) for fid in ids]
     _emit(_report({"repro": reports}), args)
     return 0 if all(r["all_passed"] for r in reports) else 1
 
 
-def _cmd_gabor_explore(args: argparse.Namespace) -> int:
-    tol = _tolerance(args)
+def _cmd_gabor_explore(args: argparse.Namespace, tol: Tolerance) -> int:
     N_values = _parse_n_values(args.N)
     _emit(_report(run_exploration(N_values, args.seed, args.trials, tol)), args)
     return 0
@@ -158,15 +148,13 @@ def _system(args: argparse.Namespace):
     return gabor_system(lattice, _window(args.window, lattice.N, args.normalize))
 
 
-def _cmd_gabor_duality(args: argparse.Namespace) -> int:
-    tol = _tolerance(args)
+def _cmd_gabor_duality(args: argparse.Namespace, tol: Tolerance) -> int:
     report = duality_check(_system(args), tol)
     _emit(_report({"duality": report.to_json_dict()}), args)
     return 0 if report.match else 1
 
 
-def _cmd_gabor_tight_wrd(args: argparse.Namespace) -> int:
-    tol = _tolerance(args)
+def _cmd_gabor_tight_wrd(args: argparse.Namespace, tol: Tolerance) -> int:
     result = tight_gabor_weak_r_dual(_system(args), tol=tol)
     v_is_onb = result.certificate.v_is_onb
     report = {"tight_weak_r_dual": result.to_json_dict(), "v_is_onb": v_is_onb}
@@ -259,7 +247,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, Tolerance(rel_eps=args.tol, abs_floor=args.abs_floor))
     except (FrameDualError, ValueError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(json.dumps(_report(error), sort_keys=True) + "\n")

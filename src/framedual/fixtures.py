@@ -164,28 +164,22 @@ def _fixture_3_3() -> ReproFixture:
     )
 
 
-_BUILDERS: dict[str, Callable[[], ReproFixture]] = {
-    "2.8": _fixture_2_8,
-    "2.9": _fixture_2_9,
-    "2.10": _fixture_2_10,
-    "3.1": _fixture_3_1,
-    "3.3": _fixture_3_3,
-}
-
-FIXTURE_IDS = tuple(sorted(_BUILDERS))
-
-
 def build_fixture(fixture_id: str) -> ReproFixture:
     try:
-        return _BUILDERS[fixture_id]()
+        build = _FIXTURES[fixture_id][0]
     except KeyError:
         raise KeyError(
             f"unknown fixture id {fixture_id!r}; available: {', '.join(FIXTURE_IDS)}"
         ) from None
+    return build()
 
 
 def _assertion(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
+
+
+def _deviation(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
 
 
 def _run_weak_dual_fixture(fix: ReproFixture, tol: Tolerance) -> list[dict]:
@@ -201,7 +195,7 @@ def _run_weak_dual_fixture(fix: ReproFixture, tol: Tolerance) -> list[dict]:
         )
     )
     dual = canonical_dual(w, tol)
-    dual_res = float(np.max(np.abs(dual.vectors - w.vectors)))
+    dual_res = _deviation(dual.vectors, w.vectors)
     out.append(
         _assertion(
             "canonical_dual_is_itself",
@@ -214,7 +208,7 @@ def _run_weak_dual_fixture(fix: ReproFixture, tol: Tolerance) -> list[dict]:
     y = side.sequence
     # the characterizing sequence is the dual family itself (the patterns
     # close under truncation)
-    y_res = float(np.max(np.abs(y.vectors - w.vectors)))
+    y_res = _deviation(y.vectors, w.vectors)
     out.append(
         _assertion(
             "characterizing_sequence_matches_pattern",
@@ -223,22 +217,21 @@ def _run_weak_dual_fixture(fix: ReproFixture, tol: Tolerance) -> list[dict]:
         )
     )
 
-    cond_res = side.dual_res
     out.append(
         _assertion(
             "dual_commutation_holds",
-            cond_res <= tol.threshold(1.0),
-            f"residual {cond_res:.3e}",
+            side.dual_res <= tol.threshold(1.0),
+            f"residual {side.dual_res:.3e}",
         )
     )
 
-    v = VectorFamily(y.vectors + x.vectors, label=f"v-{fix.fixture_id}")
+    v = VectorFamily._factored(y.vectors + x.vectors, label=f"v-{fix.fixture_id}")
     va = analyze(v, tol)
     cert = _certificate(side, v)
     deficit_detail = f"deficit {side.deficit}, kernel {side.kernel}"
-    # 2.10 is the orthonormal case; its w has as many members as dimensions,
-    # so build_orthonormal_v's count gate holds
-    onb = fix.fixture_id == "2.10"
+    # the orthonormal case: w has as many members as dimensions, so
+    # build_orthonormal_v's count gate holds (of these fixtures, only 2.10)
+    onb = w.count == w.ambient_dim
     built = _isometric_extension_v(side, orthonormal=onb)
     built_cert, built_a = _certificate(side, built), analyze(built, tol)
     out.append(
@@ -319,7 +312,7 @@ def _run_3_1(fix: ReproFixture, tol: Tolerance) -> list[dict]:
     expected[1] = expected[0]
     expected[2] = (_unit(n, 4) + _unit(n, 6)) / r2
     expected[3] = expected[2]
-    y_res = float(np.max(np.abs(y.vectors - expected)))
+    y_res = _deviation(y.vectors, expected)
     out.append(
         _assertion(
             "characterizing_sequence_matches_pattern",
@@ -360,7 +353,7 @@ def _run_3_3(fix: ReproFixture, tol: Tolerance) -> list[dict]:
     out = []
     n = w.ambient_dim
     dual = canonical_dual(w, tol)
-    dual_res = float(np.max(np.abs(dual.vectors - w.vectors)))
+    dual_res = _deviation(dual.vectors, w.vectors)
     out.append(
         _assertion(
             "canonical_dual_is_itself",
@@ -374,7 +367,7 @@ def _run_3_3(fix: ReproFixture, tol: Tolerance) -> list[dict]:
     expected[1] = (_unit(n, 1) - _unit(n, 2)) / 2
     expected[2] = (_unit(n, 3) + _unit(n, 4)) / 2
     expected[3] = (_unit(n, 3) - _unit(n, 4)) / 2
-    y_res = float(np.max(np.abs(y.vectors - expected)))
+    y_res = _deviation(y.vectors, expected)
     out.append(
         _assertion(
             "characterizing_sequence_matches_pattern",
@@ -409,7 +402,7 @@ def _run_3_3(fix: ReproFixture, tol: Tolerance) -> list[dict]:
     g_uu = cross_gram(u, u)
     first = synthesis_matrix(w) @ g_uu[:, 0]
     expected_first = (_unit(n, 1) + _unit(n, 2)) / (2 * np.sqrt(2.0))
-    vec_res = float(np.max(np.abs(first - expected_first)))
+    vec_res = _deviation(first, expected_first)
     out.append(
         _assertion(
             "invariance_defect_vector_matches",
@@ -420,15 +413,22 @@ def _run_3_3(fix: ReproFixture, tol: Tolerance) -> list[dict]:
     return out
 
 
+# each id's builder and the runner of its assertions
+_FIXTURES: dict[str, tuple[Callable, Callable]] = {
+    "2.8": (_fixture_2_8, _run_weak_dual_fixture),
+    "2.9": (_fixture_2_9, _run_weak_dual_fixture),
+    "2.10": (_fixture_2_10, _run_weak_dual_fixture),
+    "3.1": (_fixture_3_1, _run_3_1),
+    "3.3": (_fixture_3_3, _run_3_3),
+}
+
+FIXTURE_IDS = tuple(sorted(_FIXTURES))
+
+
 def run_repro(fixture_id: str, tol: Tolerance = DEFAULT_TOL) -> dict:
     """Regenerate a fixture, run its assertions, and report the results."""
     fix = build_fixture(fixture_id)
-    if fixture_id in ("2.8", "2.9", "2.10"):
-        assertions = _run_weak_dual_fixture(fix, tol)
-    elif fixture_id == "3.1":
-        assertions = _run_3_1(fix, tol)
-    else:
-        assertions = _run_3_3(fix, tol)
+    assertions = _FIXTURES[fixture_id][1](fix, tol)
     return {
         "fixture_id": fix.fixture_id,
         "description": fix.description,

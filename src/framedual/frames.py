@@ -321,13 +321,9 @@ def parseval_tighten(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> VectorF
 
 
 def family_to_json_dict(fam: VectorFamily) -> dict:
-    return {
-        "dim": fam.ambient_dim,
-        "vectors": [
-            [[float(z.real), float(z.imag)] for z in row] for row in fam.vectors
-        ],
-        "label": fam.label,
-    }
+    """The fixture dict, ``[re, im]`` pairs from the float64 view of the members."""
+    pairs = fam.vectors.view(np.float64).reshape(fam.count, fam.ambient_dim, 2)
+    return {"dim": fam.ambient_dim, "vectors": pairs.tolist(), "label": fam.label}
 
 
 def family_from_json_dict(data: dict) -> VectorFamily:
@@ -381,13 +377,17 @@ def save_family(fam: VectorFamily, path: str | Path) -> None:
 # ----------------------------------------------------------------------
 
 
+def _gaussian(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """A ``count x dim`` complex Gaussian array, real parts drawn first."""
+    return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+
+
 def random_frame(
     rng: np.random.Generator, count: int, dim: int, label: str = "random-frame"
 ) -> VectorFamily:
     """Random complex Gaussian family; a frame for the ambient space with
     probability one when ``count >= dim``."""
-    v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return VectorFamily(v, label=label)
+    return VectorFamily._factored(_gaussian(rng, count, dim), label=label)
 
 
 def random_parseval(
@@ -396,8 +396,7 @@ def random_parseval(
     """Random Parseval frame for the ambient space (requires count >= dim)."""
     if count < dim:
         raise ShapeMismatchError("a Parseval frame needs at least dim members")
-    fam = random_frame(rng, count, dim)
-    return parseval_tighten(fam).relabel(label)
+    return parseval_tighten(random_frame(rng, count, dim)).relabel(label)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -411,7 +410,5 @@ def standard_basis_family(dim: int, count: int | None = None) -> VectorFamily:
     ``count`` members when ``count > dim``."""
     if count is None:
         count = dim
-    v = np.zeros((count, dim), dtype=np.complex128)
-    for i in range(min(count, dim)):
-        v[i, i] = 1.0
-    return VectorFamily(v, label=f"standard-basis-{dim}x{count}")
+    v = np.eye(count, dim, dtype=np.complex128)
+    return VectorFamily._factored(v, label=f"standard-basis-{dim}x{count}")

@@ -72,13 +72,13 @@ from .errors import (
 )
 from .frames import (
     VectorFamily,
+    _gaussian,
     _is_tight,
     _members,
     _read_only,
     _real_symmetric_square,
     _span_rank,
     analyze,
-    random_frame,
 )
 from .numerics import DEFAULT_TOL, Tolerance, _svd, frobenius, singular_rank
 from .rduality import (
@@ -143,14 +143,14 @@ class GaborLattice:
         return self.a * self.b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaborSystem:
     lattice: GaborLattice
     window: np.ndarray
     family: VectorFamily
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjointSystem:
     base: GaborSystem
     kappa: float
@@ -207,7 +207,7 @@ def _coset_phases(N: int, freq_step: int, n_freqs: int) -> np.ndarray:
     return _read_only(phase.T / np.sqrt(n_freqs))[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Cosets:
     """The coset record of a ``(g, N)`` stack of windows on one lattice
     shape: the lattice shape, the scale, the singular values ``s`` of the
@@ -574,7 +574,7 @@ def tight_gabor_weak_r_dual(
         u_head = np.zeros((k_count, lat.N), dtype=np.complex128)
         u_head[positions[head]] = rows[head]
         tail_norm = _adjoint_product_norm(rows[~head], sys.family._us)
-    u_slice = VectorFamily(u_head, label=f"{label}[:{k_count}]")
+    u_slice = VectorFamily._factored(u_head, label=f"{label}[:{k_count}]")
 
     w0 = adjoint_system(sys).family
     side = _dual_side(w0, sys.family, u_slice, tol)
@@ -689,7 +689,7 @@ def _gated_evidence(
     span_eye = np.eye(w_s.shape[-1]) * keep
     tight_syn = q @ w_vh
 
-    gauss = np.stack([random_frame(rng, M, N).vectors for rng in rngs])
+    gauss = np.stack([_gaussian(rng, M, N) for rng in rngs])
     g_u, g_s, g_vh = _svd(gauss.swapaxes(-1, -2), full_matrices=False)
     g_keep = (np.arange(N) < singular_rank(g_s)[:, None])[:, None, :]
     rand_syn = np.where(g_keep, g_u, 0) @ g_vh  # random_parseval, as columns

@@ -58,7 +58,7 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Hermitian eigendecomposition with ascending real eigenvalues."""
 

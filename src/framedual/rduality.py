@@ -166,7 +166,7 @@ def _adjoint_product_norm(x: np.ndarray, h_us: tuple) -> float:
     return frobenius(_adjoint_factor(x, h_us))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _DualSide:
     """The dual side of one triple ``(w, f, u)`` under ``tol``, with the
     triple and the tolerance it was evaluated for: the orthonormal basis
@@ -515,7 +515,7 @@ def commuting_parseval_family(
     """
     fa = analyze(f, tol)
     tight = parseval_tighten(f, tol)
-    v = VectorFamily(np.conj(tight.vectors), label=f"commuting({f.label})")
+    v = VectorFamily._factored(np.conj(tight.vectors), label=f"commuting({f.label})")
     va = analyze(v, tol)
     return CommutingParsevalResult(
         family=v,
@@ -816,11 +816,11 @@ def interleaved_weak_r_dual(
     f_prime = interleave_prime(f)
     u_prime = interleave_prime(u)
     w_prime = interleave_prime(w)
-    v = VectorFamily._factored(
-        interleave_prime(side.sequence).vectors
-        + interleave_double_prime(q).vectors,
-        label=f"interleaved-v({w.label})",
-    )
+    # v = y' + q'': y at the slots of the prime interleaving, q between them
+    v_rows = np.empty((2 * q.count, n), dtype=np.complex128)
+    v_rows[0::2] = side.sequence.vectors
+    v_rows[1::2] = q.vectors
+    v = VectorFamily._factored(v_rows, label=f"interleaved-v({w.label})")
     cert = _certificate(_dual_side(w_prime, f_prime, u_prime, tol), v)
     return InterleavedDualResult(
         f_prime=f_prime, v=v, u_prime=u_prime, w_prime=w_prime, certificate=cert
@@ -832,7 +832,7 @@ def interleaved_weak_r_dual(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferResult:
     operator: np.ndarray
     transported: VectorFamily
@@ -896,7 +896,7 @@ def transfer_via_coisometry(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugateLinearMap:
     """Conjugate-linear operator ``x -> M conj(x)``.
 

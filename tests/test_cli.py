@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import fam, perturb_member, trio, trio_parseval
-from framedual import cli, rduality
+from framedual import VectorFamily, cli, rduality
 from framedual.cli import build_parser, main
 from framedual.fixtures import build_fixture
-from framedual.frames import save_family
+from framedual.frames import family_to_json_dict, parseval_tighten, save_family
 
 
 def _write(tmp_path, name, family):
@@ -53,6 +53,13 @@ class TestAnalyze:
     def test_invalid_tolerance_exits_2(self, tmp_path, capsys):
         path = _write(tmp_path, "onb", fam([[1, 0], [0, 1]]))
         code, report = _run(capsys, ["analyze", path, "--tol", "-1"])
+        assert code == 2
+        assert report["error"]["type"] == "ValueError"
+
+    def test_tolerance_is_checked_before_the_fixture(self, tmp_path, capsys):
+        # as for every other command, the tolerance error is reported first
+        missing = str(tmp_path / "missing.json")
+        code, report = _run(capsys, ["analyze", missing, "--abs-floor", "0"])
         assert code == 2
         assert report["error"]["type"] == "ValueError"
 
@@ -105,6 +112,37 @@ class TestWrd:
         assert code == 0
         assert report["certificate"]["verdict"] == "WeakRDual"
         assert len(report["v"]) == 4
+
+    def test_construct_v_prints_the_fixture_encoding(self, tmp_path, capsys):
+        fams = build_fixture("2.8").families
+        argv = ["wrd", "construct-v"]
+        for k in "wfu":
+            argv += [f"--{k}", _write(tmp_path, k, fams[k])]
+        code, report = _run(capsys, argv)
+        assert code == 0
+        v = rduality.build_parseval_v(fams["w"], fams["f"], fams["u"])
+        assert report["v"] == family_to_json_dict(v)["vectors"]
+
+    def test_characterize(self, tmp_path, capsys):
+        # the 2.8 fixtures with their constructed v pass; with f and w scaled
+        # by 1e9 and v perturbed by 1e-3 and re-tightened, the
+        # characterization verdict fails
+        fams = build_fixture("2.8").families
+        f, u, w = fams["f"], fams["u"], fams["w"]
+        v = rduality.build_parseval_v(w, f, u)
+        e = np.random.default_rng(0).standard_normal(v.vectors.shape)
+        bad = parseval_tighten(VectorFamily(v.vectors + 1e-3 * e / np.linalg.norm(e)))
+        cases = [
+            ((w, f, u, v), 0, "WeakRDual"),
+            ((fam(1e9 * w.vectors), fam(1e9 * f.vectors), u, bad), 1, "NotWeakRDual"),
+        ]
+        for families, expected_code, verdict in cases:
+            argv = ["wrd", "characterize"]
+            for k, family in zip("wfuv", families):
+                argv += [f"--{k}", _write(tmp_path, k, family)]
+            code, report = _run(capsys, argv)
+            assert code == expected_code
+            assert report["certificate"]["characterization_verdict"] == verdict
 
     def test_construct_v_onb(self, tmp_path, capsys):
         # fixture 2.10: span deficit equals kernel dimension, so the
@@ -184,6 +222,16 @@ class TestWindowFile:
         )
         assert code == 0
         assert report["duality"]["match"] is True
+
+    def test_window_of_the_wrong_length_exits_2(self, tmp_path, capsys):
+        path = _write(tmp_path, "win", fam([[1, 0, 0]], label="window"))
+        argv = ["gabor", "duality", "--N", "4", "--a", "2", "--b", "2"]
+        code, report = _run(capsys, argv + ["--window", path])
+        assert code == 2
+        assert report["error"] == {
+            "type": "FixtureParseError",
+            "message": "window fixture must hold one vector of length 4",
+        }
 
     def test_small_window_meets_the_floor_in_its_units(self, tmp_path, capsys):
         path = _write(tmp_path, "win", fam([[1e-20, 0, 0, 0]], label="window"))

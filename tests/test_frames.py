@@ -2,13 +2,14 @@
 duals, tightening, projections, and fixture I/O."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from helpers import fam, trio, trio_parseval, unit
+from helpers import fam, trio, trio_parseval, unit, weak_dual_instance
 from framedual import VectorFamily
-from framedual.errors import EmptySpanError, FixtureParseError
+from framedual.errors import EmptySpanError, FixtureParseError, ShapeMismatchError
 from framedual.frames import (
     analyze,
     canonical_dual,
@@ -18,6 +19,7 @@ from framedual.frames import (
     load_family,
     parseval_tighten,
     random_frame,
+    random_parseval,
     save_family,
     span_projector,
     synthesis_matrix,
@@ -33,6 +35,11 @@ class TestVectorFamily:
         arr[0, 0] = 7.0
         np.testing.assert_array_equal(f.vectors[0], [1, 0])
         assert not f.vectors.flags.writeable
+
+    @pytest.mark.parametrize("rows", [np.ones(3), np.ones((0, 2)), np.ones((2, 0))])
+    def test_members_must_be_a_non_empty_matrix(self, rows):
+        with pytest.raises(ValueError, match="expected \\(count, dim\\) members"):
+            VectorFamily(rows)
 
     def test_relabel_shares_rows_and_factors(self, monkeypatch):
         from framedual import frames, gabor
@@ -310,7 +317,56 @@ class TestFixtureIO:
         with pytest.raises(FixtureParseError):
             family_from_json_dict({"vectors": [[[1, 0]]]})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([[[1, 0]]], "fixture root must be a JSON object"),
+            ({"dim": 1, "vectors": []}, "field 'vectors' must be a non-empty list"),
+            ({"dim": 1, "vectors": [[[1, 0, 2]]]}, "vector 0: entries must be [re, im]"),
+            ({"dim": 1, "vectors": [[["1", 0]]]}, "vector 0: entries must be [re, im]"),
+            ({"dim": 1, "vectors": [[[float("inf"), 0]]]}, "entries must be finite"),
+        ],
+    )
+    def test_malformed_fixture_dict(self, data, message):
+        with pytest.raises(FixtureParseError, match=re.escape(message)):
+            family_from_json_dict(data)
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(FixtureParseError, match="cannot read"):
+            load_family(tmp_path / "missing.json")
+
+
+def test_random_parseval_needs_dim_members():
+    with pytest.raises(ShapeMismatchError, match="at least dim members"):
+        random_parseval(np.random.default_rng(0), 2, 3)
+
 
 def test_trio_parseval_is_parseval():
     a = analyze(trio_parseval())
     assert a.is_parseval_for_span and a.is_frame_for_ambient and not a.is_onb
+
+
+def test_array_holding_records_compare_by_identity():
+    # each record holds arrays, so value equality has no truth value and
+    # value hashing fails; two records built from the same inputs are two
+    # records, and each equals itself and hashes
+    from framedual import gabor, numerics, rduality
+
+    lat = gabor.GaborLattice(12, 2, 2)
+    window = np.random.default_rng(4).standard_normal(12).astype(complex)
+    w, f, u, v, _ = weak_dual_instance(np.random.default_rng(11), 3, 6)
+    builders = {
+        "GaborSystem": lambda: gabor.gabor_system(lat, window),
+        "AdjointSystem": lambda: gabor.adjoint_system(gabor.gabor_system(lat, window)),
+        "_Cosets": lambda: gabor._system_cosets(window[None], lat),
+        "_DualSide": lambda: rduality._dual_side(w, f, u, numerics.DEFAULT_TOL),
+        "ConjugateLinearMap": lambda: rduality.ConjugateLinearMap(np.eye(2)),
+        "TransferResult": lambda: rduality.transfer_via_coisometry(w, w, f, u, v),
+        "EigenDecomposition": lambda: numerics.hermitian_eig(np.eye(2)),
+    }
+    for name, build in builders.items():
+        x, y = build(), build()
+        assert type(x).__name__ == name
+        assert x == x and x != y, name
+        assert len({x, y, x}) == 2, name
+    assert lat == gabor.GaborLattice(12, 2, 2)  # a lattice is a value

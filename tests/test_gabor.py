@@ -98,6 +98,10 @@ class TestLattice:
         with pytest.raises(BadLatticeError):
             GaborLattice(4, 1, 8)
 
+    def test_modulus_must_be_positive(self):
+        with pytest.raises(BadLatticeError, match="modulus must be positive"):
+            GaborLattice(0, 1, 1)
+
     def test_redundancy_and_counts(self):
         lat = GaborLattice(4, 1, 2)
         assert lat.redundancy == pytest.approx(2.0)
@@ -178,6 +182,12 @@ class TestGaborSystem:
     def test_window_length(self):
         with pytest.raises(ShapeMismatchError):
             gabor_system(GaborLattice(4, 1, 1), _delta(2))
+
+    def test_non_finite_window(self):
+        window = _delta(4)
+        window[2] = np.nan
+        with pytest.raises(ZeroWindowError, match="must be finite"):
+            gabor_system(GaborLattice(4, 1, 1), window)
 
 
 class TestAdjointSystem:
@@ -338,6 +348,14 @@ class TestTightPipeline:
         with pytest.raises(CriticalDensityError):
             tight_gabor_weak_r_dual(gabor_system(GaborLattice(2, 1, 2), _delta(2)))
 
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 2)])
+    def test_u_shape_gate(self, shape):
+        # u pairs with the system: 8 members of dimension 4
+        sys = gabor_system(GaborLattice(4, 1, 2), _delta(4))
+        u = VectorFamily(np.eye(*shape, dtype=complex), label="u")
+        with pytest.raises(ShapeMismatchError, match="u must have 8 members"):
+            tight_gabor_weak_r_dual(sys, u)
+
     def test_not_tight_gate(self):
         rng = np.random.default_rng(6)
         sys = gabor_system(GaborLattice(4, 1, 2), _random_window(rng, 4))
@@ -441,6 +459,34 @@ class TestPromotion:
                 build(w, w, u)
             raised.append(str(exc.value))
         assert raised[0] == raised[1]
+
+    def test_supplied_v_must_certify(self):
+        w = VectorFamily(np.diag([1.0, np.sqrt(2.0)]).astype(complex), label="w")
+        u = VectorFamily(np.eye(2, dtype=complex), label="u")
+        assert promote_to_r_dual(w, w, u).certificate.verdict == "RDual"
+        v = VectorFamily(np.array([[1, 1], [1, -1]], dtype=complex), label="v")
+        with pytest.raises(HypothesisFailedError, match="supplied v does not certify"):
+            promote_to_r_dual(w, w, u, v=v)
+
+    def test_supplied_v_must_pair_with_f(self):
+        w = VectorFamily(np.eye(2, dtype=complex), label="w")
+        v = VectorFamily(np.eye(3, 2, dtype=complex), label="v")
+        with pytest.raises(ShapeMismatchError, match="f/v counts 2/3 must pair up"):
+            promote_to_r_dual(w, w, w, v=v)
+
+    def test_weak_r_dual_that_is_not_an_r_dual(self):
+        # w the standard basis, f the rows of an invertible A and u the rows
+        # of A^{-*}: the hypotheses hold and v' is orthonormal, but u is not
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        w = VectorFamily(np.eye(3, dtype=complex), label="w")
+        f = VectorFamily(a, label="f")
+        u = VectorFamily(np.linalg.inv(a).conj().T, label="u")
+        with pytest.raises(
+            HypothesisFailedError,
+            match="promotion did not reach an R-dual verdict: WeakRDual",
+        ):
+            promote_to_r_dual(w, f, u)
 
     def test_non_riesz_gate(self):
         w = VectorFamily(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import psd_inverse_sqrt
-from framedual.errors import NotHermitianError, ZeroMatrixError
+from framedual.errors import NotHermitianError, NumericalFailureError, ZeroMatrixError
 from framedual.numerics import (
     Tolerance,
     frobenius,
@@ -109,6 +109,22 @@ class TestHermitianEig:
     def test_rejects_non_square(self):
         with pytest.raises(NotHermitianError):
             hermitian_eig(np.ones((2, 3), dtype=complex))
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [(np.zeros((0, 0)), "non-empty 2-D matrix"), ([[np.nan]], "must be finite")],
+    )
+    def test_rejects_empty_or_non_finite(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            hermitian_eig(a)
+
+    def test_lapack_failure_is_typed(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NumericalFailureError, match="did not converge"):
+            hermitian_eig(np.eye(2, dtype=complex))
 
 
 class TestPsdInverseSqrt:

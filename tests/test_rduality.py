@@ -75,6 +75,10 @@ class TestCrossGram:
         with pytest.raises(ShapeMismatchError):
             cross_gram(_onb(2), trio())
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ShapeMismatchError, match="ambient dimensions differ"):
+            cross_gram(fam([[1, 0]]), fam([[1, 0, 0]]))
+
     def test_inner_product_convention(self):
         g = fam([[1j, 0]])
         h = fam([[1, 0]])
@@ -520,6 +524,12 @@ class TestVerifyConjugateWitness:
                 ConjugateLinearMap(np.zeros((2, 2), dtype=complex)), _onb(2), _onb(2)
             )
 
+    def test_non_square_witness(self):
+        with pytest.raises(GateFailedError, match="witness matrix must be 2x2"):
+            verify_conjugate_witness(
+                ConjugateLinearMap(np.eye(2, 3, dtype=complex)), _onb(2), _onb(2)
+            )
+
     def test_proper_span_gate(self):
         w = fam([unit(3, 0), unit(3, 1), 0 * unit(3, 0)])
         with pytest.raises(GateFailedError):
@@ -559,6 +569,9 @@ class TestFindConjugateWitness:
             )
             is None
         )
+
+    def test_operators_of_different_sizes(self):
+        assert find_conjugate_witness(np.eye(2), np.eye(3)) is None
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):

@@ -130,6 +130,14 @@ class TestCompletenessImpliesInvariance:
         with pytest.raises(HypothesisFailedError):
             completeness_implies_invariance(w, f, u)
 
+    def test_dual_commutation_gate(self):
+        # five random members in C^2: Y spans span{w} = C^2, but the dual
+        # commutation fails
+        rng = np.random.default_rng(0)
+        w, f, u = (random_frame(rng, 5, 2) for _ in range(3))
+        with pytest.raises(HypothesisFailedError, match="dual commutation condition fails"):
+            completeness_implies_invariance(w, f, u)
+
     def test_random_passing_instances(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
