@@ -8,10 +8,10 @@ is byte-identical for identical configurations.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -41,29 +41,66 @@ def _report(payload: dict) -> dict:
     return {"schema_version": SCHEMA_VERSION, **payload}
 
 
+# Items of a long list that one encoder call writes together.
+_JSON_SLICE = 64
+# ``json.dumps(obj, sort_keys=True)`` without building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _emit(report: dict, args: argparse.Namespace) -> None:
     if args.table:
-        lines = _as_table(report)
-        text = "\n".join(lines) + "\n"
+        chunks = _as_table(report)
     else:
-        text = json.dumps(report, sort_keys=True) + "\n"
+        chunks = itertools.chain(_json_chunks(report), ("\n",))
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as fh:
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _as_table(obj, prefix: str = "") -> list[str]:
-    lines = []
+def _streamed(obj) -> bool:
+    """Whether ``_json_chunks`` splits ``obj``: a list longer than
+    ``_JSON_SLICE``, or a dict with ``str`` keys that holds a split value."""
+    if isinstance(obj, dict):
+        return all(isinstance(k, str) for k in obj) and any(map(_streamed, obj.values()))
+    return isinstance(obj, (list, tuple)) and len(obj) > _JSON_SLICE
+
+
+def _json_chunks(obj) -> Iterator[str]:
+    """Yield ``json.dumps(obj, sort_keys=True)`` in pieces.
+
+    A split dict is written key by key and a split list slice by slice,
+    each slice encoded by the C encoder with its brackets stripped;
+    anything else is one encoder call.  The whole text of a report is
+    never held at once.
+    """
+    if not _streamed(obj):
+        yield _encode(obj)
+    elif isinstance(obj, dict):
+        sep = "{"
+        for key in sorted(obj):
+            yield f"{sep}{_encode(key)}: "
+            yield from _json_chunks(obj[key])
+            sep = ", "
+        yield "}"
+    else:
+        sep = "["
+        for i in range(0, len(obj), _JSON_SLICE):
+            yield sep + _encode(obj[i:i + _JSON_SLICE])[1:-1]
+            sep = ", "
+        yield "]"
+
+
+def _as_table(obj, prefix: str = "") -> Iterator[str]:
     if isinstance(obj, dict):
         for key in sorted(obj):
-            lines.extend(_as_table(obj[key], f"{prefix}{key}."))
+            yield from _as_table(obj[key], f"{prefix}{key}.")
     elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
-            lines.extend(_as_table(item, f"{prefix}{i}."))
+            yield from _as_table(item, f"{prefix}{i}.")
     else:
-        lines.append(f"{prefix[:-1]:<48} {obj}")
-    return lines
+        yield f"{prefix[:-1]:<48} {obj}\n"
 
 
 def _window(spec: str, n: int, normalize: bool) -> np.ndarray:

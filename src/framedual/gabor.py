@@ -814,9 +814,9 @@ def run_exploration(
     Each trial derives its randomness from ``(seed, trial index)``, so
     reports are byte-identical for a fixed configuration and independent
     of evaluation order.  Every trial is drawn first; the trials are then
-    evaluated lattice by lattice, each lattice's trials together, and the
-    records come back in trial order.  No claim is made beyond the
-    recorded evidence.
+    evaluated lattice by lattice, each lattice's trials together, its
+    windows and generators dropped once evaluated, and the records come
+    back in trial order.  No claim is made beyond the recorded evidence.
     """
     N_values = list(N_values)
     if not N_values:
@@ -840,8 +840,8 @@ def run_exploration(
         window /= np.linalg.norm(window)
         groups.setdefault(lat, []).append((t, window, rng))
     trial_records: list = [None] * trials
-    for lat, group in groups.items():
-        ts, windows, rngs = zip(*group)
+    for lat in list(groups):
+        ts, windows, rngs = zip(*groups.pop(lat))
         for t, rec in zip(ts, _evaluate_trials(lat, windows, rngs, tol)):
             rec["trial"] = t
             trial_records[t] = rec

@@ -325,6 +325,78 @@ class TestTableMode:
         assert code == 0
         assert "all_passed" in out and "{" not in out.splitlines()[0]
 
+    def test_one_line_per_leaf(self, capsys):
+        def leaves(obj):
+            if isinstance(obj, (dict, list)):
+                values = obj.values() if isinstance(obj, dict) else obj
+                return sum(leaves(v) for v in values)
+            return 1
+
+        main(["repro", "all"])
+        report = json.loads(capsys.readouterr().out)
+        main(["repro", "all", "--table"])
+        lines = capsys.readouterr().out.split("\n")
+        assert lines.pop() == ""
+        assert len(lines) == leaves(report)
+        assert lines[-1] == f"{'schema_version':<48} 2"
+
+
+_SLICE = cli._JSON_SLICE
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        {"b": [], "a": {}, "c": [[], {}, ()]},
+        {"z": {"y": [1, {"b": 2.5, "a": [None, True]}]}, "a": "s", "m": False},
+        *[list(range(n)) for n in (_SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 5)],
+        *[
+            [{"t": i, "v": [i, -i], "k": {"x": 0.1 * i}} for i in range(n)]
+            for n in (_SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE)
+        ],
+        tuple(range(2 * _SLICE + 1)),
+        {"x": _NAN, "y": [_INF] * (_SLICE + 1), "z": -_INF, "w": [_NAN, -_INF]},
+        {"ключ": "värde ✓", "é": ["😀"] * (_SLICE + 2), "a\u0000b": "\t\n\""},
+        {10: "a", 9: "b"},
+        {"outer": {2.5: [1], 1.5: {"c": 3}}, "b": [{1: 2}] * (_SLICE + 1)},
+        {True: 1, False: 0},
+        {None: [1] * (_SLICE + 1)},
+        [[i, [i, {"q": i}]] for i in range(2 * _SLICE + 3)],
+    ],
+    ids=lambda obj: type(obj).__name__ + str(len(obj)),
+)
+def test_json_chunks_match_json_dumps(obj):
+    assert "".join(cli._json_chunks(obj)) == json.dumps(obj, sort_keys=True)
+
+
+def test_a_long_list_is_encoded_slice_by_slice():
+    chunks = list(cli._json_chunks(list(range(3 * _SLICE))))
+    # three slices and the closing bracket
+    assert len(chunks) == 4 and chunks[-1] == "]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gabor", "explore", "--N", "4..12", "--trials", "200", "--seed", "1"],
+        ["gabor", "tight-wrd", "--N", "24", "--a", "1", "--b", "2", "--window", "delta"],
+        ["repro", "all", "--table"],
+    ],
+    ids=" ".join,
+)
+def test_stdout_and_out_file_get_the_same_bytes(argv, tmp_path, capsysbinary):
+    code = main(argv)
+    printed = capsysbinary.readouterr().out
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == code == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == printed
+    if "--table" not in argv:
+        assert printed == (json.dumps(json.loads(printed), sort_keys=True) + "\n").encode()
+
 
 _GABOR = ["--N", "4", "--a", "1", "--b", "2"]
 _WFU = ["--w", "w", "--f", "f", "--u", "u"]

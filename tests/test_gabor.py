@@ -374,7 +374,7 @@ class TestTightPipeline:
         # sequence Parseval for the adjoint span
         vecs[1], vecs[4] = vecs[4].copy(), vecs[1].copy()
         u = VectorFamily(vecs, label="misaligned")
-        with pytest.raises((HypothesisFailedError, Exception)):
+        with pytest.raises(HypothesisFailedError, match="not Parseval for span"):
             tight_gabor_weak_r_dual(sys, u)
 
     def test_dual_side_evaluated_once(self, monkeypatch):
