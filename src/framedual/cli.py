@@ -3,11 +3,17 @@
 Exit codes: 0 when the asserted property holds, 1 when it fails (a valid
 negative result), 2 on usage, parse, shape, or gate errors.  JSON output
 is byte-identical for identical configurations.
+
+``main`` can be called repeatedly in one process: it parses with one
+parser, built on its first call, and each call's report depends only on
+its own arguments.  ``build_parser()`` returns a fresh parser on every
+call, so a caller that extends one does not change what ``main`` parses.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -280,14 +286,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built once per process: parsing keeps no
+    state in it, and a discarded parser is a graph of reference cycles
+    that only the cyclic garbage collector frees."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, Tolerance(rel_eps=args.tol, abs_floor=args.abs_floor))
     except (FrameDualError, ValueError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(json.dumps(_report(error), sort_keys=True) + "\n")
+        sys.stdout.write(_encode(_report(error)) + "\n")
         return 2
 
 

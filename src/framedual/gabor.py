@@ -818,6 +818,8 @@ def run_exploration(
     windows and generators dropped once evaluated, and the records come
     back in trial order.  No claim is made beyond the recorded evidence.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     N_values = list(N_values)
     if not N_values:
         raise BadLatticeError("no N values to explore")

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report shapes, and determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from framedual import VectorFamily, cli, rduality
 from framedual.cli import build_parser, main
 from framedual.fixtures import build_fixture
 from framedual.frames import family_to_json_dict, parseval_tighten, save_family
+from framedual.numerics import Tolerance
 
 
 def _write(tmp_path, name, family):
@@ -317,6 +319,14 @@ class TestGaborCommands:
         assert code == 2
         assert report["error"]["type"] == "BadLatticeError"
 
+    def test_negative_trials_exit_2_with_an_error_report(self, capsysbinary):
+        code = main(["gabor", "explore", "--N", "4..6", "--trials", "-3"])
+        assert code == 2
+        assert capsysbinary.readouterr().out == (
+            b'{"error": {"message": "trials must be non-negative, got -3",'
+            b' "type": "ValueError"}, "schema_version": 2}\n'
+        )
+
 
 class TestTableMode:
     def test_table_output(self, capsys):
@@ -425,3 +435,84 @@ def test_removed_flags_are_usage_errors(argv, flag, capsys):
         main(argv + flag)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    assert main(["repro", "3.3"]) == 0
+    assert main(["gabor", "duality", *_GABOR, "--window", "delta"]) == 0
+    assert len(built) == 1
+    # build_parser() stays fresh: extending one does not reach main
+    extended = build_parser()
+    assert extended is not build_parser() and extended is not cli._parser()
+    extended.add_argument("--extra")
+    extended.parse_args(["--extra", "1", "repro", "3.3"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--extra", "1", "repro", "3.3"])
+    assert exc.value.code == 2
+
+
+def _report_bytes(run, argv, capsysbinary):
+    """Exit code of ``run(argv)`` and the bytes of the report it writes."""
+    code = run(argv)
+    out = capsysbinary.readouterr().out
+    if "--out" in argv:
+        path = Path(argv[argv.index("--out") + 1])
+        out += path.read_bytes()
+        path.unlink()
+    return code, out
+
+
+def _fresh(argv):
+    """A command run on a parser and namespace of its own, as in a new process."""
+    args = build_parser().parse_args(argv)
+    return args.func(args, Tolerance(rel_eps=args.tol, abs_floor=args.abs_floor))
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsysbinary, monkeypatch):
+    rng = np.random.default_rng(3)
+    window = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    win = _write(tmp_path, "win", fam([window]))
+    w = _write(tmp_path, "w", fam([[1, 0], [0, np.sqrt(2)]]))
+    u = _write(tmp_path, "u", fam([[1, 0], [0, 1]]))
+    fx = {}
+    for fid in ("2.8", "2.10"):
+        for k, family in build_fixture(fid).families.items():
+            fx[fid, k] = _write(tmp_path, f"{fid}-{k}", family)
+    duality = ["gabor", "duality", "--N", "4", "--a", "2", "--b", "2", "--window", win]
+    promote = ["wrd", "promote", "--w", w, "--f", w, "--u", u]
+    construct = ["wrd", "construct-v"]
+    # each setter sets a flag or option that a later command leaves out
+    setters = [
+        duality + ["--normalize", "--table"],
+        promote + ["--v", u, "--tol", "1e-6", "--out", str(tmp_path / "out.json")],
+        construct + ["--onb", *(f"--{k}={fx['2.10', k]}" for k in "wfu")],
+    ]
+    later = [
+        duality,
+        promote,
+        construct + [f"--{k}={fx['2.8', k]}" for k in "wfu"],
+        ["gabor", "tight-wrd", *_GABOR, "--window", "delta"],
+        ["gabor", "explore", "--N", "4..6", "--trials", "3", "--seed", "1"],
+        ["repro", "3.3"],
+    ]
+    first = {tuple(a): _report_bytes(_fresh, a, capsysbinary) for a in setters + later}
+    assert {code for code, _ in first.values()} == {0}
+    parsed, emit = [], cli._emit
+
+    def recorded(report, args):
+        parsed.append(vars(args))
+        emit(report, args)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    for argv in setters + later + setters:
+        assert _report_bytes(main, argv, capsysbinary) == first[tuple(argv)], argv
+        assert parsed.pop() == vars(build_parser().parse_args(argv))

@@ -632,6 +632,11 @@ class TestExploration:
         with pytest.raises(BadLatticeError, match="N=|no N values"):
             run_exploration(N_values, seed=0, trials=3)
 
+    def test_negative_trials_raise(self):
+        with pytest.raises(ValueError, match="trials must be non-negative, got -3"):
+            run_exploration([4, 5, 6], seed=0, trials=-3)
+        assert run_exploration([4], seed=0, trials=0)["records"] == []
+
     def test_manifest_lists_noncritical_lattices(self):
         rep = run_exploration([4], seed=0, trials=1)
         pairs = {(m["a"], m["b"]) for m in rep["lattice_manifest"]}
