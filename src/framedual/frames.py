@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySpanError, FixtureParseError, ShapeMismatchError
-from .numerics import DEFAULT_TOL, Tolerance, singular_rank, thin_svd
+from .numerics import DEFAULT_TOL, Tolerance, frobenius, singular_rank, thin_svd
 
 __all__ = [
     "VectorFamily",
@@ -67,12 +67,14 @@ class VectorFamily:
     cached; what needs only the singular values reads ``_s``, and what
     needs ``U`` and ``s`` reads ``_us``.  Products ``vectors @ x`` go
     through ``_times``, products ``vectors.T @ y`` through
-    ``_transposed_times``, and the frame operator through
-    ``_frame_operator``.  A subclass that knows more about its members
-    (the Gabor families of ``gabor``, the constructed ``v`` of
-    ``rduality``) answers these readers without the full factorization
-    or the rows.  Families compare and hash by identity, and their repr
-    shows the label and the shape, so neither reads the members.
+    ``_transposed_times``, products ``x conj(U) diag(s)`` through
+    ``_adjoint_factor``, the frame operator through ``_frame_operator``
+    and ``||S - I||_F`` through ``_frame_residual``.  A subclass that
+    knows more about its members (the Gabor families of ``gabor``, the
+    constructed ``v`` of ``rduality``, ``_ExtensionFamily``) answers these
+    readers without the full factorization or the rows.  Families compare and hash by
+    identity, and their repr shows the label and the shape, so neither
+    reads the members.
     """
 
     vectors: np.ndarray
@@ -128,10 +130,19 @@ class VectorFamily:
         """``vectors.T @ y`` for a ``count x p`` matrix ``y``."""
         return self.vectors.T @ y
 
+    def _adjoint_factor(self, x: np.ndarray) -> np.ndarray:
+        """``x conj(U) diag(s)`` for a ``p x ambient_dim`` matrix ``x``
+        (``_adjoint_factor`` on ``_us``)."""
+        return _adjoint_factor(x, self._us)
+
     def _frame_operator(self) -> np.ndarray:
         """``frame_operator``: ``S = T T^*`` as one real symmetric product
         of the members."""
         return _real_symmetric_square(self.vectors)
+
+    def _frame_residual(self) -> float:
+        """``||S - I||_F`` for the frame operator ``S``."""
+        return _identity_residual(self._frame_operator())
 
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
         return singular_rank(self._s, tol)
@@ -153,6 +164,115 @@ class VectorFamily:
         fam = type(self).__new__(type(self))
         fam.__dict__.update(self.__dict__, label=label)
         return fam
+
+
+class _ExtensionFamily(VectorFamily):
+    """The ``v`` that ``rduality._isometric_extension_v`` constructs, held
+    as identity plus low rank: its member rows are ``P + C basis^t``.  ``basis`` is
+    ``n x k``, with the span basis ``q`` as its first ``r`` columns; ``C``
+    is ``head`` (``lead x k``) on the ``lead`` leading rows and ``[tail
+    0]`` past them, ``tail`` being the ``(count - lead) x r`` coefficients
+    of those rows in ``q``; and ``P`` is zero but for the identity that
+    takes the last ``d = n - r`` coordinates to the leading rows ``lead -
+    d, ..., lead - 1``.  The three factors are checked finite here, so the
+    products taken from them rest on this check.  The readers answer from
+    the factors, at O((count r + n k) p) for a product with ``p`` columns;
+    ``S - I`` has rank at most ``r + 2 k`` (``_defect``), so the Parseval
+    residual costs O(count r^2 + n k^2) and the frame operator O(n^2 k).
+    The member rows are assembled on first read, checked like any
+    family's and cached."""
+
+    def __init__(
+        self, head: np.ndarray, basis: np.ndarray, tail: np.ndarray, label: str
+    ) -> None:
+        for factor in (head, basis, tail):
+            if not np.isfinite(factor).all():
+                raise ValueError("family entries must be finite")
+        _read_only(head, basis, tail)
+        self.__dict__.update(_head=head, _basis=basis, _tail=tail, label=label)
+
+    @property
+    def count(self) -> int:
+        return self._head.shape[0] + self._tail.shape[0]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._basis.shape[0]
+
+    def _shape(self) -> tuple[int, int, int]:
+        """``(lead, r, d)``: the identity of ``P`` sits on the rows ``lead -
+        d, ..., lead - 1`` and the columns ``r, ..., n - 1``."""
+        r = self._tail.shape[1]
+        return self._head.shape[0], r, self.ambient_dim - r
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        lead, r, d = self._shape()
+        rows = np.empty((self.count, self.ambient_dim), dtype=np.complex128)
+        np.matmul(self._head, self._basis.T, out=rows[:lead])
+        np.matmul(self._tail, self._basis[:, :r].T, out=rows[lead:])
+        diag = np.arange(d)
+        rows[lead - d + diag, r + diag] += 1.0
+        return _members(rows)
+
+    def _times(self, x: np.ndarray) -> np.ndarray:
+        """``V x = P x + C (basis^t x)``."""
+        lead, r, d = self._shape()
+        bx = self._basis.T @ x
+        out = np.empty((self.count, bx.shape[1]), dtype=np.complex128)
+        np.matmul(self._head, bx, out=out[:lead])
+        np.matmul(self._tail, bx[:r], out=out[lead:])
+        out[lead - d : lead] += x[r:]
+        return out
+
+    def _transposed_times(self, y: np.ndarray) -> np.ndarray:
+        """``V^t y = P^t y + basis (C^t y)``."""
+        lead, r, d = self._shape()
+        cy = self._head.T @ y[:lead]
+        cy[:r] += self._tail.T @ y[lead:]
+        out = self._basis @ cy
+        out[r:] += y[lead - d : lead]
+        return out
+
+    def _defect(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(Z, M)`` with ``S - I = Z M Z^*``, ``Z`` of width ``r + 2 k``.
+        With ``B = basis``, ``S = V^t conj(V)`` is ``P^t P + z B^* + B z^* +
+        B G B^*``, where ``G = C^t conj(C)`` and ``z = P^t conj(C)`` holds
+        the conjugated rows ``lead - d, ..., lead - 1`` of ``head`` on the
+        last ``d`` coordinates.  ``P^t P`` is the identity on those
+        coordinates, so ``P^t P - I = -F F^t`` with ``F`` the first ``r``
+        coordinate vectors, and ``Z = [F, B, z]``."""
+        lead, r, d = self._shape()
+        head, basis = self._head, self._basis
+        k = basis.shape[1]
+        gram = head.T @ np.conj(head)
+        gram[:r, :r] += self._tail.T @ np.conj(self._tail)
+        z = np.zeros((self.ambient_dim, r + 2 * k), dtype=np.complex128)
+        z[np.arange(r), np.arange(r)] = 1.0
+        z[:, r : r + k] = basis
+        z[r:, r + k :] = np.conj(head[lead - d :])
+        m = np.zeros((r + 2 * k, r + 2 * k), dtype=np.complex128)
+        m[:r, :r] = -np.eye(r)
+        m[r : r + k, r : r + k] = gram
+        m[r : r + k, r + k :] = m[r + k :, r : r + k] = np.eye(k)
+        return z, m
+
+    def _frame_operator(self) -> np.ndarray:
+        """``S = I + Z M Z^*``, made exactly Hermitian by averaging the
+        low-rank term with its adjoint."""
+        z, m = self._defect()
+        s = (z @ (0.5 * m)) @ z.conj().T
+        s += s.conj().T
+        s[np.diag_indices_from(s)] += 1.0
+        return s
+
+    def _frame_residual(self) -> float:
+        """``||S - I||_F = ||R M R^*||_F`` for the ``R`` of the QR of ``Z``
+        (``Z = Q R`` with orthonormal columns in ``Q``): no frame operator
+        is formed, at O(n k^2)."""
+        z, m = self._defect()
+        r = np.linalg.qr(z, mode="r")
+        return frobenius((r @ m) @ r.conj().T)
 
 
 @dataclass(frozen=True)
@@ -210,6 +330,30 @@ def _real_symmetric_square(rows: np.ndarray) -> np.ndarray:
     return s
 
 
+def _identity_residual(s_op: np.ndarray) -> float:
+    """``||S - I||_F`` for the frame operator ``S`` of a family."""
+    return frobenius(s_op - np.eye(len(s_op)))
+
+
+def _spectral_identity_residual(s: np.ndarray, dim: int) -> float:
+    """``||A - I||_F`` for a ``dim x dim`` matrix ``A`` whose eigenvalues are
+    the squares of the singular values ``s`` of a family and ``dim -
+    len(s)`` zeros (its frame operator, or its Gram matrix): ``A - I`` has
+    the eigenvalues ``s_i^2 - 1`` and ``dim - len(s)`` times ``-1``."""
+    return float(np.hypot(np.linalg.norm(s**2 - 1.0), np.sqrt(dim - s.size)))
+
+
+def _adjoint_factor(x: np.ndarray, h_us: tuple) -> np.ndarray:
+    """``x conj(U) diag(s)`` for the member rows ``H`` of a family whose
+    thin SVD ``(U, s, Vh)`` has ``h_us = (U, s)``: as ``H^* = conj(U)
+    diag(s) conj(Vh)`` and ``conj(Vh)`` has orthonormal rows, ``x H^*`` is
+    this factor times ``conj(Vh)`` and has its Frobenius norm, Gram ``(x
+    H^*)(x H^*)^*`` and singular values.  Stacked operands give one factor
+    per matrix."""
+    u, s = h_us
+    return (x @ u.conj()) * s[..., None, :]
+
+
 def span_projector(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of the members."""
     q = fam._us[0][:, : fam.rank(tol)]
@@ -236,7 +380,7 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
     parseval_residual, scale = _parseval_residual(s, rank)  # ||S||_F == ||G||_F
     is_parseval = parseval_residual <= tol.threshold(scale)
 
-    gram_residual = float(np.hypot(np.linalg.norm(sq - 1.0), np.sqrt(m - s.size)))
+    gram_residual = _spectral_identity_residual(s, m)
     is_riesz_seq = rank == m
     is_onb = (
         m == n
@@ -355,8 +499,12 @@ def family_from_json_dict(data: dict) -> VectorFamily:
 
 
 def load_family(path: str | Path) -> VectorFamily:
+    # read with open(), not pathlib, which interns every path component
+    # it parses: a process that reads many distinct files would otherwise
+    # add one interned string per file and keep resizing the table
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise FixtureParseError(f"cannot read {path}: {exc}") from exc
     try:

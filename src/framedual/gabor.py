@@ -28,10 +28,12 @@ this module alone decides what it builds and when: its rows, its ``U``
 axis) are each assembled the first time something reads them.
 ``analyze`` and ``duality_check`` read singular values alone, so they
 compute no block vectors and build none of the three.  The tight
-pipeline reads the system's ``U``, never its rows or ``Vh``: a product
-``rows @ x`` is taken from the blocks (``_coset_product``), and the
-rows, when they are built, are finite because ``_checked_windows``
-checked the window.  ``canonical_tight_window`` sums its window block
+pipeline builds none of the system's rows, ``U`` or ``Vh``: a product
+``rows @ x`` is taken from the blocks (``_coset_product``), as is a
+product ``x conj(U) diag(s)`` (``_coset_adjoint_factor``) and the norm of
+the members at each time (``_coset_time_norms``), and the rows, when
+they are built, are finite because ``_checked_windows`` checked the
+window.  ``canonical_tight_window`` sums its window block
 by block from the block vectors, with no ``U`` or ``Vh``.  The
 factorization takes a stack of windows on one lattice: ``gabor_system``
 and ``adjoint_system`` pass a stack of one, and the exploration passes
@@ -310,6 +312,29 @@ def _coset_product(c: _Cosets, x: np.ndarray) -> np.ndarray:
     return out.reshape(len(c.windows), c.n_freqs * c.n_times, -1)
 
 
+def _coset_adjoint_factor(c: _Cosets, x: np.ndarray) -> np.ndarray:
+    """``x conj(U) diag(s)`` for each system of the stack, ``(g, p, L k)``
+    for a ``p x N`` matrix ``x``, without ``U``.  Column ``j`` of ``U`` is
+    ``U_r[:, i]`` on the rows ``t = r + kk L`` of residue ``r = r[j]``
+    (``i = i[j]``), so column ``j`` of ``x conj(U)`` is ``x_r conj(U_r[:,
+    i])`` with ``x_r`` the columns ``r + kk L`` of ``x``: one batched
+    product of the ``x_r`` with the conjugated block vectors, gathered in
+    triple order."""
+    x_r = x.reshape(len(x), c.freq_step, c.n_freqs).transpose(2, 0, 1)
+    prod = x_r @ np.conj(c.factors[0])  # (g, L, p, k)
+    stack = np.arange(len(c.windows))[:, None]
+    return prod[stack, c.r, :, c.i].swapaxes(-1, -2) * c.s[:, None, :]
+
+
+def _coset_time_norms(c: _Cosets) -> np.ndarray:
+    """The norm of the members of each system of the stack at each time
+    ``t``, ``(g, N)``: at ``t = r + kk L`` the member ``(m, n)`` is ``scale
+    * phase[m, r] * G_r[kk, n]`` with a unit phase, so the norm over the
+    ``L n_times`` members is ``scale sqrt(L) ||G_r[kk, :]||``."""
+    norms = np.linalg.norm(c.blocks(), axis=-1).swapaxes(-1, -2)
+    return (c.scale * np.sqrt(c.n_freqs)) * norms.reshape(len(c.windows), c.N)
+
+
 def _assemble_u(c: _Cosets) -> np.ndarray:
     """The left factors ``U``, ``(g, N, L k)``: ``U_r`` on the rows of
     residue ``r``."""
@@ -369,8 +394,9 @@ class _CosetFamily(VectorFamily):
     """The family of a stack of one, held as its coset record: the
     singular values are read off the blocks, ``U``, the member rows and
     ``Vh`` are each assembled on first read and cached, and products with
-    the rows are taken from the blocks (``_coset_product``) whether or not
-    the rows are built, so a result does not depend on what was read
+    the rows and with ``conj(U) diag(s)`` are taken from the blocks
+    (``_coset_product``, ``_coset_adjoint_factor``) whether or not the
+    rows or ``U`` are built, so a result does not depend on what was read
     before.  Rows, when built, are checked like any family's."""
 
     def __init__(self, cosets: _Cosets, label: str) -> None:
@@ -402,6 +428,9 @@ class _CosetFamily(VectorFamily):
 
     def _times(self, x: np.ndarray) -> np.ndarray:
         return _coset_product(self._cosets, x)[0]
+
+    def _adjoint_factor(self, x: np.ndarray) -> np.ndarray:
+        return _coset_adjoint_factor(self._cosets, x)[0]
 
 
 def gabor_system(lattice: GaborLattice, window: np.ndarray) -> GaborSystem:
@@ -555,11 +584,12 @@ def tight_gabor_weak_r_dual(
     m_count = lat.member_count
     k_count = lat.adjoint_count
     # the default u, e_0, ..., e_{N-1} padded with zeros, is exactly Parseval,
-    # and the tail factor of its rows e_K, ... is conj(U) diag(s) past row K
+    # and the tail norm ||U_tail F^*||_F of its rows e_K, ... is the norm of
+    # the system's members at the times t >= K
     if u is None:
         u_head = np.eye(k_count, lat.N, dtype=np.complex128)
         label = f"standard-basis-{lat.N}x{m_count}"
-        tail_norm = frobenius(np.conj(sys.family._us[0][k_count:]) * sys.family._s)
+        tail_norm = frobenius(_coset_time_norms(sys.family._cosets)[0, k_count:])
     elif u.count != m_count or u.ambient_dim != lat.N:
         raise ShapeMismatchError(
             f"u must have {m_count} members of dimension {lat.N}"
@@ -573,7 +603,7 @@ def tight_gabor_weak_r_dual(
         head = positions < k_count
         u_head = np.zeros((k_count, lat.N), dtype=np.complex128)
         u_head[positions[head]] = rows[head]
-        tail_norm = _adjoint_product_norm(rows[~head], sys.family._us)
+        tail_norm = frobenius(sys.family._adjoint_factor(rows[~head]))
     u_slice = VectorFamily._factored(u_head, label=f"{label}[:{k_count}]")
 
     w0 = adjoint_system(sys).family

@@ -8,7 +8,9 @@ unit clamp (only the Parseval residual, which is not homogeneous, keeps
 ``max(1, ||S||_F)``).  ``singular_rank`` is the one rank rule, applied
 to singular values the caller already holds, so a family's rank comes
 from its one factorization.  ``thin_svd`` builds no ``m x m`` factor of
-a tall ``m x n`` input.  Every routine is a pure function of its inputs.
+a tall ``m x n`` input, and ``_compact_wy`` holds the complete ``Q`` of a
+tall QR in compact WY form without forming it.  Every routine is a pure
+function of its inputs.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ class Tolerance:
     abs_floor: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (self.rel_eps > 0 and self.abs_floor > 0):
-            raise ValueError("rel_eps and abs_floor must be positive")
+        # an infinite cut accepts every residual and zeroes every rank, so
+        # it is rejected with the nonpositive and NaN values
+        if not (0 < self.rel_eps < np.inf and 0 < self.abs_floor < np.inf):
+            raise ValueError("rel_eps and abs_floor must be positive and finite")
 
     def threshold(self, scale=1.0):
         cut = np.maximum(self.rel_eps * np.asarray(scale, dtype=float), self.abs_floor)
@@ -130,6 +134,27 @@ def _svd(a: np.ndarray, **kwargs):
         return np.linalg.svd(a, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(str(exc)) from exc
+
+
+def _compact_wy(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The compact WY form ``Q = I - V T V^*`` (Schreiber and Van Loan,
+    1989) of the complete ``Q`` of the Householder QR of an ``m x c``
+    matrix ``a``, which it never forms: ``V`` (``m x k``, ``k = min(m,
+    c)``) is unit lower trapezoidal, holding the reflectors ``H_i = I -
+    tau_i v_i v_i^*`` that ``numpy.linalg.qr`` returns in raw mode, and
+    ``T`` is the ``k x k`` upper triangular factor of ``Q = H_1 ... H_k``,
+    built column by column as LAPACK's ``zlarft`` does: ``T[:i, i] =
+    -tau_i T[:i, :i] V[:, :i]^* v_i``.  Costs O(m k^2)."""
+    h, tau = np.linalg.qr(a, mode="raw")
+    k = len(tau)
+    v = np.tril(h.T[:, :k], -1)
+    v[np.arange(k), np.arange(k)] = 1.0
+    gram = v.conj().T @ v
+    t = np.zeros((k, k), dtype=np.complex128)
+    for i in range(k):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+        t[i, i] = tau[i]
+    return v, t
 
 
 def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

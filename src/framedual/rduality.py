@@ -19,14 +19,19 @@ records every residual so that verdicts are reproducible.
 
 No count x count matrix is formed.  With M the count of ``f`` and ``v``
 and K that of ``w`` and ``u``, ``v`` is read only through its products
-``V x`` and ``V^t y`` and its frame operator.  A ``v`` the caller
-supplies, which may be any family, answers them from its rows, at
-O(M n p) for ``p`` columns and O(M n^2) for the frame operator (one
-real symmetric product, ``frames.frame_operator``).  A ``v`` the library
-constructs is born factored (``_ExtensionFamily``): its at most n
-leading rows and the M x rank coefficients of the rest in the span basis
-``q``, so a certificate on it costs O(M rank p + n^3) and writes no
-M x n array.  Products on ``u`` and ``w`` cost O(K n^2), and every other
+``V x`` and ``V^t y`` and its Parseval residual ``||S_v - I||_F``.  A
+``v`` the caller supplies, which may be any family, answers them from
+its rows, at O(M n p) for ``p`` columns and O(M n^2) for the residual
+(one real symmetric product for the frame operator,
+``frames.frame_operator``).  A ``v`` the library constructs is born
+factored (``_ExtensionFamily``) as identity plus low rank: an identity
+pattern plus ``C basis^t``, with ``basis`` of size n x O(rank) and ``C``
+held as its at most n leading rows and the M x rank coefficients of the
+rest in the span basis ``q``.  The two Householder QRs of its
+construction are held in compact WY form, so building and certifying it
+costs O(M rank p + n rank^2) and writes no M x n or n x n array.  The
+Parseval residual of ``u`` is read off its singular values.  Products on
+``u`` and ``w`` cost O(K n^2), and every other
 product is re-associated through the thin SVDs the families carry, at
 O(M n rank) with the rank of ``u`` or ``w``: each ``X H^*`` as ``X
 conj(U_h) diag(s_h)`` (the factor ``conj(Vh_h)`` has orthonormal rows,
@@ -36,17 +41,16 @@ of ``f`` go through ``VectorFamily._times``, so a Gabor system takes
 them from its coset blocks and never builds its rows.  The dual side is
 evaluated in the coordinates of an orthonormal basis ``q`` of span{w}
 (``_span_residuals``), where every operand has the rank of ``w`` along
-one axis.  The characterizing sequence is kept as the M x rank factor
-``left`` of its member rows ``Y^t = conj(left q^*)``: its rows are built
-when the sequence is read, the constructed ``v`` keeps ``conj(left)``
-past its leading rows as its coefficients, and the certificate reads its
-projection residual as the row norms of ``V conj(q) - conj(left)``.
+one axis.  The characterizing sequence is kept as the M x rank
+coefficients ``coef`` of its member rows ``Y^t = coef q^t``: its rows are
+built when the sequence is read, the constructed ``v`` shares ``coef``
+past its leading rows as its own coefficients, and the certificate reads
+its projection residual as the row norms of ``V conj(q) - coef``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -65,10 +69,12 @@ from .errors import (
 )
 from .frames import (
     VectorFamily,
-    _members,
+    _ExtensionFamily,
+    _adjoint_factor,
+    _identity_residual,
     _parseval_residual,
     _read_only,
-    _real_symmetric_square,
+    _spectral_identity_residual,
     _span_rank,
     _span_svd,
     analyze,
@@ -79,6 +85,7 @@ from .frames import (
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _compact_wy,
     _svd,
     frobenius,
     hermitian_eig,
@@ -149,17 +156,6 @@ def cross_gram(g: VectorFamily, h: VectorFamily) -> np.ndarray:
     return g.vectors @ h.vectors.conj().T
 
 
-def _adjoint_factor(x: np.ndarray, h_us: tuple) -> np.ndarray:
-    """``x conj(U) diag(s)`` for the member rows ``H`` of a family whose
-    thin SVD ``(U, s, Vh)`` has ``h_us = (U, s)``: as ``H^* = conj(U)
-    diag(s) conj(Vh)`` and ``conj(Vh)`` has orthonormal rows, ``x H^*`` is
-    this factor times ``conj(Vh)`` and has its Frobenius norm, Gram ``(x
-    H^*)(x H^*)^*`` and singular values.  Stacked operands give one factor
-    per matrix."""
-    u, s = h_us
-    return (x @ u.conj()) * s[..., None, :]
-
-
 def _adjoint_product_norm(x: np.ndarray, h_us: tuple) -> float:
     """``||x H^*||_F`` as the norm of ``_adjoint_factor``; stacked operands
     give one norm per matrix."""
@@ -170,9 +166,9 @@ def _adjoint_product_norm(x: np.ndarray, h_us: tuple) -> float:
 class _DualSide:
     """The dual side of one triple ``(w, f, u)`` under ``tol``, with the
     triple and the tolerance it was evaluated for: the orthonormal basis
-    ``q`` of span{w} (the span projector is ``P = q q^*``), the M x rank
-    factor ``left`` of the characterizing sequence's member rows ``Y^t =
-    conj(left q^*)`` (``sequence``), the span deficit of ``w`` and
+    ``q`` of span{w} (the span projector is ``P = q q^*``), the read-only
+    M x rank coefficients ``coef`` of the characterizing sequence's member
+    rows ``Y^t = coef q^t`` (``sequence``), the span deficit of ``w`` and
     the kernel dimension of ``Y``, ``||G(u,f)||_F`` (the scale of the
     commutation residuals), and the residuals of the dual commutation and
     of ``Y Y^* = P`` with their accept decisions.  Certificates and
@@ -183,7 +179,7 @@ class _DualSide:
     f: VectorFamily
     u: VectorFamily
     tol: Tolerance
-    left: np.ndarray
+    coef: np.ndarray
     q: np.ndarray
     deficit: int
     kernel: int
@@ -196,8 +192,8 @@ class _DualSide:
     @property
     def sequence(self) -> VectorFamily:
         """The characterizing sequence ``y`` as a family, its member rows
-        ``Y^t = conj(left q^*) = conj(left) q^t`` built on each read."""
-        rows = np.conj(self.left) @ self.q.T
+        ``Y^t = coef q^t`` built on each read."""
+        rows = self.coef @ self.q.T
         return VectorFamily._factored(rows, label=f"charseq({self.w.label})")
 
 
@@ -228,7 +224,21 @@ def _span_residuals(
     is the identity of the span coordinates, ``I_r``; a stack padded to a
     common width with zero columns of ``q`` and zero rows of ``C`` passes
     the diagonal mask of each rank instead."""
-    a = _adjoint_factor(u_rows, f_us)
+    return _span_coordinates(
+        q, inv_vh, w_rows, _adjoint_factor(u_rows, f_us), span_eye, tol
+    )
+
+
+def _span_coordinates(
+    q: np.ndarray,
+    inv_vh: np.ndarray,
+    w_rows: np.ndarray,
+    a: np.ndarray,
+    span_eye: np.ndarray,
+    tol: Tolerance,
+) -> tuple:
+    """``_span_residuals`` past the factor ``A = U conj(U_f) diag(s_f)``,
+    which a family ``f`` gives as ``f._adjoint_factor(U)``."""
     c = inv_vh @ a
     gram_norm = frobenius(a)
     dual_res = frobenius((np.conj(w_rows) @ q) @ c - a)
@@ -241,27 +251,31 @@ def _dual_side(
     w: VectorFamily, f: VectorFamily, u: VectorFamily, tol: Tolerance
 ) -> _DualSide:
     """Evaluate the dual side once, with ``u`` paired to ``w`` member by
-    member, in span coordinates (``_span_residuals``); the rank of ``Y``,
-    which gives the kernel dimension, is read off the rank x min(n, M)
-    matrix ``c``.  The rows ``Y^t = conj(F U^* conj(W~))`` of ``Y`` are not
-    formed: with ``W~^t = q C`` they are ``conj(left q^*)``, and the record
-    keeps ``left = F conj(C U)^t``, an M x rank product taken by
-    ``f._times``.  Neither the canonical dual's rows nor an n x n product
-    is formed.  Counts must match; the zero-padded Gabor adjoint and its
-    padded residual are handled in ``gabor``."""
+    member, in span coordinates (``_span_coordinates``, with ``A`` taken
+    by ``f._adjoint_factor``, so a Gabor ``f`` builds no ``U``); the rank
+    of ``Y``, which gives the kernel dimension, is read off the rank x
+    min(n, M) matrix ``c``.  The rows ``Y^t = conj(F U^* conj(W~))`` of
+    ``Y`` are not formed: with ``W~^t = q C`` they are ``conj(F conj(C
+    U)^t) q^t``, and the record keeps ``coef = conj(F conj(C U)^t)``, an M
+    x rank product taken by ``f._times`` and conjugated in place.  Neither
+    the canonical dual's rows nor an n x n product is formed.  Counts must
+    match; the zero-padded Gabor adjoint and its padded residual are
+    handled in ``gabor``."""
     _require_same_dim(w, f, u)
     _require_same_count(w, u)
     q, s_r, vh_r = _span_svd(w, tol)
     inv_vh = vh_r / s_r[:, None]
-    c, gram_norm, dual_res, pars_res, pars_ok = _span_residuals(
-        q, inv_vh, w.vectors, u.vectors, f._us, np.eye(q.shape[1]), tol
+    c, gram_norm, dual_res, pars_res, pars_ok = _span_coordinates(
+        q, inv_vh, w.vectors, f._adjoint_factor(u.vectors), np.eye(q.shape[1]),
+        tol,
     )
-    left = f._times(np.conj(inv_vh @ u.vectors).T)
+    coef = f._times(np.conj(inv_vh @ u.vectors).T)
+    _read_only(np.conjugate(coef, out=coef))
     rank_y = singular_rank(_svd(c, compute_uv=False), tol)
     dual_ok = dual_res <= tol.threshold(gram_norm)
     deficit, kernel = w.ambient_dim - q.shape[1], f.count - rank_y
     return _DualSide(
-        w, f, u, tol, left, q, deficit, kernel, gram_norm, dual_res, dual_ok,
+        w, f, u, tol, coef, q, deficit, kernel, gram_norm, dual_res, dual_ok,
         pars_res, pars_ok,
     )
 
@@ -273,11 +287,6 @@ def _gate_parseval(fam: VectorFamily, tol: Tolerance, name: str) -> None:
     res, scale = _parseval_residual(fam._s, fam.rank(tol))
     if res > PARSEVAL_GATE * scale:
         raise NotParsevalError(f"family '{name}' is not approximately Parseval")
-
-
-def _identity_residual(s_op: np.ndarray) -> float:
-    """``||S - I||_F`` for the frame operator ``S`` of a family."""
-    return frobenius(s_op - np.eye(len(s_op)))
 
 
 def _gate_ambient_parseval(s_u: np.ndarray, tol: Tolerance) -> None:
@@ -379,22 +388,32 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
     # (V^t B) conj(Vh_u), and (G(v,v)^t - I) G(f,u) = (conj(V) V^t B - B)
     # conj(Vh_u) has the norm of conj(V) V^t B - B, as conj(Vh_u) has
     # orthonormal rows; conj(V) X is taken as conj(V conj(X)).  ``v`` is
-    # read through its products and its frame operator alone, so a
+    # read through its products and ``_frame_residual`` alone, so a
     # constructed ``v`` answers from its factors and writes no count x n
-    # array.
+    # array.  ||S_u - I||_F is read off the singular values of u.
+    # The count x p arrays are updated in place and dropped once read, so
+    # at most two of them are alive at once.
     u_u, s_u, vh_u = u.svd
-    b = f._times(np.conj(u_u)) * s_u  # (M, min(n, K))
+    b = f._times(np.conj(u_u))
+    b *= s_u  # (M, min(n, K))
     vt_b = v._transposed_times(b)
     generated = vt_b @ np.conj(vh_u)  # columns: sum_i <f_i,u_j> v_i
     w_syn = w.vectors.T
     synth_res = float(np.max(np.linalg.norm(w_syn - generated, axis=0)))
-    comm_res = frobenius(np.conj(v._times(np.conj(vt_b))) - b)
-    # The rows of P V^t - Y^t are those of (V conj(q) - conj(left)) q^t,
-    # and q^t has orthonormal rows, so max_i ||P v_i - y_i|| is the largest
-    # row norm of the count x rank matrix V conj(q) - conj(left).
+    comm = v._times(np.conj(vt_b))
+    np.conjugate(comm, out=comm)
+    comm -= b
+    comm_res = frobenius(comm)
+    del b, comm
+    # The rows of P V^t - Y^t are those of (V conj(q) - coef) q^t, and q^t
+    # has orthonormal rows, so max_i ||P v_i - y_i|| is the largest row
+    # norm of the count x rank matrix V conj(q) - coef, summed over the
+    # float64 view so that no array of its size is allocated.
     in_span = v._times(np.conj(side.q))
-    in_span -= np.conj(side.left)
-    proj_res = float(np.max(np.linalg.norm(in_span, axis=1)))
+    in_span -= side.coef
+    pairs = in_span.view(np.float64)
+    proj_res = float(np.sqrt(np.max(np.einsum("ij,ij->i", pairs, pairs))))
+    del in_span, pairs
 
     w_scale = float(np.max(np.linalg.norm(w_syn, axis=0)))
     synth_ok = synth_res <= tol.threshold(w_scale)
@@ -405,8 +424,8 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
     # count are not factored for the flag.
     u_onb = u.count == n and analyze(u, tol).is_onb
     v_onb = v.count == n and analyze(v, tol).is_onb
-    u_pars_res = _identity_residual(frame_operator(u))
-    v_pars_res = _identity_residual(frame_operator(v))
+    u_pars_res = _spectral_identity_residual(s_u, n)
+    v_pars_res = v._frame_residual()
 
     def _verdict(ok: bool) -> str:
         if not ok:
@@ -588,64 +607,6 @@ def _require_dual_commutation(side: _DualSide) -> None:
         )
 
 
-class _ExtensionFamily(VectorFamily):
-    """The constructed ``v`` of the isometric extension, held as its
-    factors: the member rows are ``[head; tail q^t]``, with ``head`` the
-    ``lead x n`` leading rows, ``tail`` the ``(count - lead) x rank``
-    coefficients of the rows past them and ``q`` the ``n x rank`` span
-    basis.  The three factors are checked finite here, so the products
-    taken from them rest on this check.  The readers answer from the
-    factors, at O(count rank p + lead n p) for a product with ``p``
-    columns and O(count rank^2 + lead n^2 + n^2 rank) for the frame
-    operator; the member rows are assembled on first read, checked like
-    any family's and cached."""
-
-    def __init__(
-        self, head: np.ndarray, tail: np.ndarray, q: np.ndarray, label: str
-    ) -> None:
-        for factor in (head, tail, q):
-            if not np.isfinite(factor).all():
-                raise ValueError("family entries must be finite")
-        _read_only(head, tail, q)
-        self.__dict__.update(_head=head, _tail=tail, _q=q, label=label)
-
-    @property
-    def count(self) -> int:
-        return self._head.shape[0] + self._tail.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self._q.shape[0]
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        lead = self._head.shape[0]
-        rows = np.empty((self.count, self.ambient_dim), dtype=np.complex128)
-        rows[:lead] = self._head
-        np.matmul(self._tail, self._q.T, out=rows[lead:])
-        return _members(rows)
-
-    def _times(self, x: np.ndarray) -> np.ndarray:
-        """``V x = [head x; tail (q^t x)]``."""
-        return np.concatenate([self._head @ x, self._tail @ (self._q.T @ x)])
-
-    def _transposed_times(self, y: np.ndarray) -> np.ndarray:
-        """``V^t y = head^t y_head + q (tail^t y_tail)``."""
-        lead = self._head.shape[0]
-        return self._head.T @ y[:lead] + self._q @ (self._tail.T @ y[lead:])
-
-    def _frame_operator(self) -> np.ndarray:
-        """``S = head^t conj(head) + q (tail^t conj(tail)) q^*``, each term
-        exactly Hermitian (the second is made so by averaging it with its
-        adjoint), so ``S`` is too."""
-        q = self._q
-        s = (q @ _real_symmetric_square(self._tail)) @ q.conj().T
-        s += s.conj().T
-        s *= 0.5
-        s += _real_symmetric_square(self._head)
-        return s
-
-
 def _span_complement(q: np.ndarray) -> np.ndarray:
     """An orthonormal basis of the complement of ``range(q)``, for an ``n x
     r`` ``q`` with orthonormal columns: the trailing ``n - r`` columns of
@@ -659,18 +620,30 @@ def _isometric_extension_v(side: _DualSide, orthonormal: bool) -> VectorFamily:
     hypotheses and a span deficit equal to (orthonormal) or below the
     kernel dimension, ``v = Y + Q*``, where ``Q*`` maps ``deficit``
     orthonormal vectors of ker(Y) onto an orthonormal basis of the span
-    complement of ``w`` (read off ``q``, so it has exactly ``deficit``
-    columns) and vanishes on the rest.  Any such kernel vectors work;
-    these are kernel vectors of the leading ``lead = rank(Y) + deficit``
-    columns of ``Y``, extended by zeros.  Those columns lie in range(q),
-    so the kernel is the orthogonal complement of the range of ``Y_lead^*
-    q = conj(Y_lead^t) q``, which is ``left[:lead]``: the trailing
-    ``deficit`` columns of the ``Q`` of its complete QR.  So only the
-    ``lead <= n`` leading rows of ``v`` differ from those of ``Y``, and
-    ``v`` is born factored (``_ExtensionFamily``): no count x n array is
-    written."""
+    complement of ``w`` and vanishes on the rest.  Any such kernel vectors
+    work; these are kernel vectors of the leading ``lead = rank(Y) +
+    deficit`` columns of ``Y``, extended by zeros.  Those columns lie in
+    range(q), so the kernel is the orthogonal complement of the range of
+    ``Y_lead^* q = conj(Y_lead^t) q``, which is ``conj(coef[:lead])``: the
+    trailing ``deficit`` columns ``K`` of the ``Q`` of its complete QR.
+    The complement basis ``C`` is the trailing ``deficit`` columns of the
+    ``Q`` of the complete QR of ``q``.  So only the ``lead <= n`` leading
+    rows ``coef[:lead] q^t + conj(K) C^t`` of ``v`` differ from
+    those of ``Y``.  Neither ``Q`` is formed: each is held in compact WY
+    form (``_compact_wy``), ``Q = I - V T V^*``, so with ``E_l`` and ``E``
+    the trailing ``deficit`` columns of the identities of sizes ``lead``
+    and n, ``K = E_l - V_l W_l`` and ``C = E - V_q W_q`` with ``W = T
+    V[-deficit:]^*``, and the leading rows are the identity pattern ``E_l
+    E^t`` plus
+
+        coef[:lead] q^t - conj(V_l) (E conj(W_l)^t)^t
+        - (conj(K) W_q^t) V_q^t,
+
+    products of factors with O(rank) columns.  ``v`` is born factored
+    (``_ExtensionFamily``) and shares ``coef`` past its leading rows: no
+    count x n or n x n array is written, and no count x rank one copied."""
     _check_hypotheses(side)
-    left, q, deficit, kernel = side.left, side.q, side.deficit, side.kernel
+    coef, q, deficit, kernel = side.coef, side.q, side.deficit, side.kernel
     if orthonormal:
         if deficit != kernel:
             raise HypothesisFailedError(
@@ -686,14 +659,21 @@ def _isometric_extension_v(side: _DualSide, orthonormal: bool) -> VectorFamily:
             f"span deficit equals kernel dimension ({deficit}); only the"
             " orthonormal construction applies"
         )
-    lead = left.shape[0] - kernel + deficit
-    head = np.conj(left[:lead]) @ q.T
+    lead = coef.shape[0] - kernel + deficit
+    head, basis = coef[:lead], q
     if deficit:
-        q_lead = np.linalg.qr(left[:lead], mode="complete")[0]
-        ker_lead = q_lead[:, lead - deficit :]
-        head += np.conj(ker_lead) @ _span_complement(q).T
+        (n, r), a = q.shape, lead - deficit
+        v_l, t_l = _compact_wy(np.conj(head))
+        v_q, t_q = _compact_wy(q)
+        w_l, w_q = t_l @ v_l[a:].conj().T, t_q @ v_q[r:].conj().T
+        ker_wq = -np.conj(v_l) @ (np.conj(w_l) @ w_q.T)  # conj(K) W_q^t
+        ker_wq[a:] += w_q.T
+        e_wl = np.zeros((n, len(w_l)), dtype=np.complex128)  # E conj(W_l)^t
+        e_wl[r:] = w_l.conj().T
+        head = np.hstack([head, -np.conj(v_l), -ker_wq])
+        basis = np.hstack([q, e_wl, v_q])
     label = f"{'onb' if orthonormal else 'parseval'}-v({side.w.label})"
-    return _ExtensionFamily(head, np.conj(left[lead:]), q, label)
+    return _ExtensionFamily(head, basis, coef[lead:], label)
 
 
 def build_parseval_v(

@@ -77,3 +77,20 @@ def psd_inverse_sqrt(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     inv_sqrt = np.where(vals > cut, 1.0 / np.sqrt(np.maximum(vals, cut)), 0.0)
     v = dec.eigenvectors
     return (v * inv_sqrt) @ v.conj().T
+
+
+def dense_extension_head(side) -> np.ndarray:
+    """The leading rows of the isometric extension's ``v`` on a dual side,
+    built densely from complete QRs: ``coef[:lead] q^t + conj(K) C^t``,
+    with ``K`` the trailing ``deficit`` columns of the complete ``Q`` of
+    ``conj(coef[:lead])`` and ``C`` those of the complete ``Q`` of ``q``.
+    The oracle for the factored ``v``, which holds both ``Q`` in compact
+    WY form."""
+    coef, q, deficit = side.coef, side.q, side.deficit
+    lead = coef.shape[0] - side.kernel + deficit
+    head = coef[:lead] @ q.T
+    if deficit:
+        q_lead = np.linalg.qr(np.conj(coef[:lead]), mode="complete")[0]
+        comp = np.linalg.qr(q, mode="complete")[0][:, q.shape[1] :]
+        head += np.conj(q_lead[:, lead - deficit :]) @ comp.T
+    return head

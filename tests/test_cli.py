@@ -58,6 +58,18 @@ class TestAnalyze:
         assert code == 2
         assert report["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("flag", ["--tol", "--abs-floor"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_nonfinite_tolerance_gets_the_tolerance_error(
+        self, flag, value, capsysbinary
+    ):
+        # an infinite cut would accept every residual and zero every rank
+        assert main(["repro", "2.8", flag, value]) == 2
+        assert capsysbinary.readouterr().out == (
+            b'{"error": {"message": "rel_eps and abs_floor must be positive and'
+            b' finite", "type": "ValueError"}, "schema_version": 2}\n'
+        )
+
     def test_tolerance_is_checked_before_the_fixture(self, tmp_path, capsys):
         # as for every other command, the tolerance error is reported first
         missing = str(tmp_path / "missing.json")

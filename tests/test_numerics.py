@@ -36,6 +36,13 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(abs_floor=-1.0)
 
+    @pytest.mark.parametrize("field", ["rel_eps", "abs_floor"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -1.0])
+    def test_rejects_nonfinite_like_nonpositive(self, field, value):
+        message = "^rel_eps and abs_floor must be positive and finite$"
+        with pytest.raises(ValueError, match=message):
+            Tolerance(**{field: value})
+
     def test_threshold_of_an_array_is_elementwise(self):
         tol = Tolerance(rel_eps=1e-9, abs_floor=1e-12)
         scales = np.array([[0.0, 1.0], [100.0, 1e-5]])

@@ -13,8 +13,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import perturb_member, psd_inverse_sqrt, weak_dual_instance
-from framedual import VectorFamily
+from helpers import (
+    dense_extension_head,
+    perturb_member,
+    psd_inverse_sqrt,
+    weak_dual_instance,
+)
+from framedual import VectorFamily, frames, numerics, rduality
 from framedual.errors import (
     DimensionCaseError,
     GateFailedError,
@@ -530,6 +535,30 @@ def test_coset_product_matches_the_rows_on_every_lattice():
     assert checked > 700
 
 
+def test_coset_adjoint_factor_and_time_norms_match_the_assembly():
+    # x conj(U) diag(s) and the members' norm at each time, for the system
+    # and the adjoint, taken from the coset blocks without assembling U or
+    # the rows, against the assembled U and rows
+    checked = 0
+    for N in range(1, 25):
+        for lat in divisor_lattices(N):
+            sys = gabor_system(lat, _window(lat, 14))
+            rng = np.random.default_rng([14, N, lat.a, lat.b])
+            x = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
+            for fam in (sys.family, adjoint_system(sys).family):
+                got = fam._adjoint_factor(x)
+                norms = gabor._coset_time_norms(fam._cosets)[0]
+                assert "_us" not in fam.__dict__ and "vectors" not in fam.__dict__
+                u, s = fam._us
+                want = (x @ u.conj()) * s
+                assert got.shape == want.shape == (3, len(s))
+                assert fro(got - want) <= TOL.threshold(max(1.0, fro(want)))
+                want = np.linalg.norm(fam.vectors, axis=0)
+                assert fro(norms - want) <= TOL.threshold(max(1.0, fro(want)))
+                checked += 1
+    assert checked > 700
+
+
 def test_canonical_tight_window_matches_dense_on_every_lattice():
     for N in range(1, 25):
         for lat in divisor_lattices(N):
@@ -978,7 +1007,8 @@ def _constructed(w, f, u):
 
 def assert_factored_v_matches_dense(side, v):
     """The readers of a factored ``v`` and its certificate against a dense
-    copy of its rows, which takes the base class's readers.  The factored
+    copy of its rows, which takes the base class's readers, and its
+    leading rows against the complete-QR construction.  The factored
     readers assemble no rows; the certificate does only for the ONB flag
     of an n-member ``v``, which factors it."""
     assert isinstance(v, _ExtensionFamily)
@@ -992,6 +1022,11 @@ def assert_factored_v_matches_dense(side, v):
     assert ("vectors" in v.__dict__) == (m == n)
     dense = VectorFamily(v.vectors, label=v.label)
     assert type(dense) is VectorFamily
+    # the leading rows, held as the identity pattern plus products of
+    # n x O(rank) factors from the compact WY forms, against the complete
+    # QRs they replace
+    head = dense_extension_head(side)
+    assert fro(dense.vectors[: len(head)] - head) <= 1e-13 * max(1.0, fro(head))
     want = (dense._times(x), dense._transposed_times(y), frame_operator(dense))
     v_norm = fro(dense.vectors)
     scales = (v_norm * fro(x), v_norm * fro(y), v_norm**2)
@@ -1040,23 +1075,90 @@ def test_tight_pipeline_v_is_factored_on_every_lattice():
     assert checked > 50
 
 
+def _extension_factors(rng, which=None, bad=None):
+    """Random factors of a 7-member v in C^4 with 3 leading rows: ``head``
+    (3 x 5), ``basis`` (4 x 5) and ``tail`` (4 x 2), so r = 2, d = 2 and
+    the identity pattern takes coordinates 2, 3 to rows 1, 2; entry
+    ``[-1, -1]`` of factor ``which`` is set to ``bad``."""
+    factors = [
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for shape in ((3, 5), (4, 5), (4, 2))
+    ]
+    if which is not None:
+        factors[which][-1, -1] = bad
+    return factors
+
+
 def test_factored_v_rows_and_finite_factors():
     rng = np.random.default_rng(16)
-
-    def factors():
-        return [
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            for shape in ((2, 4), (5, 3), (4, 3))
-        ]
-
-    head, tail, q = factors()
-    v = _ExtensionFamily(head, tail, q, "v")
+    head, basis, tail = _extension_factors(rng)
+    v = _ExtensionFamily(head, basis, tail, "v")
     assert (v.count, v.ambient_dim) == (7, 4)
-    np.testing.assert_allclose(v.vectors, np.concatenate([head, tail @ q.T]))
+    pattern = np.zeros((3, 4))
+    pattern[1, 2] = pattern[2, 3] = 1.0
+    rows = np.concatenate([pattern + head @ basis.T, tail @ basis[:, :2].T])
+    np.testing.assert_allclose(v.vectors, rows)
     assert not v.vectors.flags.writeable
     for which in range(3):
         for bad in (np.nan, np.inf):
-            args = factors()
-            args[which][-1, -1] = bad
             with pytest.raises(ValueError):
-                _ExtensionFamily(*args, "bad")
+                _ExtensionFamily(*_extension_factors(rng, which, bad), "bad")
+
+
+def test_factored_v_readers_match_its_rows_off_parseval():
+    # on random factors S - I is of order one, so the low-rank form of the
+    # frame operator and of ||S - I||_F is checked entry for entry
+    rng = np.random.default_rng(17)
+    v = _ExtensionFamily(*_extension_factors(rng), "v")
+    x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    y = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    got = (v._times(x), v._transposed_times(y), frame_operator(v), v._frame_residual())
+    assert "vectors" not in v.__dict__
+    dense = VectorFamily(v.vectors)
+    want = (
+        dense._times(x), dense._transposed_times(y), frame_operator(dense),
+        dense._frame_residual(),
+    )
+    for g, w_ in zip(got, want):
+        assert np.shape(g) == np.shape(w_)
+        assert fro(np.subtract(g, w_)) <= 1e-12 * fro(w_)
+    assert np.array_equal(got[2], got[2].conj().T)  # exactly Hermitian
+    assert got[3] > 1.0
+
+
+def test_tight_pipeline_forms_no_n_by_n_factor(monkeypatch):
+    # at N = 96, a = b = 2 (n = 96, M = 2304, rank 4) the pipeline runs no
+    # complete QR, factors no operand that is n x n or larger, takes no
+    # real symmetric square (the frame operators of u and v) and returns a
+    # v with no n x n factor
+    lat = GaborLattice(96, 2, 2)
+    sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 15)))
+    n, modes, operands, squares = lat.N, [], [], []
+    qr, svd = np.linalg.qr, numerics._svd
+
+    def counted_qr(a, mode="reduced"):
+        modes.append(mode)
+        operands.append(np.shape(a))
+        return qr(a, mode=mode)
+
+    def counted_svd(a, **kwargs):
+        operands.append(np.shape(a))
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    for mod in (numerics, rduality, gabor):
+        monkeypatch.setattr(mod, "_svd", counted_svd)
+    for mod in (frames, gabor):
+        square = mod._real_symmetric_square
+        monkeypatch.setattr(
+            mod, "_real_symmetric_square",
+            lambda rows, fn=square: squares.append(rows.shape) or fn(rows),
+        )
+    res = tight_gabor_weak_r_dual(sys)
+    assert res.certificate.verdict == "WeakRDual"
+    assert modes and "complete" not in modes
+    assert operands and all(min(shape[-2:]) < n for shape in operands), operands
+    assert squares == []
+    factors = [val for val in vars(res.v).values() if isinstance(val, np.ndarray)]
+    assert len(factors) == 3
+    assert all(factor.shape != (n, n) for factor in factors)
