@@ -521,21 +521,17 @@ def save_family(fam: VectorFamily, path: str | Path) -> None:
 
 
 # ----------------------------------------------------------------------
-# Seeded generators (shared by tests and the exploration harness)
+# Seeded generators (public, for tests and examples)
 # ----------------------------------------------------------------------
-
-
-def _gaussian(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """A ``count x dim`` complex Gaussian array, real parts drawn first."""
-    return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
 
 
 def random_frame(
     rng: np.random.Generator, count: int, dim: int, label: str = "random-frame"
 ) -> VectorFamily:
-    """Random complex Gaussian family; a frame for the ambient space with
-    probability one when ``count >= dim``."""
-    return VectorFamily._factored(_gaussian(rng, count, dim), label=label)
+    """Random complex Gaussian family, real parts drawn first; a frame for
+    the ambient space with probability one when ``count >= dim``."""
+    vectors = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return VectorFamily._factored(vectors, label=label)
 
 
 def random_parseval(

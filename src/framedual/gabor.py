@@ -74,7 +74,6 @@ from .errors import (
 )
 from .frames import (
     VectorFamily,
-    _gaussian,
     _is_tight,
     _members,
     _read_only,
@@ -85,7 +84,6 @@ from .frames import (
 from .numerics import DEFAULT_TOL, Tolerance, _svd, frobenius, singular_rank
 from .rduality import (
     WeakRDualCertificate,
-    _adjoint_product_norm,
     _certificate,
     _dual_side,
     _gate_ambient_parseval,
@@ -112,7 +110,7 @@ __all__ = [
     "run_exploration",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -685,24 +683,16 @@ def _window_hash(window: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(window).tobytes()).hexdigest()[:16]
 
 
-def _gated_evidence(
-    lat: GaborLattice,
-    f: _Cosets,
-    rngs: Sequence[np.random.Generator],
-    tol: Tolerance,
-) -> list[dict]:
-    """Adjoint spectrum, witness and candidate records of frames that are
+def _gated_evidence(lat: GaborLattice, f: _Cosets, tol: Tolerance) -> list[dict]:
+    """Adjoint spectrum, witness and candidate record of frames that are
     not tight, stacked over the coset record ``f`` of their systems: the
-    block vectors of ``f``, one factorization of their adjoints (the
-    unpadded ``w0``) and one tightening of the ``randomized_parseval``
-    Gaussians, each drawn from its trial's generator in order.  The
-    w-only part (span basis, canonical dual factor, Parseval tightening)
-    is computed once per window and shared by both candidates, whose dual
-    sides are one call of ``_span_residuals`` on the unpadded slots,
-    completed by the padded dual-commutation residual.
-    ``conjugated_dual`` (the conjugated Parseval tightening of ``w0``) has
-    the a b unpadded members, as its padded members would be zero."""
-    N, K, M = lat.N, lat.adjoint_count, lat.member_count
+    block vectors of ``f`` and one factorization of their adjoints (the
+    unpadded ``w0``).  The candidate ``conjugated_dual`` is the conjugated
+    Parseval tightening of ``w0``, built from the w-only part (span basis,
+    canonical dual factor, Parseval tightening), and its dual side is one
+    call of ``_span_residuals`` on the a b unpadded slots.  Its padded
+    members would be zero, so its padded dual-commutation residual is the
+    unpadded one."""
     f_u, f_s = _assemble_u(f), f.s
     w = _adjoint_cosets(f.windows, lat)
     w_rows, w_u, w_s, w_vh = _assemble_rows(w), _assemble_u(w), w.s, _assemble_vh(w)
@@ -717,27 +707,13 @@ def _gated_evidence(
         w_vh, w_s[..., None], out=np.zeros_like(w_vh), where=keep.swapaxes(-1, -2)
     )
     span_eye = np.eye(w_s.shape[-1]) * keep
-    tight_syn = q @ w_vh
+    u_syn = np.conj(q @ w_vh)
 
-    gauss = np.stack([_gaussian(rng, M, N) for rng in rngs])
-    g_u, g_s, g_vh = _svd(gauss.swapaxes(-1, -2), full_matrices=False)
-    g_keep = (np.arange(N) < singular_rank(g_s)[:, None])[:, None, :]
-    rand_syn = np.where(g_keep, g_u, 0) @ g_vh  # random_parseval, as columns
-
-    u_syn = (np.conj(tight_syn), rand_syn)
-    heads = np.stack([syn[..., :K].swapaxes(-1, -2) for syn in u_syn], axis=1)
     _, gram_norm, dual_res, pars_res, pars_ok = _span_residuals(
-        q[:, None], inv_vh[:, None], w_rows[:, None], heads,
-        (f_u[:, None], f_s[:, None]), span_eye[:, None], tol,
+        q, inv_vh, w_rows, u_syn.swapaxes(-1, -2), (f_u, f_s), span_eye, tol
     )
-    tail_norm = _adjoint_product_norm(rand_syn[..., K:].swapaxes(-1, -2), (f_u, f_s))
-    tails = np.stack([np.zeros_like(tail_norm), tail_norm], axis=1)
-    padded_res, padded_ok = _padded_dual_commutation(dual_res, gram_norm, tails, tol)
-    ok = padded_ok & pars_ok
-    eye = np.eye(N)
-    u_pars = np.stack(
-        [frobenius(t @ t.conj().swapaxes(-1, -2) - eye) for t in u_syn], axis=1
-    )
+    ok = (dual_res <= tol.threshold(gram_norm)) & pars_ok
+    u_pars = frobenius(u_syn @ u_syn.conj().swapaxes(-1, -2) - np.eye(lat.N))
 
     return [
         {
@@ -748,13 +724,12 @@ def _gated_evidence(
             },
             "candidates": [
                 {
-                    "name": name,
-                    "verdict": "ConditionsHold" if ok[i, c] else "ConditionsFail",
-                    "dual_commutation_residual": float(padded_res[i, c]),
-                    "projected_parseval_residual": float(pars_res[i, c]),
-                    "u_parseval_residual": float(u_pars[i, c]),
+                    "name": "conjugated_dual",
+                    "verdict": "ConditionsHold" if ok[i] else "ConditionsFail",
+                    "dual_commutation_residual": float(dual_res[i]),
+                    "projected_parseval_residual": float(pars_res[i]),
+                    "u_parseval_residual": float(u_pars[i]),
                 }
-                for c, name in enumerate(("conjugated_dual", "randomized_parseval"))
             ],
         }
         for i, spectrum in enumerate(_spectra(w_s, w_rank))
@@ -764,7 +739,6 @@ def _gated_evidence(
 def _evaluate_trials(
     lat: GaborLattice,
     windows: Sequence[np.ndarray],
-    rngs: Sequence[np.random.Generator],
     tol: Tolerance,
 ) -> list[dict]:
     """Evidence records for trials that share one lattice, evaluated
@@ -804,9 +778,7 @@ def _evaluate_trials(
     ]
     gated = [i for i, verdict in enumerate(verdicts) if verdict == "Gated"]
     if gated:
-        g_rngs = [rngs[i] for i in gated]
-        evidence = _gated_evidence(lat, cosets.take(gated), g_rngs, tol)
-        for i, extra in zip(gated, evidence):
+        for i, extra in zip(gated, _gated_evidence(lat, cosets.take(gated), tol)):
             records[i].update(extra)
     return records
 
@@ -814,7 +786,6 @@ def _evaluate_trials(
 def evaluate_exploration_trial(
     lattice: GaborLattice,
     window: np.ndarray,
-    rng: np.random.Generator,
     tol: Tolerance = DEFAULT_TOL,
 ) -> dict:
     """Evidence record for one non-critical (lattice, window) pair: the
@@ -826,11 +797,10 @@ def evaluate_exploration_trial(
     systems ``Tight`` (the tight pipeline settles them).  Any other frame
     has ab < N, so its adjoint (ab members) spans a proper subspace and
     the spectral witness test, which needs two invertible frame
-    operators, is recorded as ``Gated``; the two candidate ``u`` records
-    are the evidence.  ``rng`` is drawn from only for a ``Gated`` trial,
-    for its ``randomized_parseval`` candidate.
+    operators, is recorded as ``Gated``; the ``conjugated_dual`` candidate
+    record is the evidence.
     """
-    return _evaluate_trials(lattice, [window], [rng], tol)[0]
+    return _evaluate_trials(lattice, [window], tol)[0]
 
 
 def run_exploration(
@@ -841,15 +811,18 @@ def run_exploration(
 ) -> dict:
     """Randomized evidence gathering over non-critical divisor lattices.
 
-    Each trial derives its randomness from ``(seed, trial index)``, so
+    Each trial draws its lattice and window from its own generator,
+    seeded by ``(seed, trial index)`` and dropped after the draw, so
     reports are byte-identical for a fixed configuration and independent
     of evaluation order.  Every trial is drawn first; the trials are then
     evaluated lattice by lattice, each lattice's trials together, its
-    windows and generators dropped once evaluated, and the records come
-    back in trial order.  No claim is made beyond the recorded evidence.
+    windows dropped once evaluated, and the records come back in trial
+    order.  No claim is made beyond the recorded evidence.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     N_values = list(N_values)
     if not N_values:
         raise BadLatticeError("no N values to explore")
@@ -862,7 +835,7 @@ def run_exploration(
         for N in sorted(lattices)
         for lat in lattices[N]
     ]
-    groups: dict[GaborLattice, list[tuple[int, np.ndarray, np.random.Generator]]] = {}
+    groups: dict[GaborLattice, list[tuple[int, np.ndarray]]] = {}
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         n_val = N_values[int(rng.integers(0, len(N_values)))]
@@ -870,11 +843,11 @@ def run_exploration(
         lat = options[int(rng.integers(0, len(options)))]
         window = rng.standard_normal(lat.N) + 1j * rng.standard_normal(lat.N)
         window /= np.linalg.norm(window)
-        groups.setdefault(lat, []).append((t, window, rng))
+        groups.setdefault(lat, []).append((t, window))
     trial_records: list = [None] * trials
     for lat in list(groups):
-        ts, windows, rngs = zip(*groups.pop(lat))
-        for t, rec in zip(ts, _evaluate_trials(lat, windows, rngs, tol)):
+        ts, windows = zip(*groups.pop(lat))
+        for t, rec in zip(ts, _evaluate_trials(lat, windows, tol)):
             rec["trial"] = t
             trial_records[t] = rec
     counts = Counter(rec["verdict"] for rec in trial_records)

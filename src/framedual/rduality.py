@@ -156,12 +156,6 @@ def cross_gram(g: VectorFamily, h: VectorFamily) -> np.ndarray:
     return g.vectors @ h.vectors.conj().T
 
 
-def _adjoint_product_norm(x: np.ndarray, h_us: tuple) -> float:
-    """``||x H^*||_F`` as the norm of ``_adjoint_factor``; stacked operands
-    give one norm per matrix."""
-    return frobenius(_adjoint_factor(x, h_us))
-
-
 @dataclass(frozen=True, eq=False)
 class _DualSide:
     """The dual side of one triple ``(w, f, u)`` under ``tol``, with the

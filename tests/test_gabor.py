@@ -1,6 +1,7 @@
 """Gabor systems on Z_N: generation, adjoint lattice, the duality check,
 the tight weak-dual pipeline, promotion, and the exploration harness."""
 
+import gc
 import json
 from collections import Counter
 
@@ -47,14 +48,14 @@ def _random_window(rng, n):
 
 
 def _replayed_draw(n_values, seed, t):
-    """Lattice, window and generator of exploration trial ``t``, drawn as
+    """Lattice and window of exploration trial ``t``, drawn as
     ``run_exploration`` draws them."""
     rng = np.random.default_rng([seed, t])
     n_val = n_values[int(rng.integers(0, len(n_values)))]
     options = divisor_lattices(n_val, critical=False)
     lat = options[int(rng.integers(0, len(options)))]
     window = rng.standard_normal(lat.N) + 1j * rng.standard_normal(lat.N)
-    return lat, window / np.linalg.norm(window), rng
+    return lat, window / np.linalg.norm(window)
 
 
 def _recorded_svd(monkeypatch):
@@ -515,7 +516,7 @@ class TestExploration:
     def test_tight_trials_are_tagged(self):
         rng = np.random.default_rng(8)
         lat = GaborLattice(4, 1, 1)  # unit lattice systems are always tight
-        rec = evaluate_exploration_trial(lat, _random_window(rng, 4), rng)
+        rec = evaluate_exploration_trial(lat, _random_window(rng, 4))
         assert rec["verdict"] == "Tight"
 
     def test_verdict_stage_computes_no_block_vectors(self, monkeypatch):
@@ -529,7 +530,7 @@ class TestExploration:
         calls = _recorded_svd(monkeypatch)
         for lat, window, verdict in trials:
             calls.clear()
-            assert evaluate_exploration_trial(lat, window, rng)["verdict"] == verdict
+            assert evaluate_exploration_trial(lat, window)["verdict"] == verdict
             assert _values_only(calls), (verdict, calls)
 
     def test_critical_trial_is_rejected(self):
@@ -538,18 +539,17 @@ class TestExploration:
         rng = np.random.default_rng(9)
         lat = GaborLattice(2, 1, 2)
         with pytest.raises(CriticalDensityError):
-            evaluate_exploration_trial(lat, _random_window(rng, 2), rng)
+            evaluate_exploration_trial(lat, _random_window(rng, 2))
 
     def test_redundant_trial_is_gated_with_candidates(self):
         rng = np.random.default_rng(10)
         lat = GaborLattice(4, 1, 2)
-        rec = evaluate_exploration_trial(lat, _random_window(rng, 4), rng)
+        rec = evaluate_exploration_trial(lat, _random_window(rng, 4))
         assert rec["witness"]["verdict"] == "Gated"
         names = {c["name"] for c in rec["candidates"]}
-        assert names == {"conjugated_dual", "randomized_parseval"}
+        assert names == {"conjugated_dual"}
         by_name = {c["name"]: c for c in rec["candidates"]}
         assert by_name["conjugated_dual"]["verdict"] == "ConditionsHold"
-        assert by_name["randomized_parseval"]["verdict"] == "ConditionsFail"
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_grouping_never_changes_a_record(self, seed):
@@ -568,8 +568,8 @@ class TestExploration:
     def test_svd_calls_bounded_per_lattice(self, monkeypatch):
         # trials that share a lattice share its factorizations: one
         # values-only SVD of the systems per lattice, and on a lattice with
-        # gated trials their block vectors, the adjoints' values and
-        # vectors and the random Gaussians
+        # gated trials their block vectors and the adjoints' values and
+        # vectors
         svd, calls = np.linalg.svd, []
 
         def counted(*args, **kwargs):
@@ -581,7 +581,7 @@ class TestExploration:
         key = lambda rec: (rec["N"], rec["a"], rec["b"])
         drawn = {key(rec) for rec in report["records"]}
         gated = {key(rec) for rec in report["records"] if rec["verdict"] == "Gated"}
-        assert len(calls) == len(drawn) + 4 * len(gated)
+        assert len(calls) == len(drawn) + 3 * len(gated)
 
     def test_verdict_counts_are_pinned(self):
         report = run_exploration(range(4, 13), seed=1, trials=1000)
@@ -594,7 +594,6 @@ class TestExploration:
         assert candidates == {
             ("conjugated_dual", "ConditionsHold"): 184,
             ("conjugated_dual", "ConditionsFail"): 91,
-            ("randomized_parseval", "ConditionsFail"): 275,
         }
 
     @pytest.mark.parametrize("kind", ["complex", "real", "real_even", "gaussian"])
@@ -603,7 +602,7 @@ class TestExploration:
         # (ab < N, not a = b = 1), conjugated_dual holds exactly when b = 1,
         # or b = 2 and ab | N, for complex windows, and exactly when ab | N
         # for real ones: the verdict depends on the window, not only on
-        # (N, a, b).  Why it holds is open.  randomized_parseval never holds.
+        # (N, a, b).  Why it holds is open.
         if kind == "complex":
             rule = lambda N, a, b: b == 1 or (b == 2 and N % (a * b) == 0)
         else:
@@ -618,14 +617,11 @@ class TestExploration:
         rng = np.random.default_rng(11)
         for lat in lattices:
             for window in _rule_windows(kind, lat.N, rng):
-                rec = evaluate_exploration_trial(lat, window, rng)
+                rec = evaluate_exploration_trial(lat, window)
                 assert rec["verdict"] == "Gated", lat
                 got = {c["name"]: c["verdict"] for c in rec["candidates"]}
                 want = "ConditionsHold" if rule(lat.N, lat.a, lat.b) else "ConditionsFail"
-                assert got == {
-                    "conjugated_dual": want,
-                    "randomized_parseval": "ConditionsFail",
-                }, (kind, lat)
+                assert got == {"conjugated_dual": want}, (kind, lat)
 
     @pytest.mark.parametrize("N_values", [[1], [0], [], [4, 1]])
     def test_no_noncritical_lattice_is_typed(self, N_values):
@@ -636,6 +632,39 @@ class TestExploration:
         with pytest.raises(ValueError, match="trials must be non-negative, got -3"):
             run_exploration([4, 5, 6], seed=0, trials=-3)
         assert run_exploration([4], seed=0, trials=0)["records"] == []
+
+    def test_negative_seed_raises_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        for seed, trials in ((-1, 3), (-5, 0)):
+            with pytest.raises(ValueError, match=f"seed must be non-negative, got {seed}$"):
+                run_exploration([4, 5, 6], seed=seed, trials=trials)
+
+    def test_no_generator_outlives_its_draw(self, monkeypatch):
+        # a trial's generator is dropped once its lattice and window are
+        # drawn, so when the first lattice is evaluated at most the last
+        # trial's generator is still alive
+        def generators():
+            gc.collect()
+            return sum(isinstance(o, np.random.Generator) for o in gc.get_objects())
+
+        evaluate, live = gabor._evaluate_trials, []
+
+        def counted(*args):
+            if not live:
+                live.append(generators() - before)
+            return evaluate(*args)
+
+        monkeypatch.setattr(gabor, "_evaluate_trials", counted)
+        before = generators()
+        report = run_exploration(range(4, 13), seed=1, trials=1000)
+        assert live[0] <= 1
+        gated = [rec for rec in report["records"] if rec["verdict"] == "Gated"]
+        assert gated
+        for rec in gated:
+            assert [c["name"] for c in rec["candidates"]] == ["conjugated_dual"]
 
     def test_manifest_lists_noncritical_lattices(self):
         rep = run_exploration([4], seed=0, trials=1)

@@ -692,7 +692,7 @@ def test_exploration_trials_match_dense_on_every_lattice():
             continue
         window = _window(lat, 2)
         window /= np.linalg.norm(window)
-        rec = evaluate_exploration_trial(lat, window, np.random.default_rng(lat.N))
+        rec = evaluate_exploration_trial(lat, window)
         sys = gabor_system(lat, window)
         assert_spectrum_matches(rec["system_spectrum"], sys.family)
         sa = dense_analyze(sys.family)
@@ -704,17 +704,11 @@ def test_exploration_trials_match_dense_on_every_lattice():
         w_pad = pad_adjoint(adjoint_system(sys).family, lat.member_count)
         assert_spectrum_matches(rec["adjoint_spectrum"], w_pad)
         p = dense_projector(w_pad.vectors.T)
-        rng = np.random.default_rng(lat.N)
         t = w_pad.vectors.T
-        tight = (psd_inverse_sqrt(t @ t.conj().T) @ t).T
-        candidates = {
-            "conjugated_dual": VectorFamily(np.conj(tight)),
-            "randomized_parseval": random_parseval(rng, lat.member_count, lat.N),
-        }
-        for got in rec["candidates"]:
-            if got["name"] in candidates:
-                want = dense_candidate(w_pad, sys.family, candidates[got["name"]], p)
-                assert_matches(got, want)
+        conj_dual = VectorFamily(np.conj(psd_inverse_sqrt(t @ t.conj().T) @ t).T)
+        (got,) = rec["candidates"]
+        assert got["name"] == "conjugated_dual"
+        assert_matches(got, dense_candidate(w_pad, sys.family, conj_dual, p))
 
 
 def test_run_exploration_records_match_dense():
@@ -732,11 +726,12 @@ def test_run_exploration_records_match_dense():
         window /= np.linalg.norm(window)
         sys = gabor_system(lat, window)
         w_pad = pad_adjoint(adjoint_system(sys).family, lat.member_count)
-        p = dense_projector(w_pad.vectors.T)
-        rand_u = random_parseval(replay, lat.member_count, lat.N)
+        t = w_pad.vectors.T
+        conj_dual = VectorFamily(np.conj(psd_inverse_sqrt(t @ t.conj().T) @ t).T)
         got = {c["name"]: c for c in rec["candidates"]}
         assert_matches(
-            got["randomized_parseval"], dense_candidate(w_pad, sys.family, rand_u, p)
+            got["conjugated_dual"],
+            dense_candidate(w_pad, sys.family, conj_dual, dense_projector(t)),
         )
 
 
@@ -749,28 +744,16 @@ def test_gated_evidence_with_adjoint_ranks_differing_across_the_stack():
     delta[0] = 1.0
     random = _window(lat, 14)
     windows = np.stack([random / np.linalg.norm(random), delta])
-    records = gabor._gated_evidence(
-        lat,
-        gabor._system_cosets(windows, lat),
-        [np.random.default_rng(i) for i in range(2)],
-        TOL,
-    )
+    records = gabor._gated_evidence(lat, gabor._system_cosets(windows, lat), TOL)
     assert [len(rec["adjoint_spectrum"]) for rec in records] == [4, 2]
-    for i, (window, rec) in enumerate(zip(windows, records)):
+    for window, rec in zip(windows, records):
         sys = gabor_system(lat, window)
         w_pad = pad_adjoint(adjoint_system(sys).family, lat.member_count)
         t = w_pad.vectors.T
-        tight = (psd_inverse_sqrt(t @ t.conj().T) @ t).T
-        candidates = {
-            "conjugated_dual": VectorFamily(np.conj(tight)),
-            "randomized_parseval": random_parseval(
-                np.random.default_rng(i), lat.member_count, lat.N
-            ),
-        }
-        p = dense_projector(t)
-        for got in rec["candidates"]:
-            want = dense_candidate(w_pad, sys.family, candidates[got["name"]], p)
-            assert_matches(got, want)
+        conj_dual = VectorFamily(np.conj(psd_inverse_sqrt(t @ t.conj().T) @ t).T)
+        (got,) = rec["candidates"]
+        want = dense_candidate(w_pad, sys.family, conj_dual, dense_projector(t))
+        assert_matches(got, want)
 
 
 # ----------------------------------------------------------------------
