@@ -206,10 +206,15 @@ def _cmd_gabor_tight_wrd(args: argparse.Namespace, tol: Tolerance) -> int:
 
 
 def _parse_n_values(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in spec.split(",") if part]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in spec.split(",") if part]
+    except ValueError:
+        raise ValueError(
+            f"--N expects lo..hi or a comma-separated list of integers, got {spec!r}"
+        ) from None
 
 
 # ----------------------------------------------------------------------

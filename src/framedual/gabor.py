@@ -57,6 +57,7 @@ systems from being weak R-duals in the strict equal-index sense.
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache
@@ -803,6 +804,65 @@ def evaluate_exploration_trial(
     return _evaluate_trials(lattice, [window], tol)[0]
 
 
+def _trial_states(seed: int, trials: int) -> np.ndarray:
+    """The PCG64 seed of every trial, one row each: row ``t`` is
+    ``np.random.SeedSequence([seed, t]).generate_state(4, np.uint64)``,
+    the state ``default_rng([seed, t])`` starts from.  It is numpy's
+    SeedSequence mixing run once over all trials in uint32 arithmetic
+    (which wraps as the scalar code does): the entropy words are the
+    uint32 words of ``seed`` and the one word ``t``, hashed into a pool
+    of four words, cross-mixed, joined by the words past the fourth, and
+    hashed out to eight words, read as four little-endian uint64.  Every
+    operand is an array, so no overflow warning is raised."""
+    seed = operator.index(seed)
+    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.array([w], np.uint32) for w in words]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    hash_const, mult = 0x43B0D7E5, 0x931E8875
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return value ^ value >> np.uint32(16)
+
+    zero = np.zeros(1, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    hash_const, mult = 0x8B51F9DD, 0x58F38DED
+    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _fixed_seed_type() -> type:
+    """An ``ISeedSequence`` that hands its bit generator one precomputed
+    state, built on first use so that importing this module does not
+    import ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeed(ISeedSequence):
+        # PCG64 asks for four uint64 words, which ``state`` holds
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return FixedSeed
+
+
 def run_exploration(
     N_values: Sequence[int],
     seed: int = 0,
@@ -814,18 +874,26 @@ def run_exploration(
     Each trial draws its lattice and window from its own generator,
     seeded by ``(seed, trial index)`` and dropped after the draw, so
     reports are byte-identical for a fixed configuration and independent
-    of evaluation order.  Every trial is drawn first; the trials are then
-    evaluated lattice by lattice, each lattice's trials together, its
-    windows dropped once evaluated, and the records come back in trial
-    order.  No claim is made beyond the recorded evidence.
+    of evaluation order.  The generator of trial ``t`` is a PCG64 started
+    from ``_trial_states(seed, trials)[t]``, the state of
+    ``np.random.default_rng([seed, t])``; the states of all trials come
+    from one vectorized pass, so ``trials`` may be at most 2**32 (one
+    uint32 word per trial index).  Every trial is drawn first; the
+    trials are then evaluated lattice by lattice, each lattice's trials
+    together, its windows dropped once evaluated, and the records come
+    back in trial order.  No claim is made beyond the recorded evidence.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials > 2**32:
+        raise ValueError(f"trials must be at most 2**32, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     N_values = list(N_values)
     if not N_values:
         raise BadLatticeError("no N values to explore")
+    if len(set(N_values)) != len(N_values):
+        raise ValueError(f"N values must be distinct, got {N_values}")
     lattices = {N: divisor_lattices(N, critical=False) for N in N_values}
     for N, options in lattices.items():
         if not options:
@@ -835,13 +903,15 @@ def run_exploration(
         for N in sorted(lattices)
         for lat in lattices[N]
     ]
+    fixed_seed = _fixed_seed_type()
     groups: dict[GaborLattice, list[tuple[int, np.ndarray]]] = {}
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
+    for t, state in enumerate(_trial_states(seed, trials)):
+        rng = np.random.Generator(np.random.PCG64(fixed_seed(state)))
         n_val = N_values[int(rng.integers(0, len(N_values)))]
         options = lattices[n_val]
         lat = options[int(rng.integers(0, len(options)))]
-        window = rng.standard_normal(lat.N) + 1j * rng.standard_normal(lat.N)
+        z = rng.standard_normal(2 * lat.N)
+        window = z[: lat.N] + 1j * z[lat.N :]
         window /= np.linalg.norm(window)
         groups.setdefault(lat, []).append((t, window))
     trial_records: list = [None] * trials

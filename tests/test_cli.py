@@ -348,6 +348,20 @@ class TestGaborCommands:
             b' "type": "ValueError"}, "schema_version": 3}\n'
         )
 
+    def test_malformed_n_spec_exits_2_naming_the_flag(self, capsysbinary):
+        assert main(["gabor", "explore", "--N", "4..", "--trials", "3"]) == 2
+        assert capsysbinary.readouterr().out == (
+            b'{"error": {"message": "--N expects lo..hi or a comma-separated list'
+            b' of integers, got \'4..\'", "type": "ValueError"}, "schema_version": 3}\n'
+        )
+
+    def test_repeated_n_values_exit_2_with_an_error_report(self, capsysbinary):
+        assert main(["gabor", "explore", "--N", "4,4,6", "--trials", "3"]) == 2
+        assert capsysbinary.readouterr().out == (
+            b'{"error": {"message": "N values must be distinct, got [4, 4, 6]",'
+            b' "type": "ValueError"}, "schema_version": 3}\n'
+        )
+
 
 class TestTableMode:
     def test_table_output(self, capsys):

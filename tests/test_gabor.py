@@ -48,14 +48,20 @@ def _random_window(rng, n):
 
 
 def _replayed_draw(n_values, seed, t):
-    """Lattice and window of exploration trial ``t``, drawn as
-    ``run_exploration`` draws them."""
+    """Lattice and window of exploration trial ``t``, drawn from
+    ``default_rng([seed, t])``: the reference that ``run_exploration``'s
+    draws must equal bit for bit."""
     rng = np.random.default_rng([seed, t])
     n_val = n_values[int(rng.integers(0, len(n_values)))]
     options = divisor_lattices(n_val, critical=False)
     lat = options[int(rng.integers(0, len(options)))]
     window = rng.standard_normal(lat.N) + 1j * rng.standard_normal(lat.N)
     return lat, window / np.linalg.norm(window)
+
+
+# seeds of 1, 2, 4 and 7 uint32 words; 2**96 + 3 and 2**200 + 11 put
+# the trial index past the four-word SeedSequence pool
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 123456789012, 2**96 + 3, 2**200 + 11]
 
 
 def _recorded_svd(monkeypatch):
@@ -637,10 +643,67 @@ class TestExploration:
         def no_draw(*args, **kwargs):
             raise AssertionError("a trial was drawn")
 
-        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        monkeypatch.setattr(gabor, "_trial_states", no_draw)
+        monkeypatch.setattr(np.random, "PCG64", no_draw)
         for seed, trials in ((-1, 3), (-5, 0)):
             with pytest.raises(ValueError, match=f"seed must be non-negative, got {seed}$"):
                 run_exploration([4, 5, 6], seed=seed, trials=trials)
+
+    def test_trials_past_one_uint32_word_raise_before_any_allocation(self, monkeypatch):
+        # the trial index is one uint32 word of the seed entropy; the
+        # guard runs before the states (trials x 32 bytes) are allocated
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(gabor, "_trial_states", reached)
+        with pytest.raises(ValueError, match=r"trials must be at most 2\*\*32, got 4294967297$"):
+            run_exploration([4], seed=0, trials=2**32 + 1)
+        with pytest.raises(Reached):
+            run_exploration([4], seed=0, trials=2**32)
+
+    def test_no_default_rng_is_built(self, monkeypatch):
+        default_rng, calls = np.random.default_rng, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        run_exploration(range(4, 13), seed=1, trials=1000)
+        assert len(calls) == 0
+
+    def test_numpy_integer_seed_draws_as_int(self):
+        want = json.dumps(run_exploration([4, 6], seed=7, trials=20), sort_keys=True)
+        got = run_exploration([4, 6], seed=np.int64(7), trials=20)
+        assert json.dumps(got, sort_keys=True, default=int) == want
+        with pytest.raises(TypeError):
+            run_exploration([4, 6], seed=7.0, trials=20)
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_trial_states_match_seed_sequence(self, seed):
+        states = gabor._trial_states(seed, 3000)
+        assert states.shape == (3000, 4) and states.dtype == np.uint64
+        for t, row in enumerate(states):
+            want = np.random.SeedSequence([seed, t]).generate_state(4, np.uint64)
+            assert np.array_equal(row, want), t
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_trial_draws_match_default_rng(self, seed, monkeypatch):
+        # every trial's lattice and window, taken where run_exploration
+        # hands them to the evaluator, equal the default_rng replay
+        def drawn(lat, windows, tol):
+            return [{"verdict": "Drawn", "lat": lat, "window": w} for w in windows]
+
+        monkeypatch.setattr(gabor, "_evaluate_trials", drawn)
+        n_values = list(range(4, 13))
+        records = run_exploration(n_values, seed=seed, trials=300)["records"]
+        for t, rec in enumerate(records):
+            lat, window = _replayed_draw(n_values, seed, t)
+            assert rec["lat"] == lat, t
+            assert rec["window"].tobytes() == window.tobytes(), t
 
     def test_no_generator_outlives_its_draw(self, monkeypatch):
         # a trial's generator is dropped once its lattice and window are
