@@ -17,29 +17,35 @@ synthesis rows at times t = r + k L of one residue r are the b x (N/a)
 block G_r[k, n] = window[(r + k L - n a) mod N] tensored with the DFT
 phases exp(2 pi i m r / L), and rows of different residues are
 orthogonal, so the L blocks factor the system (``_coset_svd``; the
-adjoint is the same on its lattice).  Its record (``_Cosets``) holds
-the singular values from one batched values-only SVD of the blocks and
-takes the block vectors from one batched SVD of the same blocks on
-first read, so a family reports one ``s`` whatever is read first.  The
-member rows, ``U`` and ``Vh`` are assembled from the record by separate
-functions.  A Gabor family is its coset record (``_CosetFamily``), and
-this module alone decides what it builds and when: its rows, its ``U``
-(as large as N x N) and its ``Vh`` (with the member count along one
-axis) are each assembled the first time something reads them.
-``analyze`` and ``duality_check`` read singular values alone, so they
-compute no block vectors and build none of the three.  The tight
-pipeline builds none of the system's rows, ``U`` or ``Vh``: a product
+adjoint is the same on its lattice).  Only d = gcd(a, L) of the blocks
+are distinct: block r is a distinct block with its rows and columns
+cyclically shifted, by an orbit table cached per lattice shape
+(``_coset_orbits``), so its singular values are the distinct block's
+and its vectors are the distinct block's permuted.  The record
+(``_Cosets``) holds the singular values from one batched values-only
+SVD of the d distinct blocks and takes their block vectors from one
+batched SVD of the same blocks on first read, so a family reports one
+``s`` whatever is read first; every reader takes a block's vectors
+through the orbit table.  The member rows, ``U`` and ``Vh`` are
+assembled from the record by separate functions.  A Gabor family is its
+coset record (``_CosetFamily``), and this module alone decides what it
+builds and when: its rows, its ``U`` (as large as N x N) and its ``Vh``
+(with the member count along one axis) are each assembled the first
+time something reads them.  ``analyze`` and ``duality_check`` read
+singular values alone, so they compute no block vectors and build none
+of the three.  The tight pipeline builds none of the system's rows,
+``U`` or ``Vh``, nor the right block vectors of every residue: a product
 ``rows @ x`` is taken from the blocks (``_coset_product``), as is a
-product ``x conj(U) diag(s)`` (``_coset_adjoint_factor``) and the norm of
-the members at each time (``_coset_time_norms``), and the rows, when
-they are built, are finite because ``_checked_windows`` checked the
-window.  ``canonical_tight_window`` sums its window block
-by block from the block vectors, with no ``U`` or ``Vh``.  The
-factorization takes a stack of windows on one lattice: ``gabor_system``
-and ``adjoint_system`` pass a stack of one, and the exploration passes
-every trial of a lattice at once, settles frame and tightness from
-their singular values and takes the block vectors of the gated trials
-alone (``_Cosets.take``).
+product ``x conj(U) diag(s)`` (``_coset_adjoint_factor``) and the norm
+``||x F^*||_F`` (``_coset_gram_norm``), and the rows, when they are
+built, are finite because ``_checked_windows`` checked the window.
+``canonical_tight_window`` sums its window block by block from the left
+block vectors and column 0 of the right ones, with no ``U`` or ``Vh``.
+The factorization takes a stack of windows on one lattice:
+``gabor_system`` and ``adjoint_system`` pass a stack of one, and the
+exploration passes every trial of a lattice at once, settles frame and
+tightness from their singular values and takes the block vectors of the
+gated trials alone (``_Cosets.take``).
 
 Redundancy is N/(a b); the weak R-dual machinery pairs the system
 (count N^2/(a b)) with the adjoint family (count a b).  The counts are
@@ -57,6 +63,7 @@ systems from being weak R-duals in the strict equal-index sense.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
@@ -160,13 +167,13 @@ class AdjointSystem:
 
 # The constants of one lattice shape ``(N, time_step, freq_step,
 # n_times, n_freqs)``, with ``n_freqs * freq_step == N``, each built and
-# cached only when it is read: the coset gather, for the coset SVD, the
-# products and the values-only spectra; the modulation phases and the
-# translate gather (a view of the coset gather), for the member rows;
-# the coset phases, for ``Vh``.  An exploration fetches a shape once per
-# lattice stage, not once per trial, so the caches serve repeated runs
-# in one process: the 84 shapes of N = 4..12 fit, the 276 of N = 4..24
-# cycle through them.
+# cached only when it is read: the coset gather and the orbit table, for
+# the coset SVD, the block vectors, the products and the values-only
+# spectra; the modulation phases and the translate gather (a view of the
+# coset gather), for the member rows; the coset phases, for ``Vh``.  An
+# exploration fetches a shape once per lattice stage, not once per
+# trial, so the caches serve repeated runs in one process: the 84 shapes
+# of N = 4..12 fit, the 276 of N = 4..24 cycle through them.
 
 
 @lru_cache(maxsize=256)
@@ -181,6 +188,36 @@ def _coset_gather(
     t = np.arange(N).reshape(freq_step, n_freqs)
     gather = (t - np.arange(n_times)[:, None, None] * time_step) % N
     return _read_only(gather.transpose(2, 1, 0))[0]
+
+
+@lru_cache(maxsize=256)
+def _coset_orbits(
+    N: int, time_step: int, freq_step: int, n_times: int, n_freqs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbit table ``(base, rows, cols)`` of the coset blocks: block
+    ``r`` is ``G_r = G_base[r][rows[r]][:, cols[r]]``.
+
+    With ``d = gcd(time_step, n_freqs)``, every residue is ``r = rho + j
+    time_step - m n_freqs`` with ``rho = r mod d``, and then ``coset[r, k,
+    n] = coset[rho, (k - m) mod freq_step, (n - j) mod n_times]``: the
+    blocks of the residues ``rho < d`` are the distinct ones, and every
+    other is one of them with its rows and columns cyclically shifted
+    (Bolcskei and Hlawatsch, IEEE TSP 45, 1997).  So ``base[r] = rho``,
+    ``rows[r, k] = (k - m) mod freq_step`` and ``cols[r, n] = (n - j) mod
+    n_times``; the singular values of ``G_r`` are those of ``G_rho``, its
+    left vectors are those of ``G_rho`` with permuted rows and its right
+    vectors those with permuted columns."""
+    d = math.gcd(time_step, n_freqs)
+    j = np.arange(n_freqs // d)
+    t = np.arange(d)[:, None] + j * time_step  # (d, L / d), every r once
+    r, m = t % n_freqs, t // n_freqs
+    base = np.empty(n_freqs, dtype=np.intp)
+    rows = np.empty((n_freqs, freq_step), dtype=np.intp)
+    cols = np.empty((n_freqs, n_times), dtype=np.intp)
+    base[r] = np.arange(d)[:, None]
+    rows[r] = (np.arange(freq_step) - m[..., None]) % freq_step
+    cols[r] = (np.arange(n_times) - j[:, None]) % n_times
+    return _read_only(base, rows, cols)
 
 
 @lru_cache(maxsize=256)
@@ -214,7 +251,8 @@ class _Cosets:
     shape: the lattice shape, the scale, the singular values ``s`` of the
     systems, descending, and the block position ``(r[j], i[j])`` of each
     singular triple ``j`` (all stacked along the first axis).  The block
-    vectors ``u_r`` and ``vh_r`` are ``factors``, taken on first read."""
+    vectors of the ``d`` distinct blocks are ``factors``, taken on first
+    read; those of every block are read through the orbit table."""
 
     windows: np.ndarray
     N: int
@@ -238,11 +276,20 @@ class _Cosets:
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The block vectors ``(u_r, vh_r)``, from one batched SVD of the
-        blocks; triple ``(r, i)`` pairs ``s`` with the ``i``-th vectors of
-        block ``r``."""
-        u_r, _, vh_r = _svd(self.blocks(), full_matrices=False)
-        return u_r, vh_r
+        """The block vectors ``(u_d, vh_d)`` of the ``d = gcd(time_step,
+        n_freqs)`` distinct blocks, from one batched SVD of them; block
+        ``r`` has ``U_r = u_d[base[r]][rows[r]]`` and ``Vh_r =
+        vh_d[base[r]][:, cols[r]]`` (``_coset_orbits``), and triple ``(r,
+        i)`` pairs ``s`` with their ``i``-th vectors."""
+        blocks = _distinct_blocks(self.windows, self.shape)
+        u_d, _, vh_d = _svd(blocks, full_matrices=False)
+        return u_d, vh_d
+
+    def block_u(self) -> np.ndarray:
+        """The left block vectors ``U_r`` of every residue, ``(g, L,
+        freq_step, k)``, gathered from those of the distinct blocks."""
+        base, rows, _ = _coset_orbits(*self.shape)
+        return self.factors[0][:, base[:, None], rows]
 
     def take(self, index) -> "_Cosets":
         """The record of the windows ``index`` of the stack."""
@@ -250,6 +297,14 @@ class _Cosets:
             self, windows=self.windows[index], r=self.r[index], i=self.i[index],
             s=self.s[index],
         )
+
+
+def _distinct_blocks(windows: np.ndarray, shape: tuple) -> np.ndarray:
+    """The coset blocks of the residues ``r < d = gcd(time_step,
+    n_freqs)`` of a ``(g, N)`` stack of windows, the distinct ones
+    (``_coset_orbits``), ``(g, d, freq_step, n_times)``."""
+    d = math.gcd(shape[1], shape[4])
+    return windows[:, _coset_gather(*shape)[:d]]
 
 
 def _coset_svd(
@@ -274,13 +329,17 @@ def _coset_svd(
     columns of an L-point DFT).  With ``G_r = U_r diag(sigma_r) Vh_r``
     the factors are ``s = scale sqrt(L) sigma``, ``U_r`` placed on the
     rows ``r + k L``, and ``Vh[(r, i), (m, n)] = phase[m, r] / sqrt(L)
-    * Vh_r[i, n]``: one batched values-only SVD of the ``g L`` blocks of
-    size ``freq_step x n_times`` gives ``s``, and the block vectors come
-    from one batched SVD on first read, never from an ``N x M`` synthesis
-    matrix.  The triples are gathered in descending order: triple ``j`` is
-    ``(r, i) = divmod(order[j], k)``."""
-    coset = _coset_gather(N, time_step, freq_step, n_times, n_freqs)
-    sigma = _svd(windows[:, coset], compute_uv=False)
+    * Vh_r[i, n]``.  Only ``d = gcd(time_step, L)`` of the ``L`` blocks
+    are distinct up to cyclic shifts of their rows and columns
+    (``_coset_orbits``), so one batched values-only SVD of the ``g d``
+    distinct blocks of size ``freq_step x n_times`` gives ``s``, every
+    block taking the values of its distinct block, and the block vectors
+    come from one batched SVD of the same ``g d`` blocks on first read,
+    never from an ``N x M`` synthesis matrix.  The triples are gathered in
+    descending order: triple ``j`` is ``(r, i) = divmod(order[j], k)``."""
+    shape = (N, time_step, freq_step, n_times, n_freqs)
+    sigma = _svd(_distinct_blocks(windows, shape), compute_uv=False)
+    sigma = sigma[:, _coset_orbits(*shape)[0]]  # (g, L, k)
     k = sigma.shape[-1]
     sigma = sigma.reshape(windows.shape[0], n_freqs * k)
     order = np.argsort(-sigma, axis=-1, kind="stable")
@@ -320,18 +379,41 @@ def _coset_adjoint_factor(c: _Cosets, x: np.ndarray) -> np.ndarray:
     product of the ``x_r`` with the conjugated block vectors, gathered in
     triple order."""
     x_r = x.reshape(len(x), c.freq_step, c.n_freqs).transpose(2, 0, 1)
-    prod = x_r @ np.conj(c.factors[0])  # (g, L, p, k)
+    prod = x_r @ np.conj(c.block_u())  # (g, L, p, k)
     stack = np.arange(len(c.windows))[:, None]
     return prod[stack, c.r, :, c.i].swapaxes(-1, -2) * c.s[:, None, :]
 
 
-def _coset_time_norms(c: _Cosets) -> np.ndarray:
-    """The norm of the members of each system of the stack at each time
-    ``t``, ``(g, N)``: at ``t = r + kk L`` the member ``(m, n)`` is ``scale
-    * phase[m, r] * G_r[kk, n]`` with a unit phase, so the norm over the
-    ``L n_times`` members is ``scale sqrt(L) ||G_r[kk, :]||``."""
-    norms = np.linalg.norm(c.blocks(), axis=-1).swapaxes(-1, -2)
-    return (c.scale * np.sqrt(c.n_freqs)) * norms.reshape(len(c.windows), c.N)
+def _coset_gram_norm(
+    c: _Cosets, x: Optional[np.ndarray] = None, start: int = 0
+) -> float:
+    """``||x F^*||_F`` for the first system of the stack and a ``p x N``
+    matrix ``x``, from the block vectors.  ``x F^* = x conj(U) diag(s)
+    conj(Vh)`` and ``Vh`` has orthonormal rows, so this is the norm of
+    ``x conj(U) diag(s)``, whose columns of residue ``r`` are ``x_r
+    conj(U_r) diag(s_r)``: its squares are summed over each block's
+    columns, then over the residues, then over the rows of ``x``.
+
+    ``x = None`` stands for the rows ``e_t``, ``t >= start``, of the
+    identity, whose norm is that of the members at those times.  The row
+    of ``e_t``, ``t = r + kk L``, is ``conj(U_r[kk]) diag(s_r)`` on its
+    own residue and zero on every other, which the product with an
+    explicit ``e_t`` gives exactly, so it is summed the same way and both
+    give the same norm bit for bit."""
+    u_r = c.block_u()[0]  # (L, freq_step, k)
+    s_r = np.empty(u_r.shape[::2])  # (L, k)
+    s_r[c.r[0], c.i[0]] = c.s[0]
+    if x is None:
+        t = np.arange(start, c.N)
+        r = t % c.n_freqs
+        y = (np.conj(u_r[r, t // c.n_freqs]) * s_r[r])[None]  # (1, p, k)
+    else:
+        x_r = x.reshape(len(x), c.freq_step, c.n_freqs).transpose(2, 0, 1)
+        y = (x_r @ np.conj(u_r)) * s_r[:, None, :]  # (L, p, k)
+    # squares and sums taken elementwise and along fixed axes, so an entry
+    # is rounded the same wherever it sits in the array
+    energy = (np.square(y.real) + np.square(y.imag)).sum(axis=-1).sum(axis=0)
+    return float(np.sqrt(energy.sum()))
 
 
 def _assemble_u(c: _Cosets) -> np.ndarray:
@@ -341,17 +423,21 @@ def _assemble_u(c: _Cosets) -> np.ndarray:
     stack, col = np.arange(g)[:, None], np.arange(count)
     # U[(kk, r'), j] = U_r[kk, i] when r' == r, else 0
     u = np.zeros((g, c.freq_step, c.n_freqs, count), dtype=np.complex128)
-    u[stack, :, c.r, col] = c.factors[0][stack, c.r, :, c.i]
+    u[stack, :, c.r, col] = c.block_u()[stack, c.r, :, c.i]
     return u.reshape(g, c.N, count)
 
 
 def _assemble_vh(c: _Cosets) -> np.ndarray:
     """The right factors ``Vh``, ``(g, L k, M)``: one row per triple, the
-    coset phases of its residue times its block's right vector."""
+    coset phases of its residue times its block's right vector, read off
+    its distinct block's through the orbit table."""
     g, count = c.r.shape
-    stack = np.arange(g)[:, None]
+    stack = np.arange(g)[:, None, None]
+    base, _, cols = _coset_orbits(*c.shape)
+    r, i = c.r[..., None], c.i[..., None]
+    vh_r = c.factors[1][stack, base[r], i, cols[c.r]]  # (g, L k, n_times)
     phases = _coset_phases(c.N, c.freq_step, c.n_freqs)
-    vh = phases[c.r][..., None] * c.factors[1][stack, c.r, c.i][..., None, :]
+    vh = phases[c.r][..., None] * vh_r[..., None, :]
     return vh.reshape(g, count, c.n_freqs * c.n_times)
 
 
@@ -458,16 +544,19 @@ def canonical_tight_window(lattice: GaborLattice, window: np.ndarray) -> np.ndar
     Vh_r``.  Column 0 of ``Vh`` is ``Vh_r[i, 0] / sqrt(L)`` at triple ``(r,
     i)`` (the coset phase of ``m = 0`` is ``1/sqrt(L)``), so the window at
     ``t = r + k L`` is the sum of ``U_r[k, i] Vh_r[i, 0] / sqrt(L)`` over
-    the kept triples of block ``r``: no rows, ``U`` or ``Vh`` is built.
-    ``S`` commutes with the lattice's time-frequency shifts, so the system
-    on the returned window is Parseval for the span of the original one;
-    this function does not re-analyze it."""
+    the kept triples of block ``r``: no rows, ``U`` or ``Vh`` is built,
+    and of the right block vectors only the column ``Vh_r[:, 0]`` is read,
+    off the distinct block's through the orbit table.  ``S`` commutes
+    with the lattice's time-frequency shifts, so the system on the
+    returned window is Parseval for the span of the original one; this
+    function does not re-analyze it."""
     c = _system_cosets(_checked_windows(np.asarray(window)[None], lattice.N), lattice)
     rank = _span_rank(c.s[0], DEFAULT_TOL)
-    u_r, vh_r = (factor[0] for factor in c.factors)
+    base, _, cols = _coset_orbits(*c.shape)
+    u_r, vh_d = c.block_u()[0], c.factors[1][0]
     coef = np.zeros(u_r.shape[::2], dtype=np.complex128)  # (L, k)
     r, i = c.r[0, :rank], c.i[0, :rank]
-    coef[r, i] = vh_r[r, i, 0] / np.sqrt(c.n_freqs)
+    coef[r, i] = vh_d[base[r], i, cols[r, 0]] / np.sqrt(c.n_freqs)
     return (u_r @ coef[..., None])[..., 0].T.reshape(c.N)
 
 
@@ -584,11 +673,11 @@ def tight_gabor_weak_r_dual(
     k_count = lat.adjoint_count
     # the default u, e_0, ..., e_{N-1} padded with zeros, is exactly Parseval,
     # and the tail norm ||U_tail F^*||_F of its rows e_K, ... is the norm of
-    # the system's members at the times t >= K
+    # the system's members at the times t >= K, summed as for explicit rows
     if u is None:
         u_head = np.eye(k_count, lat.N, dtype=np.complex128)
         label = f"standard-basis-{lat.N}x{m_count}"
-        tail_norm = frobenius(_coset_time_norms(sys.family._cosets)[0, k_count:])
+        tail_norm = _coset_gram_norm(sys.family._cosets, start=k_count)
     elif u.count != m_count or u.ambient_dim != lat.N:
         raise ShapeMismatchError(
             f"u must have {m_count} members of dimension {lat.N}"
@@ -602,7 +691,7 @@ def tight_gabor_weak_r_dual(
         head = positions < k_count
         u_head = np.zeros((k_count, lat.N), dtype=np.complex128)
         u_head[positions[head]] = rows[head]
-        tail_norm = frobenius(sys.family._adjoint_factor(rows[~head]))
+        tail_norm = _coset_gram_norm(sys.family._cosets, rows[~head])
     u_slice = VectorFamily._factored(u_head, label=f"{label}[:{k_count}]")
 
     w0 = adjoint_system(sys).family
@@ -878,10 +967,12 @@ def run_exploration(
     from ``_trial_states(seed, trials)[t]``, the state of
     ``np.random.default_rng([seed, t])``; the states of all trials come
     from one vectorized pass, so ``trials`` may be at most 2**32 (one
-    uint32 word per trial index).  Every trial is drawn first; the
-    trials are then evaluated lattice by lattice, each lattice's trials
-    together, its windows dropped once evaluated, and the records come
-    back in trial order.  No claim is made beyond the recorded evidence.
+    uint32 word per trial index).  Every trial is drawn first, its window
+    kept as the ``2 N`` normal draws of its real and imaginary parts; the
+    trials are then evaluated lattice by lattice, each lattice's windows
+    built as one stack, each divided by its own norm, and evaluated
+    together, dropped once evaluated, and the records come back in trial
+    order.  No claim is made beyond the recorded evidence.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -910,13 +1001,15 @@ def run_exploration(
         n_val = N_values[int(rng.integers(0, len(N_values)))]
         options = lattices[n_val]
         lat = options[int(rng.integers(0, len(options)))]
-        z = rng.standard_normal(2 * lat.N)
-        window = z[: lat.N] + 1j * z[lat.N :]
-        window /= np.linalg.norm(window)
-        groups.setdefault(lat, []).append((t, window))
+        groups.setdefault(lat, []).append((t, rng.standard_normal(2 * lat.N)))
     trial_records: list = [None] * trials
     for lat in list(groups):
-        ts, windows = zip(*groups.pop(lat))
+        ts, draws = zip(*groups.pop(lat))
+        z = np.stack(draws)
+        windows = np.empty((len(z), lat.N), dtype=np.complex128)
+        windows.real, windows.imag = z[:, : lat.N], z[:, lat.N :]
+        # one norm per row: a norm over the stack would sum in another order
+        windows /= np.array([np.linalg.norm(w) for w in windows])[:, None]
         for t, rec in zip(ts, _evaluate_trials(lat, windows, tol)):
             rec["trial"] = t
             trial_records[t] = rec

@@ -3,6 +3,7 @@ the tight weak-dual pipeline, promotion, and the exploration harness."""
 
 import gc
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -575,7 +576,9 @@ class TestExploration:
         # trials that share a lattice share its factorizations: one
         # values-only SVD of the systems per lattice, and on a lattice with
         # gated trials their block vectors and the adjoints' values and
-        # vectors
+        # vectors; each factors one matrix per distinct coset block of a
+        # trial, d = gcd(a, N/b) of them for the system's N/b blocks and
+        # for the adjoint's a, not one per residue
         svd, calls = np.linalg.svd, []
 
         def counted(*args, **kwargs):
@@ -585,9 +588,16 @@ class TestExploration:
         monkeypatch.setattr(np.linalg, "svd", counted)
         report = run_exploration(range(4, 13), seed=1, trials=1000)
         key = lambda rec: (rec["N"], rec["a"], rec["b"])
-        drawn = {key(rec) for rec in report["records"]}
-        gated = {key(rec) for rec in report["records"] if rec["verdict"] == "Gated"}
+        drawn = Counter(key(rec) for rec in report["records"])
+        gated = Counter(key(rec) for rec in report["records"] if rec["verdict"] == "Gated")
         assert len(calls) == len(drawn) + 3 * len(gated)
+        distinct = lambda N, a, b: math.gcd(a, N // b)
+        matrices = sum(math.prod(shape[:-2]) for shape in calls)
+        assert matrices == sum(
+            count * distinct(*lat) for lat, count in drawn.items()
+        ) + sum(3 * count * distinct(*lat) for lat, count in gated.items())
+        per_residue = sum(count * N // b for (N, a, b), count in drawn.items())
+        assert matrices < per_residue
 
     def test_verdict_counts_are_pinned(self):
         report = run_exploration(range(4, 13), seed=1, trials=1000)

@@ -458,20 +458,50 @@ def test_seeded_factors_match_dense_on_every_lattice():
     assert checked > 700
 
 
-def eager_translates(windows, N, time_step, freq_step, n_times, n_freqs, scale=1.0):
-    """The member rows and the thin SVD ``(U, s, Vh)`` of a stack of
-    systems, all assembled at once from the coset blocks, with ``s`` and
-    its order from the values-only SVD and the vectors from the full one:
-    the oracle for the assemblers, which build ``Vh`` only when it is
-    read."""
-    shape = (N, time_step, freq_step, n_times, n_freqs)
+def searched_orbits(shape):
+    """Per residue ``r``, the distinct block ``rho = r mod d`` and the
+    shifts ``(m, j)`` of ``r = rho + j time_step - m n_freqs`` with the
+    least ``j >= 0``, found by search, after checking that block ``r`` of
+    the gather is block ``rho`` cyclically shifted by ``m`` rows and ``j``
+    columns."""
+    N, time_step, freq_step, n_times, n_freqs = shape
+    coset, d = _coset_gather(*shape), np.gcd(time_step, n_freqs)
+    found = []
+    for r in range(n_freqs):
+        rho = r % d
+        j = next(j for j in range(n_freqs) if (rho + j * time_step) % n_freqs == r)
+        m = (rho + j * time_step - r) // n_freqs
+        assert np.array_equal(coset[r], np.roll(coset[rho], (m, j), axis=(0, 1)))
+        found.append((rho, m, j))
+    return found
+
+
+def eager_translates(c):
+    """The member rows and the thin SVD ``(U, s, Vh)`` of a record's
+    systems, all assembled at once: ``s`` and its order from the
+    values-only SVD of the distinct coset blocks, and ``U`` and ``Vh``
+    from the record's factors of those blocks, permuted by the searched
+    orbits, for every residue in a loop: the oracle for the assemblers,
+    which read ``U_r`` and ``Vh_r`` through the orbit table and build
+    ``Vh`` only when it is read."""
+    windows, shape, scale = c.windows, c.shape, c.scale
+    N, time_step, freq_step, n_times, n_freqs = shape
     phase, shift = _row_tables(*shape)
     coset, coset_phase = _coset_gather(*shape), _coset_phases(N, freq_step, n_freqs)
     g, L = windows.shape[0], n_freqs
     rows = (scale * phase)[:, None, :] * windows[:, None, shift]
-    sigma = np.linalg.svd(windows[:, coset], compute_uv=False)
-    u_r, _, vh_r = np.linalg.svd(windows[:, coset], full_matrices=False)
-    k = sigma.shape[-1]
+    orbits = searched_orbits(shape)
+    d = 1 + max(rho for rho, _, _ in orbits)
+    sigma_d = np.linalg.svd(windows[:, coset[:d]], compute_uv=False)
+    u_d, vh_d = c.factors
+    k = sigma_d.shape[-1]
+    sigma = np.empty((g, L, k))
+    u_r = np.empty((g, L, freq_step, k), dtype=np.complex128)
+    vh_r = np.empty((g, L, k, n_times), dtype=np.complex128)
+    for r, (rho, m, j) in enumerate(orbits):
+        sigma[:, r] = sigma_d[:, rho]
+        u_r[:, r] = np.roll(u_d[:, rho], m, axis=-2)
+        vh_r[:, r] = np.roll(vh_d[:, rho], j, axis=-1)
     sigma = sigma.reshape(g, L * k)
     order = np.argsort(-sigma, axis=-1, kind="stable")
     r, i = np.divmod(order, k)
@@ -496,14 +526,8 @@ def test_on_demand_factors_equal_the_eager_assembly_on_every_lattice(monkeypatch
     for N in range(1, 25):
         for lat in divisor_lattices(N):
             sys = gabor_system(lat, _window(lat, 11))
-            kappa = np.sqrt(N / (lat.a * lat.b))
-            adjoint_shape = (N, N // lat.b, N // lat.a, lat.b, lat.a, kappa)
-            shapes = [
-                (sys.family, (N, lat.a, lat.b, N // lat.a, N // lat.b)),
-                (adjoint_system(sys).family, adjoint_shape),
-            ]
-            for fam, shape in shapes:
-                rows, factors = eager_translates(sys.window[None], *shape)
+            for fam in (sys.family, adjoint_system(sys).family):
+                rows, factors = eager_translates(fam._cosets)
                 assert built == {name: [] for name in built}  # no U, no Vh yet
                 assert np.array_equal(fam.vectors, rows[0])
                 for got, want in zip(fam.svd, factors):
@@ -511,6 +535,39 @@ def test_on_demand_factors_equal_the_eager_assembly_on_every_lattice(monkeypatch
                 assert built == {name: [fam.count] for name in built}
                 for counts in built.values():
                     counts.clear()
+                checked += 1
+    assert checked > 700
+
+
+def test_orbit_factors_reproduce_every_block_on_every_lattice():
+    # the block vectors of the d distinct blocks, read through the orbit
+    # table, factor every block G_r of the system and of the adjoint, and
+    # each block's singular values are those of its own values-only SVD;
+    # stacks of two windows
+    checked = 0
+    for N in range(1, 25):
+        for lat in divisor_lattices(N):
+            windows = np.stack([_window(lat, 16), _window(lat, 17)])
+            for c in (
+                gabor._system_cosets(windows, lat),
+                gabor._adjoint_cosets(windows, lat),
+            ):
+                blocks = c.blocks()  # (2, L, freq_step, n_times), every residue
+                u_d, vh_d = c.factors
+                base, rows, cols = gabor._coset_orbits(*c.shape)
+                assert u_d.shape[1] == vh_d.shape[1] == np.gcd(c.time_step, c.n_freqs)
+                assert np.array_equal(np.unique(base), np.arange(u_d.shape[1]))
+                g, L, k = len(windows), c.n_freqs, u_d.shape[-1]
+                sigma = np.zeros((g, L, k))
+                sigma[np.arange(g)[:, None], c.r, c.i] = c.s / (c.scale * np.sqrt(L))
+                u_r = u_d[:, base[:, None], rows]
+                vh_r = vh_d[:, base[:, None, None], np.arange(k)[:, None], cols[:, None]]
+                dense = np.linalg.svd(blocks, compute_uv=False)
+                for w in range(g):
+                    scale = dense[w].max()
+                    assert np.all(np.abs(sigma[w] - dense[w]) <= TOL.threshold(scale))
+                    got = (u_r[w] * sigma[w][:, None, :]) @ vh_r[w]
+                    assert np.all(np.abs(got - blocks[w]) <= TOL.threshold(scale))
                 checked += 1
     assert checked > 700
 
@@ -536,9 +593,10 @@ def test_coset_product_matches_the_rows_on_every_lattice():
 
 
 def test_coset_adjoint_factor_and_time_norms_match_the_assembly():
-    # x conj(U) diag(s) and the members' norm at each time, for the system
-    # and the adjoint, taken from the coset blocks without assembling U or
-    # the rows, against the assembled U and rows
+    # x conj(U) diag(s), ||x F^*||_F and the norm of the members at the
+    # times t >= start, for the system and the adjoint, taken from the
+    # block vectors without assembling U or the rows, against the
+    # assembled U and rows
     checked = 0
     for N in range(1, 25):
         for lat in divisor_lattices(N):
@@ -547,14 +605,19 @@ def test_coset_adjoint_factor_and_time_norms_match_the_assembly():
             x = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
             for fam in (sys.family, adjoint_system(sys).family):
                 got = fam._adjoint_factor(x)
-                norms = gabor._coset_time_norms(fam._cosets)[0]
+                gram = gabor._coset_gram_norm(fam._cosets, x)
+                starts = (0, N // 2, N - 1)
+                tails = [gabor._coset_gram_norm(fam._cosets, start=t) for t in starts]
                 assert "_us" not in fam.__dict__ and "vectors" not in fam.__dict__
                 u, s = fam._us
                 want = (x @ u.conj()) * s
                 assert got.shape == want.shape == (3, len(s))
                 assert fro(got - want) <= TOL.threshold(max(1.0, fro(want)))
-                want = np.linalg.norm(fam.vectors, axis=0)
-                assert fro(norms - want) <= TOL.threshold(max(1.0, fro(want)))
+                want = fro(x @ fam.vectors.conj().T)
+                assert abs(gram - want) <= TOL.threshold(max(1.0, want))
+                for start, tail in zip(starts, tails):
+                    want = fro(fam.vectors[:, start:])
+                    assert abs(tail - want) <= TOL.threshold(max(1.0, want))
                 checked += 1
     assert checked > 700
 
@@ -671,19 +734,25 @@ def test_tight_pipeline_custom_u_matches_dense(shape):
         tight_gabor_weak_r_dual(sys, u=VectorFamily(bad))
 
 
-@pytest.mark.parametrize("shape", [(8, 1, 2), (12, 2, 2), (24, 3, 2), (96, 2, 2)])
+@pytest.mark.parametrize(
+    "shape",
+    [(8, 1, 2), (12, 2, 2), (24, 3, 2), (96, 2, 2), (16, 2, 4), (18, 3, 2),
+     (20, 2, 2), (24, 2, 3)],
+)
 def test_tight_pipeline_default_u_is_the_padded_standard_basis(shape):
     # the default u is read as its nonzero members and never built; an
-    # explicit padded standard basis gives exactly the same result
+    # explicit padded standard basis gives exactly the same result, the
+    # tail norm included, as both sum the same squares in the same order
     lat = GaborLattice(*shape)
-    sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 9)))
-    default = tight_gabor_weak_r_dual(sys)
-    explicit = tight_gabor_weak_r_dual(
-        sys, u=standard_basis_family(lat.N, lat.member_count)
-    )
-    # the certificate, the padding positions and the padded residual
-    assert default.to_json_dict() == explicit.to_json_dict()
-    assert np.array_equal(default.v.vectors, explicit.v.vectors)
+    for seed in range(9, 14):
+        sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, seed)))
+        default = tight_gabor_weak_r_dual(sys)
+        explicit = tight_gabor_weak_r_dual(
+            sys, u=standard_basis_family(lat.N, lat.member_count)
+        )
+        # the certificate, the padding positions and the padded residual
+        assert default.to_json_dict() == explicit.to_json_dict()
+        assert np.array_equal(default.v.vectors, explicit.v.vectors)
 
 
 def test_exploration_trials_match_dense_on_every_lattice():
