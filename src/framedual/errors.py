@@ -19,10 +19,6 @@ class NumericalFailureError(FrameDualError):
     """An underlying factorization did not converge."""
 
 
-class ZeroMatrixError(FrameDualError):
-    """All eigenvalues fall below the rank threshold."""
-
-
 class EmptySpanError(FrameDualError):
     """Every member of a family is numerically zero."""
 

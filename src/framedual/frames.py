@@ -287,7 +287,6 @@ class FrameAnalysis:
     lower_bound: float
     upper_bound: float
     is_frame_for_ambient: bool
-    is_frame_sequence: bool
     is_parseval_for_span: bool
     is_tight: bool
     is_riesz_sequence: bool
@@ -398,7 +397,6 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
         lower_bound=lower,
         upper_bound=upper,
         is_frame_for_ambient=rank == n,
-        is_frame_sequence=True,
         is_parseval_for_span=is_parseval,
         is_tight=_is_tight(upper, lower, tol),
         is_riesz_sequence=is_riesz_seq,

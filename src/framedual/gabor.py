@@ -47,14 +47,26 @@ exploration passes every trial of a lattice at once, settles frame and
 tightness from their singular values and takes the block vectors of the
 gated trials alone (``_Cosets.take``).
 
+The adjoint lattice has the same d, and its distinct block rho is the
+system's transposed with both indices reversed (the Wexler-Raz / Ron-Shen
+pairing of a system and its adjoint), so the tight pipeline and the
+exploration derive the adjoint's record from the system's, values and
+block vectors alike, with no SVD of its own (``_adjoint_of``); its rows
+are still read off the window, so a certificate checks the derived
+factors against them.  ``adjoint_system`` factors the adjoint's own
+blocks (``_adjoint_cosets``): ``duality_check`` compares the system's
+frame bounds with these Riesz bounds, which values derived from the
+system would make a comparison of a number with itself.
+
 Redundancy is N/(a b); the weak R-dual machinery pairs the system
 (count N^2/(a b)) with the adjoint family (count a b).  The counts are
 equalized by a convention that only this module knows: the adjoint is
 read as zero-padded to the system count.  The padded family is never
 built.  The dual side is evaluated on the a b unpadded slots, and the
 padded dual-commutation residual is assembled from it and the members of
-``u`` past them (``_padded_dual_commutation``).  The padded slots are
-recorded and the certificate identities are evaluated on the unpadded
+``u`` past them (``_padded_dual_commutation``).  The padded slots, always
+``range(a b, M)``, are recorded as that range (a report writes its two
+ends), and the certificate identities are evaluated on the unpadded
 slots, where they provably hold.  The padded residual is also recorded:
 it is the finite-dimensional obstruction that keeps redundant adjoint
 systems from being weak R-duals in the strict equal-index sense.
@@ -118,7 +130,7 @@ __all__ = [
     "run_exploration",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -249,10 +261,12 @@ def _coset_phases(N: int, freq_step: int, n_freqs: int) -> np.ndarray:
 class _Cosets:
     """The coset record of a ``(g, N)`` stack of windows on one lattice
     shape: the lattice shape, the scale, the singular values ``s`` of the
-    systems, descending, and the block position ``(r[j], i[j])`` of each
-    singular triple ``j`` (all stacked along the first axis).  The block
-    vectors of the ``d`` distinct blocks are ``factors``, taken on first
-    read; those of every block are read through the orbit table."""
+    systems, descending, the block position ``(r[j], i[j])`` of each
+    singular triple ``j``, and the singular values ``sigma_d`` of the
+    ``d`` distinct blocks, ``(g, d, k)``, unscaled (all stacked along the
+    first axis).  The block vectors of the distinct blocks are
+    ``factors``, taken on first read (or preset, by ``_adjoint_of``);
+    those of every block are read through the orbit table."""
 
     windows: np.ndarray
     N: int
@@ -264,6 +278,7 @@ class _Cosets:
     r: np.ndarray
     i: np.ndarray
     s: np.ndarray
+    sigma_d: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int, int, int, int]:
@@ -295,7 +310,7 @@ class _Cosets:
         """The record of the windows ``index`` of the stack."""
         return replace(
             self, windows=self.windows[index], r=self.r[index], i=self.i[index],
-            s=self.s[index],
+            s=self.s[index], sigma_d=self.sigma_d[index],
         )
 
 
@@ -338,14 +353,24 @@ def _coset_svd(
     never from an ``N x M`` synthesis matrix.  The triples are gathered in
     descending order: triple ``j`` is ``(r, i) = divmod(order[j], k)``."""
     shape = (N, time_step, freq_step, n_times, n_freqs)
-    sigma = _svd(_distinct_blocks(windows, shape), compute_uv=False)
-    sigma = sigma[:, _coset_orbits(*shape)[0]]  # (g, L, k)
+    sigma_d = _svd(_distinct_blocks(windows, shape), compute_uv=False)
+    return _coset_record(windows, shape, scale, sigma_d)
+
+
+def _coset_record(
+    windows: np.ndarray, shape: tuple, scale: float, sigma_d: np.ndarray
+) -> _Cosets:
+    """The record of ``_coset_svd`` from the singular values ``sigma_d``
+    of the distinct blocks: every block takes its distinct block's
+    values, and the triples are gathered in descending order."""
+    n_freqs = shape[4]
+    sigma = sigma_d[:, _coset_orbits(*shape)[0]]  # (g, L, k)
     k = sigma.shape[-1]
     sigma = sigma.reshape(windows.shape[0], n_freqs * k)
     order = np.argsort(-sigma, axis=-1, kind="stable")
     r, i = np.divmod(order, k)
     s = (scale * np.sqrt(n_freqs)) * np.take_along_axis(sigma, order, axis=-1)
-    return _Cosets(windows, N, time_step, freq_step, n_times, n_freqs, scale, r, i, s)
+    return _Cosets(windows, *shape, scale, r, i, s, sigma_d)
 
 
 def _assemble_rows(c: _Cosets) -> np.ndarray:
@@ -441,21 +466,61 @@ def _assemble_vh(c: _Cosets) -> np.ndarray:
     return vh.reshape(g, count, c.n_freqs * c.n_times)
 
 
+def _system_shape(lat: GaborLattice) -> tuple[int, int, int, int, int]:
+    """The lattice shape of the system itself."""
+    return lat.N, lat.a, lat.b, lat.N // lat.a, lat.N // lat.b
+
+
+def _adjoint_shape(shape: tuple) -> tuple[tuple[int, int, int, int, int], float]:
+    """The adjoint lattice's shape (time step N/b, frequency step N/a)
+    for a system's shape, and its scale ``kappa = sqrt(N/(a b))``."""
+    N, a, b, n_times, n_freqs = shape
+    return (N, n_freqs, n_times, b, a), float(np.sqrt(N / (a * b)))
+
+
 def _system_cosets(windows: np.ndarray, lat: GaborLattice) -> _Cosets:
     """``_coset_svd`` on the lattice itself."""
-    return _coset_svd(
-        windows, lat.N, lat.a, lat.b, n_times=lat.N // lat.a, n_freqs=lat.N // lat.b
-    )
+    return _coset_svd(windows, *_system_shape(lat))
 
 
 def _adjoint_cosets(windows: np.ndarray, lat: GaborLattice) -> _Cosets:
-    """``_coset_svd`` on the adjoint lattice (time step N/b, frequency
-    step N/a), scaled by ``kappa = sqrt(N/(a b))``."""
-    kappa = float(np.sqrt(lat.N / (lat.a * lat.b)))
-    return _coset_svd(
-        windows, lat.N, lat.N // lat.b, lat.N // lat.a, n_times=lat.b,
-        n_freqs=lat.a, scale=kappa,
+    """``_coset_svd`` on the adjoint lattice, scaled by ``kappa``: the
+    adjoint factored on its own, for ``adjoint_system`` and so for
+    ``duality_check``, whose Riesz bounds must not be read off the
+    system's values (``_adjoint_of`` derives them for the other paths)."""
+    shape, kappa = _adjoint_shape(_system_shape(lat))
+    return _coset_svd(windows, *shape, scale=kappa)
+
+
+def _adjoint_of(c: _Cosets) -> _Cosets:
+    """The adjoint record of a system record, with no factorization of
+    its own (Janssen, JFAA 1, 1995; Ron and Shen, Duke Math. J. 89,
+    1997).
+
+    The adjoint lattice has the same ``d = gcd(a, N/b)``, and its
+    distinct block ``rho`` is the system's transposed with both indices
+    reversed: ``G'_rho[k, n] = G_rho[(-n) mod b, (-k) mod N/a]``, as
+    ``rho + k a - n N/b = rho + ((-n) mod b) N/b - ((-k) mod N/a) a``
+    modulo N.  So ``G'_rho`` has the singular values of ``G_rho``, its
+    left vectors are the rows of ``Vh_rho`` read as columns with their
+    entries reversed, and its right vectors the columns of ``U_rho``
+    read as rows with their entries reversed; the scale is ``kappa``,
+    so ``s' = kappa sqrt(a) sigma = sqrt(N/b) sigma``.  The system's
+    block vectors are taken (once) and the adjoint's are preset from
+    them.  The adjoint's rows are still read from the windows
+    (``_assemble_rows``), so a certificate built on this record checks
+    the derived factors against them."""
+    shape, kappa = _adjoint_shape(c.shape)
+    adj = _coset_record(c.windows, shape, kappa, c.sigma_d)
+    u_d, vh_d = c.factors  # (g, d, b, k), (g, d, k, N/a)
+    rev_k = -np.arange(c.n_times) % c.n_times
+    rev_n = -np.arange(c.freq_step) % c.freq_step
+    # a cached_property is read from the instance dict first
+    adj.__dict__["factors"] = (
+        vh_d.swapaxes(-1, -2)[..., rev_k, :],
+        u_d.swapaxes(-1, -2)[..., rev_n],
     )
+    return adj
 
 
 def _checked_windows(windows: np.ndarray, N: int) -> np.ndarray:
@@ -529,13 +594,16 @@ def gabor_system(lattice: GaborLattice, window: np.ndarray) -> GaborSystem:
     return GaborSystem(lattice=lattice, window=w[0], family=fam)
 
 
+def _adjoint_family(c: _Cosets, lat: GaborLattice) -> _CosetFamily:
+    return _CosetFamily(c, f"adjoint(N={lat.N},a={lat.a},b={lat.b})")
+
+
 def adjoint_system(sys: GaborSystem) -> AdjointSystem:
     """System on the adjoint lattice (time step N/b, frequency step N/a)
-    scaled by kappa = sqrt(N/(a b))."""
-    lat = sys.lattice
-    c = _adjoint_cosets(sys.window[None], lat)
-    fam = _CosetFamily(c, f"adjoint(N={lat.N},a={lat.a},b={lat.b})")
-    return AdjointSystem(base=sys, kappa=c.scale, family=fam)
+    scaled by kappa = sqrt(N/(a b)), factored from its own coset blocks
+    (``_adjoint_cosets``), independently of the system."""
+    c = _adjoint_cosets(sys.window[None], sys.lattice)
+    return AdjointSystem(base=sys, kappa=c.scale, family=_adjoint_family(c, sys.lattice))
 
 
 def canonical_tight_window(lattice: GaborLattice, window: np.ndarray) -> np.ndarray:
@@ -627,15 +695,20 @@ def _padded_dual_commutation(dual_res, gram_norm, tail_norm, tol: Tolerance):
 
 @dataclass(frozen=True)
 class TightDualResult:
+    """The tight pipeline's ``v`` and certificate, the padded slots of the
+    adjoint, ``range(a b, M)``, written to a report as its two ends ``[a
+    b, M]``, and the padded dual-commutation residual."""
+
     v: VectorFamily
     certificate: WeakRDualCertificate
-    padding_positions: list[int]
+    padding_positions: range
     padded_dual_commutation_residual: float
 
     def to_json_dict(self) -> dict:
+        pad = self.padding_positions
         return {
             "certificate": self.certificate.to_json_dict(),
-            "padding_positions": self.padding_positions,
+            "padding_positions": [pad.start, pad.stop],
             "padded_dual_commutation_residual": self.padded_dual_commutation_residual,
             "v_count": self.v.count,
         }
@@ -694,7 +767,7 @@ def tight_gabor_weak_r_dual(
         tail_norm = _coset_gram_norm(sys.family._cosets, rows[~head])
     u_slice = VectorFamily._factored(u_head, label=f"{label}[:{k_count}]")
 
-    w0 = adjoint_system(sys).family
+    w0 = _adjoint_family(_adjoint_of(sys.family._cosets), lat)
     side = _dual_side(w0, sys.family, u_slice, tol)
     padded_res, _ = _padded_dual_commutation(
         side.dual_res, side.gram_norm, tail_norm, tol
@@ -704,7 +777,7 @@ def tight_gabor_weak_r_dual(
     return TightDualResult(
         v=v,
         certificate=_certificate(side, v),
-        padding_positions=list(range(k_count, m_count)),
+        padding_positions=range(k_count, m_count),
         padded_dual_commutation_residual=float(padded_res),
     )
 
@@ -776,15 +849,16 @@ def _window_hash(window: np.ndarray) -> str:
 def _gated_evidence(lat: GaborLattice, f: _Cosets, tol: Tolerance) -> list[dict]:
     """Adjoint spectrum, witness and candidate record of frames that are
     not tight, stacked over the coset record ``f`` of their systems: the
-    block vectors of ``f`` and one factorization of their adjoints (the
-    unpadded ``w0``).  The candidate ``conjugated_dual`` is the conjugated
-    Parseval tightening of ``w0``, built from the w-only part (span basis,
-    canonical dual factor, Parseval tightening), and its dual side is one
+    block vectors of ``f``, from which their adjoints (the unpadded
+    ``w0``) take theirs (``_adjoint_of``).  The candidate
+    ``conjugated_dual`` is the conjugated Parseval tightening of ``w0``,
+    built from the w-only part (span basis, canonical dual factor,
+    Parseval tightening), and its dual side is one
     call of ``_span_residuals`` on the a b unpadded slots.  Its padded
     members would be zero, so its padded dual-commutation residual is the
     unpadded one."""
     f_u, f_s = _assemble_u(f), f.s
-    w = _adjoint_cosets(f.windows, lat)
+    w = _adjoint_of(f)
     w_rows, w_u, w_s, w_vh = _assemble_rows(w), _assemble_u(w), w.s, _assemble_vh(w)
     # the w-only part from the rank-r factors, padded to a common width
     # with zeros: the span basis q = U_r, the canonical dual factor

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from framedual import VectorFamily
-from framedual.errors import ZeroMatrixError
 from framedual.frames import parseval_tighten, random_frame
 from framedual.numerics import DEFAULT_TOL, Tolerance, hermitian_eig
 from framedual.rduality import commuting_parseval_family, weak_r_dual
@@ -58,6 +57,10 @@ def perturb_member(
     idx = int(rng.integers(0, fam_in.count))
     vecs[idx] = vecs[idx] + d
     return VectorFamily(vecs, label=f"{fam_in.label}-perturbed")
+
+
+class ZeroMatrixError(Exception):
+    """All eigenvalues of the oracle's input fall below the rank threshold."""
 
 
 def psd_inverse_sqrt(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

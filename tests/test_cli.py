@@ -31,7 +31,7 @@ class TestAnalyze:
         path = _write(tmp_path, "onb", fam([[1, 0], [0, 1]], label="onb"))
         code, report = _run(capsys, ["analyze", path])
         assert code == 0
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["analysis"]["is_onb"] is True
 
     def test_doubled_pattern_fixture(self, tmp_path, capsys):
@@ -67,7 +67,7 @@ class TestAnalyze:
         assert main(["repro", "2.8", flag, value]) == 2
         assert capsysbinary.readouterr().out == (
             b'{"error": {"message": "rel_eps and abs_floor must be positive and'
-            b' finite", "type": "ValueError"}, "schema_version": 3}\n'
+            b' finite", "type": "ValueError"}, "schema_version": 4}\n'
         )
 
     def test_tolerance_is_checked_before_the_fixture(self, tmp_path, capsys):
@@ -336,7 +336,7 @@ class TestGaborCommands:
         assert code == 2
         assert capsysbinary.readouterr().out == (
             b'{"error": {"message": "trials must be non-negative, got -3",'
-            b' "type": "ValueError"}, "schema_version": 3}\n'
+            b' "type": "ValueError"}, "schema_version": 4}\n'
         )
 
     @pytest.mark.parametrize("trials", ["3", "0"])
@@ -345,21 +345,21 @@ class TestGaborCommands:
         assert main(argv) == 2
         assert capsysbinary.readouterr().out == (
             b'{"error": {"message": "seed must be non-negative, got -1",'
-            b' "type": "ValueError"}, "schema_version": 3}\n'
+            b' "type": "ValueError"}, "schema_version": 4}\n'
         )
 
     def test_malformed_n_spec_exits_2_naming_the_flag(self, capsysbinary):
         assert main(["gabor", "explore", "--N", "4..", "--trials", "3"]) == 2
         assert capsysbinary.readouterr().out == (
             b'{"error": {"message": "--N expects lo..hi or a comma-separated list'
-            b' of integers, got \'4..\'", "type": "ValueError"}, "schema_version": 3}\n'
+            b' of integers, got \'4..\'", "type": "ValueError"}, "schema_version": 4}\n'
         )
 
     def test_repeated_n_values_exit_2_with_an_error_report(self, capsysbinary):
         assert main(["gabor", "explore", "--N", "4,4,6", "--trials", "3"]) == 2
         assert capsysbinary.readouterr().out == (
             b'{"error": {"message": "N values must be distinct, got [4, 4, 6]",'
-            b' "type": "ValueError"}, "schema_version": 3}\n'
+            b' "type": "ValueError"}, "schema_version": 4}\n'
         )
 
 
@@ -383,7 +383,7 @@ class TestTableMode:
         lines = capsys.readouterr().out.split("\n")
         assert lines.pop() == ""
         assert len(lines) == leaves(report)
-        assert lines[-1] == f"{'schema_version':<48} 3"
+        assert lines[-1] == f"{'schema_version':<48} 4"
 
 
 _SLICE = cli._JSON_SLICE

@@ -176,7 +176,7 @@ class TestAnalyze:
         np.testing.assert_allclose(eigs, [0.5, 0.5], atol=1e-12)
         assert a.lower_bound == pytest.approx(0.5)
         assert a.upper_bound == pytest.approx(0.5)
-        assert a.is_frame_sequence and not a.is_frame_for_ambient
+        assert not a.is_frame_for_ambient
 
     def test_zero_member_blocks_riesz(self):
         a = analyze(fam([[1, 0], [0, 0]]))

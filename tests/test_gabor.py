@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from framedual import VectorFamily, gabor, numerics
+from framedual import VectorFamily, gabor
 from framedual.errors import (
     BadLatticeError,
     CriticalDensityError,
@@ -66,21 +66,21 @@ _SEEDS = [0, 1, 2**32 - 1, 2**32, 123456789012, 2**96 + 3, 2**200 + 11]
 
 
 def _recorded_svd(monkeypatch):
-    """Wrap ``numerics._svd``, in ``numerics`` and where ``gabor`` binds
-    it, to record the keyword arguments of every call."""
-    svd, calls = numerics._svd, []
+    """Wrap ``np.linalg.svd``, which every factorization goes through, to
+    record the operand shape of every call and whether it computed
+    vectors."""
+    svd, calls = np.linalg.svd, []
 
     def recorded(a, **kwargs):
-        calls.append(kwargs)
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
         return svd(a, **kwargs)
 
-    for module in (numerics, gabor):
-        monkeypatch.setattr(module, "_svd", recorded)
+    monkeypatch.setattr(np.linalg, "svd", recorded)
     return calls
 
 
 def _values_only(calls):
-    return bool(calls) and all(kw.get("compute_uv") is False for kw in calls)
+    return bool(calls) and not any(uv for _, uv in calls)
 
 
 def _rule_windows(kind, N, rng):
@@ -299,6 +299,16 @@ class TestDualityCheck:
         assert duality_check(gabor_system(lat, window)).match
         assert _values_only(calls), calls
 
+    def test_adjoint_is_factored_on_its_own(self, monkeypatch):
+        # the Riesz bounds come from a values-only SVD of the adjoint's own
+        # coset blocks (N/a x b), not from the system's values; on (24, 2,
+        # 3) both have d = gcd(2, 8) = 2 distinct blocks
+        lat = GaborLattice(24, 2, 3)
+        window = _random_window(np.random.default_rng(24), 24)
+        calls = _recorded_svd(monkeypatch)
+        assert duality_check(gabor_system(lat, window)).match
+        assert calls == [((1, 2, 3, 12), False), ((1, 2, 12, 3), False)]
+
     def test_degenerate_pair_matches_statuses(self):
         # too few members to span: not a frame, and the adjoint cannot be
         # a Riesz sequence either
@@ -318,8 +328,22 @@ class TestTightPipeline:
         assert cert.dual_commutation_residual <= 1e-9
         assert cert.projected_parseval_residual <= 1e-9
         assert not analyze(res.v).is_onb
-        assert res.padding_positions == list(range(2, 8))
+        assert res.padding_positions == range(2, 8)
+        assert res.to_json_dict()["padding_positions"] == [2, 8]
         assert res.padded_dual_commutation_residual > 1.0
+
+    def test_adjoint_is_not_factored(self, monkeypatch):
+        # the adjoint's block vectors are the system's, transposed and
+        # index-reversed (gabor._adjoint_of): the pipeline factors no
+        # adjoint-shaped (N/a x b) block, only the system's (b x N/a)
+        # blocks for their vectors, the rank x N matrix c of the dual side
+        # and the N x ab synthesis of the unpadded u
+        lat = GaborLattice(24, 2, 3)
+        rng = np.random.default_rng(25)
+        sys = gabor_system(lat, canonical_tight_window(lat, _random_window(rng, 24)))
+        calls = _recorded_svd(monkeypatch)
+        assert tight_gabor_weak_r_dual(sys).certificate.verdict == "WeakRDual"
+        assert calls == [((1, 2, 3, 12), True), ((6, 24), False), ((24, 6), True)]
 
     def test_two_point_delta(self):
         res = tight_gabor_weak_r_dual(gabor_system(GaborLattice(2, 1, 1), _delta(2)))
@@ -575,27 +599,21 @@ class TestExploration:
     def test_svd_calls_bounded_per_lattice(self, monkeypatch):
         # trials that share a lattice share its factorizations: one
         # values-only SVD of the systems per lattice, and on a lattice with
-        # gated trials their block vectors and the adjoints' values and
-        # vectors; each factors one matrix per distinct coset block of a
-        # trial, d = gcd(a, N/b) of them for the system's N/b blocks and
-        # for the adjoint's a, not one per residue
-        svd, calls = np.linalg.svd, []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        # gated trials one of their block vectors, from which the adjoints
+        # take theirs; each factors one matrix per distinct coset block of
+        # a trial, d = gcd(a, N/b) of the system's N/b blocks, not one per
+        # residue
+        calls = _recorded_svd(monkeypatch)
         report = run_exploration(range(4, 13), seed=1, trials=1000)
         key = lambda rec: (rec["N"], rec["a"], rec["b"])
         drawn = Counter(key(rec) for rec in report["records"])
         gated = Counter(key(rec) for rec in report["records"] if rec["verdict"] == "Gated")
-        assert len(calls) == len(drawn) + 3 * len(gated)
+        assert len(calls) == len(drawn) + len(gated)
         distinct = lambda N, a, b: math.gcd(a, N // b)
-        matrices = sum(math.prod(shape[:-2]) for shape in calls)
+        matrices = sum(math.prod(shape[:-2]) for shape, _ in calls)
         assert matrices == sum(
             count * distinct(*lat) for lat, count in drawn.items()
-        ) + sum(3 * count * distinct(*lat) for lat, count in gated.items())
+        ) + sum(count * distinct(*lat) for lat, count in gated.items())
         per_residue = sum(count * N // b for (N, a, b), count in drawn.items())
         assert matrices < per_residue
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import psd_inverse_sqrt
-from framedual.errors import NotHermitianError, NumericalFailureError, ZeroMatrixError
+from helpers import ZeroMatrixError, psd_inverse_sqrt
+from framedual.errors import NotHermitianError, NumericalFailureError
 from framedual.numerics import (
     Tolerance,
     frobenius,

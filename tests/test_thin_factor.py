@@ -572,6 +572,36 @@ def test_orbit_factors_reproduce_every_block_on_every_lattice():
     assert checked > 700
 
 
+def test_derived_adjoint_matches_its_own_factorization_on_every_lattice():
+    # the adjoint record derived from the system's (gabor._adjoint_of)
+    # against the adjoint factored on its own (gabor._adjoint_cosets):
+    # the same singular values, orthonormal factors that reproduce the
+    # adjoint's rows; a stack of two random windows and the delta
+    # window, whose blocks are rank deficient
+    checked = 0
+    for N in range(1, 25):
+        delta = np.zeros(N, dtype=np.complex128)
+        delta[0] = 1.0
+        for lat in divisor_lattices(N):
+            windows = np.stack([_window(lat, 18), _window(lat, 19), delta])
+            derived = gabor._adjoint_of(gabor._system_cosets(windows, lat))
+            own = gabor._adjoint_cosets(windows, lat)
+            assert derived.shape == own.shape and derived.scale == own.scale
+            rows = gabor._assemble_rows(own)
+            assert np.array_equal(gabor._assemble_rows(derived), rows)
+            u, vh = gabor._assemble_u(derived), gabor._assemble_vh(derived)
+            k = derived.s.shape[-1]
+            for w in range(len(windows)):
+                top = own.s[w, 0]
+                assert np.all(np.abs(derived.s[w] - own.s[w]) <= 1e-13 * top)
+                syn = (u[w] * derived.s[w]) @ vh[w]
+                assert fro(syn - rows[w].T) <= 1e-13 * max(1.0, fro(rows[w]))
+                for factor in (u[w].conj().T @ u[w], vh[w] @ vh[w].conj().T):
+                    assert fro(factor - np.eye(k)) <= 1e-13 * k
+            checked += 1
+    assert checked > 300
+
+
 def test_coset_product_matches_the_rows_on_every_lattice():
     # rows @ x for the system and the adjoint, taken from the coset blocks
     # without assembling the rows, against the assembled rows; x is a
@@ -1119,9 +1149,14 @@ def test_tight_pipeline_v_is_factored_on_every_lattice():
         sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 15)))
         res = tight_gabor_weak_r_dual(sys)
         assert "vectors" not in res.v.__dict__  # the rows were never assembled
-        # the default u at the unpadded slots, as the pipeline reads it
+        # the default u at the unpadded slots and the adjoint derived from
+        # the system, as the pipeline reads them: the adjoint of a tight
+        # system has equal singular values, so its span basis, and with it
+        # v, is fixed only up to a unitary in the span, and an adjoint
+        # factored on its own may pick another
         u_slice = VectorFamily(np.eye(lat.adjoint_count, lat.N))
-        side = _dual_side(adjoint_system(sys).family, sys.family, u_slice, TOL)
+        w0 = gabor._adjoint_family(gabor._adjoint_of(sys.family._cosets), lat)
+        side = _dual_side(w0, sys.family, u_slice, TOL)
         assert_factored_v_matches_dense(side, res.v)
         checked += 1
     assert checked > 50
