@@ -69,12 +69,14 @@ class VectorFamily:
     through ``_times``, products ``vectors.T @ y`` through
     ``_transposed_times``, products ``x conj(U) diag(s)`` through
     ``_adjoint_factor``, the frame operator through ``_frame_operator``
-    and ``||S - I||_F`` through ``_frame_residual``.  A subclass that
-    knows more about its members (the Gabor families of ``gabor``, the
-    constructed ``v`` of ``rduality``, ``_ExtensionFamily``) answers these
-    readers without the full factorization or the rows.  Families compare and hash by
-    identity, and their repr shows the label and the shape, so neither
-    reads the members.
+    and ``||S - I||_F`` through ``_frame_residual``, which is also what
+    a certificate's ONB flag reads (``_is_onb``).  A subclass that knows
+    more about its members (the Gabor families of ``gabor``, and the
+    ``v`` that ``rduality`` constructs for a positive span deficit,
+    ``_ExtensionFamily``) answers these readers without the full
+    factorization or the rows.  Families compare and hash by identity,
+    and their repr shows the label and the shape, so neither reads the
+    members.
     """
 
     vectors: np.ndarray
@@ -131,9 +133,13 @@ class VectorFamily:
         return self.vectors.T @ y
 
     def _adjoint_factor(self, x: np.ndarray) -> np.ndarray:
-        """``x conj(U) diag(s)`` for a ``p x ambient_dim`` matrix ``x``
-        (``_adjoint_factor`` on ``_us``)."""
-        return _adjoint_factor(x, self._us)
+        """``x conj(U) diag(s)`` for a ``p x ambient_dim`` matrix ``x``: as
+        ``H^* = conj(U) diag(s) conj(Vh)`` for the member rows ``H`` and
+        ``conj(Vh)`` has orthonormal rows, ``x H^*`` is this factor times
+        ``conj(Vh)`` and has its Frobenius norm, Gram ``(x H^*)(x H^*)^*``
+        and singular values."""
+        u, s = self._us
+        return (x @ u.conj()) * s
 
     def _frame_operator(self) -> np.ndarray:
         """``frame_operator``: ``S = T T^*`` as one real symmetric product
@@ -167,8 +173,8 @@ class VectorFamily:
 
 
 class _ExtensionFamily(VectorFamily):
-    """The ``v`` that ``rduality._isometric_extension_v`` constructs, held
-    as identity plus low rank: its member rows are ``P + C basis^t``.  ``basis`` is
+    """The ``v`` that ``rduality._isometric_extension_v`` constructs for
+    a positive span deficit, held as identity plus low rank: its member rows are ``P + C basis^t``.  ``basis`` is
     ``n x k``, with the span basis ``q`` as its first ``r`` columns; ``C``
     is ``head`` (``lead x k``) on the ``lead`` leading rows and ``[tail
     0]`` past them, ``tail`` being the ``(count - lead) x r`` coefficients
@@ -342,17 +348,6 @@ def _spectral_identity_residual(s: np.ndarray, dim: int) -> float:
     return float(np.hypot(np.linalg.norm(s**2 - 1.0), np.sqrt(dim - s.size)))
 
 
-def _adjoint_factor(x: np.ndarray, h_us: tuple) -> np.ndarray:
-    """``x conj(U) diag(s)`` for the member rows ``H`` of a family whose
-    thin SVD ``(U, s, Vh)`` has ``h_us = (U, s)``: as ``H^* = conj(U)
-    diag(s) conj(Vh)`` and ``conj(Vh)`` has orthonormal rows, ``x H^*`` is
-    this factor times ``conj(Vh)`` and has its Frobenius norm, Gram ``(x
-    H^*)(x H^*)^*`` and singular values.  Stacked operands give one factor
-    per matrix."""
-    u, s = h_us
-    return (x @ u.conj()) * s[..., None, :]
-
-
 def span_projector(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of the members."""
     q = fam._us[0][:, : fam.rank(tol)]
@@ -367,7 +362,9 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
     Residuals come from the singular values, with no cancelling terms:
     ``S - P`` has eigenvalues ``s_i^2 - 1`` on the span and ``s_i^2`` off
     it; ``G - I`` has ``s_i^2 - 1`` and ``m - min(m, n)`` times ``-1``.
-    An orthonormal basis has exactly ``n`` members, whatever the tolerance.
+    ``is_onb`` is the one rule ``_is_onb`` on ``||G - I||_F``, which for
+    ``n`` members is ``||S - I||_F``: an orthonormal basis has exactly
+    ``n`` members, whatever the tolerance.
     """
     m, n = fam.count, fam.ambient_dim
     s = fam._s
@@ -381,12 +378,6 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
 
     gram_residual = _spectral_identity_residual(s, m)
     is_riesz_seq = rank == m
-    is_onb = (
-        m == n
-        and is_parseval
-        and rank == n
-        and gram_residual <= tol.threshold(scale)
-    )
 
     return FrameAnalysis(
         member_count=m,
@@ -401,10 +392,20 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
         is_tight=_is_tight(upper, lower, tol),
         is_riesz_sequence=is_riesz_seq,
         is_riesz_basis=is_riesz_seq and rank == n,
-        is_onb=is_onb,
+        is_onb=_is_onb(m, n, gram_residual, tol),
         parseval_residual=parseval_residual,
         gram_identity_residual=gram_residual,
     )
+
+
+def _is_onb(count: int, dim: int, residual: float, tol: Tolerance) -> bool:
+    """The one orthonormal-basis rule: ``count == dim`` members whose
+    ``||S - I||_F`` is within the threshold at ``sqrt(dim) = ||I_n||_F``.
+    A Parseval family of n members in C^n is an orthonormal basis, and
+    for n members ``S`` and the Gram matrix ``G`` have the same
+    eigenvalues, so ``residual`` may be either's distance from the
+    identity."""
+    return count == dim and residual <= tol.threshold(np.sqrt(dim))
 
 
 def _span_rank(s: np.ndarray, tol: Tolerance):

@@ -45,7 +45,9 @@ The factorization takes a stack of windows on one lattice:
 ``gabor_system`` and ``adjoint_system`` pass a stack of one, and the
 exploration passes every trial of a lattice at once, settles frame and
 tightness from their singular values and takes the block vectors of the
-gated trials alone (``_Cosets.take``).
+gated trials alone (``_Cosets.take``), from which it takes each gated
+trial's ``x conj(U) diag(s)``, for a stack of ``x``, one per trial, with
+no system's ``U`` built.
 
 The adjoint lattice has the same d, and its distinct block rho is the
 system's transposed with both indices reversed (the Wexler-Raz / Ron-Shen
@@ -109,7 +111,7 @@ from .rduality import (
     _gate_ambient_parseval,
     _gate_onb_count,
     _isometric_extension_v,
-    _span_residuals,
+    _span_coordinates,
 )
 
 __all__ = [
@@ -397,13 +399,14 @@ def _coset_product(c: _Cosets, x: np.ndarray) -> np.ndarray:
 
 def _coset_adjoint_factor(c: _Cosets, x: np.ndarray) -> np.ndarray:
     """``x conj(U) diag(s)`` for each system of the stack, ``(g, p, L k)``
-    for a ``p x N`` matrix ``x``, without ``U``.  Column ``j`` of ``U`` is
-    ``U_r[:, i]`` on the rows ``t = r + kk L`` of residue ``r = r[j]``
-    (``i = i[j]``), so column ``j`` of ``x conj(U)`` is ``x_r conj(U_r[:,
-    i])`` with ``x_r`` the columns ``r + kk L`` of ``x``: one batched
-    product of the ``x_r`` with the conjugated block vectors, gathered in
-    triple order."""
-    x_r = x.reshape(len(x), c.freq_step, c.n_freqs).transpose(2, 0, 1)
+    for a ``p x N`` matrix ``x`` or a ``(g, p, N)`` stack of them, one per
+    system, without ``U``.  Column ``j`` of ``U`` is ``U_r[:, i]`` on the
+    rows ``t = r + kk L`` of residue ``r = r[j]`` (``i = i[j]``), so
+    column ``j`` of ``x conj(U)`` is ``x_r conj(U_r[:, i])`` with ``x_r``
+    the columns ``r + kk L`` of ``x``: one batched product of the ``x_r``
+    with the conjugated block vectors, gathered in triple order."""
+    x_r = x.reshape(*x.shape[:-1], c.freq_step, c.n_freqs)
+    x_r = np.moveaxis(x_r, -1, -3)  # ([g,] L, p, freq_step)
     prod = x_r @ np.conj(c.block_u())  # (g, L, p, k)
     stack = np.arange(len(c.windows))[:, None]
     return prod[stack, c.r, :, c.i].swapaxes(-1, -2) * c.s[:, None, :]
@@ -853,11 +856,12 @@ def _gated_evidence(lat: GaborLattice, f: _Cosets, tol: Tolerance) -> list[dict]
     ``w0``) take theirs (``_adjoint_of``).  The candidate
     ``conjugated_dual`` is the conjugated Parseval tightening of ``w0``,
     built from the w-only part (span basis, canonical dual factor,
-    Parseval tightening), and its dual side is one
-    call of ``_span_residuals`` on the a b unpadded slots.  Its padded
-    members would be zero, so its padded dual-commutation residual is the
-    unpadded one."""
-    f_u, f_s = _assemble_u(f), f.s
+    Parseval tightening), and its dual side is one call of
+    ``_span_coordinates`` on the a b unpadded slots, its factor ``U
+    conj(U_f) diag(s_f)`` taken from the systems' blocks for the stack
+    of candidates at once (``_coset_adjoint_factor``), so no system's
+    ``U`` is built.  Its padded members would be zero, so its padded
+    dual-commutation residual is the unpadded one."""
     w = _adjoint_of(f)
     w_rows, w_u, w_s, w_vh = _assemble_rows(w), _assemble_u(w), w.s, _assemble_vh(w)
     # the w-only part from the rank-r factors, padded to a common width
@@ -873,8 +877,9 @@ def _gated_evidence(lat: GaborLattice, f: _Cosets, tol: Tolerance) -> list[dict]
     span_eye = np.eye(w_s.shape[-1]) * keep
     u_syn = np.conj(q @ w_vh)
 
-    _, gram_norm, dual_res, pars_res, pars_ok = _span_residuals(
-        q, inv_vh, w_rows, u_syn.swapaxes(-1, -2), (f_u, f_s), span_eye, tol
+    a = _coset_adjoint_factor(f, u_syn.swapaxes(-1, -2))
+    _, gram_norm, dual_res, pars_res, pars_ok = _span_coordinates(
+        q, inv_vh, w_rows, a, span_eye, tol
     )
     ok = (dual_res <= tol.threshold(gram_norm)) & pars_ok
     u_pars = frobenius(u_syn @ u_syn.conj().swapaxes(-1, -2) - np.eye(lat.N))

@@ -23,15 +23,19 @@ and K that of ``w`` and ``u``, ``v`` is read only through its products
 ``v`` the caller supplies, which may be any family, answers them from
 its rows, at O(M n p) for ``p`` columns and O(M n^2) for the residual
 (one real symmetric product for the frame operator,
-``frames.frame_operator``).  A ``v`` the library constructs is born
-factored (``_ExtensionFamily``) as identity plus low rank: an identity
-pattern plus ``C basis^t``, with ``basis`` of size n x O(rank) and ``C``
-held as its at most n leading rows and the M x rank coefficients of the
-rest in the span basis ``q``.  The two Householder QRs of its
-construction are held in compact WY form, so building and certifying it
-costs O(M rank p + n rank^2) and writes no M x n or n x n array.  The
-Parseval residual of ``u`` is read off its singular values.  Products on
-``u`` and ``w`` cost O(K n^2), and every other
+``frames.frame_operator``).  A ``v`` the library constructs for a span
+deficit of ``w`` is born factored (``_ExtensionFamily``) as identity
+plus low rank: an identity pattern plus ``C basis^t``, with ``basis`` of
+size n x O(rank) and ``C`` held as its at most n leading rows and the M
+x rank coefficients of the rest in the span basis ``q``.  The two
+Householder QRs of its construction are held in compact WY form, so
+building and certifying it costs O(M rank p + n rank^2) and writes no M
+x n or n x n array.  With no deficit the constructed ``v`` is the
+characterizing sequence itself, a plain family.  The Parseval residual
+of ``u`` is read off its singular values, and the ONB flags are the one
+rule ``frames._is_onb`` on the two Parseval residuals, so the
+certificate factors neither family for them.  Products on ``u`` and
+``w`` cost O(K n^2), and every other
 product is re-associated through the thin SVDs the families carry, at
 O(M n rank) with the rank of ``u`` or ``w``: each ``X H^*`` as ``X
 conj(U_h) diag(s_h)`` (the factor ``conj(Vh_h)`` has orthonormal rows,
@@ -40,7 +44,7 @@ conj(Vh_u)`` with ``B = F conj(U_u) diag(s_u)``.  Products with the rows
 of ``f`` go through ``VectorFamily._times``, so a Gabor system takes
 them from its coset blocks and never builds its rows.  The dual side is
 evaluated in the coordinates of an orthonormal basis ``q`` of span{w}
-(``_span_residuals``), where every operand has the rank of ``w`` along
+(``_span_coordinates``), where every operand has the rank of ``w`` along
 one axis.  The characterizing sequence is kept as the M x rank
 coefficients ``coef`` of its member rows ``Y^t = coef q^t``: its rows are
 built when the sequence is read, the constructed ``v`` shares ``coef``
@@ -70,8 +74,8 @@ from .errors import (
 from .frames import (
     VectorFamily,
     _ExtensionFamily,
-    _adjoint_factor,
     _identity_residual,
+    _is_onb,
     _parseval_residual,
     _read_only,
     _spectral_identity_residual,
@@ -191,38 +195,6 @@ class _DualSide:
         return VectorFamily._factored(rows, label=f"charseq({self.w.label})")
 
 
-def _span_residuals(
-    q: np.ndarray,
-    inv_vh: np.ndarray,
-    w_rows: np.ndarray,
-    u_rows: np.ndarray,
-    f_us: tuple,
-    span_eye: np.ndarray,
-    tol: Tolerance,
-) -> tuple:
-    """The arithmetic of the dual side in the coordinates of the
-    orthonormal basis ``q`` of span{w}, on operands that may carry
-    leading stack axes (broadcast against each other).  The synthesis of
-    the canonical dual of ``w`` is ``W~^t = q C`` with ``C = inv_vh =
-    diag(1/s_r) Vh_r``; ``w_rows`` and ``u_rows`` are the members, and
-    ``f_us`` is ``(U_f, s_f)`` of the thin SVD of ``f``.  With ``A = U
-    conj(U_f) diag(s_f)``, which is ``G(u,f) = U F^*`` without its trailing
-    factor ``conj(Vh_f)`` (``_adjoint_factor``), and ``c = C A``, the sequence
-    is ``Y = W~^t G(u,f) = q c conj(Vh_f)``; ``q`` has orthonormal
-    columns and ``conj(Vh_f)`` orthonormal rows, so ``c`` has the
-    singular values of ``Y``.
-
-    Returns ``c``; ``||A||_F = ||G(u,f)||_F``; ``||(conj(W) q C - I)
-    A||_F = ||(G(w~,w)^t - I) G(u,f)||_F``; ``||c c^* - span_eye||_F =
-    ||Y Y^* - P||_F`` and the accept decision of the last.  ``span_eye``
-    is the identity of the span coordinates, ``I_r``; a stack padded to a
-    common width with zero columns of ``q`` and zero rows of ``C`` passes
-    the diagonal mask of each rank instead."""
-    return _span_coordinates(
-        q, inv_vh, w_rows, _adjoint_factor(u_rows, f_us), span_eye, tol
-    )
-
-
 def _span_coordinates(
     q: np.ndarray,
     inv_vh: np.ndarray,
@@ -231,8 +203,25 @@ def _span_coordinates(
     span_eye: np.ndarray,
     tol: Tolerance,
 ) -> tuple:
-    """``_span_residuals`` past the factor ``A = U conj(U_f) diag(s_f)``,
-    which a family ``f`` gives as ``f._adjoint_factor(U)``."""
+    """The arithmetic of the dual side in the coordinates of the
+    orthonormal basis ``q`` of span{w}, on operands that may carry
+    leading stack axes (broadcast against each other).  The synthesis of
+    the canonical dual of ``w`` is ``W~^t = q C`` with ``C = inv_vh =
+    diag(1/s_r) Vh_r``, and ``w_rows`` are the members.  ``a`` is ``A =
+    U conj(U_f) diag(s_f)`` for the members ``U`` of ``u`` and the thin
+    SVD ``(U_f, s_f, Vh_f)`` of ``f``, which ``f`` gives as
+    ``f._adjoint_factor(U)``: it is ``G(u,f) = U F^*`` without its
+    trailing factor ``conj(Vh_f)``.  With ``c = C A`` the sequence is ``Y
+    = W~^t G(u,f) = q c conj(Vh_f)``; ``q`` has orthonormal columns and
+    ``conj(Vh_f)`` orthonormal rows, so ``c`` has the singular values of
+    ``Y``.
+
+    Returns ``c``; ``||A||_F = ||G(u,f)||_F``; ``||(conj(W) q C - I)
+    A||_F = ||(G(w~,w)^t - I) G(u,f)||_F``; ``||c c^* - span_eye||_F =
+    ||Y Y^* - P||_F`` and the accept decision of the last.  ``span_eye``
+    is the identity of the span coordinates, ``I_r``; a stack padded to a
+    common width with zero columns of ``q`` and zero rows of ``C`` passes
+    the diagonal mask of each rank instead."""
     c = inv_vh @ a
     gram_norm = frobenius(a)
     dual_res = frobenius((np.conj(w_rows) @ q) @ c - a)
@@ -414,12 +403,13 @@ def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
     comm_ok = comm_res <= tol.threshold(side.gram_norm)
     proj_ok = proj_res <= tol.threshold(1.0)  # degree 0, and ||P v_i|| <= 1
 
-    # An orthonormal basis has exactly n members, so families of any other
-    # count are not factored for the flag.
-    u_onb = u.count == n and analyze(u, tol).is_onb
-    v_onb = v.count == n and analyze(v, tol).is_onb
+    # The ONB flags are the one rule _is_onb on the Parseval residuals
+    # reported here, so each flag agrees with its residual and neither
+    # family is factored or assembled for it.
     u_pars_res = _spectral_identity_residual(s_u, n)
     v_pars_res = v._frame_residual()
+    u_onb = _is_onb(u.count, n, u_pars_res, tol)
+    v_onb = _is_onb(v.count, n, v_pars_res, tol)
 
     def _verdict(ok: bool) -> str:
         if not ok:
@@ -614,16 +604,18 @@ def _isometric_extension_v(side: _DualSide, orthonormal: bool) -> VectorFamily:
     hypotheses and a span deficit equal to (orthonormal) or below the
     kernel dimension, ``v = Y + Q*``, where ``Q*`` maps ``deficit``
     orthonormal vectors of ker(Y) onto an orthonormal basis of the span
-    complement of ``w`` and vanishes on the rest.  Any such kernel vectors
-    work; these are kernel vectors of the leading ``lead = rank(Y) +
-    deficit`` columns of ``Y``, extended by zeros.  Those columns lie in
-    range(q), so the kernel is the orthogonal complement of the range of
-    ``Y_lead^* q = conj(Y_lead^t) q``, which is ``conj(coef[:lead])``: the
-    trailing ``deficit`` columns ``K`` of the ``Q`` of its complete QR.
-    The complement basis ``C`` is the trailing ``deficit`` columns of the
+    complement of ``w`` and vanishes on the rest.  With no deficit there
+    is no ``Q*``, and ``v`` is the characterizing sequence ``Y`` itself,
+    a plain family.  Otherwise any such kernel vectors work; these are
+    kernel vectors of the leading ``lead = rank(Y) + deficit`` columns of
+    ``Y``, extended by zeros.  Those columns lie in range(q), so the
+    kernel is the orthogonal complement of the range of ``Y_lead^* q =
+    conj(Y_lead^t) q``, which is ``conj(coef[:lead])``: the trailing
+    ``deficit`` columns ``K`` of the ``Q`` of its complete QR.  The
+    complement basis ``C`` is the trailing ``deficit`` columns of the
     ``Q`` of the complete QR of ``q``.  So only the ``lead <= n`` leading
-    rows ``coef[:lead] q^t + conj(K) C^t`` of ``v`` differ from
-    those of ``Y``.  Neither ``Q`` is formed: each is held in compact WY
+    rows ``coef[:lead] q^t + conj(K) C^t`` of ``v`` differ from those of
+    ``Y``.  Neither ``Q`` is formed: each is held in compact WY
     form (``_compact_wy``), ``Q = I - V T V^*``, so with ``E_l`` and ``E``
     the trailing ``deficit`` columns of the identities of sizes ``lead``
     and n, ``K = E_l - V_l W_l`` and ``C = E - V_q W_q`` with ``W = T
@@ -633,9 +625,10 @@ def _isometric_extension_v(side: _DualSide, orthonormal: bool) -> VectorFamily:
         coef[:lead] q^t - conj(V_l) (E conj(W_l)^t)^t
         - (conj(K) W_q^t) V_q^t,
 
-    products of factors with O(rank) columns.  ``v`` is born factored
-    (``_ExtensionFamily``) and shares ``coef`` past its leading rows: no
-    count x n or n x n array is written, and no count x rank one copied."""
+    products of factors with O(rank) columns.  This ``v`` is born
+    factored (``_ExtensionFamily``) and shares ``coef`` past its leading
+    rows: no count x n or n x n array is written, and no count x rank one
+    copied."""
     _check_hypotheses(side)
     coef, q, deficit, kernel = side.coef, side.q, side.deficit, side.kernel
     if orthonormal:
@@ -653,20 +646,20 @@ def _isometric_extension_v(side: _DualSide, orthonormal: bool) -> VectorFamily:
             f"span deficit equals kernel dimension ({deficit}); only the"
             " orthonormal construction applies"
         )
-    lead = coef.shape[0] - kernel + deficit
-    head, basis = coef[:lead], q
-    if deficit:
-        (n, r), a = q.shape, lead - deficit
-        v_l, t_l = _compact_wy(np.conj(head))
-        v_q, t_q = _compact_wy(q)
-        w_l, w_q = t_l @ v_l[a:].conj().T, t_q @ v_q[r:].conj().T
-        ker_wq = -np.conj(v_l) @ (np.conj(w_l) @ w_q.T)  # conj(K) W_q^t
-        ker_wq[a:] += w_q.T
-        e_wl = np.zeros((n, len(w_l)), dtype=np.complex128)  # E conj(W_l)^t
-        e_wl[r:] = w_l.conj().T
-        head = np.hstack([head, -np.conj(v_l), -ker_wq])
-        basis = np.hstack([q, e_wl, v_q])
     label = f"{'onb' if orthonormal else 'parseval'}-v({side.w.label})"
+    if not deficit:
+        return side.sequence.relabel(label)
+    lead = coef.shape[0] - kernel + deficit
+    (n, r), a = q.shape, lead - deficit
+    v_l, t_l = _compact_wy(np.conj(coef[:lead]))
+    v_q, t_q = _compact_wy(q)
+    w_l, w_q = t_l @ v_l[a:].conj().T, t_q @ v_q[r:].conj().T
+    ker_wq = -np.conj(v_l) @ (np.conj(w_l) @ w_q.T)  # conj(K) W_q^t
+    ker_wq[a:] += w_q.T
+    e_wl = np.zeros((n, len(w_l)), dtype=np.complex128)  # E conj(W_l)^t
+    e_wl[r:] = w_l.conj().T
+    head = np.hstack([coef[:lead], -np.conj(v_l), -ker_wq])
+    basis = np.hstack([q, e_wl, v_q])
     return _ExtensionFamily(head, basis, coef[lead:], label)
 
 

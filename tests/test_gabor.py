@@ -466,6 +466,26 @@ class TestPromotion:
         assert promote_to_r_dual(w, sys.family, u, v=v_prime).certificate.passes()
         assert len(calls) == 2
 
+    def test_svd_calls_are_pinned(self, monkeypatch):
+        # the block vectors of the adjoint and of the system (d = gcd(4, 4)
+        # = 4 distinct 6 x 6 blocks each), the values-only SVD of the
+        # rank x N matrix c of the dual side and the thin SVD of the
+        # standard-basis u; v' is the characterizing sequence, and the
+        # ONB flags read the Parseval residuals, so v' is not factored
+        lat = GaborLattice(24, 4, 6)
+        window = canonical_tight_window(lat, _random_window(np.random.default_rng(24), 24))
+        sys = gabor_system(lat, window)
+        w = adjoint_system(sys).family
+        u = VectorFamily(np.eye(24, dtype=complex), label="onb")
+        calls = _recorded_svd(monkeypatch)
+        res = promote_to_r_dual(w, sys.family, u)
+        assert res.certificate.verdict == "RDual"
+        assert type(res.v_prime) is VectorFamily
+        assert calls == [
+            ((1, 4, 6, 6), True), ((1, 4, 6, 6), True),
+            ((24, 24), False), ((24, 24), True),
+        ]
+
     def test_redundant_system_gates(self):
         # the adjoint of a redundant system is a Riesz sequence with fewer
         # members than the ambient dimension, so no orthonormal completion

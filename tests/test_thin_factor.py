@@ -9,6 +9,7 @@ within the tolerance threshold at the scale the verdict uses.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from framedual.errors import (
     HypothesisFailedError,
     NotParsevalError,
 )
-from framedual.fixtures import build_fixture
+from framedual.fixtures import FIXTURE_IDS, build_fixture
 from framedual.frames import (
     _parseval_residual,
     analyze,
@@ -51,6 +52,7 @@ from framedual.gabor import (
     duality_check,
     evaluate_exploration_trial,
     gabor_system,
+    promote_to_r_dual,
     run_exploration,
     tight_gabor_weak_r_dual,
 )
@@ -652,6 +654,29 @@ def test_coset_adjoint_factor_and_time_norms_match_the_assembly():
     assert checked > 700
 
 
+def test_stacked_coset_adjoint_factor_matches_each_window_on_every_lattice():
+    # a (g, p, N) stack of operands, one per window, as the exploration
+    # passes its candidates, for the systems and their derived adjoints:
+    # each window's slice against x_g conj(U_g) diag(s_g) with its own
+    # assembled U
+    checked = 0
+    for N in range(1, 13):
+        for lat in divisor_lattices(N, critical=False):
+            windows = np.stack([_window(lat, seed) for seed in (21, 22, 23)])
+            rng = np.random.default_rng([21, N, lat.a, lat.b])
+            x = rng.standard_normal((3, 2, N)) + 1j * rng.standard_normal((3, 2, N))
+            system = gabor._system_cosets(windows, lat)
+            for c in (system, gabor._adjoint_of(system)):
+                got = gabor._coset_adjoint_factor(c, x)
+                u = gabor._assemble_u(c)
+                assert got.shape == (3, 2, c.s.shape[-1])
+                for g in range(len(windows)):
+                    want = (x[g] @ np.conj(u[g])) * c.s[g]
+                    assert fro(got[g] - want) <= TOL.threshold(max(1.0, fro(want)))
+                checked += 1
+    assert checked > 150
+
+
 def test_canonical_tight_window_matches_dense_on_every_lattice():
     for N in range(1, 25):
         for lat in divisor_lattices(N):
@@ -834,6 +859,29 @@ def test_run_exploration_records_match_dense():
         )
 
 
+def test_exploration_assembles_no_system_u(monkeypatch):
+    # the candidates' factor U conj(U_f) diag(s_f) is taken from the
+    # systems' blocks, so U is assembled for the derived adjoint records
+    # alone, once per lattice with gated trials
+    adjoints, assembled = [], []
+    adjoint_of, assemble_u = gabor._adjoint_of, gabor._assemble_u
+
+    def recorded_adjoint(c):
+        adjoints.append(adjoint_of(c))
+        return adjoints[-1]
+
+    def recorded_u(c):
+        assembled.append(c)
+        return assemble_u(c)
+
+    monkeypatch.setattr(gabor, "_adjoint_of", recorded_adjoint)
+    monkeypatch.setattr(gabor, "_assemble_u", recorded_u)
+    report = run_exploration(range(4, 13), seed=1, trials=200)
+    assert report["verdict_counts"]["Gated"] > 0
+    assert len(assembled) == len(adjoints) > 0
+    assert all(c is a for c, a in zip(assembled, adjoints))
+
+
 def test_gated_evidence_with_adjoint_ranks_differing_across_the_stack():
     # the adjoint of the delta window on (12, 2, 2) has rank 2, that of a
     # random window rank 4: the span coordinates are padded to width 4,
@@ -867,6 +915,45 @@ def test_random_unitaries_stay_orthonormal(n):
         a = analyze(VectorFamily(random_unitary(rng, n)))
         assert a.is_onb
         assert a.gram_identity_residual <= 1e-12
+
+
+def _onb_flag_cases():
+    """``(name, certificate, u, v)``: the certificate corpus, the repro
+    fixtures with their given and constructed ``v``, and the promotion on
+    the canonical tight window of every critical lattice with N <= 24."""
+    for name, quad in _certificate_instances():
+        yield name, certify_weak_r_dual(*quad), quad[2], quad[3]
+    for fid in FIXTURE_IDS:
+        fams = build_fixture(fid).families
+        w, f, u = fams["w"], fams["f"], fams["u"]
+        if "x" in fams:
+            side = _dual_side(w, f, u, TOL)
+            v = VectorFamily(side.sequence.vectors + fams["x"].vectors)
+            yield fid, _certificate(side, v), u, v
+        for side, v in _constructed(w, f, u):
+            yield f"{fid} {v.label}", _certificate(side, v), u, v
+    critical = [lat for lat in _lattices() if lat.redundancy == 1.0]
+    assert len(critical) == 83
+    for lat in critical:
+        sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 20)))
+        u = standard_basis_family(lat.N)
+        promo = promote_to_r_dual(adjoint_system(sys).family, sys.family, u)
+        assert promo.certificate.verdict == "RDual", lat
+        yield str(lat), promo.certificate, u, promo.v_prime
+
+
+def test_onb_flags_match_analyze_and_the_dense_oracle():
+    # the certificate reads each flag off its own Parseval residual
+    # (frames._is_onb); the flag must be the one analyze gives the family
+    # and the one the dense oracle reads off full frame operators and
+    # Gram matrices
+    flags = Counter()
+    for name, cert, u, v in _onb_flag_cases():
+        for flag, fam in ((cert.u_is_onb, u), (cert.v_is_onb, v)):
+            assert flag == (fam.count == fam.ambient_dim and analyze(fam).is_onb), name
+            assert flag == dense_analyze(fam)["is_onb"], name
+            flags[flag] += 1
+    assert flags[True] >= 2 * 83 and flags[False] > 10, flags
 
 
 def _kernel_columns(v, y_syn, w):
@@ -1088,11 +1175,17 @@ def _constructed(w, f, u):
 
 
 def assert_factored_v_matches_dense(side, v):
-    """The readers of a factored ``v`` and its certificate against a dense
-    copy of its rows, which takes the base class's readers, and its
-    leading rows against the complete-QR construction.  The factored
-    readers assemble no rows; the certificate does only for the ONB flag
-    of an n-member ``v``, which factors it."""
+    """With no span deficit, ``v`` is the characterizing sequence itself,
+    a plain family.  Otherwise the readers of the factored ``v`` and its
+    certificate against a dense copy of its rows, which takes the base
+    class's readers, and its leading rows against the complete-QR
+    construction; neither the factored readers nor the certificate, whose
+    ONB flag reads the Parseval residual, assemble its rows, whatever
+    its member count."""
+    if side.deficit == 0:
+        assert type(v) is VectorFamily
+        assert np.array_equal(v.vectors, side.sequence.vectors)
+        return
     assert isinstance(v, _ExtensionFamily)
     n, m = v.ambient_dim, v.count
     rng = np.random.default_rng([n, m])
@@ -1101,7 +1194,7 @@ def assert_factored_v_matches_dense(side, v):
     got = (v._times(x), v._transposed_times(y), frame_operator(v))
     assert "vectors" not in v.__dict__
     cert = _certificate(side, v).to_json_dict()
-    assert ("vectors" in v.__dict__) == (m == n)
+    assert "vectors" not in v.__dict__
     dense = VectorFamily(v.vectors, label=v.label)
     assert type(dense) is VectorFamily
     # the leading rows, held as the identity pattern plus products of
