@@ -6,6 +6,9 @@ Parseval / Riesz / orthonormal basis) and reports bounds computed on the
 span, matching the frame-sequence convention: the bounds are the extreme
 nonzero eigenvalues of the frame operator.
 
+``VectorFamily`` states the readers every family answers; a family held
+as factors lives beside its builder, in ``gabor`` or ``rduality``.
+
 Inner products are linear in the first argument and conjugate-linear in
 the second.
 """
@@ -60,23 +63,21 @@ def _members(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class VectorFamily:
-    """Ordered finite family of complex vectors in ``C^ambient_dim``.
+    """Ordered finite family of complex vectors in ``C^ambient_dim``, and
+    the reader protocol that every family answers.
 
     ``vectors`` has one member per row.  Zero members are permitted.
-    ``svd`` is the family's one factorization, computed on first read and
-    cached; what needs only the singular values reads ``_s``, and what
-    needs ``U`` and ``s`` reads ``_us``.  Products ``vectors @ x`` go
-    through ``_times``, products ``vectors.T @ y`` through
-    ``_transposed_times``, products ``x conj(U) diag(s)`` through
-    ``_adjoint_factor``, the frame operator through ``_frame_operator``
-    and ``||S - I||_F`` through ``_frame_residual``, which is also what
-    a certificate's ONB flag reads (``_is_onb``).  A subclass that knows
-    more about its members (the Gabor families of ``gabor``, and the
-    ``v`` that ``rduality`` constructs for a positive span deficit,
-    ``_ExtensionFamily``) answers these readers without the full
-    factorization or the rows.  Families compare and hash by identity,
-    and their repr shows the label and the shape, so neither reads the
-    members.
+    ``svd`` is the one factorization, cached on first read; ``_s`` reads
+    its singular values and ``_us`` its ``U`` and ``s``.  ``_times``
+    gives ``vectors @ x``, ``_transposed_times`` ``vectors.T @ y``,
+    ``_adjoint_factor`` ``x conj(U) diag(s)``, ``_frame_operator`` ``S``,
+    and ``_frame_residual`` is the one reader of ``||S - I||_F``: the
+    Parseval gates, the conjugate witness and a certificate's ``v`` ask
+    it.  This class answers from the rows; a subclass that knows more
+    about its members (the Gabor families of ``gabor``, the constructed
+    ``v`` of ``rduality``) answers without the full factorization or the
+    rows.  Families compare and hash by identity, and their repr shows
+    the label and the shape, so neither reads the members.
     """
 
     vectors: np.ndarray
@@ -143,12 +144,15 @@ class VectorFamily:
 
     def _frame_operator(self) -> np.ndarray:
         """``frame_operator``: ``S = T T^*`` as one real symmetric product
-        of the members."""
+        of the members, in a new array."""
         return _real_symmetric_square(self.vectors)
 
     def _frame_residual(self) -> float:
-        """``||S - I||_F`` for the frame operator ``S``."""
-        return _identity_residual(self._frame_operator())
+        """``||S - I||_F`` for the frame operator ``S``, with the identity
+        taken off the diagonal of the new ``S`` in place."""
+        s = self._frame_operator()
+        s[np.diag_indices_from(s)] -= 1.0
+        return frobenius(s)
 
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
         return singular_rank(self._s, tol)
@@ -170,115 +174,6 @@ class VectorFamily:
         fam = type(self).__new__(type(self))
         fam.__dict__.update(self.__dict__, label=label)
         return fam
-
-
-class _ExtensionFamily(VectorFamily):
-    """The ``v`` that ``rduality._isometric_extension_v`` constructs for
-    a positive span deficit, held as identity plus low rank: its member rows are ``P + C basis^t``.  ``basis`` is
-    ``n x k``, with the span basis ``q`` as its first ``r`` columns; ``C``
-    is ``head`` (``lead x k``) on the ``lead`` leading rows and ``[tail
-    0]`` past them, ``tail`` being the ``(count - lead) x r`` coefficients
-    of those rows in ``q``; and ``P`` is zero but for the identity that
-    takes the last ``d = n - r`` coordinates to the leading rows ``lead -
-    d, ..., lead - 1``.  The three factors are checked finite here, so the
-    products taken from them rest on this check.  The readers answer from
-    the factors, at O((count r + n k) p) for a product with ``p`` columns;
-    ``S - I`` has rank at most ``r + 2 k`` (``_defect``), so the Parseval
-    residual costs O(count r^2 + n k^2) and the frame operator O(n^2 k).
-    The member rows are assembled on first read, checked like any
-    family's and cached."""
-
-    def __init__(
-        self, head: np.ndarray, basis: np.ndarray, tail: np.ndarray, label: str
-    ) -> None:
-        for factor in (head, basis, tail):
-            if not np.isfinite(factor).all():
-                raise ValueError("family entries must be finite")
-        _read_only(head, basis, tail)
-        self.__dict__.update(_head=head, _basis=basis, _tail=tail, label=label)
-
-    @property
-    def count(self) -> int:
-        return self._head.shape[0] + self._tail.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self._basis.shape[0]
-
-    def _shape(self) -> tuple[int, int, int]:
-        """``(lead, r, d)``: the identity of ``P`` sits on the rows ``lead -
-        d, ..., lead - 1`` and the columns ``r, ..., n - 1``."""
-        r = self._tail.shape[1]
-        return self._head.shape[0], r, self.ambient_dim - r
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        lead, r, d = self._shape()
-        rows = np.empty((self.count, self.ambient_dim), dtype=np.complex128)
-        np.matmul(self._head, self._basis.T, out=rows[:lead])
-        np.matmul(self._tail, self._basis[:, :r].T, out=rows[lead:])
-        diag = np.arange(d)
-        rows[lead - d + diag, r + diag] += 1.0
-        return _members(rows)
-
-    def _times(self, x: np.ndarray) -> np.ndarray:
-        """``V x = P x + C (basis^t x)``."""
-        lead, r, d = self._shape()
-        bx = self._basis.T @ x
-        out = np.empty((self.count, bx.shape[1]), dtype=np.complex128)
-        np.matmul(self._head, bx, out=out[:lead])
-        np.matmul(self._tail, bx[:r], out=out[lead:])
-        out[lead - d : lead] += x[r:]
-        return out
-
-    def _transposed_times(self, y: np.ndarray) -> np.ndarray:
-        """``V^t y = P^t y + basis (C^t y)``."""
-        lead, r, d = self._shape()
-        cy = self._head.T @ y[:lead]
-        cy[:r] += self._tail.T @ y[lead:]
-        out = self._basis @ cy
-        out[r:] += y[lead - d : lead]
-        return out
-
-    def _defect(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(Z, M)`` with ``S - I = Z M Z^*``, ``Z`` of width ``r + 2 k``.
-        With ``B = basis``, ``S = V^t conj(V)`` is ``P^t P + z B^* + B z^* +
-        B G B^*``, where ``G = C^t conj(C)`` and ``z = P^t conj(C)`` holds
-        the conjugated rows ``lead - d, ..., lead - 1`` of ``head`` on the
-        last ``d`` coordinates.  ``P^t P`` is the identity on those
-        coordinates, so ``P^t P - I = -F F^t`` with ``F`` the first ``r``
-        coordinate vectors, and ``Z = [F, B, z]``."""
-        lead, r, d = self._shape()
-        head, basis = self._head, self._basis
-        k = basis.shape[1]
-        gram = head.T @ np.conj(head)
-        gram[:r, :r] += self._tail.T @ np.conj(self._tail)
-        z = np.zeros((self.ambient_dim, r + 2 * k), dtype=np.complex128)
-        z[np.arange(r), np.arange(r)] = 1.0
-        z[:, r : r + k] = basis
-        z[r:, r + k :] = np.conj(head[lead - d :])
-        m = np.zeros((r + 2 * k, r + 2 * k), dtype=np.complex128)
-        m[:r, :r] = -np.eye(r)
-        m[r : r + k, r : r + k] = gram
-        m[r : r + k, r + k :] = m[r + k :, r : r + k] = np.eye(k)
-        return z, m
-
-    def _frame_operator(self) -> np.ndarray:
-        """``S = I + Z M Z^*``, made exactly Hermitian by averaging the
-        low-rank term with its adjoint."""
-        z, m = self._defect()
-        s = (z @ (0.5 * m)) @ z.conj().T
-        s += s.conj().T
-        s[np.diag_indices_from(s)] += 1.0
-        return s
-
-    def _frame_residual(self) -> float:
-        """``||S - I||_F = ||R M R^*||_F`` for the ``R`` of the QR of ``Z``
-        (``Z = Q R`` with orthonormal columns in ``Q``): no frame operator
-        is formed, at O(n k^2)."""
-        z, m = self._defect()
-        r = np.linalg.qr(z, mode="r")
-        return frobenius((r @ m) @ r.conj().T)
 
 
 @dataclass(frozen=True)
@@ -335,11 +230,6 @@ def _real_symmetric_square(rows: np.ndarray) -> np.ndarray:
     return s
 
 
-def _identity_residual(s_op: np.ndarray) -> float:
-    """``||S - I||_F`` for the frame operator ``S`` of a family."""
-    return frobenius(s_op - np.eye(len(s_op)))
-
-
 def _spectral_identity_residual(s: np.ndarray, dim: int) -> float:
     """``||A - I||_F`` for a ``dim x dim`` matrix ``A`` whose eigenvalues are
     the squares of the singular values ``s`` of a family and ``dim -
@@ -389,7 +279,7 @@ def analyze(fam: VectorFamily, tol: Tolerance = DEFAULT_TOL) -> FrameAnalysis:
         upper_bound=upper,
         is_frame_for_ambient=rank == n,
         is_parseval_for_span=is_parseval,
-        is_tight=_is_tight(upper, lower, tol),
+        is_tight=_is_tight(float(s[0]), float(s[rank - 1]), tol),
         is_riesz_sequence=is_riesz_seq,
         is_riesz_basis=is_riesz_seq and rank == n,
         is_onb=_is_onb(m, n, gram_residual, tol),
@@ -427,10 +317,13 @@ def _parseval_residual(s: np.ndarray, rank: int) -> tuple[float, float]:
     return res, max(1.0, float(np.linalg.norm(sq)))
 
 
-def _is_tight(upper, lower, tol: Tolerance):
-    """The tightness rule for frame bounds ``lower <= upper`` (elementwise
-    on arrays)."""
-    return (upper - lower) <= tol.threshold(upper)
+def _is_tight(s_max, s_min, tol: Tolerance):
+    """The tightness rule on the largest and the smallest nonzero singular
+    values of a family (elementwise on arrays), whose squares are its
+    frame bounds: ``s_max - s_min`` at the scale ``s_max``, homogeneous
+    of degree 1 in the members as the absolute floor is, so scaling the
+    members and the floor together leaves the decision unchanged."""
+    return (s_max - s_min) <= tol.threshold(s_max)
 
 
 def _span_svd(fam: VectorFamily, tol: Tolerance):

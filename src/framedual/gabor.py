@@ -64,9 +64,11 @@ Redundancy is N/(a b); the weak R-dual machinery pairs the system
 (count N^2/(a b)) with the adjoint family (count a b).  The counts are
 equalized by a convention that only this module knows: the adjoint is
 read as zero-padded to the system count.  The padded family is never
-built.  The dual side is evaluated on the a b unpadded slots, and the
-padded dual-commutation residual is assembled from it and the members of
-``u`` past them (``_padded_dual_commutation``).  The padded slots, always
+built.  The dual side is evaluated on the a b unpadded slots; the
+canonical dual of the padded adjoint is the unpadded one padded with
+zeros, so the padded dual-commutation residual is ``hypot(unpadded
+residual, ||U_tail F^*||_F)``, with ``U_tail`` the members of ``u`` past
+the unpadded slots.  The padded slots, always
 ``range(a b, M)``, are recorded as that range (a report writes its two
 ends), and the certificate identities are evaluated on the unpadded
 slots, where they provably hold.  The padded residual is also recorded:
@@ -99,7 +101,6 @@ from .frames import (
     _is_tight,
     _members,
     _read_only,
-    _real_symmetric_square,
     _span_rank,
     analyze,
 )
@@ -684,18 +685,6 @@ def duality_check(sys: GaborSystem, tol: Tolerance = DEFAULT_TOL) -> DualityRepo
     )
 
 
-def _padded_dual_commutation(dual_res, gram_norm, tail_norm, tol: Tolerance):
-    """Dual-commutation residual of the adjoint zero-padded to the count
-    of ``u``, with its accept decision (elementwise on arrays), from the
-    unpadded slots' residual and ``||G(u,f)||_F`` and ``tail_norm =
-    ||U_tail F^*||_F`` of the members of ``u`` past them.  The canonical
-    dual of ``[W; 0]`` is ``[W~; 0]``, so the padded residual is
-    ``hypot(unpadded residual, tail_norm)``, and its scale ``||U F^*||_F``
-    splits the same way."""
-    res = np.hypot(dual_res, tail_norm)
-    return res, res <= tol.threshold(np.hypot(gram_norm, tail_norm))
-
-
 @dataclass(frozen=True)
 class TightDualResult:
     """The tight pipeline's ``v`` and certificate, the padded slots of the
@@ -759,22 +748,20 @@ def tight_gabor_weak_r_dual(
             f"u must have {m_count} members of dimension {lat.N}"
         )
     else:
-        # zero members add nothing to S_u, the unpadded slots or the tail
-        # norm, so u is read as its nonzero members and their positions
+        # zero members add nothing to S_u or the tail norm, so the gate and
+        # the tail read u's nonzero members (u itself if it has none)
         positions = np.flatnonzero(np.any(u.vectors, axis=1))
         rows, label = u.vectors[positions], u.label
-        _gate_ambient_parseval(_real_symmetric_square(rows), tol)
-        head = positions < k_count
-        u_head = np.zeros((k_count, lat.N), dtype=np.complex128)
-        u_head[positions[head]] = rows[head]
-        tail_norm = _coset_gram_norm(sys.family._cosets, rows[~head])
+        _gate_ambient_parseval(VectorFamily._factored(rows) if rows.size else u, tol)
+        u_head = u.vectors[:k_count]
+        tail_norm = _coset_gram_norm(sys.family._cosets, rows[positions >= k_count])
     u_slice = VectorFamily._factored(u_head, label=f"{label}[:{k_count}]")
 
     w0 = _adjoint_family(_adjoint_of(sys.family._cosets), lat)
     side = _dual_side(w0, sys.family, u_slice, tol)
-    padded_res, _ = _padded_dual_commutation(
-        side.dual_res, side.gram_norm, tail_norm, tol
-    )
+    # the canonical dual of the padded adjoint [W; 0] is [W~; 0], so its
+    # dual-commutation residual is the unpadded one with the tail's norm
+    padded_res = np.hypot(side.dual_res, tail_norm)
     label = f"tight-v({sys.family.label})"
     v = _isometric_extension_v(side, orthonormal=False).relabel(label)
     return TightDualResult(
@@ -925,9 +912,7 @@ def _evaluate_trials(
     cosets = _system_cosets(_checked_windows(windows, lat.N), lat)
     s = cosets.s
     rank = _span_rank(s, tol)
-    sq = s**2
-    upper, lower = sq[:, 0], sq[np.arange(len(sq)), rank - 1]
-    tight = _is_tight(upper, lower, tol)
+    tight = _is_tight(s[:, 0], s[np.arange(len(s)), rank - 1], tol)
     verdicts = [
         "NotFrame" if r < lat.N else "Tight" if is_tight else "Gated"
         for r, is_tight in zip(rank, tight)

@@ -19,24 +19,27 @@ records every residual so that verdicts are reproducible.
 
 No count x count matrix is formed.  With M the count of ``f`` and ``v``
 and K that of ``w`` and ``u``, ``v`` is read only through its products
-``V x`` and ``V^t y`` and its Parseval residual ``||S_v - I||_F``.  A
-``v`` the caller supplies, which may be any family, answers them from
-its rows, at O(M n p) for ``p`` columns and O(M n^2) for the residual
-(one real symmetric product for the frame operator,
-``frames.frame_operator``).  A ``v`` the library constructs for a span
-deficit of ``w`` is born factored (``_ExtensionFamily``) as identity
-plus low rank: an identity pattern plus ``C basis^t``, with ``basis`` of
-size n x O(rank) and ``C`` held as its at most n leading rows and the M
-x rank coefficients of the rest in the span basis ``q``.  The two
-Householder QRs of its construction are held in compact WY form, so
-building and certifying it costs O(M rank p + n rank^2) and writes no M
-x n or n x n array.  With no deficit the constructed ``v`` is the
-characterizing sequence itself, a plain family.  The Parseval residual
-of ``u`` is read off its singular values, and the ONB flags are the one
-rule ``frames._is_onb`` on the two Parseval residuals, so the
-certificate factors neither family for them.  Products on ``u`` and
-``w`` cost O(K n^2), and every other
-product is re-associated through the thin SVDs the families carry, at
+``V x`` and ``V^t y`` and its Parseval residual ``||S_v - I||_F``, the
+reader ``_frame_residual`` that the Parseval gate of ``u`` and the
+conjugate witness ask too.  A ``v`` the caller supplies, which may be
+any family, answers them from its rows, at O(M n p) for ``p`` columns
+and O(M n^2) for the residual (one real symmetric product for the frame
+operator, ``frames.frame_operator``).  A ``v`` the library constructs
+for a span deficit of ``w`` is born factored as identity plus low rank
+(``_ExtensionFamily``, defined here beside its one builder,
+``_isometric_extension_v``, the only code that knows its layout): an
+identity pattern plus ``C basis^t``, with ``basis`` of size n x O(rank)
+and ``C`` held as its at most n leading rows and the M x rank
+coefficients of the rest in the span basis ``q``.  The two Householder
+QRs of its construction are held in compact WY form, so building and
+certifying it costs O(M rank p + n rank^2) and writes no M x n or n x n
+array.  With no deficit the constructed ``v`` is the characterizing
+sequence itself, a plain family.  The certificate reads the Parseval
+residual of ``u`` off the singular values it already holds for ``u``,
+and the ONB flags are the one rule ``frames._is_onb`` on the two
+Parseval residuals, so the certificate factors neither family for them.
+Products on ``u`` and ``w`` cost O(K n^2), and every other product is
+re-associated through the thin SVDs the families carry, at
 O(M n rank) with the rank of ``u`` or ``w``: each ``X H^*`` as ``X
 conj(U_h) diag(s_h)`` (the factor ``conj(Vh_h)`` has orthonormal rows,
 so norms and Grams are unchanged), and ``V^t G(f,u)`` as ``(V^t B)
@@ -55,6 +58,7 @@ its projection residual as the row norms of ``V conj(q) - coef``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -73,9 +77,8 @@ from .errors import (
 )
 from .frames import (
     VectorFamily,
-    _ExtensionFamily,
-    _identity_residual,
     _is_onb,
+    _members,
     _parseval_residual,
     _read_only,
     _spectral_identity_residual,
@@ -272,11 +275,11 @@ def _gate_parseval(fam: VectorFamily, tol: Tolerance, name: str) -> None:
         raise NotParsevalError(f"family '{name}' is not approximately Parseval")
 
 
-def _gate_ambient_parseval(s_u: np.ndarray, tol: Tolerance) -> None:
-    """Reject a ``u`` with frame operator ``s_u`` not Parseval for the
-    ambient space, at the scale ``||I_n||_F``."""
-    res = _identity_residual(s_u)
-    if res > tol.threshold(np.sqrt(len(s_u))):
+def _gate_ambient_parseval(u: VectorFamily, tol: Tolerance) -> None:
+    """Reject a ``u`` not Parseval for the ambient space: its
+    ``_frame_residual`` at the scale ``||I_n||_F``."""
+    res = u._frame_residual()
+    if res > tol.threshold(np.sqrt(u.ambient_dim)):
         raise NotParsevalError(
             f"u must be Parseval for the ambient space (residual {res:.3e})"
         )
@@ -596,6 +599,116 @@ def _span_complement(q: np.ndarray) -> np.ndarray:
     r`` ``q`` with orthonormal columns: the trailing ``n - r`` columns of
     the ``Q`` of its complete QR."""
     return np.linalg.qr(q, mode="complete")[0][:, q.shape[1] :]
+
+
+class _ExtensionFamily(VectorFamily):
+    """The ``v`` that ``_isometric_extension_v`` constructs for a positive
+    span deficit, held as identity plus low rank: its member rows are ``P
+    + C basis^t``.  ``basis`` is ``n x k``, with the span basis ``q`` as
+    its first ``r`` columns; ``C``
+    is ``head`` (``lead x k``) on the ``lead`` leading rows and ``[tail
+    0]`` past them, ``tail`` being the ``(count - lead) x r`` coefficients
+    of those rows in ``q``; and ``P`` is zero but for the identity that
+    takes the last ``d = n - r`` coordinates to the leading rows ``lead -
+    d, ..., lead - 1``.  The three factors are checked finite here, so the
+    products taken from them rest on this check.  The readers answer from
+    the factors, at O((count r + n k) p) for a product with ``p`` columns;
+    ``S - I`` has rank at most ``r + 2 k`` (``_defect``), so the Parseval
+    residual costs O(count r^2 + n k^2) and the frame operator O(n^2 k).
+    The member rows are assembled on first read, checked like any
+    family's and cached."""
+
+    def __init__(
+        self, head: np.ndarray, basis: np.ndarray, tail: np.ndarray, label: str
+    ) -> None:
+        for factor in (head, basis, tail):
+            if not np.isfinite(factor).all():
+                raise ValueError("family entries must be finite")
+        _read_only(head, basis, tail)
+        self.__dict__.update(_head=head, _basis=basis, _tail=tail, label=label)
+
+    @property
+    def count(self) -> int:
+        return self._head.shape[0] + self._tail.shape[0]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._basis.shape[0]
+
+    def _shape(self) -> tuple[int, int, int]:
+        """``(lead, r, d)``: the identity of ``P`` sits on the rows ``lead -
+        d, ..., lead - 1`` and the columns ``r, ..., n - 1``."""
+        r = self._tail.shape[1]
+        return self._head.shape[0], r, self.ambient_dim - r
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        lead, r, d = self._shape()
+        rows = np.empty((self.count, self.ambient_dim), dtype=np.complex128)
+        np.matmul(self._head, self._basis.T, out=rows[:lead])
+        np.matmul(self._tail, self._basis[:, :r].T, out=rows[lead:])
+        diag = np.arange(d)
+        rows[lead - d + diag, r + diag] += 1.0
+        return _members(rows)
+
+    def _times(self, x: np.ndarray) -> np.ndarray:
+        """``V x = P x + C (basis^t x)``."""
+        lead, r, d = self._shape()
+        bx = self._basis.T @ x
+        out = np.empty((self.count, bx.shape[1]), dtype=np.complex128)
+        np.matmul(self._head, bx, out=out[:lead])
+        np.matmul(self._tail, bx[:r], out=out[lead:])
+        out[lead - d : lead] += x[r:]
+        return out
+
+    def _transposed_times(self, y: np.ndarray) -> np.ndarray:
+        """``V^t y = P^t y + basis (C^t y)``."""
+        lead, r, d = self._shape()
+        cy = self._head.T @ y[:lead]
+        cy[:r] += self._tail.T @ y[lead:]
+        out = self._basis @ cy
+        out[r:] += y[lead - d : lead]
+        return out
+
+    def _defect(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(Z, M)`` with ``S - I = Z M Z^*``, ``Z`` of width ``r + 2 k``.
+        With ``B = basis``, ``S = V^t conj(V)`` is ``P^t P + z B^* + B z^* +
+        B G B^*``, where ``G = C^t conj(C)`` and ``z = P^t conj(C)`` holds
+        the conjugated rows ``lead - d, ..., lead - 1`` of ``head`` on the
+        last ``d`` coordinates.  ``P^t P`` is the identity on those
+        coordinates, so ``P^t P - I = -F F^t`` with ``F`` the first ``r``
+        coordinate vectors, and ``Z = [F, B, z]``."""
+        lead, r, d = self._shape()
+        head, basis = self._head, self._basis
+        k = basis.shape[1]
+        gram = head.T @ np.conj(head)
+        gram[:r, :r] += self._tail.T @ np.conj(self._tail)
+        z = np.zeros((self.ambient_dim, r + 2 * k), dtype=np.complex128)
+        z[np.arange(r), np.arange(r)] = 1.0
+        z[:, r : r + k] = basis
+        z[r:, r + k :] = np.conj(head[lead - d :])
+        m = np.zeros((r + 2 * k, r + 2 * k), dtype=np.complex128)
+        m[:r, :r] = -np.eye(r)
+        m[r : r + k, r : r + k] = gram
+        m[r : r + k, r + k :] = m[r + k :, r : r + k] = np.eye(k)
+        return z, m
+
+    def _frame_operator(self) -> np.ndarray:
+        """``S = I + Z M Z^*``, made exactly Hermitian by averaging the
+        low-rank term with its adjoint."""
+        z, m = self._defect()
+        s = (z @ (0.5 * m)) @ z.conj().T
+        s += s.conj().T
+        s[np.diag_indices_from(s)] += 1.0
+        return s
+
+    def _frame_residual(self) -> float:
+        """``||S - I||_F = ||R M R^*||_F`` for the ``R`` of the QR of ``Z``
+        (``Z = Q R`` with orthonormal columns in ``Q``): no frame operator
+        is formed, at O(n k^2)."""
+        z, m = self._defect()
+        r = np.linalg.qr(z, mode="r")
+        return frobenius((r @ m) @ r.conj().T)
 
 
 def _isometric_extension_v(side: _DualSide, orthonormal: bool) -> VectorFamily:
@@ -933,7 +1046,7 @@ def verify_conjugate_witness(
     u = VectorFamily._factored(
         np.conj((m_inv @ w_dual.vectors.T)).T, label=f"witness-u({w.label})"
     )
-    u_pars = _identity_residual(frame_operator(u))
+    u_pars = u._frame_residual()
     side = _dual_side(w, f, u, tol)
     return WitnessVerification(
         r_w, r_f, True, u, u_pars, side.dual_res, side.parseval_res
@@ -1059,7 +1172,7 @@ def synthesized_gram_invariance_residual(
     ambient space (necessity check, self-validating)."""
     _require_same_count(f, u, v)
     _require_same_dim(f, u, v)
-    _gate_ambient_parseval(frame_operator(u), tol)
+    _gate_ambient_parseval(u, tol)
     return gram_invariance_residual(u, _synthesize(f, u, v, "synthesized"), tol)
 
 

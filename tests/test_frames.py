@@ -74,6 +74,22 @@ class TestVectorFamily:
         assert not calls
 
 
+    def test_len_and_member(self):
+        # len reads the count alone, so a Gabor family builds no rows for
+        # it; member i is row i, whatever the family
+        from framedual import gabor
+
+        lat = gabor.GaborLattice(12, 2, 2)
+        window = np.random.default_rng(5).standard_normal(12)
+        coset = gabor.gabor_system(lat, window).family
+        dense = fam([[1, 0], [0, 1j], [1, 1]])
+        assert (len(coset), len(dense)) == (36, 3)
+        assert "vectors" not in coset.__dict__
+        for f in (coset, dense):
+            for i in (0, len(f) - 1):
+                np.testing.assert_array_equal(f.member(i), f.vectors[i])
+        np.testing.assert_array_equal(dense.member(1), [0, 1j])
+
     def test_equality_and_hash_are_by_identity(self):
         f = fam([[1, 0], [0, 1]])
         g = fam([[1, 0], [0, 1]])

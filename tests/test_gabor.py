@@ -16,6 +16,7 @@ from framedual.errors import (
     EmptySpanError,
     GateFailedError,
     HypothesisFailedError,
+    NotParsevalError,
     NotTightError,
     ShapeMismatchError,
     ZeroWindowError,
@@ -386,6 +387,14 @@ class TestTightPipeline:
         sys = gabor_system(GaborLattice(4, 1, 2), _delta(4))
         u = VectorFamily(np.eye(*shape, dtype=complex), label="u")
         with pytest.raises(ShapeMismatchError, match="u must have 8 members"):
+            tight_gabor_weak_r_dual(sys, u)
+
+    def test_all_zero_u_is_gated_on_itself(self):
+        # with no nonzero member to wrap, the Parseval gate reads u itself:
+        # S_u = 0, so the residual is ||I_4||_F = 2
+        sys = gabor_system(GaborLattice(4, 1, 2), _delta(4))
+        u = VectorFamily(np.zeros((8, 4)), label="zero")
+        with pytest.raises(NotParsevalError, match=r"residual 2\.000e\+00"):
             tight_gabor_weak_r_dual(sys, u)
 
     def test_not_tight_gate(self):

@@ -19,9 +19,10 @@ import pytest
 from helpers import weak_dual_instance
 from framedual import VectorFamily
 from framedual.errors import FrameDualError
-from framedual.frames import parseval_tighten, random_unitary
+from framedual.frames import analyze, parseval_tighten, random_unitary
 from framedual.gabor import (
     GaborLattice,
+    _evaluate_trials,
     adjoint_system,
     canonical_tight_window,
     gabor_system,
@@ -216,3 +217,57 @@ def test_tight_gabor_pipeline_under_scaling():
         if verdicts != ("WeakRDual", "WeakRDual"):
             flipped.append((c, verdicts))
     assert flipped == []
+
+
+def _tightness_ratio(lat: GaborLattice, window: np.ndarray) -> float:
+    """``(s_max - s_min) / s_max`` of the system's singular values, the
+    quantity the tightness rule compares with ``rel_eps``."""
+    s = gabor_system(lat, window).family._s
+    return float((s[0] - s[-1]) / s[0])
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0**40, 2.0**-40, 2.0**-50])
+def test_non_tight_system_stays_not_tight_under_scaling(c):
+    # frame bounds 19.5 and 71.7: with the floor scaled with the window,
+    # a rule on the squares (degree 2) against a floor of degree 1 called
+    # this system tight at 2^-50
+    lat = GaborLattice(12, 2, 2)
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    a = analyze(gabor_system(lat, c * g).family, Tolerance(abs_floor=1e-12 * c))
+    assert (a.lower_bound / c**2, a.upper_bound / c**2) == (
+        pytest.approx(19.5, abs=0.05), pytest.approx(71.7, abs=0.05)
+    )
+    assert a.is_tight is False
+
+
+@lru_cache(maxsize=None)
+def _straddling_window(lo: float, hi: float) -> np.ndarray:
+    """A canonical tight window on N = 12, a = b = 2, moved along one fixed
+    direction by a step bisected until its tightness ratio lies in ``[lo,
+    hi]`` times the default ``rel_eps``."""
+    lat, g = _tight_window(7)
+    h = np.random.default_rng(8).standard_normal(12) + 0j
+    band = lo * DEFAULT_TOL.rel_eps, hi * DEFAULT_TOL.rel_eps
+    small, large = 0.0, 1.0
+    for _ in range(100):
+        step = 0.5 * (small + large)
+        ratio = _tightness_ratio(lat, g + step * h)
+        if band[0] <= ratio <= band[1]:
+            return g + step * h
+        small, large = (step, large) if ratio < band[0] else (small, step)
+    raise AssertionError(f"no step puts the ratio in {band}")
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0**40, 2.0**-40])
+def test_tightness_decision_straddling_its_threshold(c):
+    # one window just inside the rule (0.5 to 0.8 of rel_eps) and one just
+    # outside it (1.25 to 2 times): analyze and the stacked verdict stage
+    # of the exploration decide both alike, at every scale
+    lat = GaborLattice(12, 2, 2)
+    tol = Tolerance(abs_floor=DEFAULT_TOL.abs_floor * c)
+    windows = [c * _straddling_window(0.5, 0.8), c * _straddling_window(1.25, 2.0)]
+    tight = [analyze(gabor_system(lat, w).family, tol).is_tight for w in windows]
+    verdicts = [rec["verdict"] for rec in _evaluate_trials(lat, windows, tol)]
+    assert tight == [True, False]
+    assert verdicts == ["Tight", "Gated"]

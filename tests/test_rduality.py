@@ -252,6 +252,15 @@ class TestDimensionReport:
         assert rep.relation == "Less"
         assert rep.kernel_dim == rep.conjugate_kernel_dim == 3
 
+    def test_to_json_dict(self):
+        f = fam([[1, 0], [0, np.sqrt(2)]])
+        assert dimension_report(f, f, _onb(2)).to_json_dict() == {
+            "span_deficit": 0,
+            "kernel_dim": 0,
+            "conjugate_kernel_dim": 0,
+            "relation": "Equal",
+        }
+
 
 class TestBuildOrthonormalV:
     def test_diagonal_frame(self):
@@ -279,6 +288,18 @@ class TestBuildOrthonormalV:
         u_bad = fam([unit(3, 2), unit(3, 0), unit(3, 1)])
         with pytest.raises(HypothesisFailedError):
             build_orthonormal_v(f3, f3, u_bad)
+
+    def test_deficit_and_kernel_differ_under_a_loose_tolerance(self):
+        # exactly, a characterizing sequence Parseval for span{w} has the
+        # rank of w; at rel_eps = 0.9, c c^* = diag(1, 0.25) passes as
+        # Parseval (residual 0.75 <= 0.9 sqrt(2)) while the rank rule
+        # drops the singular value 0.5 of c, so the deficit 0 meets a
+        # kernel of dimension 1
+        f = fam([[1, 0], [0, 0.5]])
+        with pytest.raises(
+            HypothesisFailedError, match="span deficit 0 != kernel dimension 1"
+        ):
+            build_orthonormal_v(_onb(2), f, _onb(2), Tolerance(rel_eps=0.9))
 
 
 class TestBuildParsevalV:

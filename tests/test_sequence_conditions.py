@@ -8,6 +8,7 @@ from helpers import fam, trio, trio_parseval, unit
 from framedual import VectorFamily
 from framedual.errors import HypothesisFailedError, NotParsevalError
 from framedual.frames import analyze, random_frame, random_parseval, random_unitary
+from framedual.numerics import Tolerance
 from framedual.rduality import (
     characterizing_sequence_bounds,
     completeness_implies_invariance,
@@ -90,6 +91,15 @@ class TestCharacterizingSequenceBounds:
         u = fam([unit(3, 0), unit(3, 1)], label="u")
         with pytest.raises(HypothesisFailedError):
             characterizing_sequence_bounds(fam([unit(3, 0), unit(3, 1)]), f, u)
+
+    def test_characterizing_sequence_must_span_span_w(self):
+        # exactly, Gram invariance and a frame f make y span span{w}; at
+        # rel_eps = 0.9 the invariance residual 0.75 of u = diag(1, 0.5)
+        # against w = I passes, while the rank rule drops the singular
+        # value 0.5 of y
+        u = fam([[1, 0], [0, 0.5]], label="u")
+        with pytest.raises(HypothesisFailedError, match="does not span span"):
+            characterizing_sequence_bounds(_onb(2), _onb(2), u, Tolerance(rel_eps=0.9))
 
 
 class TestSynthesizedGramInvariance:

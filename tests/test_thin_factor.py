@@ -1306,6 +1306,41 @@ def test_factored_v_readers_match_its_rows_off_parseval():
     assert got[3] > 1.0
 
 
+def test_parseval_residuals_have_one_reader(monkeypatch):
+    # ||S - I||_F of u is read by VectorFamily._frame_residual alone: the
+    # tight pipeline's gate on the nonzero members of an explicit u, the
+    # ambient gate of synthesized_gram_invariance_residual and the
+    # witness's u_parseval_residual
+    read = []
+    reader = VectorFamily._frame_residual
+
+    def counted(fam):
+        res = reader(fam)
+        read.append((fam, res))
+        return res
+
+    monkeypatch.setattr(VectorFamily, "_frame_residual", counted)
+    lat = GaborLattice(12, 2, 2)
+    sys = gabor_system(lat, canonical_tight_window(lat, _window(lat, 8)))
+    u = _scattered_parseval_u(lat, np.random.default_rng(12))
+    tight_gabor_weak_r_dual(sys, u=u)
+    nonzero = u.vectors[np.any(u.vectors, axis=1)]
+    gated = [fam for fam, _ in read if fam.count == len(nonzero)]
+    assert len(gated) == 1 and np.array_equal(gated[0].vectors, nonzero)
+
+    rng = np.random.default_rng(13)
+    f, u = random_frame(rng, 5, 3), random_parseval(rng, 5, 3)
+    read.clear()
+    rduality.synthesized_gram_invariance_residual(f, u, random_frame(rng, 5, 3))
+    assert [fam for fam, _ in read] == [u]
+
+    w = random_frame(rng, 5, 3)
+    lmap = rduality.find_conjugate_witness(frame_operator(w), frame_operator(w))
+    read.clear()
+    res = rduality.verify_conjugate_witness(lmap, w, w)
+    assert res.ok and read == [(res.induced_u, res.u_parseval_residual)]
+
+
 def test_tight_pipeline_forms_no_n_by_n_factor(monkeypatch):
     # at N = 96, a = b = 2 (n = 96, M = 2304, rank 4) the pipeline runs no
     # complete QR, factors no operand that is n x n or larger, takes no
@@ -1328,12 +1363,11 @@ def test_tight_pipeline_forms_no_n_by_n_factor(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     for mod in (numerics, rduality, gabor):
         monkeypatch.setattr(mod, "_svd", counted_svd)
-    for mod in (frames, gabor):
-        square = mod._real_symmetric_square
-        monkeypatch.setattr(
-            mod, "_real_symmetric_square",
-            lambda rows, fn=square: squares.append(rows.shape) or fn(rows),
-        )
+    square = frames._real_symmetric_square
+    monkeypatch.setattr(
+        frames, "_real_symmetric_square",
+        lambda rows: squares.append(rows.shape) or square(rows),
+    )
     res = tight_gabor_weak_r_dual(sys)
     assert res.certificate.verdict == "WeakRDual"
     assert modes and "complete" not in modes
