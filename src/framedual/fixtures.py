@@ -26,11 +26,10 @@ from .frames import (
 from .numerics import DEFAULT_TOL, Tolerance
 from .rduality import (
     _certificate,
-    _completeness_implies_invariance,
-    _dual_side,
     _isometric_extension_v,
-    characterizing_sequence,
+    completeness_implies_invariance,
     cross_gram,
+    dual_side,
     gram_invariance_residual,
 )
 
@@ -204,7 +203,7 @@ def _run_weak_dual_fixture(fix: ReproFixture, tol: Tolerance) -> list[dict]:
         )
     )
 
-    side = _dual_side(w, f, u, tol)
+    side = dual_side(w, f, u, tol)
     y = side.sequence
     # the characterizing sequence is the dual family itself (the patterns
     # close under truncation)
@@ -303,7 +302,7 @@ def _run_weak_dual_fixture(fix: ReproFixture, tol: Tolerance) -> list[dict]:
 def _run_3_1(fix: ReproFixture, tol: Tolerance) -> list[dict]:
     f, u, w = (fix.families[k] for k in ("f", "u", "w"))
     out = []
-    side = _dual_side(w, f, u, tol)
+    side = dual_side(w, f, u, tol)
     y = side.sequence
     n = w.ambient_dim
     r2 = np.sqrt(2.0)
@@ -339,7 +338,7 @@ def _run_3_1(fix: ReproFixture, tol: Tolerance) -> list[dict]:
         )
     )
     try:
-        _completeness_implies_invariance(side)
+        completeness_implies_invariance(side)
         out.append(
             _assertion("incompleteness_detected", False, "hypothesis gate missed")
         )
@@ -361,7 +360,7 @@ def _run_3_3(fix: ReproFixture, tol: Tolerance) -> list[dict]:
             f"max entry deviation {dual_res:.3e}",
         )
     )
-    y = characterizing_sequence(w, f, u, tol)
+    y = dual_side(w, f, u, tol).sequence
     expected = np.zeros((8, n), dtype=np.complex128)
     expected[0] = (_unit(n, 1) + _unit(n, 2)) / 2
     expected[1] = (_unit(n, 1) - _unit(n, 2)) / 2

@@ -104,15 +104,15 @@ from .frames import (
     _span_rank,
     analyze,
 )
-from .numerics import DEFAULT_TOL, Tolerance, _svd, frobenius, singular_rank
+from .numerics import DEFAULT_TOL, Tolerance, _svd, singular_rank
 from .rduality import (
     WeakRDualCertificate,
     _certificate,
-    _dual_side,
     _gate_ambient_parseval,
     _gate_onb_count,
     _isometric_extension_v,
     _span_coordinates,
+    dual_side,
 )
 
 __all__ = [
@@ -758,7 +758,7 @@ def tight_gabor_weak_r_dual(
     u_slice = VectorFamily._factored(u_head, label=f"{label}[:{k_count}]")
 
     w0 = _adjoint_family(_adjoint_of(sys.family._cosets), lat)
-    side = _dual_side(w0, sys.family, u_slice, tol)
+    side = dual_side(w0, sys.family, u_slice, tol)
     # the canonical dual of the padded adjoint [W; 0] is [W~; 0], so its
     # dual-commutation residual is the unpadded one with the tail's norm
     padded_res = np.hypot(side.dual_res, tail_norm)
@@ -797,7 +797,7 @@ def promote_to_r_dual(
     _gate_onb_count(w)
     if not analyze(w, tol).is_riesz_sequence:
         raise HypothesisFailedError("w must be a Riesz sequence")
-    side = _dual_side(w, f, u, tol)
+    side = dual_side(w, f, u, tol)
     if v is not None and not _certificate(side, v).passes():
         raise HypothesisFailedError("the supplied v does not certify as a weak R-dual")
     v_prime = _isometric_extension_v(side, orthonormal=True)
@@ -848,7 +848,8 @@ def _gated_evidence(lat: GaborLattice, f: _Cosets, tol: Tolerance) -> list[dict]
     conj(U_f) diag(s_f)`` taken from the systems' blocks for the stack
     of candidates at once (``_coset_adjoint_factor``), so no system's
     ``U`` is built.  Its padded members would be zero, so its padded
-    dual-commutation residual is the unpadded one."""
+    dual-commutation residual is the unpadded one.  It is a partial
+    isometry, so its Parseval residual is read off the rank."""
     w = _adjoint_of(f)
     w_rows, w_u, w_s, w_vh = _assemble_rows(w), _assemble_u(w), w.s, _assemble_vh(w)
     # the w-only part from the rank-r factors, padded to a common width
@@ -869,7 +870,8 @@ def _gated_evidence(lat: GaborLattice, f: _Cosets, tol: Tolerance) -> list[dict]
         q, inv_vh, w_rows, a, span_eye, tol
     )
     ok = (dual_res <= tol.threshold(gram_norm)) & pars_ok
-    u_pars = frobenius(u_syn @ u_syn.conj().swapaxes(-1, -2) - np.eye(lat.N))
+    # S_u = conj(q q^*) projects onto a rank-r space: ||S_u - I||_F = sqrt(N - r)
+    u_pars = np.sqrt(lat.N - w_rank)
 
     return [
         {

@@ -45,8 +45,15 @@ conj(U_h) diag(s_h)`` (the factor ``conj(Vh_h)`` has orthonormal rows,
 so norms and Grams are unchanged), and ``V^t G(f,u)`` as ``(V^t B)
 conj(Vh_u)`` with ``B = F conj(U_u) diag(s_u)``.  Products with the rows
 of ``f`` go through ``VectorFamily._times``, so a Gabor system takes
-them from its coset blocks and never builds its rows.  The dual side is
-evaluated in the coordinates of an orthonormal basis ``q`` of span{w}
+them from its coset blocks and never builds its rows.
+
+The dual side of a triple ``(w, f, u)`` is public: ``dual_side``
+evaluates it once into the frozen record ``DualSide``, which holds the
+characterizing sequence, the dual commutation residual, the span deficit
+of ``w`` and the kernel dimension of ``Y``.  Certificates, constructions,
+the fixtures and the Gabor pipelines read that record, and so does a
+caller that wants several of its fields.  The dual side is evaluated in
+the coordinates of an orthonormal basis ``q`` of span{w}
 (``_span_coordinates``), where every operand has the rank of ``w`` along
 one axis.  The characterizing sequence is kept as the M x rank
 coefficients ``coef`` of its member rows ``Y^t = coef q^t``: its rows are
@@ -102,20 +109,18 @@ from .numerics import (
 __all__ = [
     "PARSEVAL_GATE",
     "ConjugateLinearMap",
+    "DualSide",
     "WeakRDualCertificate",
-    "DimensionReport",
     "CommutingParsevalResult",
     "InterleavedDualResult",
     "TransferResult",
     "WitnessVerification",
     "cross_gram",
+    "dual_side",
     "weak_r_dual",
     "certify_weak_r_dual",
     "characterize",
     "commuting_parseval_family",
-    "characterizing_sequence",
-    "dual_commutation_residual",
-    "dimension_report",
     "build_orthonormal_v",
     "build_parseval_v",
     "interleave_prime",
@@ -164,17 +169,17 @@ def cross_gram(g: VectorFamily, h: VectorFamily) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _DualSide:
-    """The dual side of one triple ``(w, f, u)`` under ``tol``, with the
-    triple and the tolerance it was evaluated for: the orthonormal basis
-    ``q`` of span{w} (the span projector is ``P = q q^*``), the read-only
-    M x rank coefficients ``coef`` of the characterizing sequence's member
-    rows ``Y^t = coef q^t`` (``sequence``), the span deficit of ``w`` and
-    the kernel dimension of ``Y``, ``||G(u,f)||_F`` (the scale of the
-    commutation residuals), and the residuals of the dual commutation and
-    of ``Y Y^* = P`` with their accept decisions.  Certificates and
-    constructions read the triple from here, so a record cannot be paired
-    with another triple."""
+class DualSide:
+    """The dual side of one triple ``(w, f, u)`` under ``tol``, as
+    ``dual_side`` evaluates it, with the triple and the tolerance: the
+    orthonormal basis ``q`` of span{w} (the span projector is ``P = q
+    q^*``), the M x rank coefficients ``coef`` of the characterizing
+    sequence's member rows ``Y^t = coef q^t`` (``sequence``), the span
+    deficit of ``w`` and the kernel dimension of ``Y``, ``||G(u,f)||_F``
+    (the scale of the commutation residuals), and the residuals of the
+    dual commutation and of ``Y Y^* = P`` with their accept decisions.
+    The record is frozen and ``q`` and ``coef`` are read-only, so a
+    record cannot be paired with another triple."""
 
     w: VectorFamily
     f: VectorFamily
@@ -192,8 +197,8 @@ class _DualSide:
 
     @property
     def sequence(self) -> VectorFamily:
-        """The characterizing sequence ``y`` as a family, its member rows
-        ``Y^t = coef q^t`` built on each read."""
+        """The characterizing sequence ``y_i = sum_k <u_k, f_i> w~_k`` as a
+        family, its member rows ``Y^t = coef q^t`` built on each read."""
         rows = self.coef @ self.q.T
         return VectorFamily._factored(rows, label=f"charseq({self.w.label})")
 
@@ -233,20 +238,23 @@ def _span_coordinates(
     return c, gram_norm, dual_res, pars_res, pars_ok
 
 
-def _dual_side(
-    w: VectorFamily, f: VectorFamily, u: VectorFamily, tol: Tolerance
-) -> _DualSide:
-    """Evaluate the dual side once, with ``u`` paired to ``w`` member by
-    member, in span coordinates (``_span_coordinates``, with ``A`` taken
-    by ``f._adjoint_factor``, so a Gabor ``f`` builds no ``U``); the rank
-    of ``Y``, which gives the kernel dimension, is read off the rank x
-    min(n, M) matrix ``c``.  The rows ``Y^t = conj(F U^* conj(W~))`` of
-    ``Y`` are not formed: with ``W~^t = q C`` they are ``conj(F conj(C
-    U)^t) q^t``, and the record keeps ``coef = conj(F conj(C U)^t)``, an M
-    x rank product taken by ``f._times`` and conjugated in place.  Neither
-    the canonical dual's rows nor an n x n product is formed.  Counts must
-    match; the zero-padded Gabor adjoint and its padded residual are
-    handled in ``gabor``."""
+def dual_side(
+    w: VectorFamily, f: VectorFamily, u: VectorFamily, tol: Tolerance = DEFAULT_TOL
+) -> DualSide:
+    """Evaluate the dual side of ``(w, f, u)`` once, into a ``DualSide``.
+
+    ``w`` and ``u`` have the same count K and are paired member by member;
+    ``f`` may have another count M (the Gabor pipeline pairs the K = ab
+    adjoint members with the M system members, and handles the padding of
+    the adjoint in ``gabor``).  The arithmetic is done in span coordinates
+    (``_span_coordinates``, with ``A`` taken by ``f._adjoint_factor``, so
+    a Gabor ``f`` builds no ``U``); the rank of ``Y``, which gives the
+    kernel dimension, is read off the rank x min(n, M) matrix ``c``.  The
+    rows ``Y^t = conj(F U^* conj(W~))`` of ``Y`` are not formed: with
+    ``W~^t = q C`` they are ``conj(F conj(C U)^t) q^t``, and the record
+    keeps ``coef = conj(F conj(C U)^t)``, an M x rank product taken by
+    ``f._times`` and conjugated in place.  Neither the canonical dual's
+    rows nor an n x n product is formed."""
     _require_same_dim(w, f, u)
     _require_same_count(w, u)
     q, s_r, vh_r = _span_svd(w, tol)
@@ -260,7 +268,7 @@ def _dual_side(
     rank_y = singular_rank(_svd(c, compute_uv=False), tol)
     dual_ok = dual_res <= tol.threshold(gram_norm)
     deficit, kernel = w.ambient_dim - q.shape[1], f.count - rank_y
-    return _DualSide(
+    return DualSide(
         w, f, u, tol, coef, q, deficit, kernel, gram_norm, dual_res, dual_ok,
         pars_res, pars_ok,
     )
@@ -341,22 +349,7 @@ class WeakRDualCertificate:
         return {**out, "tolerance": tolerance}
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    """Span deficit of ``w`` versus the kernel dimension of the
-    characterizing-sequence synthesis, plus the conjugated kernel of the
-    synthesis of ``f`` (conjugation preserves dimension)."""
-
-    span_deficit: int
-    kernel_dim: int
-    conjugate_kernel_dim: int
-    relation: str  # "Less" | "Equal" | "Greater"
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def _certificate(side: _DualSide, v: VectorFamily) -> WeakRDualCertificate:
+def _certificate(side: DualSide, v: VectorFamily) -> WeakRDualCertificate:
     """Compute every residual of the weak R-dual identities for ``v`` and
     the triple ``(w, f, u)`` of ``side``; the dual-side residuals, the
     deficit and the kernel are read from the record.
@@ -450,7 +443,7 @@ def certify_weak_r_dual(
 ) -> WeakRDualCertificate:
     """Full certificate for a given quadruple, without admission gates."""
     _require_same_count(w, f, u, v)
-    return _certificate(_dual_side(w, f, u, tol), v)
+    return _certificate(dual_side(w, f, u, tol), v)
 
 
 def weak_r_dual(
@@ -470,7 +463,7 @@ def weak_r_dual(
     _gate_parseval(u, tol, "u")
     _gate_parseval(v, tol, "v")
     w = _synthesize(f, u, v, label=f"wrd({f.label})")
-    return w, _certificate(_dual_side(w, f, u, tol), v)
+    return w, _certificate(dual_side(w, f, u, tol), v)
 
 
 def _synthesize(f: VectorFamily, u: VectorFamily, v: VectorFamily, label: str):
@@ -492,7 +485,7 @@ def characterize(
     _require_same_count(w, f, u, v)
     _gate_parseval(u, tol, "u")
     _gate_parseval(v, tol, "v")
-    return _certificate(_dual_side(w, f, u, tol), v)
+    return _certificate(dual_side(w, f, u, tol), v)
 
 
 # ----------------------------------------------------------------------
@@ -530,52 +523,7 @@ def commuting_parseval_family(
     )
 
 
-def characterizing_sequence(
-    w: VectorFamily,
-    f: VectorFamily,
-    u: VectorFamily,
-    tol: Tolerance = DEFAULT_TOL,
-) -> VectorFamily:
-    """``y_i = sum_k <u_k, f_i> w~_k`` over the canonical dual of ``w``."""
-    _require_same_count(w, f, u)
-    return _dual_side(w, f, u, tol).sequence
-
-
-def dual_commutation_residual(
-    w: VectorFamily,
-    f: VectorFamily,
-    u: VectorFamily,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Frobenius residual of ``(G(w~,w)^t - I) G(u,f)``.
-
-    Zero for every Riesz sequence ``w`` by biorthogonality.
-    """
-    _require_same_count(w, f, u)
-    return _dual_side(w, f, u, tol).dual_res
-
-
-def dimension_report(
-    w: VectorFamily,
-    f: VectorFamily,
-    u: VectorFamily,
-    tol: Tolerance = DEFAULT_TOL,
-) -> DimensionReport:
-    """Compare the span deficit of ``w`` with the kernel dimension of the
-    characterizing-sequence synthesis."""
-    _require_same_count(w, f, u)
-    side = _dual_side(w, f, u, tol)
-    deficit, kernel = side.deficit, side.kernel
-    rel = "Less" if deficit < kernel else "Equal" if deficit == kernel else "Greater"
-    return DimensionReport(
-        span_deficit=deficit,
-        kernel_dim=kernel,
-        conjugate_kernel_dim=f.count - f.rank(tol),
-        relation=rel,
-    )
-
-
-def _check_hypotheses(side: _DualSide) -> _DualSide:
+def _check_hypotheses(side: DualSide) -> DualSide:
     """Verify the shared construction hypotheses on a dual side: the
     characterizing sequence is Parseval for span{w} and the dual
     commutation holds.  Returns the record."""
@@ -587,7 +535,7 @@ def _check_hypotheses(side: _DualSide) -> _DualSide:
     return side
 
 
-def _require_dual_commutation(side: _DualSide) -> None:
+def _require_dual_commutation(side: DualSide) -> None:
     if not side.dual_ok:
         raise HypothesisFailedError(
             f"dual commutation condition fails (residual {side.dual_res:.3e})"
@@ -711,7 +659,7 @@ class _ExtensionFamily(VectorFamily):
         return frobenius((r @ m) @ r.conj().T)
 
 
-def _isometric_extension_v(side: _DualSide, orthonormal: bool) -> VectorFamily:
+def _isometric_extension_v(side: DualSide, orthonormal: bool) -> VectorFamily:
     """The ``v`` of ``build_orthonormal_v`` (``orthonormal``, past its count
     gate) or ``build_parseval_v`` on a dual side: past the shared
     hypotheses and a span deficit equal to (orthonormal) or below the
@@ -814,14 +762,14 @@ def _constructed_v(
     u: VectorFamily,
     tol: Tolerance,
     orthonormal: bool,
-) -> tuple[_DualSide, VectorFamily]:
+) -> tuple[DualSide, VectorFamily]:
     """The dual side of ``(w, f, u)`` and the ``v`` that
     ``build_orthonormal_v`` (``orthonormal``) or ``build_parseval_v``
     builds from it, so a caller can certify ``v`` on the same record."""
     _require_same_count(w, f, u)
     if orthonormal:
         _gate_onb_count(w)
-    side = _dual_side(w, f, u, tol)
+    side = dual_side(w, f, u, tol)
     return side, _isometric_extension_v(side, orthonormal)
 
 
@@ -886,7 +834,7 @@ def interleaved_weak_r_dual(
     """
     _require_same_count(w, f, u, q)
     n = _require_same_dim(w, f, u, q)
-    side = _check_hypotheses(_dual_side(w, f, u, tol))
+    side = _check_hypotheses(dual_side(w, f, u, tol))
     comp = np.eye(n) - side.q @ side.q.conj().T
     s_q = frame_operator(q)
     if frobenius(s_q - comp) > tol.threshold(frobenius(comp)):
@@ -901,7 +849,7 @@ def interleaved_weak_r_dual(
     v_rows[0::2] = side.sequence.vectors
     v_rows[1::2] = q.vectors
     v = VectorFamily._factored(v_rows, label=f"interleaved-v({w.label})")
-    cert = _certificate(_dual_side(w_prime, f_prime, u_prime, tol), v)
+    cert = _certificate(dual_side(w_prime, f_prime, u_prime, tol), v)
     return InterleavedDualResult(
         f_prime=f_prime, v=v, u_prime=u_prime, w_prime=w_prime, certificate=cert
     )
@@ -939,7 +887,7 @@ def transfer_via_coisometry(
     """
     _require_same_count(w, p, f, u, h)
     n = _require_same_dim(w, p, f, u, h)
-    base = _certificate(_dual_side(p, f, u, tol), h)
+    base = _certificate(dual_side(p, f, u, tol), h)
     if not base.passes():
         raise HypothesisFailedError(
             "p is not a weak R-dual of f with respect to u and h"
@@ -949,7 +897,7 @@ def transfer_via_coisometry(
         raise DeficitOrderError(
             f"span deficit of w ({deficit_w}) exceeds that of p ({deficit_p})"
         )
-    side = _check_hypotheses(_dual_side(w, f, u, tol))
+    side = _check_hypotheses(dual_side(w, f, u, tol))
     # T_w T_p^+ with T_p^+ = Vh_r^* diag(1/s_r) U_r^* from the SVD of p.
     pu, ps, pvh = _span_svd(p, tol)
     u1 = ((w.vectors.T @ pvh.conj().T) / ps) @ pu.conj().T
@@ -1047,7 +995,7 @@ def verify_conjugate_witness(
         np.conj((m_inv @ w_dual.vectors.T)).T, label=f"witness-u({w.label})"
     )
     u_pars = u._frame_residual()
-    side = _dual_side(w, f, u, tol)
+    side = dual_side(w, f, u, tol)
     return WitnessVerification(
         r_w, r_f, True, u, u_pars, side.dual_res, side.parseval_res
     )
@@ -1142,7 +1090,7 @@ def characterizing_sequence_bounds(
     if not fa.is_frame_for_ambient:
         raise HypothesisFailedError("f must be a frame for the ambient space")
     wa = analyze(w, tol)
-    y = characterizing_sequence(w, f, u, tol)
+    y = dual_side(w, f, u, tol).sequence
     if y.rank(tol) != wa.span_dim:
         raise HypothesisFailedError("characterizing sequence does not span span{w}")
     ya = analyze(y, tol)
@@ -1176,21 +1124,11 @@ def synthesized_gram_invariance_residual(
     return gram_invariance_residual(u, _synthesize(f, u, v, "synthesized"), tol)
 
 
-def completeness_implies_invariance(
-    w: VectorFamily,
-    f: VectorFamily,
-    u: VectorFamily,
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
+def completeness_implies_invariance(side: DualSide) -> bool:
     """Given the dual commutation condition and a characterizing sequence
     complete in span{w}, report whether the Gram invariance condition
-    holds (an implication, so the result must be True on valid inputs)."""
-    _require_same_count(w, f, u)
-    return _completeness_implies_invariance(_dual_side(w, f, u, tol))
-
-
-def _completeness_implies_invariance(side: _DualSide) -> bool:
-    """``completeness_implies_invariance`` past the dual-side evaluation."""
+    holds for the triple of ``side`` (an implication, so the result must
+    be True on valid inputs)."""
     w, f, u, tol = side.w, side.f, side.u, side.tol
     rank_y, rank_w = f.count - side.kernel, w.ambient_dim - side.deficit
     if rank_y != rank_w:

@@ -35,7 +35,7 @@ from framedual.rduality import (
     characterizing_sequence_bounds,
     commuting_parseval_family,
     cross_gram,
-    dimension_report,
+    dual_side,
     find_conjugate_witness,
     synthesized_gram_invariance_residual,
     transfer_via_coisometry,
@@ -103,11 +103,11 @@ def test_criterion_3_kernel_identity_and_monotonicity():
         dim, count = _random_sizes(rng)
         w, f, u, v, cert = weak_dual_instance(rng, dim, count)
         assert cert.passes()
-        rep = dimension_report(w, f, u)
-        assert rep.kernel_dim == rep.conjugate_kernel_dim, k
-        assert rep.span_deficit <= rep.kernel_dim
+        side = dual_side(w, f, u)
+        assert side.kernel == f.count - f.rank(), k
+        assert side.deficit <= side.kernel
         if not cert.v_is_onb:
-            assert rep.span_deficit < rep.kernel_dim
+            assert side.deficit < side.kernel
     _report(3, "kernel identity and strict deficit monotonicity")
 
 
@@ -117,8 +117,8 @@ def test_criterion_4_parseval_completion_construction():
     while built < 50:
         dim, count = _random_sizes(rng)
         w, f, u, v, cert = weak_dual_instance(rng, dim, count)
-        rep = dimension_report(w, f, u)
-        if not (cert.passes() and rep.relation == "Less"):
+        side = dual_side(w, f, u)
+        if not (cert.passes() and side.deficit < side.kernel):
             continue
         v2 = build_parseval_v(w, f, u)
         cert2 = characterize(w, f, u, v2)

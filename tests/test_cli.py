@@ -175,15 +175,15 @@ class TestWrd:
     @pytest.mark.parametrize("onb", [True, False])
     def test_construct_v_evaluates_dual_side_once(self, tmp_path, capsys, monkeypatch, onb):
         # v and its certificate are read from one dual-side record
-        original, calls = rduality._dual_side, []
+        original, calls = rduality.dual_side, []
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
         for mod in (rduality, cli):
-            if hasattr(mod, "_dual_side"):
-                monkeypatch.setattr(mod, "_dual_side", counted)
+            if hasattr(mod, "dual_side"):
+                monkeypatch.setattr(mod, "dual_side", counted)
         families = build_fixture("2.10").families
         argv = ["wrd", "construct-v"] + (["--onb"] if onb else [])
         for name in ("w", "f", "u"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import trio, trio_parseval
 from framedual import fixtures, gabor, rduality
 from framedual.fixtures import FIXTURE_IDS, build_fixture, run_repro
 from framedual.frames import analyze
@@ -56,7 +57,7 @@ def test_reports_are_deterministic():
 def test_repro_evaluates_dual_side_once_per_triple(monkeypatch):
     # every certificate and construction of a fixture reads one dual-side
     # record per distinct (w, f, u) triple
-    original = rduality._dual_side
+    original = rduality.dual_side
     calls = []
 
     def counted(w, f, u, tol):
@@ -64,10 +65,15 @@ def test_repro_evaluates_dual_side_once_per_triple(monkeypatch):
         return original(w, f, u, tol)
 
     for mod in (rduality, fixtures, gabor):
-        if hasattr(mod, "_dual_side"):
-            monkeypatch.setattr(mod, "_dual_side", counted)
+        if hasattr(mod, "dual_side"):
+            monkeypatch.setattr(mod, "dual_side", counted)
     for fid in FIXTURE_IDS:
         calls.clear()
         assert run_repro(fid)["all_passed"]
         assert calls, fid
         assert len(calls) == len(set(calls)), fid
+    # the characterizing-sequence bounds read the sequence off one record
+    calls.clear()
+    bounds = rduality.characterizing_sequence_bounds(trio(), trio(), trio_parseval())
+    assert bounds.sandwich_ok
+    assert len(calls) == 1

@@ -426,7 +426,7 @@ class TestTightPipeline:
         lat = GaborLattice(12, 2, 2)
         g = canonical_tight_window(lat, _random_window(np.random.default_rng(12), 12))
         sys = gabor_system(lat, g)
-        calls = {"_dual_side": 0, "canonical_dual": 0}
+        calls = {"dual_side": 0, "canonical_dual": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -440,7 +440,7 @@ class TestTightPipeline:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         assert tight_gabor_weak_r_dual(sys).certificate.passes()
-        assert calls == {"_dual_side": 1, "canonical_dual": 0}
+        assert calls == {"dual_side": 1, "canonical_dual": 0}
 
 
 class TestPromotion:
@@ -462,14 +462,14 @@ class TestPromotion:
         w = adjoint_system(sys).family
         u = VectorFamily(np.eye(2, dtype=complex), label="onb")
         calls = []
-        original = rduality._dual_side
+        original = rduality.dual_side
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
         for mod in (rduality, gabor):
-            monkeypatch.setattr(mod, "_dual_side", counted)
+            monkeypatch.setattr(mod, "dual_side", counted)
         v_prime = promote_to_r_dual(w, sys.family, u).v_prime
         assert len(calls) == 1
         assert promote_to_r_dual(w, sys.family, u, v=v_prime).certificate.passes()
@@ -658,6 +658,17 @@ class TestExploration:
             ("conjugated_dual", "ConditionsHold"): 184,
             ("conjugated_dual", "ConditionsFail"): 91,
         }
+
+    def test_candidate_parseval_residual_is_read_off_the_rank(self):
+        # the candidate, the conjugated Parseval tightening of the adjoint,
+        # is a partial isometry: ||S_u - I||_F = sqrt(N - rank) exactly
+        report = run_exploration(range(4, 13), seed=1, trials=1000)
+        gated = [rec for rec in report["records"] if rec["verdict"] == "Gated"]
+        assert len(gated) == 275
+        for rec in gated:
+            (cand,) = rec["candidates"]
+            rank = len(rec["adjoint_spectrum"])
+            assert cand["u_parseval_residual"] == math.sqrt(rec["N"] - rank), rec
 
     @pytest.mark.parametrize("kind", ["complex", "real", "real_even", "gaussian"])
     def test_conjugated_dual_lattice_rule(self, kind):

@@ -31,8 +31,8 @@ from framedual.gabor import (
 from framedual.numerics import DEFAULT_TOL, Tolerance
 from framedual.rduality import (
     _certificate,
-    _dual_side,
     characterizing_sequence_bounds,
+    dual_side,
     weak_r_dual,
 )
 
@@ -113,7 +113,7 @@ def _decisions(quad, tol: Tolerance = DEFAULT_TOL) -> tuple:
     check, so the Gabor quadruple (a b adjoint members, N^2/(a b) system
     members) is read as the pipeline reads it."""
     w, f, u, v = quad
-    side = _dual_side(w, f, u, tol)
+    side = dual_side(w, f, u, tol)
     cert = _certificate(side, v)
     return cert.verdict, cert.characterization_verdict, side.dual_ok, side.parseval_ok
 

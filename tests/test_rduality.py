@@ -1,6 +1,8 @@
 """Weak R-dual machinery: certificates, constructions, interleavings,
 coisometric transfer, and conjugate-linear witnesses."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -28,20 +30,24 @@ from framedual.frames import (
     random_parseval,
     random_unitary,
 )
+from framedual.gabor import (
+    GaborLattice,
+    adjoint_system,
+    canonical_tight_window,
+    gabor_system,
+)
 from framedual.numerics import DEFAULT_TOL, Tolerance, hermitian_eig
 from framedual.rduality import (
     ConjugateLinearMap,
-    _dual_side,
+    DualSide,
     build_orthonormal_v,
     build_parseval_v,
     certify_weak_r_dual,
     characterize,
-    characterizing_sequence,
     commuting_parseval_family,
     cross_gram,
-    dimension_report,
-    dual_commutation_residual,
     dual_commuting_parseval,
+    dual_side,
     find_conjugate_witness,
     interleave_double_prime,
     interleave_double_star,
@@ -157,11 +163,11 @@ class TestCommutingParsevalFamily:
 
 class TestCharacterizingSequence:
     def test_orthonormal_triple(self):
-        y = characterizing_sequence(_onb(2), _onb(2), _onb(2))
+        y = dual_side(_onb(2), _onb(2), _onb(2)).sequence
         np.testing.assert_allclose(y.vectors, np.eye(2), atol=1e-12)
 
     def test_repeated_family(self):
-        y = characterizing_sequence(trio(), trio(), trio_parseval())
+        y = dual_side(trio(), trio(), trio_parseval()).sequence
         np.testing.assert_allclose(y.vectors, trio_parseval().vectors, atol=1e-12)
 
     def test_spanning_dual_forces_v_equal_y(self):
@@ -169,7 +175,7 @@ class TestCharacterizingSequence:
         rng = np.random.default_rng(3)
         w, f, u, v, cert = weak_dual_instance(rng, 3, 6)
         assert cert.passes() and cert.span_deficit == 0
-        y = characterizing_sequence(w, f, u)
+        y = dual_side(w, f, u).sequence
         assert float(np.max(np.abs(v.vectors - y.vectors))) <= 1e-9
 
 
@@ -179,14 +185,14 @@ class TestDualCommutationResidual:
         w = fam([[2, 0], [0, 1]])
         f = random_frame(rng, 2, 2)
         u = random_frame(rng, 2, 2)
-        assert dual_commutation_residual(w, f, u) <= 1e-12
+        assert dual_side(w, f, u).dual_res <= 1e-12
 
     def test_repeated_family_fixture(self):
-        assert dual_commutation_residual(trio(), trio(), trio_parseval()) <= 1e-12
+        assert dual_side(trio(), trio(), trio_parseval()).dual_res <= 1e-12
 
     def test_zero_member_breaks_condition(self):
         w = fam([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-        res = dual_commutation_residual(w, _onb(3), _onb(3))
+        res = dual_side(w, _onb(3), _onb(3)).dual_res
         assert res == pytest.approx(1.0, abs=1e-12)
 
 
@@ -194,7 +200,7 @@ class TestDualSide:
     def test_unequal_counts_rejected(self):
         # pairing u with a w of another count (zero padding) is gabor's job
         with pytest.raises(ShapeMismatchError):
-            _dual_side(_onb(2), _onb(2), fam([[1, 0], [0, 1], [0, 0]]), DEFAULT_TOL)
+            dual_side(_onb(2), _onb(2), fam([[1, 0], [0, 1], [0, 0]]), DEFAULT_TOL)
 
     def test_rank_svd_failure_is_typed(self, monkeypatch):
         # the rank of Y is read off the values-only SVD of the small matrix
@@ -212,7 +218,31 @@ class TestDualSide:
 
         monkeypatch.setattr(np.linalg, "svd", failing)
         with pytest.raises(NumericalFailureError):
-            _dual_side(w, f, u, DEFAULT_TOL)
+            dual_side(w, f, u, DEFAULT_TOL)
+
+    def test_public_record_contract(self):
+        # the rectangular triple of the tight pipeline: the K = ab = 6
+        # adjoint members paired with 6 rows of the identity, against the
+        # M = 24 system members
+        from framedual import DualSide as PublicDualSide, dual_side as public_dual_side
+
+        lat = GaborLattice(12, 2, 3)
+        g = np.random.default_rng(5).standard_normal(12) + 0j
+        sys = gabor_system(lat, canonical_tight_window(lat, g))
+        w = adjoint_system(sys).family
+        u = VectorFamily(np.eye(6, 12, dtype=complex), label="eye(6, 12)")
+        side = public_dual_side(w, sys.family, u)
+        assert isinstance(side, PublicDualSide) and PublicDualSide is DualSide
+        rank = w.rank()
+        assert (w.count, sys.family.count, side.q.shape) == (6, 24, (12, rank))
+        assert side.coef.shape == (24, rank)
+        assert side.kernel == 24 - side.sequence.rank()
+        with pytest.raises(FrozenInstanceError):
+            side.kernel = 0
+        for arr in (side.q, side.coef):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
 
 
 class TestCharacterize:
@@ -234,32 +264,24 @@ class TestCharacterize:
 
 
 class TestDimensionReport:
+    # the span deficit of w against the kernel dimension of Y, read off the
+    # dual-side record; the conjugate kernel is that of f's synthesis
     def test_orthonormal_triple(self):
-        rep = dimension_report(_onb(2), _onb(2), _onb(2))
-        assert (rep.span_deficit, rep.kernel_dim) == (0, 0)
-        assert rep.relation == "Equal"
+        side = dual_side(_onb(2), _onb(2), _onb(2))
+        assert (side.deficit, side.kernel) == (0, 0)
 
     def test_diagonal_case_equal(self):
         f = fam([[1, 0], [0, np.sqrt(2)]])
-        rep = dimension_report(f, f, _onb(2))
-        assert rep.relation == "Equal"
-        assert rep.conjugate_kernel_dim == 0
+        side = dual_side(f, f, _onb(2))
+        assert side.deficit == side.kernel == 0
+        assert f.count - f.rank() == 0
 
     def test_strictly_less_for_non_onb_instance(self):
         rng = np.random.default_rng(7)
         w, f, u, v, cert = weak_dual_instance(rng, 3, 6)
-        rep = dimension_report(w, f, u)
-        assert rep.relation == "Less"
-        assert rep.kernel_dim == rep.conjugate_kernel_dim == 3
-
-    def test_to_json_dict(self):
-        f = fam([[1, 0], [0, np.sqrt(2)]])
-        assert dimension_report(f, f, _onb(2)).to_json_dict() == {
-            "span_deficit": 0,
-            "kernel_dim": 0,
-            "conjugate_kernel_dim": 0,
-            "relation": "Equal",
-        }
+        side = dual_side(w, f, u)
+        assert side.deficit < side.kernel
+        assert side.kernel == f.count - f.rank() == 3
 
 
 class TestBuildOrthonormalV:
@@ -308,7 +330,7 @@ class TestBuildParsevalV:
         w, f, u, v, cert = weak_dual_instance(rng, 3, 6)
         assert cert.span_deficit == 0
         built = build_parseval_v(w, f, u)
-        y = characterizing_sequence(w, f, u)
+        y = dual_side(w, f, u).sequence
         np.testing.assert_allclose(built.vectors, y.vectors, atol=1e-12)
         a = analyze(built)
         assert a.is_parseval_for_span and a.deficit == 0 and not a.is_onb
@@ -462,7 +484,7 @@ class TestDualCommutingParseval:
         np.testing.assert_allclose(u.vectors, trio_parseval().vectors, atol=1e-12)
         a = analyze(u)
         assert a.is_parseval_for_span and a.deficit == 0 and not a.is_onb
-        assert dual_commutation_residual(trio(), trio(), u) <= 1e-10
+        assert dual_side(trio(), trio(), u).dual_res <= 1e-10
 
     def test_condition_holds_for_any_f(self):
         rng = np.random.default_rng(14)
@@ -470,7 +492,7 @@ class TestDualCommutingParseval:
         u = dual_commuting_parseval(w, w)
         for _ in range(3):
             f = random_frame(rng, 6, 3)
-            assert dual_commutation_residual(w, f, u) <= 1e-8
+            assert dual_side(w, f, u).dual_res <= 1e-8
 
     def test_proper_span_gate(self):
         w = fam([unit(3, 0), unit(3, 1)])
@@ -681,8 +703,7 @@ class TestInstanceProperties:
         for _ in range(10):
             w, f, u, v, cert = weak_dual_instance(rng, 3, 7)
             assert cert.passes()
-            rep = dimension_report(w, f, u)
-            assert rep.kernel_dim == rep.conjugate_kernel_dim
+            assert dual_side(w, f, u).kernel == f.count - f.rank()
 
     def test_pairing_bridge(self):
         # whenever the dual commutation holds, <f_i, u_j> = <w_j, y_i>
@@ -691,7 +712,7 @@ class TestInstanceProperties:
             dim = int(rng.integers(2, 7))
             count = int(rng.integers(dim + 1, 11))
             w, f, u, v, cert = weak_dual_instance(rng, dim, count)
-            y = characterizing_sequence(w, f, u)
+            y = dual_side(w, f, u).sequence
             g_fu = cross_gram(f, u)
             g_wy = cross_gram(w, y)
             np.testing.assert_allclose(g_fu, g_wy.T, atol=1e-9)

@@ -12,6 +12,7 @@ from framedual.numerics import Tolerance
 from framedual.rduality import (
     characterizing_sequence_bounds,
     completeness_implies_invariance,
+    dual_side,
     gram_invariance_residual,
     synthesized_gram_invariance_residual,
 )
@@ -129,7 +130,7 @@ class TestSynthesizedGramInvariance:
 
 class TestCompletenessImpliesInvariance:
     def test_repeated_family_fixture(self):
-        assert completeness_implies_invariance(trio(), trio(), trio_parseval())
+        assert completeness_implies_invariance(dual_side(trio(), trio(), trio_parseval()))
 
     def test_incomplete_characterizing_sequence_gates(self):
         n = 7
@@ -138,7 +139,7 @@ class TestCompletenessImpliesInvariance:
         f = fam([unit(n, 0), unit(n, 0), unit(n, 1), unit(n, 1)])
         w = fam([unit(n, 0), unit(n, 2), unit(n, 4), unit(n, 6)])
         with pytest.raises(HypothesisFailedError):
-            completeness_implies_invariance(w, f, u)
+            completeness_implies_invariance(dual_side(w, f, u))
 
     def test_dual_commutation_gate(self):
         # five random members in C^2: Y spans span{w} = C^2, but the dual
@@ -146,7 +147,7 @@ class TestCompletenessImpliesInvariance:
         rng = np.random.default_rng(0)
         w, f, u = (random_frame(rng, 5, 2) for _ in range(3))
         with pytest.raises(HypothesisFailedError, match="dual commutation condition fails"):
-            completeness_implies_invariance(w, f, u)
+            completeness_implies_invariance(dual_side(w, f, u))
 
     def test_random_passing_instances(self):
         rng = np.random.default_rng(5)
@@ -158,4 +159,4 @@ class TestCompletenessImpliesInvariance:
             # orthonormal u satisfies the dual commutation only if w is a
             # Riesz sequence, which random square families are
             assert analyze(w).is_riesz_sequence
-            assert completeness_implies_invariance(w, f, u)
+            assert completeness_implies_invariance(dual_side(w, f, u))

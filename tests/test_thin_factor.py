@@ -62,11 +62,11 @@ from framedual.rduality import (
     _ExtensionFamily,
     _certificate,
     _constructed_v,
-    _dual_side,
     _gate_parseval,
     build_parseval_v,
     certify_weak_r_dual,
     commuting_parseval_family,
+    dual_side,
     weak_r_dual,
 )
 
@@ -376,7 +376,7 @@ def test_dual_side_in_span_coordinates_matches_dense():
     # ||G(u,f)||, ||(G(w~,w)^t - I) G(u,f)||, ||Y Y^* - P||, rank(Y), the
     # rows of Y, and the certificate's max ||P v_i - y_i||
     for name, (w, f, u, v) in _certificate_instances():
-        side = _dual_side(w, f, u, TOL)
+        side = dual_side(w, f, u, TOL)
         g_uf = u.vectors @ f.vectors.conj().T
         g_scale = max(1.0, fro(g_uf))
         y_syn = dense_sequence_syn(w, f, u)
@@ -404,7 +404,7 @@ def test_projection_residual_matches_dense(dim, k, count):
     rng = np.random.default_rng([dim, k, count])
     w, u = random_frame(rng, k, dim), random_frame(rng, k, dim)
     f, v = random_frame(rng, count, dim), random_frame(rng, count, dim)
-    got = _certificate(_dual_side(w, f, u, TOL), v).projection_residual
+    got = _certificate(dual_side(w, f, u, TOL), v).projection_residual
     want = dense_projection_residual(w, f, u, v)
     assert abs(got - want) <= TOL.threshold(max(1.0, want))
 
@@ -927,7 +927,7 @@ def _onb_flag_cases():
         fams = build_fixture(fid).families
         w, f, u = fams["w"], fams["f"], fams["u"]
         if "x" in fams:
-            side = _dual_side(w, f, u, TOL)
+            side = dual_side(w, f, u, TOL)
             v = VectorFamily(side.sequence.vectors + fams["x"].vectors)
             yield fid, _certificate(side, v), u, v
         for side, v in _constructed(w, f, u):
@@ -1249,7 +1249,7 @@ def test_tight_pipeline_v_is_factored_on_every_lattice():
         # factored on its own may pick another
         u_slice = VectorFamily(np.eye(lat.adjoint_count, lat.N))
         w0 = gabor._adjoint_family(gabor._adjoint_of(sys.family._cosets), lat)
-        side = _dual_side(w0, sys.family, u_slice, TOL)
+        side = dual_side(w0, sys.family, u_slice, TOL)
         assert_factored_v_matches_dense(side, res.v)
         checked += 1
     assert checked > 50
