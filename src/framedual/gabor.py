@@ -5,11 +5,12 @@ The system for lattice steps (a, b) with a | N and b | N is
     g_{m,n}[t] = exp(2 pi i m b t / N) * window[(t - n a) mod N],
     m in [0, N/b), n in [0, N/a),  ordered by j = m * (N/a) + n.
 
-The adjoint system lives on the adjoint lattice (time step N/b,
-frequency step N/a) and carries the normalization kappa = sqrt(N/(a b)),
-which is certified empirically by ``duality_check`` across the corpus:
-the system is a frame iff the adjoint family is a Riesz sequence with
-the same bounds.
+The adjoint system lives on the adjoint lattice ``GaborLattice(N, N/b,
+N/a)`` (``_adjoint_lattice``) and carries the normalization kappa =
+sqrt(N/(a b)), which is certified empirically by ``duality_check``
+across the corpus: the system is a frame iff the adjoint family is a
+Riesz sequence with the same bounds.  Every table of the coset layer
+is cached per lattice, keyed on its ``GaborLattice``.
 
 Both families take their exact thin SVD from the coset (Walnut/Zak)
 structure, never from the N x M synthesis matrix: with L = N/b, the
@@ -19,7 +20,7 @@ phases exp(2 pi i m r / L), and rows of different residues are
 orthogonal, so the L blocks factor the system (``_coset_svd``; the
 adjoint is the same on its lattice).  Only d = gcd(a, L) of the blocks
 are distinct: block r is a distinct block with its rows and columns
-cyclically shifted, by an orbit table cached per lattice shape
+cyclically shifted, by an orbit table cached per lattice
 (``_coset_orbits``), so its singular values are the distinct block's
 and its vectors are the distinct block's permuted.  The record
 (``_Cosets``) holds the singular values from one batched values-only
@@ -158,8 +159,18 @@ class GaborLattice:
         return self.N / (self.a * self.b)
 
     @property
+    def n_times(self) -> int:
+        """The translates per modulation, N/a."""
+        return self.N // self.a
+
+    @property
+    def n_freqs(self) -> int:
+        """The modulations, N/b."""
+        return self.N // self.b
+
+    @property
     def member_count(self) -> int:
-        return (self.N // self.a) * (self.N // self.b)
+        return self.n_times * self.n_freqs
 
     @property
     def adjoint_count(self) -> int:
@@ -180,133 +191,115 @@ class AdjointSystem:
     family: VectorFamily
 
 
-# The constants of one lattice shape ``(N, time_step, freq_step,
-# n_times, n_freqs)``, with ``n_freqs * freq_step == N``, each built and
-# cached only when it is read: the coset gather and the orbit table, for
-# the coset SVD, the block vectors, the products and the values-only
-# spectra; the modulation phases and the translate gather (a view of the
-# coset gather), for the member rows; the coset phases, for ``Vh``.  An
-# exploration fetches a shape once per lattice stage, not once per
-# trial, so the caches serve repeated runs in one process: the 84 shapes
-# of N = 4..12 fit, the 276 of N = 4..24 cycle through them.
+# The constants of one lattice, each built and cached only when it is
+# read: the coset gather and the orbit table, for the coset SVD, the
+# block vectors, the products and the values-only spectra; the
+# modulation phases and the translate gather (a view of the coset
+# gather), for the member rows; the coset phases, for ``Vh``.  An
+# exploration fetches a lattice's tables once per lattice stage, not
+# once per trial, so the caches serve repeated runs in one process: the
+# 84 lattices of N = 4..12 fit, the 276 of N = 4..24 cycle through them.
 
 
 @lru_cache(maxsize=256)
-def _coset_gather(
-    N: int, time_step: int, freq_step: int, n_times: int, n_freqs: int
-) -> np.ndarray:
-    """``coset[r, k, n] = (r + k n_freqs - n time_step) mod N``: the
-    translate gather of the member rows at the times ``t = r + k n_freqs``
-    of residue ``r``, stored with ``r`` fastest and ``n`` slowest (the
-    order of the translate gather itself), which the gathered blocks
-    inherit."""
-    t = np.arange(N).reshape(freq_step, n_freqs)
-    gather = (t - np.arange(n_times)[:, None, None] * time_step) % N
+def _coset_gather(lat: GaborLattice) -> np.ndarray:
+    """``coset[r, k, n] = (r + k L - n a) mod N`` with ``L = N/b``: the
+    translate gather of the member rows at the times ``t = r + k L`` of
+    residue ``r``, stored with ``r`` fastest and ``n`` slowest (the order
+    of the translate gather itself), which the gathered blocks inherit."""
+    t = np.arange(lat.N).reshape(lat.b, lat.n_freqs)
+    gather = (t - np.arange(lat.n_times)[:, None, None] * lat.a) % lat.N
     return _read_only(gather.transpose(2, 1, 0))[0]
 
 
 @lru_cache(maxsize=256)
-def _coset_orbits(
-    N: int, time_step: int, freq_step: int, n_times: int, n_freqs: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _coset_orbits(lat: GaborLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The orbit table ``(base, rows, cols)`` of the coset blocks: block
     ``r`` is ``G_r = G_base[r][rows[r]][:, cols[r]]``.
 
-    With ``d = gcd(time_step, n_freqs)``, every residue is ``r = rho + j
-    time_step - m n_freqs`` with ``rho = r mod d``, and then ``coset[r, k,
-    n] = coset[rho, (k - m) mod freq_step, (n - j) mod n_times]``: the
-    blocks of the residues ``rho < d`` are the distinct ones, and every
-    other is one of them with its rows and columns cyclically shifted
-    (Bolcskei and Hlawatsch, IEEE TSP 45, 1997).  So ``base[r] = rho``,
-    ``rows[r, k] = (k - m) mod freq_step`` and ``cols[r, n] = (n - j) mod
-    n_times``; the singular values of ``G_r`` are those of ``G_rho``, its
-    left vectors are those of ``G_rho`` with permuted rows and its right
-    vectors those with permuted columns."""
-    d = math.gcd(time_step, n_freqs)
-    j = np.arange(n_freqs // d)
-    t = np.arange(d)[:, None] + j * time_step  # (d, L / d), every r once
-    r, m = t % n_freqs, t // n_freqs
-    base = np.empty(n_freqs, dtype=np.intp)
-    rows = np.empty((n_freqs, freq_step), dtype=np.intp)
-    cols = np.empty((n_freqs, n_times), dtype=np.intp)
+    With ``L = N/b`` and ``d = gcd(a, L)``, every residue is ``r = rho + j
+    a - m L`` with ``rho = r mod d``, and then ``coset[r, k, n] =
+    coset[rho, (k - m) mod b, (n - j) mod N/a]``: the blocks of the
+    residues ``rho < d`` are the distinct ones, and every other is one of
+    them with its rows and columns cyclically shifted (Bolcskei and
+    Hlawatsch, IEEE TSP 45, 1997).  So ``base[r] = rho``, ``rows[r, k] =
+    (k - m) mod b`` and ``cols[r, n] = (n - j) mod N/a``; the singular
+    values of ``G_r`` are those of ``G_rho``, its left vectors are those
+    of ``G_rho`` with permuted rows and its right vectors those with
+    permuted columns."""
+    L, n_times = lat.n_freqs, lat.n_times
+    d = math.gcd(lat.a, L)
+    j = np.arange(L // d)
+    t = np.arange(d)[:, None] + j * lat.a  # (d, L / d), every r once
+    r, m = t % L, t // L
+    base = np.empty(L, dtype=np.intp)
+    rows = np.empty((L, lat.b), dtype=np.intp)
+    cols = np.empty((L, n_times), dtype=np.intp)
     base[r] = np.arange(d)[:, None]
-    rows[r] = (np.arange(freq_step) - m[..., None]) % freq_step
+    rows[r] = (np.arange(lat.b) - m[..., None]) % lat.b
     cols[r] = (np.arange(n_times) - j[:, None]) % n_times
     return _read_only(base, rows, cols)
 
 
 @lru_cache(maxsize=256)
-def _row_tables(
-    N: int, time_step: int, freq_step: int, n_times: int, n_freqs: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The modulation phases ``phase[m, t] = exp(2 pi i m freq_step t /
-    N)`` and the translate gather ``shift[n, t] = (t - n time_step) mod
-    N``."""
-    t = np.arange(N)
-    m = np.arange(n_freqs)[:, None]
-    phase = np.exp(2j * np.pi * m * freq_step * t / N)
+def _row_tables(lat: GaborLattice) -> tuple[np.ndarray, np.ndarray]:
+    """The modulation phases ``phase[m, t] = exp(2 pi i m b t / N)`` and
+    the translate gather ``shift[n, t] = (t - n a) mod N``."""
+    t = np.arange(lat.N)
+    m = np.arange(lat.n_freqs)[:, None]
+    phase = np.exp(2j * np.pi * m * lat.b * t / lat.N)
     # the coset gather is the translate gather in coset order: a view
-    coset = _coset_gather(N, time_step, freq_step, n_times, n_freqs)
-    return _read_only(phase)[0], coset.T.reshape(n_times, N)
+    return _read_only(phase)[0], _coset_gather(lat).T.reshape(lat.n_times, lat.N)
 
 
 @lru_cache(maxsize=256)
-def _coset_phases(N: int, freq_step: int, n_freqs: int) -> np.ndarray:
-    """The unit-norm coset phases ``phase[m, r] / sqrt(n_freqs)`` of the
-    residues ``r < n_freqs``, indexed ``[r, m]``."""
-    r = np.arange(n_freqs)
-    m = np.arange(n_freqs)[:, None]
-    phase = np.exp(2j * np.pi * m * freq_step * r / N)
-    return _read_only(phase.T / np.sqrt(n_freqs))[0]
+def _coset_phases(lat: GaborLattice) -> np.ndarray:
+    """The unit-norm coset phases ``phase[m, r] / sqrt(L)`` of the
+    residues ``r < L = N/b``, indexed ``[r, m]``."""
+    r = np.arange(lat.n_freqs)
+    m = np.arange(lat.n_freqs)[:, None]
+    phase = np.exp(2j * np.pi * m * lat.b * r / lat.N)
+    return _read_only(phase.T / np.sqrt(lat.n_freqs))[0]
 
 
 @dataclass(frozen=True, eq=False)
 class _Cosets:
-    """The coset record of a ``(g, N)`` stack of windows on one lattice
-    shape: the lattice shape, the scale, the singular values ``s`` of the
-    systems, descending, the block position ``(r[j], i[j])`` of each
-    singular triple ``j``, and the singular values ``sigma_d`` of the
-    ``d`` distinct blocks, ``(g, d, k)``, unscaled (all stacked along the
-    first axis).  The block vectors of the distinct blocks are
-    ``factors``, taken on first read (or preset, by ``_adjoint_of``);
-    those of every block are read through the orbit table."""
+    """The coset record of a ``(g, N)`` stack of windows on one lattice:
+    the lattice, the scale, the singular values ``s`` of the systems,
+    descending, the block position ``(r[j], i[j])`` of each singular
+    triple ``j``, and the singular values ``sigma_d`` of the ``d``
+    distinct blocks, ``(g, d, k)``, unscaled (all stacked along the first
+    axis).  The block vectors of the distinct blocks are ``factors``,
+    taken on first read (or preset, by ``_adjoint_of``); those of every
+    block are read through the orbit table."""
 
     windows: np.ndarray
-    N: int
-    time_step: int
-    freq_step: int
-    n_times: int
-    n_freqs: int
+    lattice: GaborLattice
     scale: float
     r: np.ndarray
     i: np.ndarray
     s: np.ndarray
     sigma_d: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int, int, int, int]:
-        """The lattice shape, the key of its cached tables."""
-        return self.N, self.time_step, self.freq_step, self.n_times, self.n_freqs
-
     def blocks(self) -> np.ndarray:
-        """The coset blocks ``G_r``, ``(g, L, freq_step, n_times)``."""
-        return self.windows[:, _coset_gather(*self.shape)]
+        """The coset blocks ``G_r``, ``(g, L, b, N/a)``."""
+        return self.windows[:, _coset_gather(self.lattice)]
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The block vectors ``(u_d, vh_d)`` of the ``d = gcd(time_step,
-        n_freqs)`` distinct blocks, from one batched SVD of them; block
-        ``r`` has ``U_r = u_d[base[r]][rows[r]]`` and ``Vh_r =
+        """The block vectors ``(u_d, vh_d)`` of the ``d = gcd(a, L)``
+        distinct blocks, from one batched SVD of them; block ``r`` has
+        ``U_r = u_d[base[r]][rows[r]]`` and ``Vh_r =
         vh_d[base[r]][:, cols[r]]`` (``_coset_orbits``), and triple ``(r,
         i)`` pairs ``s`` with their ``i``-th vectors."""
-        blocks = _distinct_blocks(self.windows, self.shape)
+        blocks = _distinct_blocks(self.windows, self.lattice)
         u_d, _, vh_d = _svd(blocks, full_matrices=False)
         return u_d, vh_d
 
     def block_u(self) -> np.ndarray:
-        """The left block vectors ``U_r`` of every residue, ``(g, L,
-        freq_step, k)``, gathered from those of the distinct blocks."""
-        base, rows, _ = _coset_orbits(*self.shape)
+        """The left block vectors ``U_r`` of every residue, ``(g, L, b,
+        k)``, gathered from those of the distinct blocks."""
+        base, rows, _ = _coset_orbits(self.lattice)
         return self.factors[0][:, base[:, None], rows]
 
     def take(self, index) -> "_Cosets":
@@ -317,70 +310,59 @@ class _Cosets:
         )
 
 
-def _distinct_blocks(windows: np.ndarray, shape: tuple) -> np.ndarray:
-    """The coset blocks of the residues ``r < d = gcd(time_step,
-    n_freqs)`` of a ``(g, N)`` stack of windows, the distinct ones
-    (``_coset_orbits``), ``(g, d, freq_step, n_times)``."""
-    d = math.gcd(shape[1], shape[4])
-    return windows[:, _coset_gather(*shape)[:d]]
+def _distinct_blocks(windows: np.ndarray, lat: GaborLattice) -> np.ndarray:
+    """The coset blocks of the residues ``r < d = gcd(a, L)`` of a ``(g,
+    N)`` stack of windows, the distinct ones (``_coset_orbits``), ``(g,
+    d, b, N/a)``."""
+    return windows[:, _coset_gather(lat)[: math.gcd(lat.a, lat.n_freqs)]]
 
 
-def _coset_svd(
-    windows: np.ndarray,
-    N: int,
-    time_step: int,
-    freq_step: int,
-    n_times: int,
-    n_freqs: int,
-    scale: float = 1.0,
-) -> _Cosets:
-    """The thin SVD of the systems of a ``(g, N)`` stack of windows, whose
-    members are ``scale * phase[m] * window[shift[n]]``, ordered ``j = m *
-    n_times + n``, from their coset blocks; ``_assemble_rows``,
-    ``_assemble_u`` and ``_assemble_vh`` build the members and the
-    factors from it.
+def _coset_svd(windows: np.ndarray, lat: GaborLattice, scale: float = 1.0) -> _Cosets:
+    """The thin SVD of the systems of a ``(g, N)`` stack of windows on the
+    lattice ``lat``, whose members are ``scale * phase[m] *
+    window[shift[n]]``, ordered ``j = m N/a + n``, from their coset blocks;
+    ``_assemble_rows``, ``_assemble_u`` and ``_assemble_vh`` build the
+    members and the factors from it.
 
-    Write ``L = n_freqs`` and ``t = r + k L``.  The modulation depends on
+    Write ``L = N/b`` and ``t = r + k L``.  The modulation depends on
     ``t`` through ``r`` alone, so the synthesis rows with residue ``r``
     are ``scale * G_r[k, n] * phase[m, r]`` with ``G_r = window[coset[r]]``,
     and rows of different residues are orthogonal (the phases are the
     columns of an L-point DFT).  With ``G_r = U_r diag(sigma_r) Vh_r``
     the factors are ``s = scale sqrt(L) sigma``, ``U_r`` placed on the
     rows ``r + k L``, and ``Vh[(r, i), (m, n)] = phase[m, r] / sqrt(L)
-    * Vh_r[i, n]``.  Only ``d = gcd(time_step, L)`` of the ``L`` blocks
-    are distinct up to cyclic shifts of their rows and columns
+    * Vh_r[i, n]``.  Only ``d = gcd(a, L)`` of the ``L`` blocks are
+    distinct up to cyclic shifts of their rows and columns
     (``_coset_orbits``), so one batched values-only SVD of the ``g d``
-    distinct blocks of size ``freq_step x n_times`` gives ``s``, every
-    block taking the values of its distinct block, and the block vectors
-    come from one batched SVD of the same ``g d`` blocks on first read,
-    never from an ``N x M`` synthesis matrix.  The triples are gathered in
-    descending order: triple ``j`` is ``(r, i) = divmod(order[j], k)``."""
-    shape = (N, time_step, freq_step, n_times, n_freqs)
-    sigma_d = _svd(_distinct_blocks(windows, shape), compute_uv=False)
-    return _coset_record(windows, shape, scale, sigma_d)
+    distinct blocks of size ``b x N/a`` gives ``s``, every block taking
+    the values of its distinct block, and the block vectors come from one
+    batched SVD of the same ``g d`` blocks on first read, never from an
+    ``N x M`` synthesis matrix.  The triples are gathered in descending
+    order: triple ``j`` is ``(r, i) = divmod(order[j], k)``."""
+    sigma_d = _svd(_distinct_blocks(windows, lat), compute_uv=False)
+    return _coset_record(windows, lat, scale, sigma_d)
 
 
 def _coset_record(
-    windows: np.ndarray, shape: tuple, scale: float, sigma_d: np.ndarray
+    windows: np.ndarray, lat: GaborLattice, scale: float, sigma_d: np.ndarray
 ) -> _Cosets:
     """The record of ``_coset_svd`` from the singular values ``sigma_d``
     of the distinct blocks: every block takes its distinct block's
     values, and the triples are gathered in descending order."""
-    n_freqs = shape[4]
-    sigma = sigma_d[:, _coset_orbits(*shape)[0]]  # (g, L, k)
+    sigma = sigma_d[:, _coset_orbits(lat)[0]]  # (g, L, k)
     k = sigma.shape[-1]
-    sigma = sigma.reshape(windows.shape[0], n_freqs * k)
+    sigma = sigma.reshape(windows.shape[0], lat.n_freqs * k)
     order = np.argsort(-sigma, axis=-1, kind="stable")
     r, i = np.divmod(order, k)
-    s = (scale * np.sqrt(n_freqs)) * np.take_along_axis(sigma, order, axis=-1)
-    return _Cosets(windows, *shape, scale, r, i, s, sigma_d)
+    s = (scale * np.sqrt(lat.n_freqs)) * np.take_along_axis(sigma, order, axis=-1)
+    return _Cosets(windows, lat, scale, r, i, s, sigma_d)
 
 
 def _assemble_rows(c: _Cosets) -> np.ndarray:
     """The member rows of each system, ``(g, M, N)``."""
-    phase, shift = _row_tables(*c.shape)
+    phase, shift = _row_tables(c.lattice)
     rows = (c.scale * phase)[:, None, :] * c.windows[:, None, shift]
-    return rows.reshape(len(c.windows), c.n_freqs * c.n_times, c.N)
+    return rows.reshape(len(c.windows), c.lattice.member_count, c.lattice.N)
 
 
 def _coset_product(c: _Cosets, x: np.ndarray) -> np.ndarray:
@@ -391,11 +373,12 @@ def _coset_product(c: _Cosets, x: np.ndarray) -> np.ndarray:
     sum_r exp(2 pi i m r / L) H_r[n]`` with ``H_r = G_r^t x_r`` and ``x_r``
     the rows ``r + k L`` of ``x``: one batched product of the blocks and
     an unnormalized L-point inverse DFT over the residues ``r``."""
-    x_r = x.reshape(c.freq_step, c.n_freqs, -1).swapaxes(0, 1)
-    h = c.blocks().swapaxes(-1, -2) @ x_r  # (g, L, n_times, p)
+    lat = c.lattice
+    x_r = x.reshape(lat.b, lat.n_freqs, -1).swapaxes(0, 1)
+    h = c.blocks().swapaxes(-1, -2) @ x_r  # (g, L, N/a, p)
     out = np.fft.ifft(h, axis=1, norm="forward")
     out *= c.scale
-    return out.reshape(len(c.windows), c.n_freqs * c.n_times, -1)
+    return out.reshape(len(c.windows), lat.member_count, -1)
 
 
 def _coset_adjoint_factor(c: _Cosets, x: np.ndarray) -> np.ndarray:
@@ -406,8 +389,8 @@ def _coset_adjoint_factor(c: _Cosets, x: np.ndarray) -> np.ndarray:
     column ``j`` of ``x conj(U)`` is ``x_r conj(U_r[:, i])`` with ``x_r``
     the columns ``r + kk L`` of ``x``: one batched product of the ``x_r``
     with the conjugated block vectors, gathered in triple order."""
-    x_r = x.reshape(*x.shape[:-1], c.freq_step, c.n_freqs)
-    x_r = np.moveaxis(x_r, -1, -3)  # ([g,] L, p, freq_step)
+    x_r = x.reshape(*x.shape[:-1], c.lattice.b, c.lattice.n_freqs)
+    x_r = np.moveaxis(x_r, -1, -3)  # ([g,] L, p, b)
     prod = x_r @ np.conj(c.block_u())  # (g, L, p, k)
     stack = np.arange(len(c.windows))[:, None]
     return prod[stack, c.r, :, c.i].swapaxes(-1, -2) * c.s[:, None, :]
@@ -429,15 +412,16 @@ def _coset_gram_norm(
     own residue and zero on every other, which the product with an
     explicit ``e_t`` gives exactly, so it is summed the same way and both
     give the same norm bit for bit."""
-    u_r = c.block_u()[0]  # (L, freq_step, k)
+    L = c.lattice.n_freqs
+    u_r = c.block_u()[0]  # (L, b, k)
     s_r = np.empty(u_r.shape[::2])  # (L, k)
     s_r[c.r[0], c.i[0]] = c.s[0]
     if x is None:
-        t = np.arange(start, c.N)
-        r = t % c.n_freqs
-        y = (np.conj(u_r[r, t // c.n_freqs]) * s_r[r])[None]  # (1, p, k)
+        t = np.arange(start, c.lattice.N)
+        r = t % L
+        y = (np.conj(u_r[r, t // L]) * s_r[r])[None]  # (1, p, k)
     else:
-        x_r = x.reshape(len(x), c.freq_step, c.n_freqs).transpose(2, 0, 1)
+        x_r = x.reshape(len(x), c.lattice.b, L).transpose(2, 0, 1)
         y = (x_r @ np.conj(u_r)) * s_r[:, None, :]  # (L, p, k)
     # squares and sums taken elementwise and along fixed axes, so an entry
     # is rounded the same wherever it sits in the array
@@ -451,9 +435,9 @@ def _assemble_u(c: _Cosets) -> np.ndarray:
     g, count = c.r.shape
     stack, col = np.arange(g)[:, None], np.arange(count)
     # U[(kk, r'), j] = U_r[kk, i] when r' == r, else 0
-    u = np.zeros((g, c.freq_step, c.n_freqs, count), dtype=np.complex128)
+    u = np.zeros((g, c.lattice.b, c.lattice.n_freqs, count), dtype=np.complex128)
     u[stack, :, c.r, col] = c.block_u()[stack, c.r, :, c.i]
-    return u.reshape(g, c.N, count)
+    return u.reshape(g, c.lattice.N, count)
 
 
 def _assemble_vh(c: _Cosets) -> np.ndarray:
@@ -462,29 +446,18 @@ def _assemble_vh(c: _Cosets) -> np.ndarray:
     its distinct block's through the orbit table."""
     g, count = c.r.shape
     stack = np.arange(g)[:, None, None]
-    base, _, cols = _coset_orbits(*c.shape)
+    base, _, cols = _coset_orbits(c.lattice)
     r, i = c.r[..., None], c.i[..., None]
-    vh_r = c.factors[1][stack, base[r], i, cols[c.r]]  # (g, L k, n_times)
-    phases = _coset_phases(c.N, c.freq_step, c.n_freqs)
-    vh = phases[c.r][..., None] * vh_r[..., None, :]
-    return vh.reshape(g, count, c.n_freqs * c.n_times)
+    vh_r = c.factors[1][stack, base[r], i, cols[c.r]]  # (g, L k, N/a)
+    vh = _coset_phases(c.lattice)[c.r][..., None] * vh_r[..., None, :]
+    return vh.reshape(g, count, c.lattice.member_count)
 
 
-def _system_shape(lat: GaborLattice) -> tuple[int, int, int, int, int]:
-    """The lattice shape of the system itself."""
-    return lat.N, lat.a, lat.b, lat.N // lat.a, lat.N // lat.b
-
-
-def _adjoint_shape(shape: tuple) -> tuple[tuple[int, int, int, int, int], float]:
-    """The adjoint lattice's shape (time step N/b, frequency step N/a)
-    for a system's shape, and its scale ``kappa = sqrt(N/(a b))``."""
-    N, a, b, n_times, n_freqs = shape
-    return (N, n_freqs, n_times, b, a), float(np.sqrt(N / (a * b)))
-
-
-def _system_cosets(windows: np.ndarray, lat: GaborLattice) -> _Cosets:
-    """``_coset_svd`` on the lattice itself."""
-    return _coset_svd(windows, *_system_shape(lat))
+def _adjoint_lattice(lat: GaborLattice) -> tuple[GaborLattice, float]:
+    """The adjoint lattice ``GaborLattice(N, N/b, N/a)`` of a system's
+    lattice, and its scale ``kappa = sqrt(N/(a b))``."""
+    kappa = float(np.sqrt(lat.N / (lat.a * lat.b)))
+    return GaborLattice(lat.N, lat.n_freqs, lat.n_times), kappa
 
 
 def _adjoint_cosets(windows: np.ndarray, lat: GaborLattice) -> _Cosets:
@@ -492,8 +465,7 @@ def _adjoint_cosets(windows: np.ndarray, lat: GaborLattice) -> _Cosets:
     adjoint factored on its own, for ``adjoint_system`` and so for
     ``duality_check``, whose Riesz bounds must not be read off the
     system's values (``_adjoint_of`` derives them for the other paths)."""
-    shape, kappa = _adjoint_shape(_system_shape(lat))
-    return _coset_svd(windows, *shape, scale=kappa)
+    return _coset_svd(windows, *_adjoint_lattice(lat))
 
 
 def _adjoint_of(c: _Cosets) -> _Cosets:
@@ -514,11 +486,10 @@ def _adjoint_of(c: _Cosets) -> _Cosets:
     them.  The adjoint's rows are still read from the windows
     (``_assemble_rows``), so a certificate built on this record checks
     the derived factors against them."""
-    shape, kappa = _adjoint_shape(c.shape)
-    adj = _coset_record(c.windows, shape, kappa, c.sigma_d)
+    adj = _coset_record(c.windows, *_adjoint_lattice(c.lattice), c.sigma_d)
     u_d, vh_d = c.factors  # (g, d, b, k), (g, d, k, N/a)
-    rev_k = -np.arange(c.n_times) % c.n_times
-    rev_n = -np.arange(c.freq_step) % c.freq_step
+    rev_k = -np.arange(c.lattice.n_times) % c.lattice.n_times
+    rev_n = -np.arange(c.lattice.b) % c.lattice.b
     # a cached_property is read from the instance dict first
     adj.__dict__["factors"] = (
         vh_d.swapaxes(-1, -2)[..., rev_k, :],
@@ -558,11 +529,11 @@ class _CosetFamily(VectorFamily):
 
     @property
     def count(self) -> int:
-        return self._cosets.n_freqs * self._cosets.n_times
+        return self._cosets.lattice.member_count
 
     @property
     def ambient_dim(self) -> int:
-        return self._cosets.N
+        return self._cosets.lattice.N
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -592,7 +563,7 @@ def gabor_system(lattice: GaborLattice, window: np.ndarray) -> GaborSystem:
     translation, ordered frequency-major."""
     w = _checked_windows(np.asarray(window)[None], lattice.N)
     fam = _CosetFamily(
-        _system_cosets(w, lattice),
+        _coset_svd(w, lattice),
         f"gabor(N={lattice.N},a={lattice.a},b={lattice.b})",
     )
     return GaborSystem(lattice=lattice, window=w[0], family=fam)
@@ -622,14 +593,14 @@ def canonical_tight_window(lattice: GaborLattice, window: np.ndarray) -> np.ndar
     with the lattice's time-frequency shifts, so the system on the
     returned window is Parseval for the span of the original one; this
     function does not re-analyze it."""
-    c = _system_cosets(_checked_windows(np.asarray(window)[None], lattice.N), lattice)
+    c = _coset_svd(_checked_windows(np.asarray(window)[None], lattice.N), lattice)
     rank = _span_rank(c.s[0], DEFAULT_TOL)
-    base, _, cols = _coset_orbits(*c.shape)
+    base, _, cols = _coset_orbits(lattice)
     u_r, vh_d = c.block_u()[0], c.factors[1][0]
     coef = np.zeros(u_r.shape[::2], dtype=np.complex128)  # (L, k)
     r, i = c.r[0, :rank], c.i[0, :rank]
-    coef[r, i] = vh_d[base[r], i, cols[r, 0]] / np.sqrt(c.n_freqs)
-    return (u_r @ coef[..., None])[..., 0].T.reshape(c.N)
+    coef[r, i] = vh_d[base[r], i, cols[r, 0]] / np.sqrt(lattice.n_freqs)
+    return (u_r @ coef[..., None])[..., 0].T.reshape(lattice.N)
 
 
 @dataclass(frozen=True)
@@ -866,10 +837,10 @@ def _gated_evidence(lat: GaborLattice, f: _Cosets, tol: Tolerance) -> list[dict]
     u_syn = np.conj(q @ w_vh)
 
     a = _coset_adjoint_factor(f, u_syn.swapaxes(-1, -2))
-    _, gram_norm, dual_res, pars_res, pars_ok = _span_coordinates(
+    _, _, dual_res, dual_ok, pars_res, pars_ok = _span_coordinates(
         q, inv_vh, w_rows, a, span_eye, tol
     )
-    ok = (dual_res <= tol.threshold(gram_norm)) & pars_ok
+    ok = dual_ok & pars_ok
     # S_u = conj(q q^*) projects onto a rank-r space: ||S_u - I||_F = sqrt(N - r)
     u_pars = np.sqrt(lat.N - w_rank)
 
@@ -911,7 +882,7 @@ def _evaluate_trials(
             "exploration samples non-critical lattices; at critical density"
             " use promote_to_r_dual"
         )
-    cosets = _system_cosets(_checked_windows(windows, lat.N), lat)
+    cosets = _coset_svd(_checked_windows(windows, lat.N), lat)
     s = cosets.s
     rank = _span_rank(s, tol)
     tight = _is_tight(s[:, 0], s[np.arange(len(s)), rank - 1], tol)

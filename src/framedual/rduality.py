@@ -225,17 +225,19 @@ def _span_coordinates(
     ``Y``.
 
     Returns ``c``; ``||A||_F = ||G(u,f)||_F``; ``||(conj(W) q C - I)
-    A||_F = ||(G(w~,w)^t - I) G(u,f)||_F``; ``||c c^* - span_eye||_F =
-    ||Y Y^* - P||_F`` and the accept decision of the last.  ``span_eye``
-    is the identity of the span coordinates, ``I_r``; a stack padded to a
-    common width with zero columns of ``q`` and zero rows of ``C`` passes
-    the diagonal mask of each rank instead."""
+    A||_F = ||(G(w~,w)^t - I) G(u,f)||_F`` and its accept decision, the
+    dual commutation, at the scale ``||G(u,f)||_F``; ``||c c^* -
+    span_eye||_F = ||Y Y^* - P||_F`` and the accept decision of the
+    last.  ``span_eye`` is the identity of the span coordinates, ``I_r``;
+    a stack padded to a common width with zero columns of ``q`` and zero
+    rows of ``C`` passes the diagonal mask of each rank instead."""
     c = inv_vh @ a
     gram_norm = frobenius(a)
     dual_res = frobenius((np.conj(w_rows) @ q) @ c - a)
+    dual_ok = dual_res <= tol.threshold(gram_norm)
     pars_res = frobenius(c @ c.conj().swapaxes(-1, -2) - span_eye)
     pars_ok = pars_res <= tol.threshold(frobenius(span_eye))
-    return c, gram_norm, dual_res, pars_res, pars_ok
+    return c, gram_norm, dual_res, dual_ok, pars_res, pars_ok
 
 
 def dual_side(
@@ -259,14 +261,13 @@ def dual_side(
     _require_same_count(w, u)
     q, s_r, vh_r = _span_svd(w, tol)
     inv_vh = vh_r / s_r[:, None]
-    c, gram_norm, dual_res, pars_res, pars_ok = _span_coordinates(
+    c, gram_norm, dual_res, dual_ok, pars_res, pars_ok = _span_coordinates(
         q, inv_vh, w.vectors, f._adjoint_factor(u.vectors), np.eye(q.shape[1]),
         tol,
     )
     coef = f._times(np.conj(inv_vh @ u.vectors).T)
     _read_only(np.conjugate(coef, out=coef))
     rank_y = singular_rank(_svd(c, compute_uv=False), tol)
-    dual_ok = dual_res <= tol.threshold(gram_norm)
     deficit, kernel = w.ambient_dim - q.shape[1], f.count - rank_y
     return DualSide(
         w, f, u, tol, coef, q, deficit, kernel, gram_norm, dual_res, dual_ok,
@@ -513,14 +514,21 @@ def commuting_parseval_family(
     flagged rather than raised.
     """
     fa = analyze(f, tol)
-    tight = parseval_tighten(f, tol)
-    v = VectorFamily._factored(np.conj(tight.vectors), label=f"commuting({f.label})")
-    va = analyze(v, tol)
+    v = _conjugated_tightening(f, tol, f"commuting({f.label})")
     return CommutingParsevalResult(
         family=v,
         input_is_riesz_basis=fa.is_riesz_basis,
-        output_is_onb=va.is_onb,
+        output_is_onb=analyze(v, tol).is_onb,
     )
+
+
+def _conjugated_tightening(
+    f: VectorFamily, tol: Tolerance, label: str
+) -> VectorFamily:
+    """The entrywise conjugate of the Parseval tightening of ``f``, from
+    the thin SVD of ``f`` alone."""
+    tight = parseval_tighten(f, tol)
+    return VectorFamily._factored(np.conj(tight.vectors), label=label)
 
 
 def _check_hypotheses(side: DualSide) -> DualSide:
@@ -1044,14 +1052,10 @@ def dual_commuting_parseval(
     _require_same_count(w, f)
     _require_same_dim(w, f)
     _gate_spanning(w, tol)
-    return commuting_parseval_family(w, tol).family.relabel(
-        f"dual-commuting({w.label})"
-    )
+    return _conjugated_tightening(w, tol, f"dual-commuting({w.label})")
 
 
-def gram_invariance_residual(
-    u: VectorFamily, w: VectorFamily, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def gram_invariance_residual(u: VectorFamily, w: VectorFamily) -> float:
     """``max_k || sum_j <u_j, u_k> w_j - w_k ||``."""
     _require_same_count(u, w)
     _require_same_dim(u, w)
@@ -1090,10 +1094,10 @@ def characterizing_sequence_bounds(
     if not fa.is_frame_for_ambient:
         raise HypothesisFailedError("f must be a frame for the ambient space")
     wa = analyze(w, tol)
-    y = dual_side(w, f, u, tol).sequence
-    if y.rank(tol) != wa.span_dim:
+    side = dual_side(w, f, u, tol)
+    if f.count - side.kernel != wa.span_dim:
         raise HypothesisFailedError("characterizing sequence does not span span{w}")
-    ya = analyze(y, tol)
+    ya = analyze(side.sequence, tol)
     lo = fa.lower_bound / wa.upper_bound
     hi = fa.upper_bound / wa.lower_bound
     ok = (
@@ -1121,7 +1125,7 @@ def synthesized_gram_invariance_residual(
     _require_same_count(f, u, v)
     _require_same_dim(f, u, v)
     _gate_ambient_parseval(u, tol)
-    return gram_invariance_residual(u, _synthesize(f, u, v, "synthesized"), tol)
+    return gram_invariance_residual(u, _synthesize(f, u, v, "synthesized"))
 
 
 def completeness_implies_invariance(side: DualSide) -> bool:
@@ -1142,5 +1146,5 @@ def completeness_implies_invariance(side: DualSide) -> bool:
 
 def _gram_invariance(u: VectorFamily, w: VectorFamily, tol: Tolerance):
     """The Gram invariance residual and its decision at ``max_k ||w_k||``."""
-    res = gram_invariance_residual(u, w, tol)
+    res = gram_invariance_residual(u, w)
     return res, res <= tol.threshold(np.linalg.norm(w.vectors, axis=1).max())

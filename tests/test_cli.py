@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report shapes, and determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,19 @@ class TestWindowFile:
         assert report["error"] == {
             "type": "FixtureParseError",
             "message": "window fixture must hold one vector of length 4",
+        }
+
+    @pytest.mark.parametrize("command", ["duality", "tight-wrd"])
+    def test_normalizing_a_zero_window_exits_2(self, command, tmp_path, capsys):
+        path = _write(tmp_path, "win", fam([[0, 0, 0, 0]], label="window"))
+        argv = ["gabor", command, "--N", "4", "--a", "2", "--b", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, report = _run(capsys, argv + ["--window", path, "--normalize"])
+        assert code == 2
+        assert report["error"] == {
+            "type": "ZeroWindowError",
+            "message": "window is zero",
         }
 
     def test_small_window_meets_the_floor_in_its_units(self, tmp_path, capsys):

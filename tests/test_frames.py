@@ -374,7 +374,7 @@ def test_array_holding_records_compare_by_identity():
     builders = {
         "GaborSystem": lambda: gabor.gabor_system(lat, window),
         "AdjointSystem": lambda: gabor.adjoint_system(gabor.gabor_system(lat, window)),
-        "_Cosets": lambda: gabor._system_cosets(window[None], lat),
+        "_Cosets": lambda: gabor._coset_svd(window[None], lat),
         "DualSide": lambda: rduality.dual_side(w, f, u, numerics.DEFAULT_TOL),
         "ConjugateLinearMap": lambda: rduality.ConjugateLinearMap(np.eye(2)),
         "TransferResult": lambda: rduality.transfer_via_coisometry(w, w, f, u, v),

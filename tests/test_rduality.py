@@ -505,6 +505,25 @@ class TestDualCommutingParseval:
         with pytest.raises(EmptySpanError):
             dual_commuting_parseval(zero, _onb(3))
 
+    def test_factors_w_alone(self, monkeypatch):
+        # the output is built from the thin SVD of w; it is not factored
+        # itself, as commuting_parseval_family's flags would need
+        from framedual import frames
+
+        rng = np.random.default_rng(16)
+        w = random_frame(rng, 40, 4, label="w")
+        calls = []
+        thin_svd = frames.thin_svd
+        monkeypatch.setattr(
+            frames, "thin_svd", lambda a: calls.append(a.shape) or thin_svd(a)
+        )
+        u = dual_commuting_parseval(w, w)
+        assert calls == [(4, 40)]
+        assert u.label == "dual-commuting(w)"
+        np.testing.assert_array_equal(
+            u.vectors, commuting_parseval_family(w).family.vectors
+        )
+
 
 class TestConjugateLinearMap:
     def test_adjoint_identity(self):

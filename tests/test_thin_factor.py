@@ -460,14 +460,14 @@ def test_seeded_factors_match_dense_on_every_lattice():
     assert checked > 700
 
 
-def searched_orbits(shape):
+def searched_orbits(lat):
     """Per residue ``r``, the distinct block ``rho = r mod d`` and the
     shifts ``(m, j)`` of ``r = rho + j time_step - m n_freqs`` with the
     least ``j >= 0``, found by search, after checking that block ``r`` of
     the gather is block ``rho`` cyclically shifted by ``m`` rows and ``j``
     columns."""
-    N, time_step, freq_step, n_times, n_freqs = shape
-    coset, d = _coset_gather(*shape), np.gcd(time_step, n_freqs)
+    time_step, n_freqs = lat.a, lat.n_freqs
+    coset, d = _coset_gather(lat), np.gcd(time_step, n_freqs)
     found = []
     for r in range(n_freqs):
         rho = r % d
@@ -486,13 +486,13 @@ def eager_translates(c):
     orbits, for every residue in a loop: the oracle for the assemblers,
     which read ``U_r`` and ``Vh_r`` through the orbit table and build
     ``Vh`` only when it is read."""
-    windows, shape, scale = c.windows, c.shape, c.scale
-    N, time_step, freq_step, n_times, n_freqs = shape
-    phase, shift = _row_tables(*shape)
-    coset, coset_phase = _coset_gather(*shape), _coset_phases(N, freq_step, n_freqs)
+    windows, lat, scale = c.windows, c.lattice, c.scale
+    N, freq_step, n_times, n_freqs = lat.N, lat.b, lat.n_times, lat.n_freqs
+    phase, shift = _row_tables(lat)
+    coset, coset_phase = _coset_gather(lat), _coset_phases(lat)
     g, L = windows.shape[0], n_freqs
     rows = (scale * phase)[:, None, :] * windows[:, None, shift]
-    orbits = searched_orbits(shape)
+    orbits = searched_orbits(lat)
     d = 1 + max(rho for rho, _, _ in orbits)
     sigma_d = np.linalg.svd(windows[:, coset[:d]], compute_uv=False)
     u_d, vh_d = c.factors
@@ -551,15 +551,16 @@ def test_orbit_factors_reproduce_every_block_on_every_lattice():
         for lat in divisor_lattices(N):
             windows = np.stack([_window(lat, 16), _window(lat, 17)])
             for c in (
-                gabor._system_cosets(windows, lat),
+                gabor._coset_svd(windows, lat),
                 gabor._adjoint_cosets(windows, lat),
             ):
                 blocks = c.blocks()  # (2, L, freq_step, n_times), every residue
                 u_d, vh_d = c.factors
-                base, rows, cols = gabor._coset_orbits(*c.shape)
-                assert u_d.shape[1] == vh_d.shape[1] == np.gcd(c.time_step, c.n_freqs)
+                base, rows, cols = gabor._coset_orbits(c.lattice)
+                L = c.lattice.n_freqs
+                assert u_d.shape[1] == vh_d.shape[1] == np.gcd(c.lattice.a, L)
                 assert np.array_equal(np.unique(base), np.arange(u_d.shape[1]))
-                g, L, k = len(windows), c.n_freqs, u_d.shape[-1]
+                g, k = len(windows), u_d.shape[-1]
                 sigma = np.zeros((g, L, k))
                 sigma[np.arange(g)[:, None], c.r, c.i] = c.s / (c.scale * np.sqrt(L))
                 u_r = u_d[:, base[:, None], rows]
@@ -586,9 +587,9 @@ def test_derived_adjoint_matches_its_own_factorization_on_every_lattice():
         delta[0] = 1.0
         for lat in divisor_lattices(N):
             windows = np.stack([_window(lat, 18), _window(lat, 19), delta])
-            derived = gabor._adjoint_of(gabor._system_cosets(windows, lat))
+            derived = gabor._adjoint_of(gabor._coset_svd(windows, lat))
             own = gabor._adjoint_cosets(windows, lat)
-            assert derived.shape == own.shape and derived.scale == own.scale
+            assert derived.lattice == own.lattice and derived.scale == own.scale
             rows = gabor._assemble_rows(own)
             assert np.array_equal(gabor._assemble_rows(derived), rows)
             u, vh = gabor._assemble_u(derived), gabor._assemble_vh(derived)
@@ -600,6 +601,30 @@ def test_derived_adjoint_matches_its_own_factorization_on_every_lattice():
                 assert fro(syn - rows[w].T) <= 1e-13 * max(1.0, fro(rows[w]))
                 for factor in (u[w].conj().T @ u[w], vh[w] @ vh[w].conj().T):
                     assert fro(factor - np.eye(k)) <= 1e-13 * k
+            checked += 1
+    assert checked > 300
+
+
+def test_adjoint_lattice_is_an_involution_on_every_lattice():
+    # the adjoint lattice GaborLattice(N, N/b, N/a) of the adjoint lattice
+    # is the lattice; the derived adjoint record and the one factored on
+    # its own carry that one lattice, scale and cached tables
+    checked = 0
+    for N in range(1, 25):
+        for lat in divisor_lattices(N):
+            adj, kappa = gabor._adjoint_lattice(lat)
+            assert adj == GaborLattice(N, N // lat.b, N // lat.a)
+            assert gabor._adjoint_lattice(adj)[0] == lat
+            assert (adj.n_times, adj.n_freqs) == (lat.b, lat.a)
+            assert adj.member_count == lat.adjoint_count
+            assert kappa == float(np.sqrt(N / (lat.a * lat.b)))
+            windows = _window(lat, 20)[None]
+            derived = gabor._adjoint_of(gabor._coset_svd(windows, lat))
+            own = gabor._adjoint_cosets(windows, lat)
+            assert derived.lattice == own.lattice == adj
+            assert derived.scale == own.scale == kappa
+            for table in (gabor._coset_gather, gabor._coset_orbits):
+                assert table(derived.lattice) is table(own.lattice)
             checked += 1
     assert checked > 300
 
@@ -665,7 +690,7 @@ def test_stacked_coset_adjoint_factor_matches_each_window_on_every_lattice():
             windows = np.stack([_window(lat, seed) for seed in (21, 22, 23)])
             rng = np.random.default_rng([21, N, lat.a, lat.b])
             x = rng.standard_normal((3, 2, N)) + 1j * rng.standard_normal((3, 2, N))
-            system = gabor._system_cosets(windows, lat)
+            system = gabor._coset_svd(windows, lat)
             for c in (system, gabor._adjoint_of(system)):
                 got = gabor._coset_adjoint_factor(c, x)
                 u = gabor._assemble_u(c)
@@ -891,7 +916,7 @@ def test_gated_evidence_with_adjoint_ranks_differing_across_the_stack():
     delta[0] = 1.0
     random = _window(lat, 14)
     windows = np.stack([random / np.linalg.norm(random), delta])
-    records = gabor._gated_evidence(lat, gabor._system_cosets(windows, lat), TOL)
+    records = gabor._gated_evidence(lat, gabor._coset_svd(windows, lat), TOL)
     assert [len(rec["adjoint_spectrum"]) for rec in records] == [4, 2]
     for window, rec in zip(windows, records):
         sys = gabor_system(lat, window)
@@ -1048,7 +1073,7 @@ def _recorded_assembler(monkeypatch, name):
     assemble = getattr(gabor, name)
 
     def recorded(c):
-        counts.append(c.n_freqs * c.n_times)
+        counts.append(c.lattice.member_count)
         return assemble(c)
 
     monkeypatch.setattr(gabor, name, recorded)
@@ -1121,15 +1146,15 @@ def test_tight_pipeline_peak_memory_below_five_member_arrays():
 def test_duality_builds_no_row_or_vh_table(monkeypatch):
     # the coset SVD reads the coset gather alone: the modulation phases and
     # the translate gather (for rows) and the coset phases (for Vh) of the
-    # system's shape, 64 + 32 + 16 MiB here, are not built
+    # system's lattice, 64 + 32 + 16 MiB here, are not built
     lat = GaborLattice(4096, 4, 4)
     read = []
     for name in ("_row_tables", "_coset_phases"):
         table = getattr(gabor, name)
 
-        def recorded(*shape, table=table, name=name):
-            read.append((name, shape))
-            return table(*shape)
+        def recorded(lat, table=table, name=name):
+            read.append((name, lat))
+            return table(lat)
 
         monkeypatch.setattr(gabor, name, recorded)
     window = np.zeros(lat.N, dtype=np.complex128)
@@ -1145,13 +1170,15 @@ def test_duality_builds_no_row_or_vh_table(monkeypatch):
     assert peak < 200 * 2**20, peak / 2**20
 
 
-@pytest.mark.parametrize("shape", [(12, 2, 3, 6, 4), (96, 2, 2, 48, 48), (8, 8, 1, 1, 8)])
+@pytest.mark.parametrize(
+    "shape", [GaborLattice(12, 2, 3), GaborLattice(96, 2, 2), GaborLattice(8, 8, 1)]
+)
 def test_translate_gather_shares_the_coset_gather(shape):
-    # a process that reads rows and coset blocks of one shape holds the
+    # a process that reads rows and coset blocks of one lattice holds the
     # gather once
-    N, time_step, _, n_times, _ = shape
-    shift = _row_tables(*shape)[1]
-    assert np.shares_memory(shift, _coset_gather(*shape))
+    N, time_step, n_times = shape.N, shape.a, shape.n_times
+    shift = _row_tables(shape)[1]
+    assert np.shares_memory(shift, _coset_gather(shape))
     np.testing.assert_array_equal(
         shift, (np.arange(N) - np.arange(n_times)[:, None] * time_step) % N
     )
