@@ -19,6 +19,7 @@ import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -111,9 +112,12 @@ class VectorFamily:
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thin SVD ``(U, s, Vh)`` of the ``ambient_dim x count`` synthesis
-        matrix.  ``vectors`` is read-only, so the factors cannot go stale;
-        they are read-only as well."""
-        return _read_only(*thin_svd(self.vectors.T))
+        matrix, read off the positions of a coordinate family
+        (``_coordinate_svd``) and taken by LAPACK for any other.
+        ``vectors`` is read-only, so the factors cannot go stale; they are
+        read-only as well."""
+        factors = _coordinate_svd(self.vectors)
+        return _read_only(*(factors or thin_svd(self.vectors.T)))
 
     @property
     def _s(self) -> np.ndarray:
@@ -174,6 +178,54 @@ class VectorFamily:
         fam = type(self).__new__(type(self))
         fam.__dict__.update(self.__dict__, label=label)
         return fam
+
+
+def _unit_positions(rows: np.ndarray) -> Optional[np.ndarray]:
+    """The position of the one nonzero entry of each row of ``rows``, or
+    -1 for a zero row, when every row is zero or a unit coordinate vector
+    (one entry exactly 1, every other exactly 0); ``None`` otherwise.  An
+    exact test in O(size): the nonzero entries are counted before any is
+    located, so a dense operand allocates nothing here."""
+    count = rows.shape[0]
+    if np.count_nonzero(rows) > count:
+        return None
+    at, pos = rows.nonzero()
+    if (at[1:] == at[:-1]).any() or not (rows[at, pos] == 1).all():
+        return None
+    positions = np.full(count, -1, dtype=np.intp)
+    positions[at] = pos
+    return positions
+
+
+def _coordinate_svd(v: np.ndarray) -> Optional[tuple[np.ndarray, ...]]:
+    """The thin SVD ``(U, s, Vh)`` of the synthesis ``v^t`` of a coordinate
+    family, one whose members ``v`` are distinct unit coordinate vectors
+    or zero, at least one nonzero; ``None`` for any other family.  With
+    ``k = min(count, dim)`` and the ``p`` nonzero members ``e_{t_j}`` at
+    the member indices ``j``, ``v^t = sum_j e_{t_j} e_j^t``: ``U`` holds
+    the columns ``e_{t_j}``, then the first ``k - p`` coordinate vectors
+    at no position; ``s`` is ``p`` ones, then ``k - p`` zeros; and ``Vh``
+    holds the rows ``e_j``, then those of the first ``k - p`` zero
+    members.  Built by plain indexing, with no LAPACK call."""
+    positions = _unit_positions(v)
+    if positions is None:
+        return None
+    count, dim = v.shape
+    members = np.flatnonzero(positions >= 0)
+    taken = np.zeros(dim, dtype=bool)
+    taken[positions[members]] = True
+    p, k = len(members), min(count, dim)
+    if p == 0 or np.count_nonzero(taken) != p:
+        return None
+    cols = np.concatenate([positions[members], np.flatnonzero(~taken)[: k - p]])
+    rows = np.concatenate([members, np.flatnonzero(positions < 0)[: k - p]])
+    u = np.zeros((dim, k), dtype=np.complex128)
+    u[cols, np.arange(k)] = 1.0
+    vh = np.zeros((k, count), dtype=np.complex128)
+    vh[np.arange(k), rows] = 1.0
+    s = np.zeros(k)
+    s[:p] = 1.0
+    return u, s, vh
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,18 @@ builds and when: its rows, its ``U`` (as large as N x N) and its ``Vh``
 (with the member count along one axis) are each assembled the first
 time something reads them.  ``analyze`` and ``duality_check`` read
 singular values alone, so they compute no block vectors and build none
-of the three.  The tight pipeline builds none of the system's rows,
-``U`` or ``Vh``, nor the right block vectors of every residue: a product
-``rows @ x`` is taken from the blocks (``_coset_product``), as is a
-product ``x conj(U) diag(s)`` (``_coset_adjoint_factor``) and the norm
-``||x F^*||_F`` (``_coset_gram_norm``), and the rows, when they are
-built, are finite because ``_checked_windows`` checked the window.
+of the three.  A product ``rows @ x`` is taken from the blocks
+(``_coset_product``), as is a product ``x conj(U) diag(s)``
+(``_coset_adjoint_factor``) and the norm ``||x F^*||_F``
+(``_coset_gram_norm``); when the columns of ``x`` (for the first) or its
+rows (for the second) are unit coordinate vectors, the product is a
+gather instead, of the rows' columns off the window (``_coset_columns``)
+or of the rows of ``conj(U) diag(s)`` off the left block vectors
+(``_coset_adjoint_rows``), with no block product or DFT.  The tight
+pipeline's ``u`` is such a selection, so it builds none of the system's
+rows, ``U`` or ``Vh``, nor the right block vectors of every residue,
+and takes no block product; the rows, when they are built, are finite
+because ``_checked_windows`` checked the window.
 ``canonical_tight_window`` sums its window block by block from the left
 block vectors and column 0 of the right ones, with no ``U`` or ``Vh``.
 The factorization takes a stack of windows on one lattice:
@@ -103,6 +109,7 @@ from .frames import (
     _members,
     _read_only,
     _span_rank,
+    _unit_positions,
     analyze,
 )
 from .numerics import DEFAULT_TOL, Tolerance, _svd, singular_rank
@@ -192,8 +199,10 @@ class AdjointSystem:
 
 
 # The constants of one lattice, each built and cached only when it is
-# read: the coset gather and the orbit table, for the coset SVD, the
-# block vectors, the products and the values-only spectra; the
+# read: the gather of the distinct residues, for the coset SVD; the
+# coset gather of every residue, for the block products (a path that
+# takes none never builds this N x N/a table); the orbit table, for the
+# block vectors and the values-only spectra; the
 # modulation phases and the translate gather (a view of the coset
 # gather), for the member rows; the coset phases, for ``Vh``.  An
 # exploration fetches a lattice's tables once per lattice stage, not
@@ -201,15 +210,28 @@ class AdjointSystem:
 # 84 lattices of N = 4..12 fit, the 276 of N = 4..24 cycle through them.
 
 
+def _residue_gather(lat: GaborLattice, residues: int) -> np.ndarray:
+    """``coset[r, k, n] = (r + k L - n a) mod N`` with ``L = N/b`` for the
+    residues ``r < residues``: the translate gather of the member rows at
+    the times ``t = r + k L`` of residue ``r``, stored with ``r`` fastest
+    and ``n`` slowest (the order of the translate gather itself), which
+    the gathered blocks inherit."""
+    t = np.arange(lat.N).reshape(lat.b, lat.n_freqs)[:, :residues]
+    gather = (t - np.arange(lat.n_times)[:, None, None] * lat.a) % lat.N
+    return gather.transpose(2, 1, 0)
+
+
 @lru_cache(maxsize=256)
 def _coset_gather(lat: GaborLattice) -> np.ndarray:
-    """``coset[r, k, n] = (r + k L - n a) mod N`` with ``L = N/b``: the
-    translate gather of the member rows at the times ``t = r + k L`` of
-    residue ``r``, stored with ``r`` fastest and ``n`` slowest (the order
-    of the translate gather itself), which the gathered blocks inherit."""
-    t = np.arange(lat.N).reshape(lat.b, lat.n_freqs)
-    gather = (t - np.arange(lat.n_times)[:, None, None] * lat.a) % lat.N
-    return _read_only(gather.transpose(2, 1, 0))[0]
+    """The gather ``_residue_gather`` of every residue, ``(L, b, N/a)``."""
+    return _read_only(_residue_gather(lat, lat.n_freqs))[0]
+
+
+@lru_cache(maxsize=256)
+def _distinct_gather(lat: GaborLattice) -> np.ndarray:
+    """The gather of the ``d = gcd(a, L)`` distinct residues, ``(d, b,
+    N/a)`` (``_coset_orbits``)."""
+    return _read_only(_residue_gather(lat, math.gcd(lat.a, lat.n_freqs)))[0]
 
 
 @lru_cache(maxsize=256)
@@ -241,15 +263,26 @@ def _coset_orbits(lat: GaborLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return _read_only(base, rows, cols)
 
 
-@lru_cache(maxsize=256)
 def _row_tables(lat: GaborLattice) -> tuple[np.ndarray, np.ndarray]:
-    """The modulation phases ``phase[m, t] = exp(2 pi i m b t / N)`` and
-    the translate gather ``shift[n, t] = (t - n a) mod N``."""
-    t = np.arange(lat.N)
+    """The modulation phases ``phase[m, t] = exp(2 pi i m b t / N)``,
+    cached, and the translate gather ``shift[n, t] = (t - n a) mod N``, a
+    view of the cached coset gather (the translate gather in coset order)
+    taken on each call, so that rows and blocks share one gather."""
+    return _row_phases(lat), _coset_gather(lat).T.reshape(lat.n_times, lat.N)
+
+
+@lru_cache(maxsize=256)
+def _row_phases(lat: GaborLattice) -> np.ndarray:
+    """The modulation phases of every time, ``(N/b, N)``."""
+    return _read_only(_modulation(lat, np.arange(lat.N)))[0]
+
+
+def _modulation(lat: GaborLattice, t: np.ndarray) -> np.ndarray:
+    """The modulation phases ``exp(2 pi i m b t / N)`` of every ``m <
+    N/b`` at the times ``t``, ``(N/b, len(t))``, each entry evaluated by
+    the same operations whatever ``t`` holds."""
     m = np.arange(lat.n_freqs)[:, None]
-    phase = np.exp(2j * np.pi * m * lat.b * t / lat.N)
-    # the coset gather is the translate gather in coset order: a view
-    return _read_only(phase)[0], _coset_gather(lat).T.reshape(lat.n_times, lat.N)
+    return np.exp(2j * np.pi * m * lat.b * t / lat.N)
 
 
 @lru_cache(maxsize=256)
@@ -314,7 +347,7 @@ def _distinct_blocks(windows: np.ndarray, lat: GaborLattice) -> np.ndarray:
     """The coset blocks of the residues ``r < d = gcd(a, L)`` of a ``(g,
     N)`` stack of windows, the distinct ones (``_coset_orbits``), ``(g,
     d, b, N/a)``."""
-    return windows[:, _coset_gather(lat)[: math.gcd(lat.a, lat.n_freqs)]]
+    return windows[:, _distinct_gather(lat)]
 
 
 def _coset_svd(windows: np.ndarray, lat: GaborLattice, scale: float = 1.0) -> _Cosets:
@@ -394,6 +427,37 @@ def _coset_adjoint_factor(c: _Cosets, x: np.ndarray) -> np.ndarray:
     prod = x_r @ np.conj(c.block_u())  # (g, L, p, k)
     stack = np.arange(len(c.windows))[:, None]
     return prod[stack, c.r, :, c.i].swapaxes(-1, -2) * c.s[:, None, :]
+
+
+def _coset_columns(c: _Cosets, t: np.ndarray) -> np.ndarray:
+    """The columns ``t`` of the member rows of the first system of the
+    stack, ``(M, p)``: ``rows @ x`` for the ``x`` whose columns are the
+    coordinate vectors ``e_t``.  The member ``(m, n)`` at time ``t`` is
+    ``scale * phase[m, t] * window[(t - n a) mod N]``, its phase evaluated
+    (``_modulation``) and multiplied as ``_assemble_rows`` does, so every
+    entry is bitwise the assembled one; no row table, block product or
+    DFT is built."""
+    lat = c.lattice
+    shift = (t - np.arange(lat.n_times)[:, None] * lat.a) % lat.N
+    cols = (c.scale * _modulation(lat, t))[:, None, :] * c.windows[0][shift]
+    return cols.reshape(lat.member_count, len(t))
+
+
+def _coset_adjoint_rows(c: _Cosets, t: np.ndarray) -> np.ndarray:
+    """The rows ``t`` of ``conj(U) diag(s)`` of the first system of the
+    stack, ``(p, L k)``: ``x conj(U) diag(s)`` for the ``x`` whose rows are
+    the coordinate vectors ``e_t``.  Row ``t = r + kk L`` of ``U`` holds
+    ``U_r[kk, i[j]]`` in the columns ``j`` of residue ``r[j] == r`` and
+    zero in the others; ``U_r[kk] = u_d[base[r]][rows[r, kk]]`` is read
+    off the distinct block's left vectors through the orbit table, with
+    no product and no ``U``."""
+    base, rows, _ = _coset_orbits(c.lattice)
+    kk, r = np.divmod(t, c.lattice.n_freqs)
+    res, i = c.r[0], c.i[0]
+    out = np.conj(c.factors[0][0][base[r, None], rows[r, kk][:, None], i])
+    out *= c.s[0]
+    out[res != r[:, None]] = 0.0
+    return out
 
 
 def _coset_gram_norm(
@@ -520,9 +584,11 @@ class _CosetFamily(VectorFamily):
     singular values are read off the blocks, ``U``, the member rows and
     ``Vh`` are each assembled on first read and cached, and products with
     the rows and with ``conj(U) diag(s)`` are taken from the blocks
-    (``_coset_product``, ``_coset_adjoint_factor``) whether or not the
-    rows or ``U`` are built, so a result does not depend on what was read
-    before.  Rows, when built, are checked like any family's."""
+    (``_coset_product``, ``_coset_adjoint_factor``), or gathered for a
+    coordinate selection (``_coset_columns``, ``_coset_adjoint_rows``),
+    whether or not the rows or ``U`` are built, so a result does not
+    depend on what was read before.  Rows, when built, are checked like
+    any family's."""
 
     def __init__(self, cosets: _Cosets, label: str) -> None:
         self.__dict__.update(_cosets=cosets, label=label)
@@ -552,9 +618,15 @@ class _CosetFamily(VectorFamily):
         return self._us + _read_only(_assemble_vh(self._cosets)[0])
 
     def _times(self, x: np.ndarray) -> np.ndarray:
+        t = _unit_positions(x.T)
+        if t is not None and np.all(t >= 0):
+            return _coset_columns(self._cosets, t)
         return _coset_product(self._cosets, x)[0]
 
     def _adjoint_factor(self, x: np.ndarray) -> np.ndarray:
+        t = _unit_positions(x)
+        if t is not None and np.all(t >= 0):
+            return _coset_adjoint_rows(self._cosets, t)
         return _coset_adjoint_factor(self._cosets, x)[0]
 
 
@@ -697,8 +769,10 @@ def tight_gabor_weak_r_dual(
     characterizing sequence to come out Parseval.
     """
     lat = sys.lattice
-    sa = analyze(sys.family, tol)
-    if not (sa.is_frame_for_ambient and sa.is_tight):
+    # frame and tight by the rules of ``analyze``, on the system's values
+    s = sys.family._s
+    rank = _span_rank(s, tol)
+    if rank != lat.N or not _is_tight(float(s[0]), float(s[rank - 1]), tol):
         raise NotTightError("system is not a tight frame for the ambient space")
     if lat.redundancy <= 1.0:
         raise CriticalDensityError(

@@ -43,9 +43,13 @@ re-associated through the thin SVDs the families carry, at
 O(M n rank) with the rank of ``u`` or ``w``: each ``X H^*`` as ``X
 conj(U_h) diag(s_h)`` (the factor ``conj(Vh_h)`` has orthonormal rows,
 so norms and Grams are unchanged), and ``V^t G(f,u)`` as ``(V^t B)
-conj(Vh_u)`` with ``B = F conj(U_u) diag(s_u)``.  Products with the rows
-of ``f`` go through ``VectorFamily._times``, so a Gabor system takes
-them from its coset blocks and never builds its rows.
+conj(Vh_u)`` with ``B = F conj(U_u) diag(s_u)``.  ``B`` is the one
+product with the rows of ``f`` per dual side: ``dual_side`` takes it
+through ``VectorFamily._times`` (a Gabor system takes it from its coset
+blocks, or gathers it when ``U_u`` is a coordinate selection, and never
+builds its rows), derives the characterizing sequence from it and keeps
+it on the record, from which every certificate on that record reads
+it.
 
 The dual side of a triple ``(w, f, u)`` is public: ``dual_side``
 evaluates it once into the frozen record ``DualSide``, which holds the
@@ -64,7 +68,7 @@ its projection residual as the row norms of ``V conj(q) - coef``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -174,12 +178,16 @@ class DualSide:
     ``dual_side`` evaluates it, with the triple and the tolerance: the
     orthonormal basis ``q`` of span{w} (the span projector is ``P = q
     q^*``), the M x rank coefficients ``coef`` of the characterizing
-    sequence's member rows ``Y^t = coef q^t`` (``sequence``), the span
+    sequence's member rows ``Y^t = coef q^t`` (``sequence``), the rank x
+    min(n, M) matrix ``c`` with ``Y = q c conj(Vh_f)``, which has the
+    singular values of ``Y``, the one product ``b = F conj(U_u) diag(s_u)``
+    of the rows of ``f`` with the thin SVD of ``u`` (M x min(n, K)), from
+    which ``coef`` is derived and which a certificate reads, the span
     deficit of ``w`` and the kernel dimension of ``Y``, ``||G(u,f)||_F``
     (the scale of the commutation residuals), and the residuals of the
     dual commutation and of ``Y Y^* = P`` with their accept decisions.
-    The record is frozen and ``q`` and ``coef`` are read-only, so a
-    record cannot be paired with another triple."""
+    The record is frozen and its arrays are read-only, so a record cannot
+    be paired with another triple."""
 
     w: VectorFamily
     f: VectorFamily
@@ -187,6 +195,8 @@ class DualSide:
     tol: Tolerance
     coef: np.ndarray
     q: np.ndarray
+    c: np.ndarray
+    b: np.ndarray
     deficit: int
     kernel: int
     gram_norm: float
@@ -251,12 +261,19 @@ def dual_side(
     the adjoint in ``gabor``).  The arithmetic is done in span coordinates
     (``_span_coordinates``, with ``A`` taken by ``f._adjoint_factor``, so
     a Gabor ``f`` builds no ``U``); the rank of ``Y``, which gives the
-    kernel dimension, is read off the rank x min(n, M) matrix ``c``.  The
-    rows ``Y^t = conj(F U^* conj(W~))`` of ``Y`` are not formed: with
-    ``W~^t = q C`` they are ``conj(F conj(C U)^t) q^t``, and the record
-    keeps ``coef = conj(F conj(C U)^t)``, an M x rank product taken by
-    ``f._times`` and conjugated in place.  Neither the canonical dual's
-    rows nor an n x n product is formed."""
+    kernel dimension, is read off the rank x min(n, M) matrix ``c``
+    (``_sequence_rank``), with no SVD when ``c`` is near an isometry.
+
+    The rows of ``f`` enter one product, ``B = F conj(U_u) diag(s_u)``
+    with the thin SVD ``(U_u, s_u, Vh_u)`` of ``u``, taken by ``f._times``
+    (a Gabor ``f`` gathers its columns when ``U_u`` is a coordinate
+    selection) and kept on the record for the certificate.  The rows
+    ``Y^t = conj(F U^* conj(W~))`` of ``Y`` are not formed: with ``W~^t =
+    q C`` and ``U^t = U_u diag(s_u) Vh_u`` they are ``conj(B conj(Vh_u
+    C^t)) q^t``, and the record keeps ``coef = conj(B conj(Vh_u C^t))``,
+    the M x rank product of ``B`` with a min(n, K) x rank factor,
+    conjugated in place.  Neither the canonical dual's rows nor an n x n
+    product is formed."""
     _require_same_dim(w, f, u)
     _require_same_count(w, u)
     q, s_r, vh_r = _span_svd(w, tol)
@@ -265,14 +282,37 @@ def dual_side(
         q, inv_vh, w.vectors, f._adjoint_factor(u.vectors), np.eye(q.shape[1]),
         tol,
     )
-    coef = f._times(np.conj(inv_vh @ u.vectors).T)
-    _read_only(np.conjugate(coef, out=coef))
-    rank_y = singular_rank(_svd(c, compute_uv=False), tol)
+    u_u, s_u, vh_u = u.svd
+    b = f._times(np.conj(u_u))
+    b *= s_u  # (M, min(n, K))
+    coef = b @ np.conj(vh_u @ inv_vh.T)
+    np.conjugate(coef, out=coef)
+    rank_y = _sequence_rank(c, pars_res, tol)
     deficit, kernel = w.ambient_dim - q.shape[1], f.count - rank_y
     return DualSide(
-        w, f, u, tol, coef, q, deficit, kernel, gram_norm, dual_res, dual_ok,
-        pars_res, pars_ok,
+        w, f, u, tol, *_read_only(coef, q, c, b), deficit, kernel, gram_norm,
+        dual_res, dual_ok, pars_res, pars_ok,
     )
+
+
+def _sequence_rank(c: np.ndarray, pars_res: float, tol: Tolerance) -> int:
+    """The rank of ``Y``, that of the r x m matrix ``c``, whose projected
+    Parseval residual is ``eps = ||c c^* - I_r||_F``.  For r <= m, every
+    eigenvalue of ``c c^*`` lies within ``eps`` of 1, so every singular
+    value of ``c`` lies in ``[sqrt(1 - eps), sqrt(1 + eps)]``; when
+
+        sqrt(1 - eps) > tol.threshold(sqrt(1 + eps)),
+
+    each of them passes the rank rule at any largest value, and the rank
+    is r with no SVD.  ``eps`` is taken with an allowance for the rounding
+    of the product ``c c^*``, ``(m + 2) r (1 + eps)`` units of 2^-52, so
+    the shortcut never claims a rank the exact residual would not.
+    Otherwise the rank is read off the values-only SVD of ``c``."""
+    r, m = c.shape
+    eps = pars_res + (m + 2) * r * (1.0 + pars_res) * np.finfo(float).eps
+    if r <= m and eps < 1.0 and np.sqrt(1.0 - eps) > tol.threshold(np.sqrt(1.0 + eps)):
+        return r
+    return singular_rank(_svd(c, compute_uv=False), tol)
 
 
 def _gate_parseval(fam: VectorFamily, tol: Tolerance, name: str) -> None:
@@ -345,9 +385,14 @@ class WeakRDualCertificate:
         return self.verdict in ("WeakRDual", "RDual")
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
-        tolerance = {key: out.pop(key) for key in ("rel_eps", "abs_floor")}
-        return {**out, "tolerance": tolerance}
+        out = {
+            field.name: getattr(self, field.name)
+            for field in fields(self)
+            if field.name not in ("rel_eps", "abs_floor")
+        }
+        out["labels"] = dict(self.labels)
+        out["tolerance"] = {"rel_eps": self.rel_eps, "abs_floor": self.abs_floor}
+        return out
 
 
 def _certificate(side: DualSide, v: VectorFamily) -> WeakRDualCertificate:
@@ -363,28 +408,30 @@ def _certificate(side: DualSide, v: VectorFamily) -> WeakRDualCertificate:
     if f.count != v.count:
         raise ShapeMismatchError(f"f/v counts {f.count}/{v.count} must pair up")
 
-    # G(f,u) = F U^* = B conj(Vh_u) with B = F conj(U_u) diag(s_u)
-    # (``_adjoint_factor``), so the synthesis columns V^t G(f,u) are
-    # (V^t B) conj(Vh_u), and (G(v,v)^t - I) G(f,u) = (conj(V) V^t B - B)
+    # G(f,u) = F U^* = B conj(Vh_u) with the record's B = F conj(U_u)
+    # diag(s_u), so the synthesis columns V^t G(f,u) are (V^t B)
+    # conj(Vh_u), and (G(v,v)^t - I) G(f,u) = (conj(V) V^t B - B)
     # conj(Vh_u) has the norm of conj(V) V^t B - B, as conj(Vh_u) has
-    # orthonormal rows; conj(V) X is taken as conj(V conj(X)).  ``v`` is
-    # read through its products and ``_frame_residual`` alone, so a
-    # constructed ``v`` answers from its factors and writes no count x n
-    # array.  ||S_u - I||_F is read off the singular values of u.
-    # The count x p arrays are updated in place and dropped once read, so
-    # at most two of them are alive at once.
-    u_u, s_u, vh_u = u.svd
-    b = f._times(np.conj(u_u))
-    b *= s_u  # (M, min(n, K))
-    vt_b = v._transposed_times(b)
-    generated = vt_b @ np.conj(vh_u)  # columns: sum_i <f_i,u_j> v_i
-    w_syn = w.vectors.T
-    synth_res = float(np.max(np.linalg.norm(w_syn - generated, axis=0)))
+    # orthonormal rows; conj(V) X is taken as conj(V conj(X)).  No product
+    # with the rows of f is taken here.  ``v`` is read through its products
+    # and ``_frame_residual`` alone, so a constructed ``v`` answers from
+    # its factors and writes no count x n array.  ||S_u - I||_F is read
+    # off the singular values of u.  Every array is updated in place and
+    # dropped once read, so at most two count x p arrays are alive at once
+    # beside the record's, and at most three n x p.
+    _, s_u, vh_u = u.svd
+    vt_b = v._transposed_times(side.b)
     comm = v._times(np.conj(vt_b))
     np.conjugate(comm, out=comm)
-    comm -= b
+    comm -= side.b
     comm_res = frobenius(comm)
-    del b, comm
+    del comm
+    generated = vt_b @ np.conj(vh_u)  # columns: sum_i <f_i,u_j> v_i
+    del vt_b
+    w_syn = w.vectors.T
+    np.subtract(w_syn, generated, out=generated)
+    synth_res = float(np.max(np.linalg.norm(generated, axis=0)))
+    del generated
     # The rows of P V^t - Y^t are those of (V conj(q) - coef) q^t, and q^t
     # has orthonormal rows, so max_i ||P v_i - y_i|| is the largest row
     # norm of the count x rank matrix V conj(q) - coef, summed over the
@@ -1097,16 +1144,17 @@ def characterizing_sequence_bounds(
     side = dual_side(w, f, u, tol)
     if f.count - side.kernel != wa.span_dim:
         raise HypothesisFailedError("characterizing sequence does not span span{w}")
-    ya = analyze(side.sequence, tol)
+    # Y = q c conj(Vh_f) has the singular values of c, so its frame bounds
+    # are read off them by the rules of ``analyze``, with no rows of Y
+    s_y = _svd(side.c, compute_uv=False)
+    rank_y = _span_rank(s_y, tol)
+    lower, upper = float(s_y[rank_y - 1] ** 2), float(s_y[0] ** 2)
     lo = fa.lower_bound / wa.upper_bound
     hi = fa.upper_bound / wa.lower_bound
-    ok = (
-        ya.lower_bound >= lo * (1 - _SANDWICH_SLACK)
-        and ya.upper_bound <= hi * (1 + _SANDWICH_SLACK)
-    )
+    ok = lower >= lo * (1 - _SANDWICH_SLACK) and upper <= hi * (1 + _SANDWICH_SLACK)
     return CharacterizingBounds(
-        lower=ya.lower_bound,
-        upper=ya.upper_bound,
+        lower=lower,
+        upper=upper,
         sandwich_lower=lo,
         sandwich_upper=hi,
         sandwich_ok=ok,

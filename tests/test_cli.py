@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, report shapes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -565,3 +568,30 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsysbinary, monkeypatch)
     for argv in setters + later + setters:
         assert _report_bytes(main, argv, capsysbinary) == first[tuple(argv)], argv
         assert parsed.pop() == vars(build_parser().parse_args(argv))
+
+
+def test_tight_wrd_leaves_numpy_ma_unimported(tmp_path):
+    # a coordinate family is recognized by plain indexing, as np.unique,
+    # np.setdiff1d and np.isin import numpy.ma on first use: one tight-wrd
+    # op in a fresh process must not import it
+    import framedual
+    from framedual.gabor import GaborLattice, canonical_tight_window
+
+    lat = GaborLattice(96, 2, 2)
+    rng = np.random.default_rng(1)
+    g = canonical_tight_window(lat, rng.standard_normal(96) + 1j * rng.standard_normal(96))
+    window = _write(tmp_path, "window", VectorFamily(g[None, :]))
+    argv = ["gabor", "tight-wrd", "--N", "96", "--a", "2", "--b", "2",
+            "--window", str(window), "--out", str(tmp_path / "tight.json")]
+    code = (
+        "import sys\n"
+        "from framedual.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+    )
+    src = str(Path(framedual.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

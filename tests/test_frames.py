@@ -119,6 +119,95 @@ class TestVectorFamily:
         assert "vectors" not in v.__dict__
 
 
+def _coordinate_rows(count, dim, members, positions):
+    """``count`` members in ``C^dim``, member ``members[j]`` the coordinate
+    vector ``e_{positions[j]}`` and every other zero."""
+    v = np.zeros((count, dim), dtype=np.complex128)
+    v[members, positions] = 1.0
+    return v
+
+
+def _recorded_thin_svd(monkeypatch):
+    from framedual import frames
+
+    calls, thin_svd = [], frames.thin_svd
+
+    def recorded(a):
+        calls.append(np.shape(a))
+        return thin_svd(a)
+
+    monkeypatch.setattr(frames, "thin_svd", recorded)
+    return calls
+
+
+class TestCoordinateFamily:
+    # a family of distinct unit coordinate vectors and zeros has its SVD
+    # read off its positions; LAPACK gives the same values
+    @pytest.mark.parametrize(
+        "count, dim, members, positions",
+        [
+            (4, 4, [0, 1, 2, 3], [2, 0, 3, 1]),  # permuted basis
+            (7, 4, [0, 1, 2, 3], [0, 1, 2, 3]),  # padded standard basis
+            (9, 4, [1, 4, 8], [3, 0, 2]),  # padded, zeros between, p < dim
+            (3, 5, [0, 1, 2], [4, 1, 2]),  # short: count < dim
+            (4, 6, [0, 2], [5, 3]),  # short with zeros
+            (1, 3, [0], [1]),
+        ],
+    )
+    def test_factors_match_lapack_and_reconstruct(
+        self, monkeypatch, count, dim, members, positions
+    ):
+        rows = _coordinate_rows(count, dim, members, positions)
+        calls = _recorded_thin_svd(monkeypatch)
+        u, s, vh = VectorFamily(rows).svd
+        assert calls == []
+        k = min(count, dim)
+        assert (u.shape, s.shape, vh.shape) == ((dim, k), (k,), (k, count))
+        np.testing.assert_array_equal(s, np.linalg.svd(rows.T, compute_uv=False))
+        np.testing.assert_array_equal((u * s) @ vh, rows.T)
+        for factor in (u.conj().T @ u, vh @ vh.conj().T):
+            np.testing.assert_array_equal(factor, np.eye(k))
+        assert not any(f.flags.writeable for f in (u, s, vh))
+
+    @pytest.mark.parametrize(
+        "entry, where",
+        [
+            (-1.0, (1, 1)),  # a -1 entry
+            (1.0 + 2.0**-52, (2, 2)),  # just above 1
+            (1.0, (3, 0)),  # repeats the position of member 0
+            (1j, (1, 1)),  # a unit that is not 1
+            (1.0, (0, 1)),  # two entries in member 0
+        ],
+    )
+    def test_near_misses_take_lapack(self, monkeypatch, entry, where):
+        rows = _coordinate_rows(4, 4, [0, 1, 2], [0, 1, 2])
+        rows[where] = entry
+        calls = _recorded_thin_svd(monkeypatch)
+        u, s, vh = VectorFamily(rows).svd
+        assert calls == [(4, 4)]
+        np.testing.assert_allclose((u * s) @ vh, rows.T, atol=1e-14)
+
+    def test_all_zero_takes_lapack_and_raises_as_before(self, monkeypatch):
+        calls = _recorded_thin_svd(monkeypatch)
+        zero = VectorFamily(np.zeros((3, 2)))
+        np.testing.assert_array_equal(zero._s, [0.0, 0.0])
+        assert calls == [(2, 3)]
+        with pytest.raises(EmptySpanError):
+            analyze(zero)
+
+    def test_loaded_and_built_standard_bases_agree(self, tmp_path, monkeypatch):
+        from framedual.frames import standard_basis_family
+
+        path = tmp_path / "u.json"
+        save_family(standard_basis_family(6, 9), path)
+        loaded = load_family(path)
+        calls = _recorded_thin_svd(monkeypatch)
+        for factor, expected in zip(loaded.svd, standard_basis_family(6, 9).svd):
+            np.testing.assert_array_equal(factor, expected)
+        assert calls == []
+        assert analyze(loaded).is_parseval_for_span
+
+
 class TestSynthesisMatrix:
     def test_orthonormal_pair(self):
         assert np.allclose(synthesis_matrix(fam([[1, 0], [0, 1]])), np.eye(2))

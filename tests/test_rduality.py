@@ -1,7 +1,7 @@
 """Weak R-dual machinery: certificates, constructions, interleavings,
 coisometric transfer, and conjugate-linear witnesses."""
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, asdict
 
 import numpy as np
 import pytest
@@ -36,7 +36,7 @@ from framedual.gabor import (
     canonical_tight_window,
     gabor_system,
 )
-from framedual.numerics import DEFAULT_TOL, Tolerance, hermitian_eig
+from framedual.numerics import DEFAULT_TOL, Tolerance, hermitian_eig, singular_rank
 from framedual.rduality import (
     ConjugateLinearMap,
     DualSide,
@@ -123,6 +123,35 @@ class TestWeakRDual:
             weak_r_dual(trio(), _onb(2), _onb(2))
 
 
+def test_one_product_with_f_per_dual_side(monkeypatch):
+    # dual_side takes the one product B = F conj(U_u) diag(s_u) with the
+    # rows of f, and the certificate reads B off the record
+    w, f, u, v, _ = weak_dual_instance(np.random.default_rng(7), 3, 6)
+    calls, times = [], VectorFamily._times
+
+    def counted(self, x):
+        if self is f:
+            calls.append(x.shape)
+        return times(self, x)
+
+    monkeypatch.setattr(VectorFamily, "_times", counted)
+    assert certify_weak_r_dual(w, f, u, v).passes()
+    assert len(calls) == 1
+
+
+def test_certificate_json_dict_copies_labels():
+    # the dict is built from the fields, with the tolerance moved last and
+    # a copy of the labels, as the deep copy of ``asdict`` gave it
+    cert = weak_dual_instance(np.random.default_rng(8), 3, 5)[4]
+    out = cert.to_json_dict()
+    expected = asdict(cert)
+    tolerance = {key: expected.pop(key) for key in ("rel_eps", "abs_floor")}
+    expected["tolerance"] = tolerance
+    assert out == expected and list(out) == list(expected)
+    out["labels"]["w"] = "changed"
+    assert cert.labels["w"] != "changed"
+
+
 class TestCommutingParsevalFamily:
     def test_repeated_family_real_case(self):
         res = commuting_parseval_family(trio())
@@ -205,8 +234,11 @@ class TestDualSide:
     def test_rank_svd_failure_is_typed(self, monkeypatch):
         # the rank of Y is read off the values-only SVD of the small matrix
         # c, which goes through numerics._svd: a LAPACK failure there is a
-        # NumericalFailureError, not a bare LinAlgError
-        w, f, u, _, _ = weak_dual_instance(np.random.default_rng(19), 3, 6)
+        # NumericalFailureError, not a bare LinAlgError.  Random families
+        # give a c far from an isometry, so its SVD is taken
+        rng = np.random.default_rng(19)
+        w, f, u = (random_frame(rng, 6, 3) for _ in range(3))
+        assert dual_side(w, f, u, DEFAULT_TOL).parseval_res > 1.0
         for family in (w, f, u):
             family.svd  # the families' own factorizations are not the target
         svd = np.linalg.svd
@@ -219,6 +251,54 @@ class TestDualSide:
         monkeypatch.setattr(np.linalg, "svd", failing)
         with pytest.raises(NumericalFailureError):
             dual_side(w, f, u, DEFAULT_TOL)
+
+    @staticmethod
+    def _values_only_svds(monkeypatch):
+        svd, calls = np.linalg.svd, []
+
+        def recorded(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True) is False:
+                calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        return calls
+
+    def test_rank_shortcut_agrees_with_the_svd_rank(self, monkeypatch):
+        # on passing triples c is near an isometry, so rank(Y) is read off
+        # its Parseval residual with no SVD, and equals the SVD's rank
+        calls = self._values_only_svds(monkeypatch)
+        checked = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            dim = int(rng.integers(2, 6))
+            count = int(rng.integers(1, 9))
+            w, f, u, _, cert = weak_dual_instance(rng, dim, count)
+            assert cert.passes()
+            del calls[:]
+            side = dual_side(w, f, u)
+            assert side.parseval_ok and calls == []
+            s_c = np.linalg.svd(side.c, compute_uv=False)
+            assert side.kernel == f.count - singular_rank(s_c, DEFAULT_TOL)
+            checked += 1
+        assert checked == 12
+
+    @pytest.mark.parametrize("past, svds", [(-1e-3, []), (1e-3, [(2, 2)])])
+    def test_rank_shortcut_bound(self, monkeypatch, past, svds):
+        # with w = u = I_2 and f = diag(sigma), c has the singular values
+        # sigma, and sigma^2 = 1 +- x gives eps = sqrt(2) x.  At rel_eps =
+        # 0.5 the shortcut holds while sqrt(1 - eps) > 0.5 sqrt(1 + eps),
+        # that is eps < 0.6; just past it the SVD is taken, with the rank
+        # the shortcut would have given
+        x = (0.6 + past) / np.sqrt(2.0)
+        f = fam(np.diag(np.sqrt([1.0 + x, 1.0 - x])), label="f")
+        tol = Tolerance(rel_eps=0.5)
+        f.svd  # the family's own factorization is not the target
+        calls = self._values_only_svds(monkeypatch)
+        side = dual_side(_onb(2), f, _onb(2), tol)
+        assert side.parseval_res == pytest.approx(0.6 + past, rel=1e-12)
+        assert calls == svds
+        assert side.kernel == 0
 
     def test_public_record_contract(self):
         # the rectangular triple of the tight pipeline: the K = ab = 6

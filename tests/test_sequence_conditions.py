@@ -74,6 +74,25 @@ class TestCharacterizingSequenceBounds:
             res = characterizing_sequence_bounds(f, f, u)
             assert res.sandwich_ok
 
+    def test_bounds_are_read_off_c(self, monkeypatch):
+        # y = q c conj(Vh_f) has the singular values of c, so the bounds
+        # are analyze's bounds of y, with no thin SVD of y's rows
+        from framedual import frames
+
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            f = random_frame(rng, n, n)
+            u = VectorFamily(random_unitary(rng, n).T, label="onb")
+            ya = analyze(dual_side(f, f, u).sequence)
+            calls = []
+            monkeypatch.setattr(frames, "thin_svd", lambda a: calls.append(a))
+            res = characterizing_sequence_bounds(f, f, u)  # f, u already factored
+            monkeypatch.undo()
+            assert calls == []
+            assert res.lower == pytest.approx(ya.lower_bound, rel=1e-12)
+            assert res.upper == pytest.approx(ya.upper_bound, rel=1e-12)
+
     def test_hypothesis_gate_on_invariance(self):
         n = 6
         r2 = np.sqrt(2.0)

@@ -629,6 +629,37 @@ def test_adjoint_lattice_is_an_involution_on_every_lattice():
     assert checked > 300
 
 
+def test_coordinate_selections_are_gathered_on_every_lattice(monkeypatch):
+    # rows @ x for an x whose columns are distinct coordinate vectors is a
+    # gather of the rows' columns, bit for bit, and x conj(U) diag(s) for
+    # an x whose rows are coordinate vectors a gather of the rows of
+    # conj(U) diag(s); neither takes a block product
+    def refused(*args):
+        raise AssertionError("block product taken for a coordinate selection")
+
+    checked = 0
+    for N in range(1, 25):
+        for lat in divisor_lattices(N):
+            sys = gabor_system(lat, _window(lat, 17))
+            rng = np.random.default_rng([17, N, lat.a, lat.b])
+            pos = rng.permutation(N)[: rng.integers(1, N + 1)]
+            x = np.eye(N, dtype=np.complex128)[:, pos]
+            for fam in (sys.family, adjoint_system(sys).family):
+                with monkeypatch.context() as patched:
+                    patched.setattr(gabor, "_coset_product", refused)
+                    patched.setattr(gabor, "_coset_adjoint_factor", refused)
+                    cols = fam._times(x)
+                    rows = fam._adjoint_factor(x.T)
+                assert "vectors" not in fam.__dict__ and "_us" not in fam.__dict__
+                np.testing.assert_array_equal(cols, fam.vectors[:, pos])
+                u, s = fam._us
+                np.testing.assert_allclose(
+                    rows, (x.T @ np.conj(u)) * s, rtol=0, atol=1e-15 * s[0]
+                )
+                checked += 1
+    assert checked > 700
+
+
 def test_coset_product_matches_the_rows_on_every_lattice():
     # rows @ x for the system and the adjoint, taken from the coset blocks
     # without assembling the rows, against the assembled rows; x is a
